@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -19,6 +20,15 @@ Status
 errnoStatus(const char *what)
 {
     return internalError(strformat("%s: %s", what, std::strerror(errno)));
+}
+
+/** Sends small frames at once: with Nagle's algorithm a multi-frame
+ * reply waits for the peer's delayed ACK (~40 ms) before its tail. */
+void
+setNoDelay(int fd)
+{
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 } // namespace
@@ -133,6 +143,7 @@ connectTcp(const std::string &host, int port)
     if (fd < 0)
         return errnoStatus("socket(AF_INET)");
     Socket socket(fd);
+    setNoDelay(fd);
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof(addr))
         != 0)
         return errnoStatus(
@@ -223,22 +234,32 @@ Listener::accept()
 {
     for (;;) {
         const int fd = ::accept(fd_, nullptr, nullptr);
-        if (fd >= 0)
+        if (fd >= 0) {
+            if (port_ > 0) // TCP listener
+                setNoDelay(fd);
             return Socket(fd);
+        }
         if (errno == EINTR)
             continue;
-        // EBADF/EINVAL after close() is the normal shutdown path.
+        // EINVAL after shutdown() is the normal stop path.
         return notFound(strformat("accept: %s", std::strerror(errno)));
     }
+}
+
+void
+Listener::shutdown()
+{
+    // shutdown() unblocks a thread parked in accept(); close alone does
+    // not on Linux.
+    if (fd_ >= 0)
+        ::shutdown(fd_, SHUT_RDWR);
 }
 
 void
 Listener::close()
 {
     if (fd_ >= 0) {
-        // shutdown() unblocks a thread parked in accept(); close alone
-        // does not on Linux.
-        ::shutdown(fd_, SHUT_RDWR);
+        shutdown();
         ::close(fd_);
         fd_ = -1;
     }

@@ -75,7 +75,7 @@ class Socket
 StatusOr<Socket> connectUnix(const std::string &path);
 
 /** Connects to TCP @p host : @p port (numeric IPv4 host, e.g.
- * "127.0.0.1"). */
+ * "127.0.0.1"), with TCP_NODELAY set: frames go out unbatched. */
 StatusOr<Socket> connectTcp(const std::string &host, int port);
 
 /**
@@ -106,12 +106,21 @@ class Listener
     int boundPort() const { return port_; }
 
     /**
-     * Blocks for the next connection. When the listener is closed from
-     * another thread (the daemon's stop path), reports kNotFound.
+     * Blocks for the next connection (TCP connections get TCP_NODELAY).
+     * When the listener is shut down from another thread (the daemon's
+     * stop path), reports kNotFound.
      */
     StatusOr<Socket> accept();
 
-    /** Closes the listening descriptor, unblocking accept(). */
+    /**
+     * Shuts the listening socket down, unblocking a thread parked in
+     * accept(), but keeps the descriptor: that thread may still be
+     * reading it. Join it, then close().
+     */
+    void shutdown();
+
+    /** Closes the listening descriptor (idempotent). Must not race with
+     * accept(); a concurrent acceptor is stopped with shutdown(). */
     void close();
 
   private:

@@ -130,12 +130,15 @@ DaemonServer::stop()
     stop_cv_.notify_all();
     stopping_.store(true, std::memory_order_release);
 
-    // Closing the listeners unblocks the accept threads.
-    unix_listener_.close();
-    tcp_listener_.close();
+    // Shutting the listeners down unblocks the accept threads; the
+    // descriptors are closed only once no thread can still read them.
+    unix_listener_.shutdown();
+    tcp_listener_.shutdown();
     for (std::thread &thread : accept_threads_)
         thread.join();
     accept_threads_.clear();
+    unix_listener_.close();
+    tcp_listener_.close();
 
     // Shut every connection down (readers unblock from recv and run
     // their normal cleanup: drop queued work, cancel running sessions).

@@ -5,6 +5,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -71,13 +73,6 @@ class IntervalSet
     }
 
     void
-    addSet(const IntervalSet &other)
-    {
-        for (const Interval &i : other.iv_)
-            add(i.begin, i.end);
-    }
-
-    void
     subtract(std::int64_t begin, std::int64_t end)
     {
         if (begin >= end)
@@ -126,42 +121,26 @@ class IntervalSet
         return std::nullopt;
     }
 
-    /** Parts of [begin, end) not covered by this set. */
-    IntervalSet
-    uncovered(std::int64_t begin, std::int64_t end) const
+    /** First maximal part of [begin, end) not covered by this set. */
+    std::optional<Interval>
+    firstUncovered(std::int64_t begin, std::int64_t end) const
     {
-        IntervalSet missing;
-        if (begin >= end)
-            return missing;
         std::int64_t cursor = begin;
         for (auto it = firstReaching(begin);
              it != iv_.end() && it->begin < end; ++it) {
             if (it->begin > cursor)
-                missing.iv_.push_back(Interval{cursor, it->begin});
+                return Interval{cursor, it->begin};
             cursor = std::max(cursor, it->end);
             if (cursor >= end)
-                break;
+                return std::nullopt;
         }
         if (cursor < end)
-            missing.iv_.push_back(Interval{cursor, end});
-        return missing;
+            return Interval{cursor, end};
+        return std::nullopt;
     }
 
-    void
-    subtractSet(const IntervalSet &other)
-    {
-        for (const Interval &i : other.iv_)
-            subtract(i.begin, i.end);
-    }
-
+    void clear() { iv_.clear(); }
     bool empty() const { return iv_.empty(); }
-    const std::vector<Interval> &intervals() const { return iv_; }
-
-    Interval
-    first() const
-    {
-        return iv_.empty() ? Interval{} : iv_.front();
-    }
 
   private:
     /** First interval whose end extends past @p pos (they are sorted
@@ -178,6 +157,29 @@ class IntervalSet
     std::vector<Interval> iv_;
 };
 
+/**
+ * First maximal part of [begin, end) covered by neither @p base nor
+ * @p own (either may be null): the first interval of
+ * `[begin, end) - base - own`.
+ */
+std::optional<Interval>
+firstGap(const IntervalSet *base, const IntervalSet *own,
+         std::int64_t begin, std::int64_t end)
+{
+    std::int64_t cursor = begin;
+    while (cursor < end) {
+        const std::optional<Interval> piece =
+            base != nullptr ? base->firstUncovered(cursor, end)
+                            : std::optional<Interval>(Interval{cursor, end});
+        if (!piece || own == nullptr)
+            return piece;
+        if (auto gap = own->firstUncovered(piece->begin, piece->end))
+            return gap;
+        cursor = piece->end;
+    }
+    return std::nullopt;
+}
+
 /** Buffer identity: the L0 global buffer or one core's L1 bank. */
 struct BufKey {
     MemSpace space = MemSpace::kL0;
@@ -191,6 +193,29 @@ struct BufKey {
         return core < other.core;
     }
     bool operator==(const BufKey &) const = default;
+};
+
+/** Crossbar identity. */
+struct XbKey {
+    std::int64_t core = 0;
+    std::int64_t xb = 0;
+
+    bool
+    operator<(const XbKey &other) const
+    {
+        return core != other.core ? core < other.core : xb < other.xb;
+    }
+    bool operator==(const XbKey &) const = default;
+};
+
+struct XbKeyHash {
+    std::size_t
+    operator()(const XbKey &key) const
+    {
+        return static_cast<std::size_t>(
+            static_cast<std::uint64_t>(key.core) * 0x9E3779B97F4A7C15ull ^
+            static_cast<std::uint64_t>(key.xb));
+    }
 };
 
 BufKey
@@ -254,6 +279,18 @@ struct OpEffects {
     std::vector<XbRef> xb_writes;
     std::vector<std::int64_t> core_reads;  //!< core-state uses
     std::vector<std::int64_t> core_writes; //!< core-state installs
+
+    void
+    clear()
+    {
+        reads.clear();
+        writes.clear();
+        accums.clear();
+        xb_reads.clear();
+        xb_writes.clear();
+        core_reads.clear();
+        core_writes.clear();
+    }
 };
 
 void
@@ -296,16 +333,17 @@ addStrided(std::vector<RegionRef> *out, const BufAddr &addr,
     addRegion(out, addr, lo, hi);
 }
 
-OpEffects
-computeEffects(const MetaOp &op, const CimArchitecture &arch)
+/** Fills @p fx (cleared first, so callers can reuse one scratch). */
+void
+computeEffects(const MetaOp &op, OpEffects *fx)
 {
-    OpEffects fx;
+    fx->clear();
     switch (op.kind) {
       case MetaOpKind::kWriteCore:
-        fx.core_writes.push_back(op.core);
+        fx->core_writes.push_back(op.core);
         break;
       case MetaOpKind::kReadCore: {
-        fx.core_reads.push_back(op.core);
+        fx->core_reads.push_back(op.core);
         const CoreOpParams &p = op.core_params;
         if (p.is_conv) {
             const std::int64_t OH =
@@ -314,35 +352,35 @@ computeEffects(const MetaOp &op, const CimArchitecture &arch)
                 convOutDim(p.in_w, p.kernel, p.stride, p.padding);
             if (OH <= 0 || OW <= 0)
                 break;
-            addExtent(&fx.reads, op.src,
+            addExtent(&fx->reads, op.src,
                       p.in_channels * p.in_h * p.in_w);
             const std::int64_t w0 = p.win_begin;
             const std::int64_t w1 = p.win_end > 0 ? p.win_end : OH;
             for (std::int64_t o = 0; o < p.out_channels; ++o) {
-                addRegion(&fx.writes, op.dst, (o * OH + w0) * OW,
+                addRegion(&fx->writes, op.dst, (o * OH + w0) * OW,
                           (o * OH + w1) * OW);
             }
         } else {
             const std::int64_t w0 = p.win_begin;
             const std::int64_t w1 = p.win_end > 0 ? p.win_end : 1;
-            addRegion(&fx.reads, op.src, w0 * p.in_features,
+            addRegion(&fx->reads, op.src, w0 * p.in_features,
                       w1 * p.in_features);
-            addRegion(&fx.writes, op.dst, w0 * p.out_features,
+            addRegion(&fx->writes, op.dst, w0 * p.out_features,
                       w1 * p.out_features);
         }
         break;
       }
       case MetaOpKind::kReadXb: {
-        fx.xb_reads.push_back(XbRef{op.core, op.xb, 0, op.rows});
-        addExtent(&fx.reads, op.src, op.rows);
-        addExtent(&fx.accums, op.dst, op.cols);
+        fx->xb_reads.push_back(XbRef{op.core, op.xb, 0, op.rows});
+        addExtent(&fx->reads, op.src, op.rows);
+        addExtent(&fx->accums, op.dst, op.cols);
         break;
       }
       case MetaOpKind::kReadRow: {
-        fx.xb_reads.push_back(
+        fx->xb_reads.push_back(
             XbRef{op.core, op.xb, op.row, op.row + op.len});
-        addExtent(&fx.reads, op.src, op.len);
-        addExtent(&fx.accums, op.dst, op.cols);
+        addExtent(&fx->reads, op.src, op.len);
+        addExtent(&fx->accums, op.dst, op.cols);
         break;
       }
       case MetaOpKind::kWriteXb:
@@ -355,7 +393,7 @@ computeEffects(const MetaOp &op, const CimArchitecture &arch)
         if (op.payload && op.payload->shape().rank() > 0)
             rows = op.payload->shape().dim(0);
         if (rows > 0) {
-            fx.xb_writes.push_back(
+            fx->xb_writes.push_back(
                 XbRef{op.core, op.xb, row_base, row_base + rows});
         }
         break;
@@ -363,87 +401,90 @@ computeEffects(const MetaOp &op, const CimArchitecture &arch)
       case MetaOpKind::kDcom: {
         const DcomParams &p = op.dcom_params;
         if (op.func == dcomfunc::kZero) {
-            addExtent(&fx.writes, op.dst, op.len);
+            addExtent(&fx->writes, op.dst, op.len);
         } else if (op.func == dcomfunc::kRelu ||
                    op.func == dcomfunc::kRequant ||
                    op.func == dcomfunc::kSoftmax ||
                    op.func == dcomfunc::kLayerNorm ||
                    op.func == dcomfunc::kGelu) {
-            addExtent(&fx.reads, op.src, op.len);
-            addExtent(&fx.writes, op.dst, op.len);
+            addExtent(&fx->reads, op.src, op.len);
+            addExtent(&fx->writes, op.dst, op.len);
         } else if (op.func == dcomfunc::kAdd) {
-            addExtent(&fx.reads, op.src, op.len);
-            addExtent(&fx.reads, op.src2, op.len);
-            addExtent(&fx.writes, op.dst, op.len);
+            addExtent(&fx->reads, op.src, op.len);
+            addExtent(&fx->reads, op.src2, op.len);
+            addExtent(&fx->writes, op.dst, op.len);
         } else if (op.func == dcomfunc::kMaxPool ||
                    op.func == dcomfunc::kAvgPool) {
-            addExtent(&fx.reads, op.src,
+            addExtent(&fx->reads, op.src,
                       p.channels * p.in_h * p.in_w);
             const std::int64_t oh =
                 convOutDim(p.in_h, p.kernel, p.stride, p.padding);
             const std::int64_t ow =
                 convOutDim(p.in_w, p.kernel, p.stride, p.padding);
             if (oh > 0 && ow > 0)
-                addExtent(&fx.writes, op.dst, p.channels * oh * ow);
+                addExtent(&fx->writes, op.dst, p.channels * oh * ow);
         } else if (op.func == dcomfunc::kGlobalAvgPool) {
-            addExtent(&fx.reads, op.src,
+            addExtent(&fx->reads, op.src,
                       p.channels * p.in_h * p.in_w);
-            addExtent(&fx.writes, op.dst, p.channels);
+            addExtent(&fx->writes, op.dst, p.channels);
         } else if (op.func == dcomfunc::kMatMul) {
             const std::int64_t m = p.in_h, k = p.in_w, n = p.channels;
-            addExtent(&fx.reads, op.src, m * k);
-            addExtent(&fx.reads, op.src2, k * n);
-            addExtent(&fx.writes, op.dst, m * n);
+            addExtent(&fx->reads, op.src, m * k);
+            addExtent(&fx->reads, op.src2, k * n);
+            addExtent(&fx->writes, op.dst, m * n);
         }
         // Unknown functions are reported by the structural pass.
         break;
       }
       case MetaOpKind::kMov: {
-        addStrided(&fx.reads, op.src, op.len, op.count, op.src_stride);
-        addStrided(&fx.writes, op.dst, op.len, op.count, op.dst_stride);
+        addStrided(&fx->reads, op.src, op.len, op.count, op.src_stride);
+        addStrided(&fx->writes, op.dst, op.len, op.count, op.dst_stride);
         break;
       }
     }
-    (void)arch;
-    return fx;
 }
 
-/** Aggregated accesses of one parallel arm, for race detection. */
+/**
+ * Whether two ops count as "the same op" for merging a parallel arm's
+ * consecutive accesses: the same statement, or ops that render to the
+ * same text (so their race messages would be indistinguishable).
+ */
+bool
+sameOpText(const MetaOp *a, const MetaOp *b)
+{
+    return a == b || (a->kind == b->kind && a->toString() == b->toString());
+}
+
+/** Aggregated accesses of one parallel arm, for rendering races. Ops
+ * are referenced, not rendered: the program outlives the analysis. */
 struct ArmSummary {
     struct Access {
         BufKey key;
         IntervalSet set;
-        std::string op; //!< representative rendering per op
+        const MetaOp *op = nullptr; //!< representative op
     };
     struct XbAccess {
         std::int64_t core = 0, xb = 0;
         IntervalSet set;
-        std::string op;
+        const MetaOp *op = nullptr;
     };
     std::vector<Access> reads, writes, accums;
     std::vector<XbAccess> xb_reads, xb_writes;
-    std::vector<std::pair<std::int64_t, std::string>> core_reads;
-    std::vector<std::pair<std::int64_t, std::string>> core_writes;
+    std::vector<std::pair<std::int64_t, const MetaOp *>> core_reads;
+    std::vector<std::pair<std::int64_t, const MetaOp *>> core_writes;
 };
 
-/** The per-section statement numbering and node counts. */
-struct Numbering {
-    std::map<const Stmt *, std::int64_t> index;
-    std::int64_t statements = 0;
-    std::int64_t ops = 0;
-};
-
+/** Statement and op-statement counts of a statement list. */
 void
-numberStmts(const std::vector<Stmt> &stmts, std::int64_t *next,
-            Numbering *out)
+countStmts(const std::vector<Stmt> &stmts, std::int64_t *statements,
+           std::int64_t *ops)
 {
     for (const Stmt &stmt : stmts) {
-        out->index[&stmt] = (*next)++;
-        ++out->statements;
+        ++*statements;
         if (stmt.kind == Stmt::Kind::kOp)
-            ++out->ops;
+            ++*ops;
         else
-            numberStmts(stmt.body, next, out);
+            countStmts(stmt.body, statements, ops);
     }
 }
 
@@ -458,10 +499,8 @@ class Analyzer
     void
     run(const MopProgram &program, AnalyzeResult *result)
     {
-        std::int64_t next = 0;
-        numberStmts(program.init(), &next, &numbering_);
-        next = 0;
-        numberStmts(program.compute(), &next, &numbering_);
+        countStmts(program.init(), &result->statements, &result->ops);
+        countStmts(program.compute(), &result->statements, &result->ops);
 
         for (const LiveInRegion &region : options_.live_in) {
             BufKey key;
@@ -469,15 +508,17 @@ class Analyzer
             key.core = region.space == MemSpace::kL1 ? region.core : 0;
             defined_[key].add(region.begin, region.end);
             if (region.begin < region.end) {
-                events_[key].push_back(Event{-1, true, region.begin,
-                                             region.end, "", -1});
+                addEvent(events_[key], Event{-1, region.begin, region.end,
+                                             -1, "", true});
             }
         }
 
+        // Statements are numbered in pre-order per section; the walk
+        // carries the index instead of looking it up.
         section_ = "init";
-        walkStmts(program.init());
+        walkStmts(program.init(), 0);
         section_ = "compute";
-        walkStmts(program.compute());
+        walkStmts(program.compute(), 0);
 
         finish(result);
     }
@@ -485,10 +526,18 @@ class Analyzer
   private:
     struct Event {
         std::int64_t t = 0;
-        bool is_def = false;
         std::int64_t begin = 0, end = 0;
-        std::string section;
         std::int64_t index = -1;
+        const char *section = "";
+        bool is_def = false;
+    };
+
+    /** One buffer's capacity events, plus the union of the defs made at
+     * the latest timestamp (see addEvent). */
+    struct BufEvents {
+        std::vector<Event> events;
+        std::int64_t t = -2; //!< timestamp of defs_at_t
+        IntervalSet defs_at_t;
     };
 
     /** A plain write whose value is not yet fully overwritten. The
@@ -497,8 +546,8 @@ class Analyzer
     struct PendingStore {
         std::int64_t remaining = 0; //!< pending elements left
         bool any_read = false;
-        std::string op;
-        std::string section;
+        const MetaOp *op = nullptr;
+        const char *section = "";
         std::int64_t index = -1;
     };
 
@@ -511,70 +560,87 @@ class Analyzer
     struct XbStore {
         IntervalSet pending; //!< programmed rows not yet overwritten
         bool any_read = false;
-        std::string op;
-        std::string section;
+        const MetaOp *op = nullptr;
+        const char *section = "";
         std::int64_t index = -1;
+    };
+
+    /** Everything known about one crossbar. */
+    struct XbState {
+        IntervalSet programmed;      //!< rows programmed before now
+        std::vector<XbStore> stores; //!< unread programming (executable)
     };
 
     struct CoreStore {
         bool any_read = false;
-        std::string op;
-        std::string section;
+        const MetaOp *op = nullptr;
+        const char *section = "";
         std::int64_t index = -1;
     };
 
-    /** Snapshot-based definition view for parallel arms: reads check
-     * the pre-block state plus the arm's own defs, never a sibling's. */
-    struct ArmCtx {
-        const std::map<BufKey, IntervalSet> *base_defined = nullptr;
-        std::map<BufKey, IntervalSet> *arm_defined = nullptr;
-        const std::map<std::pair<std::int64_t, std::int64_t>,
-                       IntervalSet> *base_xb = nullptr;
-        std::map<std::pair<std::int64_t, std::int64_t>, IntervalSet>
-            *arm_xb = nullptr;
-        const std::set<std::int64_t> *base_cores = nullptr;
-        std::set<std::int64_t> *arm_cores = nullptr;
-        std::int64_t anchor = -1;
+    /** A definition made inside a parallel arm. Arms read the pre-block
+     * state plus their own defs, never a sibling's, so defs are staged
+     * here and merged into the global state after the block. */
+    struct StagedDef {
+        enum class Kind { kBuf, kXb, kCore };
+        Kind kind = Kind::kBuf;
+        std::int64_t a = 0, b = 0; //!< BufKey (space, core) / XbKey / core
+        std::int64_t begin = 0, end = 0;
+        XbState *xb = nullptr; //!< the crossbar's state (kXb)
     };
 
-    void
-    walkStmts(const std::vector<Stmt> &stmts)
+    /** The arm being walked: its anchor and where its staged defs
+     * start in staged_. */
+    struct ArmCtx {
+        std::int64_t anchor = -1;
+        std::size_t first_staged = 0;
+    };
+
+    /** Walks @p stmts whose first statement has pre-order index
+     * @p index; returns the index after the last one's subtree. */
+    std::int64_t
+    walkStmts(const std::vector<Stmt> &stmts, std::int64_t index)
     {
         for (const Stmt &stmt : stmts) {
+            const std::int64_t own = index++;
             switch (stmt.kind) {
               case Stmt::Kind::kOp:
-                processOp(stmt.op, numbering_.index[&stmt], nullptr);
+                processOp(stmt.op, own, nullptr);
                 ++time_;
                 break;
               case Stmt::Kind::kParallel:
-                walkParallel(stmt);
+                index = walkParallel(stmt, own);
                 break;
               case Stmt::Kind::kRepeat: {
                 // Two passes expose loop-carried dataflow (a store at
                 // the end of the body read at the start of the next
-                // iteration) without unrolling; findings dedup.
+                // iteration) without unrolling; findings dedup. Both
+                // passes see the same statement indices.
                 const int passes = stmt.repeat > 1 ? 2 : 1;
+                std::int64_t next = index;
                 for (int p = 0; p < passes; ++p)
-                    walkStmts(stmt.body);
+                    next = walkStmts(stmt.body, index);
+                index = next;
                 break;
               }
             }
         }
+        return index;
     }
 
-    void
-    walkArm(const Stmt &stmt, ArmCtx *ctx)
+    /** Walks one arm statement; returns its subtree's statement count. */
+    std::int64_t
+    walkArm(const Stmt &stmt, const ArmCtx &ctx)
     {
-        switch (stmt.kind) {
-          case Stmt::Kind::kOp:
-            processOp(stmt.op, numbering_.index[&stmt], ctx);
-            break;
-          case Stmt::Kind::kParallel: // structurally rejected; recurse
-          case Stmt::Kind::kRepeat:
-            for (const Stmt &sub : stmt.body)
-                walkArm(sub, ctx);
-            break;
+        if (stmt.kind == Stmt::Kind::kOp) {
+            processOp(stmt.op, ctx.anchor, &ctx);
+            return 1;
         }
+        // Nested parallel blocks are structurally rejected; recurse.
+        std::int64_t count = 1;
+        for (const Stmt &sub : stmt.body)
+            count += walkArm(sub, ctx);
+        return count;
     }
 
     void
@@ -585,49 +651,45 @@ class Analyzer
                 summarizeArm(sub, out);
             return;
         }
-        const MetaOp &op = stmt.op;
-        const OpEffects fx = computeEffects(op, arch_);
-        const std::string text = op.toString();
+        const MetaOp *op = &stmt.op;
+        computeEffects(*op, &fx_);
         auto addAccesses = [&](const std::vector<RegionRef> &refs,
                                std::vector<ArmSummary::Access> *dst) {
             for (const RegionRef &r : refs) {
+                // Merge consecutive accesses of the same op text + key
+                // so a strided mov stays one record.
+                if (!dst->empty() && dst->back().key == r.key &&
+                    sameOpText(dst->back().op, op)) {
+                    dst->back().set.add(r.begin, r.end);
+                    continue;
+                }
                 ArmSummary::Access access;
                 access.key = r.key;
                 access.set.add(r.begin, r.end);
-                access.op = text;
-                // Merge consecutive accesses of the same op+key so a
-                // strided mov stays one record.
-                if (!dst->empty() && dst->back().op == text &&
-                    dst->back().key == r.key) {
-                    dst->back().set.add(r.begin, r.end);
-                } else {
-                    dst->push_back(std::move(access));
-                }
+                access.op = op;
+                dst->push_back(std::move(access));
             }
         };
-        addAccesses(fx.reads, &out->reads);
-        addAccesses(fx.writes, &out->writes);
-        addAccesses(fx.accums, &out->accums);
-        for (const XbRef &x : fx.xb_reads) {
-            ArmSummary::XbAccess access;
-            access.core = x.core;
-            access.xb = x.xb;
-            access.set.add(x.begin, x.end);
-            access.op = text;
-            out->xb_reads.push_back(std::move(access));
-        }
-        for (const XbRef &x : fx.xb_writes) {
-            ArmSummary::XbAccess access;
-            access.core = x.core;
-            access.xb = x.xb;
-            access.set.add(x.begin, x.end);
-            access.op = text;
-            out->xb_writes.push_back(std::move(access));
-        }
-        for (std::int64_t core : fx.core_reads)
-            out->core_reads.emplace_back(core, text);
-        for (std::int64_t core : fx.core_writes)
-            out->core_writes.emplace_back(core, text);
+        addAccesses(fx_.reads, &out->reads);
+        addAccesses(fx_.writes, &out->writes);
+        addAccesses(fx_.accums, &out->accums);
+        auto addXb = [&](const std::vector<XbRef> &refs,
+                         std::vector<ArmSummary::XbAccess> *dst) {
+            for (const XbRef &x : refs) {
+                ArmSummary::XbAccess access;
+                access.core = x.core;
+                access.xb = x.xb;
+                access.set.add(x.begin, x.end);
+                access.op = op;
+                dst->push_back(std::move(access));
+            }
+        };
+        addXb(fx_.xb_reads, &out->xb_reads);
+        addXb(fx_.xb_writes, &out->xb_writes);
+        for (std::int64_t core : fx_.core_reads)
+            out->core_reads.emplace_back(core, op);
+        for (std::int64_t core : fx_.core_writes)
+            out->core_writes.emplace_back(core, op);
     }
 
     // ----- diagnostics plumbing ---------------------------------------
@@ -655,14 +717,14 @@ class Analyzer
             finalize(std::move(diag));
     }
 
-    MopDiagnostic
+    static MopDiagnostic
     makeDiag(DiagSeverity severity, const char *check_id, StatusCode code,
-             std::int64_t index, std::string message)
+             const char *section, std::int64_t index, std::string message)
     {
         MopDiagnostic diag;
         diag.severity = severity;
         diag.check = check_id;
-        diag.section = section_;
+        diag.section = section;
         diag.stmt_index = index;
         diag.code = code;
         diag.message = std::move(message);
@@ -687,29 +749,54 @@ class Analyzer
         slices.emplace(pos, tail);
     }
 
-    void
-    processOp(const MetaOp &op, std::int64_t own_index, ArmCtx *ctx)
+    /** The current arm's staged defs of one kind and key, gathered into
+     * a scratch set; null when it has none. */
+    const IntervalSet *
+    armDefs(const ArmCtx *ctx, StagedDef::Kind kind, std::int64_t a,
+            std::int64_t b)
     {
-        const OpEffects fx = computeEffects(op, arch_);
-        const std::int64_t at = ctx != nullptr ? ctx->anchor : own_index;
-        const std::string text = op.toString();
+        if (ctx == nullptr)
+            return nullptr;
+        own_.clear();
+        bool any = false;
+        for (std::size_t i = ctx->first_staged; i < staged_.size(); ++i) {
+            const StagedDef &def = staged_[i];
+            if (def.kind == kind && def.a == a && def.b == b) {
+                own_.add(def.begin, def.end);
+                any = true;
+            }
+        }
+        return any ? &own_ : nullptr;
+    }
+
+    void
+    processOp(const MetaOp &op, std::int64_t at, const ArmCtx *ctx)
+    {
+        computeEffects(op, &fx_);
+        const OpEffects &fx = fx_;
+        const bool executable = options_.executable;
 
         // 1. use-before-def on buffer regions (executable flows only:
         //    compressed templates only show window 0, so cross-window
         //    region dataflow is not statically meaningful).
-        if (options_.executable) {
+        if (executable) {
             auto checkDefined = [&](const RegionRef &r,
                                     const char *verb) {
-                IntervalSet missing = definedView(r, ctx);
-                if (missing.empty())
+                const auto base = defined_.find(r.key);
+                const std::optional<Interval> gap = firstGap(
+                    base != defined_.end() ? &base->second : nullptr,
+                    armDefs(ctx, StagedDef::Kind::kBuf,
+                            static_cast<std::int64_t>(r.key.space),
+                            r.key.core),
+                    r.begin, r.end);
+                if (!gap)
                     return;
                 record(makeDiag(
                     DiagSeverity::kError, check::kUbdBuffer,
-                    StatusCode::kFailedPrecondition, at,
+                    StatusCode::kFailedPrecondition, section_, at,
                     strformat("%s %s %s which is never written",
-                              text.c_str(), verb,
-                              regionName(r.key, missing.first())
-                                  .c_str())));
+                              op.toString().c_str(), verb,
+                              regionName(r.key, *gap).c_str())));
             };
             for (const RegionRef &r : fx.reads)
                 checkDefined(r, "reads");
@@ -719,26 +806,28 @@ class Analyzer
 
         // 2. use-before-def on crossbar weights.
         for (const XbRef &x : fx.xb_reads) {
-            IntervalSet missing = xbView(x, ctx);
-            if (!missing.empty()) {
-                const Interval gap = missing.first();
+            const auto state = xbs_.find(XbKey{x.core, x.xb});
+            const std::optional<Interval> gap = firstGap(
+                state != xbs_.end() ? &state->second.programmed : nullptr,
+                armDefs(ctx, StagedDef::Kind::kXb, x.core, x.xb), x.begin,
+                x.end);
+            if (gap) {
                 record(makeDiag(
                     DiagSeverity::kError, check::kUbdXbar,
-                    StatusCode::kFailedPrecondition, at,
+                    StatusCode::kFailedPrecondition, section_, at,
                     strformat("%s activates rows [%lld, %lld) of "
                               "crossbar %s but rows [%lld, %lld) were "
                               "never programmed",
-                              text.c_str(),
+                              op.toString().c_str(),
                               static_cast<long long>(x.begin),
                               static_cast<long long>(x.end),
                               xbName(x.core, x.xb).c_str(),
-                              static_cast<long long>(gap.begin),
-                              static_cast<long long>(gap.end))));
+                              static_cast<long long>(gap->begin),
+                              static_cast<long long>(gap->end))));
             }
             // The read consumes pending programming.
-            auto stores = xb_stores_.find({x.core, x.xb});
-            if (stores != xb_stores_.end()) {
-                for (XbStore &store : stores->second) {
+            if (state != xbs_.end()) {
+                for (XbStore &store : state->second.stores) {
                     if (store.pending.intersects(x.begin, x.end))
                         store.any_read = true;
                 }
@@ -748,17 +837,15 @@ class Analyzer
         // 3. use-before-def on core state.
         for (std::int64_t core : fx.core_reads) {
             const bool programmed =
-                ctx != nullptr
-                    ? (ctx->base_cores->count(core) > 0 ||
-                       ctx->arm_cores->count(core) > 0)
-                    : cores_programmed_.count(core) > 0;
+                cores_programmed_.count(core) > 0 ||
+                armDefs(ctx, StagedDef::Kind::kCore, core, 0) != nullptr;
             if (!programmed) {
                 record(makeDiag(
                     DiagSeverity::kError, check::kUbdCore,
-                    StatusCode::kFailedPrecondition, at,
+                    StatusCode::kFailedPrecondition, section_, at,
                     strformat("%s runs on core %lld whose weights were "
                               "never installed",
-                              text.c_str(),
+                              op.toString().c_str(),
                               static_cast<long long>(core))));
             }
             auto it = core_stores_.find(core);
@@ -769,349 +856,439 @@ class Analyzer
         // 4. dead-store bookkeeping: reads acquit pending stores,
         //    plain writes retire them. The slice maps keep every
         //    operation proportional to the ranges actually overlapped.
-        if (options_.executable) {
-            auto markReads = [&](const std::vector<RegionRef> &refs) {
-                for (const RegionRef &r : refs) {
-                    auto it = stores_.find(r.key);
-                    if (it == stores_.end())
-                        continue;
-                    auto &slices = it->second;
-                    auto s = slices.upper_bound(r.begin);
-                    if (s != slices.begin() &&
-                        std::prev(s)->second.end > r.begin)
-                        --s;
-                    for (; s != slices.end() && s->first < r.end; ++s)
-                        store_pool_[s->second.store].any_read = true;
-                }
-            };
-            markReads(fx.reads);
-            markReads(fx.accums);
-            for (const RegionRef &w : fx.writes) {
-                auto it = stores_.find(w.key);
-                if (it == stores_.end())
-                    continue;
-                auto &slices = it->second;
-                splitSliceAt(slices, w.begin);
-                splitSliceAt(slices, w.end);
-                auto s = slices.lower_bound(w.begin);
-                while (s != slices.end() && s->first < w.end) {
-                    PendingStore &store = store_pool_[s->second.store];
-                    store.remaining -= s->second.end - s->first;
-                    if (store.remaining == 0 && !store.any_read) {
-                        MopDiagnostic diag;
-                        diag.severity = DiagSeverity::kWarning;
-                        diag.check = check::kDeadStore;
-                        diag.section = store.section;
-                        diag.stmt_index = store.index;
-                        diag.code = StatusCode::kFailedPrecondition;
-                        diag.message = strformat(
-                            "%s is fully overwritten by %s before any "
-                            "read",
-                            store.op.c_str(), text.c_str());
-                        record(std::move(diag));
-                    }
-                    s = slices.erase(s);
-                }
-            }
-            // Each plain write opens a pending store per buffer.
-            std::map<BufKey, IntervalSet> written;
-            for (const RegionRef &w : fx.writes)
-                written[w.key].add(w.begin, w.end);
-            for (auto &[key, set] : written) {
-                PendingStore store;
-                for (const Interval &iv : set.intervals())
-                    store.remaining += iv.end - iv.begin;
-                store.op = text;
-                store.section = section_;
-                store.index = at;
-                const std::size_t id = store_pool_.size();
-                store_pool_.push_back(std::move(store));
-                auto &slices = stores_[key];
-                for (const Interval &iv : set.intervals())
-                    slices.insert_or_assign(iv.begin,
-                                            StoreSlice{iv.end, id});
-            }
-        }
+        if (executable)
+            trackStores(op, at);
 
-        // 5. writes and accumulates define their regions.
-        {
-            auto *defs = ctx != nullptr ? ctx->arm_defined : &defined_;
-            for (const RegionRef &w : fx.writes)
-                (*defs)[w.key].add(w.begin, w.end);
-            for (const RegionRef &a : fx.accums)
-                (*defs)[a.key].add(a.begin, a.end);
+        // 5. writes and accumulates define their regions. Only the
+        //    executable-only buffer use-before-def check reads them.
+        if (executable) {
+            for (const auto *refs : {&fx.writes, &fx.accums}) {
+                for (const RegionRef &r : *refs) {
+                    if (ctx != nullptr) {
+                        staged_.push_back(StagedDef{
+                            StagedDef::Kind::kBuf,
+                            static_cast<std::int64_t>(r.key.space),
+                            r.key.core, r.begin, r.end});
+                    } else {
+                        defined_[r.key].add(r.begin, r.end);
+                    }
+                }
+            }
         }
 
         // 6. crossbar programming: retire older unread programming of
         //    the same rows (weights replaced between program and use).
+        //    Compressed templates only activate the representative
+        //    replica's crossbars, so "never used" is only provable on
+        //    executable flows; only they track the stores.
         for (const XbRef &x : fx.xb_writes) {
-            xbars_programmed_count_.insert({x.core, x.xb});
-            std::vector<XbStore> &list = xb_stores_[{x.core, x.xb}];
-            for (XbStore &store : list) {
-                if (!store.pending.intersects(x.begin, x.end))
-                    continue;
-                store.pending.subtract(x.begin, x.end);
-                // Compressed templates only activate the representative
-                // replica's crossbars, so "never used" is only provable
-                // on executable flows.
-                if (options_.executable && store.pending.empty() &&
-                    !store.any_read) {
-                    MopDiagnostic diag;
-                    diag.severity = DiagSeverity::kError;
-                    diag.check = check::kXbarOverwrite;
-                    diag.section = store.section;
-                    diag.stmt_index = store.index;
-                    diag.code = StatusCode::kFailedPrecondition;
-                    diag.message = strformat(
-                        "%s programs crossbar %s but is overwritten by "
-                        "%s before the weights are ever used",
-                        store.op.c_str(), xbName(x.core, x.xb).c_str(),
-                        text.c_str());
-                    record(std::move(diag));
-                }
+            XbState &state = xbs_[XbKey{x.core, x.xb}];
+            if (executable)
+                retireXbStores(state, x, op, at);
+            if (ctx != nullptr) {
+                staged_.push_back(StagedDef{StagedDef::Kind::kXb, x.core,
+                                            x.xb, x.begin, x.end, &state});
+            } else {
+                state.programmed.add(x.begin, x.end);
             }
-            list.erase(std::remove_if(list.begin(), list.end(),
-                                      [](const XbStore &s) {
-                                          return s.pending.empty();
-                                      }),
-                       list.end());
-            XbStore store;
-            store.pending.add(x.begin, x.end);
-            store.op = text;
-            store.section = section_;
-            store.index = at;
-            list.push_back(std::move(store));
-
-            auto *xb = ctx != nullptr ? ctx->arm_xb : &xb_programmed_;
-            (*xb)[{x.core, x.xb}].add(x.begin, x.end);
         }
 
-        // 7. core-state installs.
+        // 7. core-state installs (stores tracked as for crossbars).
         for (std::int64_t core : fx.core_writes) {
-            auto it = core_stores_.find(core);
-            if (options_.executable && it != core_stores_.end() &&
-                !it->second.any_read) {
-                MopDiagnostic diag;
-                diag.severity = DiagSeverity::kWarning;
-                diag.check = check::kCoreOverwrite;
-                diag.section = it->second.section;
-                diag.stmt_index = it->second.index;
-                diag.code = StatusCode::kFailedPrecondition;
-                diag.message = strformat(
-                    "%s installs weights on core %lld that %s replaces "
-                    "before any use",
-                    it->second.op.c_str(), static_cast<long long>(core),
-                    text.c_str());
-                record(std::move(diag));
+            if (executable) {
+                auto it = core_stores_.find(core);
+                if (it != core_stores_.end() && !it->second.any_read) {
+                    record(makeDiag(
+                        DiagSeverity::kWarning, check::kCoreOverwrite,
+                        StatusCode::kFailedPrecondition, it->second.section,
+                        it->second.index,
+                        strformat("%s installs weights on core %lld that "
+                                  "%s replaces before any use",
+                                  it->second.op->toString().c_str(),
+                                  static_cast<long long>(core),
+                                  op.toString().c_str())));
+                }
+                core_stores_[core] = CoreStore{false, &op, section_, at};
             }
-            CoreStore store;
-            store.op = text;
-            store.section = section_;
-            store.index = at;
-            core_stores_[core] = std::move(store);
             if (ctx != nullptr)
-                ctx->arm_cores->insert(core);
+                staged_.push_back(StagedDef{StagedDef::Kind::kCore, core});
             else
                 cores_programmed_.insert(core);
         }
 
         // 8. capacity events: defs and uses at this op's timestamp.
         for (const RegionRef &w : fx.writes)
-            events_[w.key].push_back(
-                Event{time_, true, w.begin, w.end, section_, at});
+            addEvent(bufEvents(w.key),
+                     Event{time_, w.begin, w.end, at, section_, true});
         for (const RegionRef &a : fx.accums) {
-            events_[a.key].push_back(
-                Event{time_, true, a.begin, a.end, section_, at});
-            events_[a.key].push_back(
-                Event{time_, false, a.begin, a.end, section_, at});
+            BufEvents &buf = bufEvents(a.key);
+            addEvent(buf, Event{time_, a.begin, a.end, at, section_, true});
+            addEvent(buf, Event{time_, a.begin, a.end, at, section_, false});
         }
         for (const RegionRef &r : fx.reads)
-            events_[r.key].push_back(
-                Event{time_, false, r.begin, r.end, section_, at});
+            addEvent(bufEvents(r.key),
+                     Event{time_, r.begin, r.end, at, section_, false});
     }
 
-    /** Missing parts of a read region given the active definition view. */
-    IntervalSet
-    definedView(const RegionRef &r, const ArmCtx *ctx) const
+    BufEvents &
+    bufEvents(const BufKey &key)
     {
-        const auto &base = ctx != nullptr ? *ctx->base_defined : defined_;
-        IntervalSet missing;
-        auto it = base.find(r.key);
-        if (it != base.end())
-            missing = it->second.uncovered(r.begin, r.end);
-        else
-            missing.add(r.begin, r.end);
-        if (ctx != nullptr) {
-            auto own = ctx->arm_defined->find(r.key);
-            if (own != ctx->arm_defined->end())
-                missing.subtractSet(own->second);
+        if (last_events_ == nullptr || !(last_events_key_ == key)) {
+            last_events_ = &events_[key];
+            last_events_key_ = key;
         }
-        return missing;
+        return *last_events_;
     }
 
-    /** Missing rows of a crossbar read given the active view. */
-    IntervalSet
-    xbView(const XbRef &x, const ArmCtx *ctx) const
+    /**
+     * Appends a capacity event, dropping the ones the live-range sweep
+     * would treat as no-ops. Every event at one timestamp belongs to
+     * one op or one parallel block, so they share a diagnostic anchor:
+     *  - a def or use of elements all defined at this timestamp already
+     *    changes nothing (their chain starts now and is live now);
+     *  - consecutive defs, or consecutive uses, at one timestamp whose
+     *    ranges touch act as their union (a strided mov's blocks).
+     */
+    static void
+    addEvent(BufEvents &buf, const Event &ev)
     {
-        const auto &base = ctx != nullptr ? *ctx->base_xb : xb_programmed_;
-        IntervalSet missing;
-        auto it = base.find({x.core, x.xb});
-        if (it != base.end())
-            missing = it->second.uncovered(x.begin, x.end);
-        else
-            missing.add(x.begin, x.end);
-        if (ctx != nullptr) {
-            auto own = ctx->arm_xb->find({x.core, x.xb});
-            if (own != ctx->arm_xb->end())
-                missing.subtractSet(own->second);
+        if (buf.t != ev.t) {
+            buf.t = ev.t;
+            buf.defs_at_t.clear();
+        } else if (!buf.defs_at_t.firstUncovered(ev.begin, ev.end)) {
+            return;
         }
-        return missing;
+        if (ev.is_def)
+            buf.defs_at_t.add(ev.begin, ev.end);
+        if (!buf.events.empty()) {
+            Event &last = buf.events.back();
+            if (last.t == ev.t && last.is_def == ev.is_def &&
+                ev.begin <= last.end && last.begin <= ev.end) {
+                last.begin = std::min(last.begin, ev.begin);
+                last.end = std::max(last.end, ev.end);
+                return;
+            }
+        }
+        buf.events.push_back(ev);
+    }
+
+    /** Dead-store bookkeeping of one op (fx_ holds its effects). */
+    void
+    trackStores(const MetaOp &op, std::int64_t at)
+    {
+        auto markReads = [&](const std::vector<RegionRef> &refs) {
+            for (const RegionRef &r : refs) {
+                auto it = stores_.find(r.key);
+                if (it == stores_.end())
+                    continue;
+                auto &slices = it->second;
+                auto s = slices.upper_bound(r.begin);
+                if (s != slices.begin() &&
+                    std::prev(s)->second.end > r.begin)
+                    --s;
+                for (; s != slices.end() && s->first < r.end; ++s)
+                    store_pool_[s->second.store].any_read = true;
+            }
+        };
+        markReads(fx_.reads);
+        markReads(fx_.accums);
+        for (const RegionRef &w : fx_.writes) {
+            auto it = stores_.find(w.key);
+            if (it == stores_.end())
+                continue;
+            auto &slices = it->second;
+            splitSliceAt(slices, w.begin);
+            splitSliceAt(slices, w.end);
+            auto s = slices.lower_bound(w.begin);
+            while (s != slices.end() && s->first < w.end) {
+                PendingStore &store = store_pool_[s->second.store];
+                store.remaining -= s->second.end - s->first;
+                if (store.remaining == 0 && !store.any_read) {
+                    record(makeDiag(
+                        DiagSeverity::kWarning, check::kDeadStore,
+                        StatusCode::kFailedPrecondition, store.section,
+                        store.index,
+                        strformat("%s is fully overwritten by %s before "
+                                  "any read",
+                                  store.op->toString().c_str(),
+                                  op.toString().c_str())));
+                }
+                s = slices.erase(s);
+            }
+        }
+        // Each plain write opens a pending store per buffer, over the
+        // union of the op's write regions in that buffer.
+        written_ = fx_.writes;
+        std::sort(written_.begin(), written_.end(),
+                  [](const RegionRef &x, const RegionRef &y) {
+                      if (!(x.key == y.key))
+                          return x.key < y.key;
+                      return x.begin < y.begin;
+                  });
+        std::size_t i = 0;
+        while (i < written_.size()) {
+            const BufKey key = written_[i].key;
+            const std::size_t id = store_pool_.size();
+            store_pool_.push_back(PendingStore{0, false, &op, section_, at});
+            auto &slices = stores_[key];
+            while (i < written_.size() && written_[i].key == key) {
+                std::int64_t begin = written_[i].begin;
+                std::int64_t end = written_[i].end;
+                for (++i; i < written_.size() && written_[i].key == key &&
+                          written_[i].begin <= end;
+                     ++i)
+                    end = std::max(end, written_[i].end);
+                store_pool_[id].remaining += end - begin;
+                slices.insert_or_assign(begin, StoreSlice{end, id});
+            }
+        }
+    }
+
+    /** Crossbar programming @p x by @p op overwrites older programming
+     * of the same rows; unread programming it fully replaces is lost. */
+    void
+    retireXbStores(XbState &state, const XbRef &x, const MetaOp &op,
+                   std::int64_t at)
+    {
+        std::vector<XbStore> &list = state.stores;
+        for (XbStore &store : list) {
+            if (!store.pending.intersects(x.begin, x.end))
+                continue;
+            store.pending.subtract(x.begin, x.end);
+            if (store.pending.empty() && !store.any_read) {
+                record(makeDiag(
+                    DiagSeverity::kError, check::kXbarOverwrite,
+                    StatusCode::kFailedPrecondition, store.section,
+                    store.index,
+                    strformat("%s programs crossbar %s but is overwritten "
+                              "by %s before the weights are ever used",
+                              store.op->toString().c_str(),
+                              xbName(x.core, x.xb).c_str(),
+                              op.toString().c_str())));
+            }
+        }
+        list.erase(std::remove_if(list.begin(), list.end(),
+                                  [](const XbStore &s) {
+                                      return s.pending.empty();
+                                  }),
+                   list.end());
+        XbStore store;
+        store.pending.add(x.begin, x.end);
+        store.op = &op;
+        store.section = section_;
+        store.index = at;
+        list.push_back(std::move(store));
     }
 
     // ----- parallel blocks --------------------------------------------
 
     /** Access category for the conflict sweep. */
-    enum class Cat { kWrite, kAccum, kRead };
+    enum Cat { kWrite = 0, kAccum = 1, kRead = 2 };
+
+    /** One interval access of an arm in the conflict check. Buffer
+     * regions and crossbar rows are told apart by @c tag. */
+    struct ArmAccess {
+        int tag = 0;               //!< 0 buffer, 1 crossbar
+        std::int64_t a = 0, b = 0; //!< (space, core) or (core, xb)
+        std::int64_t begin = 0, end = 0;
+        int arm = 0;
+        Cat cat = kRead;
+    };
 
     /** One interval endpoint in the conflict sweep. */
     struct SweepEv {
         std::int64_t pos = 0;
         int delta = 0; //!< +1 opens an interval, -1 closes it
         int arm = 0;
-        Cat cat = Cat::kRead;
+        Cat cat = kRead;
     };
 
-    /**
-     * True if any two records from different arms overlap in a racy
-     * combination: write/write, write/accum, write/read, accum/read
-     * (accum/accum commutes, read/read is harmless). Endpoint sweep
-     * with closes ordered before opens, so half-open adjacency does
-     * not count as overlap.
-     */
-    static bool
-    sweepConflict(std::vector<SweepEv> &evs)
+    /** One core-state access in the conflict check. */
+    struct CoreAcc {
+        std::int64_t core = 0;
+        bool write = false;
+        int arm = 0;
+    };
+
+    void
+    addAccess(int tag, std::int64_t a, std::int64_t b, std::int64_t begin,
+              std::int64_t end, int arm, Cat cat)
     {
-        std::sort(evs.begin(), evs.end(),
-                  [](const SweepEv &a, const SweepEv &b) {
-                      if (a.pos != b.pos)
-                          return a.pos < b.pos;
-                      return a.delta < b.delta;
+        if (begin < end)
+            accesses_.push_back(ArmAccess{tag, a, b, begin, end, arm, cat});
+    }
+
+    /** Gathers one arm's raw accesses for mayConflict. */
+    void
+    collectArm(const Stmt &stmt, int arm)
+    {
+        if (stmt.kind != Stmt::Kind::kOp) {
+            for (const Stmt &sub : stmt.body)
+                collectArm(sub, arm);
+            return;
+        }
+        computeEffects(stmt.op, &fx_);
+        const std::pair<const std::vector<RegionRef> *, Cat> regions[] = {
+            {&fx_.writes, kWrite}, {&fx_.accums, kAccum},
+            {&fx_.reads, kRead}};
+        for (const auto &[refs, cat] : regions) {
+            for (const RegionRef &r : *refs)
+                addAccess(0, static_cast<std::int64_t>(r.key.space),
+                          r.key.core, r.begin, r.end, arm, cat);
+        }
+        for (const XbRef &x : fx_.xb_writes)
+            addAccess(1, x.core, x.xb, x.begin, x.end, arm, kWrite);
+        for (const XbRef &x : fx_.xb_reads)
+            addAccess(1, x.core, x.xb, x.begin, x.end, arm, kRead);
+        for (std::int64_t core : fx_.core_writes)
+            core_acc_.push_back(CoreAcc{core, true, arm});
+        for (std::int64_t core : fx_.core_reads)
+            core_acc_.push_back(CoreAcc{core, false, arm});
+    }
+
+    /**
+     * Whether any pair of arms has a racy overlap anywhere: buffer
+     * regions, crossbar rows, or core state. Detection only — the
+     * pairwise pass renders the actual diagnostics.
+     *
+     * Racy combinations: write/write, write/accum, write/read,
+     * accum/read (accum/accum commutes, read/read is harmless). The
+     * accesses are grouped per buffer / crossbar; a group can only race
+     * when it spans two arms and holds a write, or an accumulate and a
+     * read. Only such groups get the endpoint sweep.
+     */
+    bool
+    mayConflict(const Stmt &block)
+    {
+        accesses_.clear();
+        core_acc_.clear();
+        const int arms = static_cast<int>(block.body.size());
+        for (int i = 0; i < arms; ++i)
+            collectArm(block.body[static_cast<std::size_t>(i)], i);
+
+        // Core state: two installers, or an installer plus a user from
+        // another arm.
+        std::sort(core_acc_.begin(), core_acc_.end(),
+                  [](const CoreAcc &x, const CoreAcc &y) {
+                      return std::tie(x.core, x.write, x.arm) <
+                             std::tie(y.core, y.write, y.arm);
                   });
-        std::map<int, int> w, a, r; // arm -> open interval count
-        auto touch = [](std::map<int, int> &m, int arm, int d) {
-            auto it = m.emplace(arm, 0).first;
-            it->second += d;
-            if (it->second == 0)
-                m.erase(it);
-        };
-        for (const SweepEv &ev : evs) {
-            switch (ev.cat) {
-              case Cat::kWrite: touch(w, ev.arm, ev.delta); break;
-              case Cat::kAccum: touch(a, ev.arm, ev.delta); break;
-              case Cat::kRead: touch(r, ev.arm, ev.delta); break;
+        for (std::size_t i = 0; i < core_acc_.size();) {
+            std::size_t j = i;
+            int readers = 0, writers = 0, reader = -1, writer = -1;
+            for (; j < core_acc_.size() && core_acc_[j].core ==
+                                              core_acc_[i].core;
+                 ++j) {
+                const CoreAcc &acc = core_acc_[j];
+                int &count = acc.write ? writers : readers;
+                int &last = acc.write ? writer : reader;
+                if (acc.arm != last) {
+                    ++count;
+                    last = acc.arm;
+                }
+            }
+            if (writers >= 2 ||
+                (writers == 1 && readers >= 1 &&
+                 (readers >= 2 || reader != writer)))
+                return true;
+            i = j;
+        }
+
+        std::sort(accesses_.begin(), accesses_.end(),
+                  [](const ArmAccess &x, const ArmAccess &y) {
+                      return std::tie(x.tag, x.a, x.b) <
+                             std::tie(y.tag, y.a, y.b);
+                  });
+        for (std::size_t i = 0; i < accesses_.size();) {
+            const ArmAccess &first = accesses_[i];
+            std::size_t j = i;
+            bool cats[3] = {false, false, false};
+            bool two_arms = false;
+            for (; j < accesses_.size() && accesses_[j].tag == first.tag &&
+                   accesses_[j].a == first.a && accesses_[j].b == first.b;
+                 ++j) {
+                cats[accesses_[j].cat] = true;
+                two_arms = two_arms || accesses_[j].arm != first.arm;
+            }
+            if (two_arms && (cats[kWrite] || (cats[kAccum] && cats[kRead])) &&
+                sweepConflict(i, j, arms))
+                return true;
+            i = j;
+        }
+        return false;
+    }
+
+    /**
+     * Endpoint sweep over accesses_[first, last), all on one buffer or
+     * crossbar. Closes are ordered before opens so half-open adjacency
+     * does not count as overlap; per category it tracks how many arms
+     * are open and the sum of their ids (the id itself when exactly one
+     * is).
+     */
+    bool
+    sweepConflict(std::size_t first, std::size_t last, int arms)
+    {
+        sweep_.clear();
+        for (std::size_t i = first; i < last; ++i) {
+            const ArmAccess &acc = accesses_[i];
+            sweep_.push_back(SweepEv{acc.begin, 1, acc.arm, acc.cat});
+            sweep_.push_back(SweepEv{acc.end, -1, acc.arm, acc.cat});
+        }
+        std::sort(sweep_.begin(), sweep_.end(),
+                  [](const SweepEv &x, const SweepEv &y) {
+                      if (x.pos != y.pos)
+                          return x.pos < y.pos;
+                      return x.delta < y.delta;
+                  });
+        for (std::vector<int> &counts : open_)
+            counts.assign(static_cast<std::size_t>(arms), 0);
+        int n[3] = {0, 0, 0};            // arms with an open interval
+        std::int64_t sum[3] = {0, 0, 0}; // sum of those arms' ids
+        for (const SweepEv &ev : sweep_) {
+            int &count = open_[ev.cat][static_cast<std::size_t>(ev.arm)];
+            const bool was_open = count > 0;
+            count += ev.delta;
+            if (was_open != (count > 0)) {
+                n[ev.cat] += ev.delta;
+                sum[ev.cat] += ev.delta * ev.arm;
             }
             if (ev.delta < 0)
                 continue; // state can only turn racy on an open
-            if (w.size() >= 2)
+            if (n[kWrite] >= 2)
                 return true;
-            if (w.size() == 1) {
-                const int warm = w.begin()->first;
-                if (!a.empty() &&
-                    (a.size() >= 2 || a.begin()->first != warm))
+            if (n[kWrite] == 1) {
+                const std::int64_t w = sum[kWrite];
+                if (n[kAccum] >= 2 || (n[kAccum] == 1 && sum[kAccum] != w))
                     return true;
-                if (!r.empty() &&
-                    (r.size() >= 2 || r.begin()->first != warm))
+                if (n[kRead] >= 2 || (n[kRead] == 1 && sum[kRead] != w))
                     return true;
-            } else if (!a.empty() && !r.empty()) {
-                if (a.size() >= 2 || r.size() >= 2 ||
-                    a.begin()->first != r.begin()->first)
-                    return true;
+            } else if (n[kAccum] >= 1 && n[kRead] >= 1 &&
+                       (n[kAccum] >= 2 || n[kRead] >= 2 ||
+                        sum[kAccum] != sum[kRead])) {
+                return true;
             }
         }
         return false;
     }
 
-    /** Whether any pair of arms has a racy overlap anywhere: buffer
-     * regions, crossbar rows, or core state. Detection only — the
-     * pairwise pass renders the actual diagnostics. */
-    static bool
-    mayConflict(const std::vector<ArmSummary> &summaries)
+    /** Walks a parallel block anchored at statement @p anchor; returns
+     * the index after its subtree. */
+    std::int64_t
+    walkParallel(const Stmt &block, std::int64_t anchor)
     {
-        std::map<BufKey, std::vector<SweepEv>> buf;
-        std::map<std::pair<std::int64_t, std::int64_t>,
-                 std::vector<SweepEv>>
-            xb;
-        std::map<std::int64_t, std::set<int>> core_w, core_r;
-        for (std::size_t i = 0; i < summaries.size(); ++i) {
-            const int arm = static_cast<int>(i);
-            const ArmSummary &s = summaries[i];
-            auto addBuf = [&](const std::vector<ArmSummary::Access> &as,
-                              Cat cat) {
-                for (const ArmSummary::Access &acc : as) {
-                    auto &evs = buf[acc.key];
-                    for (const Interval &iv : acc.set.intervals()) {
-                        evs.push_back(SweepEv{iv.begin, 1, arm, cat});
-                        evs.push_back(SweepEv{iv.end, -1, arm, cat});
-                    }
-                }
-            };
-            addBuf(s.writes, Cat::kWrite);
-            addBuf(s.accums, Cat::kAccum);
-            addBuf(s.reads, Cat::kRead);
-            auto addXb = [&](const std::vector<ArmSummary::XbAccess> &xs,
-                             Cat cat) {
-                for (const ArmSummary::XbAccess &acc : xs) {
-                    auto &evs = xb[{acc.core, acc.xb}];
-                    for (const Interval &iv : acc.set.intervals()) {
-                        evs.push_back(SweepEv{iv.begin, 1, arm, cat});
-                        evs.push_back(SweepEv{iv.end, -1, arm, cat});
-                    }
-                }
-            };
-            addXb(s.xb_writes, Cat::kWrite);
-            addXb(s.xb_reads, Cat::kRead);
-            for (const auto &[core, op] : s.core_writes)
-                core_w[core].insert(arm);
-            for (const auto &[core, op] : s.core_reads)
-                core_r[core].insert(arm);
-        }
-        for (const auto &[core, writers] : core_w) {
-            if (writers.size() >= 2)
-                return true;
-            const auto readers = core_r.find(core);
-            if (readers != core_r.end() &&
-                (readers->second.size() >= 2 ||
-                 *readers->second.begin() != *writers.begin()))
-                return true;
-        }
-        for (auto &[key, evs] : buf) {
-            if (sweepConflict(evs))
-                return true;
-        }
-        for (auto &[key, evs] : xb) {
-            if (sweepConflict(evs))
-                return true;
-        }
-        return false;
-    }
-
-    void
-    walkParallel(const Stmt &block)
-    {
-        const std::int64_t anchor = numbering_.index.at(&block);
         std::vector<MopDiagnostic> local;
         std::vector<MopDiagnostic> *saved = block_diags_;
         block_diags_ = &local;
 
-        // Race detection over aggregated arm footprints. A linear
-        // endpoint sweep decides whether any conflicting overlap
-        // exists at all; only then does the quadratic pairwise pass
-        // run to produce the canonical (arm-order-invariant) report.
-        // Clean blocks — the overwhelming majority — stay O(E log E).
-        std::vector<ArmSummary> summaries(block.body.size());
-        for (std::size_t i = 0; i < block.body.size(); ++i)
-            summarizeArm(block.body[i], &summaries[i]);
-        if (mayConflict(summaries)) {
+        // Race detection over the arms' footprints. A linear endpoint
+        // sweep decides whether any conflicting overlap exists at all;
+        // only then does the quadratic pairwise pass run to produce the
+        // canonical (arm-order-invariant) report. Clean blocks — the
+        // overwhelming majority — stay O(E log E).
+        if (mayConflict(block)) {
+            std::vector<ArmSummary> summaries(block.body.size());
+            for (std::size_t i = 0; i < block.body.size(); ++i)
+                summarizeArm(block.body[i], &summaries[i]);
             for (std::size_t i = 0; i < summaries.size(); ++i) {
                 for (std::size_t j = i + 1; j < summaries.size(); ++j)
                     checkArmPair(summaries[i], summaries[j], anchor);
@@ -1120,39 +1297,25 @@ class Analyzer
 
         // Dataflow per arm against the pre-block state: arms may
         // execute in any order, so no arm may depend on a sibling.
-        // Sibling defs are staged and merged only after every arm has
-        // run, so the global maps stay the pre-block view throughout
-        // (no per-block snapshot copies).
-        std::map<BufKey, IntervalSet> merged_defined;
-        std::map<std::pair<std::int64_t, std::int64_t>, IntervalSet>
-            merged_xb;
-        std::set<std::int64_t> merged_cores;
-        for (const Stmt &arm : block.body) {
-            std::map<BufKey, IntervalSet> arm_defined;
-            std::map<std::pair<std::int64_t, std::int64_t>, IntervalSet>
-                arm_xb;
-            std::set<std::int64_t> arm_cores;
-            ArmCtx ctx;
-            ctx.base_defined = &defined_;
-            ctx.arm_defined = &arm_defined;
-            ctx.base_xb = &xb_programmed_;
-            ctx.arm_xb = &arm_xb;
-            ctx.base_cores = &cores_programmed_;
-            ctx.arm_cores = &arm_cores;
-            ctx.anchor = anchor;
-            walkArm(arm, &ctx);
-            for (auto &[key, set] : arm_defined)
-                merged_defined[key].addSet(set);
-            for (auto &[key, set] : arm_xb)
-                merged_xb[key].addSet(set);
-            merged_cores.insert(arm_cores.begin(), arm_cores.end());
+        // Defs are staged and merged only after every arm has run.
+        staged_.clear();
+        std::int64_t index = anchor + 1;
+        for (const Stmt &arm : block.body)
+            index += walkArm(arm, ArmCtx{anchor, staged_.size()});
+        for (const StagedDef &def : staged_) {
+            switch (def.kind) {
+              case StagedDef::Kind::kBuf:
+                defined_[BufKey{static_cast<MemSpace>(def.a), def.b}].add(
+                    def.begin, def.end);
+                break;
+              case StagedDef::Kind::kXb:
+                def.xb->programmed.add(def.begin, def.end);
+                break;
+              case StagedDef::Kind::kCore:
+                cores_programmed_.insert(def.a);
+                break;
+            }
         }
-        for (auto &[key, set] : merged_defined)
-            defined_[key].addSet(set);
-        for (auto &[key, set] : merged_xb)
-            xb_programmed_[key].addSet(set);
-        cores_programmed_.insert(merged_cores.begin(),
-                                 merged_cores.end());
         ++time_; // all arms share one timestamp
 
         // Canonical order: findings inside a block are invariant under
@@ -1167,6 +1330,7 @@ class Analyzer
                   });
         for (MopDiagnostic &diag : local)
             record(std::move(diag));
+        return index;
     }
 
     /** Lexicographically smallest conflict message between two arms'
@@ -1187,6 +1351,17 @@ class Analyzer
         return best;
     }
 
+    /** The two ops of a conflict, rendered and ordered by text. */
+    static std::pair<std::string, std::string>
+    orderedTexts(const MetaOp *x, const MetaOp *y)
+    {
+        std::string lo = x->toString();
+        std::string hi = y->toString();
+        if (hi < lo)
+            std::swap(lo, hi);
+        return {std::move(lo), std::move(hi)};
+    }
+
     void
     checkArmPair(const ArmSummary &a, const ArmSummary &b,
                  std::int64_t anchor)
@@ -1200,15 +1375,14 @@ class Analyzer
             auto overlap = x.set.firstOverlap(y.set);
             if (!overlap)
                 return std::nullopt;
-            const std::string &lo = std::min(x.op, y.op);
-            const std::string &hi = std::max(x.op, y.op);
+            const auto [lo, hi] = orderedTexts(x.op, y.op);
             return strformat("parallel arms %s on %s: %s vs %s", what,
                              regionName(x.key, *overlap).c_str(),
                              lo.c_str(), hi.c_str());
         };
         auto raceDiag = [&](const char *check_id, std::string message) {
             record(makeDiag(DiagSeverity::kError, check_id,
-                            StatusCode::kInvalidArgument, anchor,
+                            StatusCode::kInvalidArgument, section_, anchor,
                             std::move(message)));
         };
 
@@ -1255,8 +1429,7 @@ class Analyzer
             auto overlap = x.set.firstOverlap(y.set);
             if (!overlap)
                 return std::nullopt;
-            const std::string &lo = std::min(x.op, y.op);
-            const std::string &hi = std::max(x.op, y.op);
+            const auto [lo, hi] = orderedTexts(x.op, y.op);
             return strformat(
                 "parallel arms %s on crossbar %s rows [%lld, %lld): %s "
                 "vs %s",
@@ -1280,14 +1453,13 @@ class Analyzer
         if (auto m = bestConflict(a.xb_reads, b.xb_writes, xwr))
             raceDiag(check::kRaceXbar, std::move(*m));
 
-        using CoreRec = std::pair<std::int64_t, std::string>;
+        using CoreRec = std::pair<std::int64_t, const MetaOp *>;
         auto coreConflict = [&](const CoreRec &x, const CoreRec &y,
                                 const char *what)
             -> std::optional<std::string> {
             if (x.first != y.first)
                 return std::nullopt;
-            const std::string &lo = std::min(x.second, y.second);
-            const std::string &hi = std::max(x.second, y.second);
+            const auto [lo, hi] = orderedTexts(x.second, y.second);
             return strformat("parallel arms %s core %lld state: %s vs %s",
                              what, static_cast<long long>(x.first),
                              lo.c_str(), hi.c_str());
@@ -1315,156 +1487,162 @@ class Analyzer
         // compressed templates activate just the representative
         // replica's crossbars.
         if (options_.executable) {
-            for (const auto &[xbkey, list] : xb_stores_) {
-                for (const XbStore &store : list) {
+            std::vector<std::pair<XbKey, const XbState *>> xbs;
+            xbs.reserve(xbs_.size());
+            for (const auto &[key, state] : xbs_)
+                xbs.emplace_back(key, &state);
+            std::sort(xbs.begin(), xbs.end(),
+                      [](const auto &x, const auto &y) {
+                          return x.first < y.first;
+                      });
+            for (const auto &[key, state] : xbs) {
+                for (const XbStore &store : state->stores) {
                     if (store.any_read)
                         continue;
-                    MopDiagnostic diag;
-                    diag.severity = DiagSeverity::kWarning;
-                    diag.check = check::kXbarUnused;
-                    diag.section = store.section;
-                    diag.stmt_index = store.index;
-                    diag.code = StatusCode::kFailedPrecondition;
-                    diag.message = strformat(
-                        "%s programs crossbar %s but it is never "
-                        "activated",
-                        store.op.c_str(),
-                        xbName(xbkey.first, xbkey.second).c_str());
-                    finalize(std::move(diag));
+                    finalize(makeDiag(
+                        DiagSeverity::kWarning, check::kXbarUnused,
+                        StatusCode::kFailedPrecondition, store.section,
+                        store.index,
+                        strformat("%s programs crossbar %s but it is never "
+                                  "activated",
+                                  store.op->toString().c_str(),
+                                  xbName(key.core, key.xb).c_str())));
                 }
             }
             for (const auto &[core, store] : core_stores_) {
                 if (store.any_read)
                     continue;
-                MopDiagnostic diag;
-                diag.severity = DiagSeverity::kWarning;
-                diag.check = check::kCoreUnused;
-                diag.section = store.section;
-                diag.stmt_index = store.index;
-                diag.code = StatusCode::kFailedPrecondition;
-                diag.message = strformat(
-                    "%s installs weights on core %lld but it never "
-                    "computes",
-                    store.op.c_str(), static_cast<long long>(core));
-                finalize(std::move(diag));
+                finalize(makeDiag(
+                    DiagSeverity::kWarning, check::kCoreUnused,
+                    StatusCode::kFailedPrecondition, store.section,
+                    store.index,
+                    strformat("%s installs weights on core %lld but it "
+                              "never computes",
+                              store.op->toString().c_str(),
+                              static_cast<long long>(core))));
             }
         }
 
         sweepCapacity(result);
         result->crossbars_programmed =
-            static_cast<std::int64_t>(xbars_programmed_count_.size());
-        result->statements = numbering_.statements;
-        result->ops = numbering_.ops;
+            static_cast<std::int64_t>(xbs_.size());
         for (MopDiagnostic &diag : diags_)
             result->diagnostics.push_back(std::move(diag));
     }
 
-    /** Live-range sweep: per buffer, a region is live from each def to
-     * its last use before the next def (defs with no later use stay
-     * live to the end — program outputs are read externally). Streamed
-     * through an interval map of open def chains, so cost scales with
-     * the event count, not with region widths. */
-    void
-    sweepCapacity(AnalyzeResult *result)
+    /** Peak live elements of one buffer, and the first timestamp at
+     * which it is reached. */
+    struct Peak {
+        std::int64_t elems = 0;
+        std::int64_t t = 0; //!< valid when elems > 0
+    };
+
+    /**
+     * Live-range sweep over one buffer's events: a region is live from
+     * each def to its last use before the next def (defs with no later
+     * use stay live to the end — program outputs are read externally).
+     * Streamed through an interval map of open def chains, so cost
+     * scales with the event count, not with region widths.
+     */
+    Peak
+    peakLive(const std::vector<Event> &events, std::int64_t t_end)
     {
-        const std::int64_t t_end = time_ + 1;
-        // One open def chain per maximal element range with uniform
-        // state; the map key is the range begin.
+        // One open def chain per element range with uniform state; the
+        // map key is the range begin.
         struct Chain {
             std::int64_t end = 0;       //!< element range end
             std::int64_t def_t = 0;     //!< defining timestamp
             std::int64_t last_use = -2; //!< latest use, < def_t if none
-            std::size_t ev = 0;         //!< defining event (diag anchor)
         };
-        struct Delta {
-            std::int64_t t;
-            std::int64_t amount;
-            std::size_t ev; //!< defining event (for +)
+        std::map<std::int64_t, Chain> open;
+        // (timestamp, live-element change) pairs
+        std::vector<std::pair<std::int64_t, std::int64_t>> &deltas =
+            deltas_;
+        deltas.clear();
+        const auto splitAt = [&open](std::int64_t pos) {
+            auto it = open.upper_bound(pos);
+            if (it == open.begin())
+                return;
+            --it;
+            if (it->first >= pos || it->second.end <= pos)
+                return;
+            Chain tail = it->second;
+            it->second.end = pos;
+            open.emplace_hint(std::next(it), pos, tail);
         };
-        for (const auto &[key, events] : events_) {
-            std::map<std::int64_t, Chain> open;
-            std::vector<Delta> deltas;
-            const auto splitAt = [&open](std::int64_t pos) {
-                auto it = open.upper_bound(pos);
-                if (it == open.begin())
-                    return;
-                --it;
-                if (it->first >= pos || it->second.end <= pos)
-                    return;
-                Chain tail = it->second;
-                it->second.end = pos;
-                open.emplace(pos, tail);
-            };
-            const auto closeChain = [&deltas](std::int64_t begin,
-                                              const Chain &c) {
-                const std::int64_t width = c.end - begin;
-                const std::int64_t live_end =
-                    c.last_use >= c.def_t ? c.last_use : c.def_t;
-                deltas.push_back(Delta{c.def_t, width, c.ev});
-                deltas.push_back(Delta{live_end + 1, -width, c.ev});
-            };
-            for (std::size_t e = 0; e < events.size(); ++e) {
-                const Event &ev = events[e];
-                if (ev.begin >= ev.end)
-                    continue;
-                splitAt(ev.begin);
-                splitAt(ev.end);
-                if (!ev.is_def) {
-                    // Uses outside any chain are use-before-def —
-                    // reported elsewhere, ignored here.
-                    for (auto it = open.lower_bound(ev.begin);
-                         it != open.end() && it->first < ev.end; ++it)
-                        it->second.last_use = ev.t;
-                    continue;
+        const auto closeChain = [&deltas](std::int64_t begin,
+                                          const Chain &c) {
+            const std::int64_t width = c.end - begin;
+            const std::int64_t live_end =
+                c.last_use >= c.def_t ? c.last_use : c.def_t;
+            deltas.emplace_back(c.def_t, width);
+            deltas.emplace_back(live_end + 1, -width);
+        };
+        for (const Event &ev : events) {
+            splitAt(ev.begin);
+            splitAt(ev.end);
+            auto it = open.lower_bound(ev.begin);
+            if (!ev.is_def) {
+                // Uses outside any chain are use-before-def — reported
+                // elsewhere, ignored here. Touching chains of one def
+                // now share their state, so they merge.
+                auto prev = open.end();
+                while (it != open.end() && it->first < ev.end) {
+                    it->second.last_use = ev.t;
+                    if (prev != open.end() && prev->second.end == it->first &&
+                        prev->second.def_t == it->second.def_t) {
+                        prev->second.end = it->second.end;
+                        it = open.erase(it);
+                    } else {
+                        prev = it++;
+                    }
                 }
-                std::int64_t cursor = ev.begin;
-                std::vector<std::pair<std::int64_t, std::int64_t>> gaps;
-                for (auto it = open.lower_bound(ev.begin);
-                     it != open.end() && it->first < ev.end; ++it) {
-                    if (it->first > cursor)
-                        gaps.emplace_back(cursor, it->first);
-                    cursor = it->second.end;
-                    // Defs at the same timestamp (parallel arms)
-                    // extend the same chain; a later def closes it and
-                    // opens a fresh one over the overlap.
-                    if (it->second.def_t == ev.t)
-                        continue;
+                continue;
+            }
+            // Defs at the same timestamp (parallel arms) extend the same
+            // chain; a later def closes it. Either way the whole range
+            // ends up as one chain defined now (a use at the def's own
+            // timestamp does not extend its live range).
+            const auto first = it;
+            for (; it != open.end() && it->first < ev.end; ++it) {
+                if (it->second.def_t != ev.t)
                     closeChain(it->first, it->second);
-                    it->second.def_t = ev.t;
-                    it->second.last_use = -2;
-                    it->second.ev = e;
-                }
-                if (cursor < ev.end)
-                    gaps.emplace_back(cursor, ev.end);
-                for (const auto &gap : gaps)
-                    open.emplace(gap.first,
-                                 Chain{gap.second, ev.t, -2, e});
             }
-            // Chains never redefined stay live to the program end.
-            for (const auto &[begin, chain] : open) {
-                deltas.push_back(
-                    Delta{chain.def_t, chain.end - begin, chain.ev});
-                deltas.push_back(
-                    Delta{t_end + 1, begin - chain.end, chain.ev});
-            }
+            open.erase(first, it);
+            open.emplace_hint(it, ev.begin, Chain{ev.end, ev.t, -2});
+        }
+        // Chains never redefined stay live to the program end.
+        for (const auto &[begin, chain] : open) {
+            deltas.emplace_back(chain.def_t, chain.end - begin);
+            deltas.emplace_back(t_end + 1, begin - chain.end);
+        }
 
-            std::sort(deltas.begin(), deltas.end(),
-                      [](const Delta &a, const Delta &b) {
-                          if (a.t != b.t)
-                              return a.t < b.t;
-                          return a.amount < b.amount; // frees first
-                      });
-            std::int64_t live = 0, peak = 0;
-            std::size_t peak_ev = 0;
-            bool have_peak = false;
-            for (const Delta &d : deltas) {
-                live += d.amount;
-                if (live > peak) {
-                    peak = live;
-                    peak_ev = d.ev;
-                    have_peak = true;
-                }
-            }
+        // Only the live count after each timestamp matters: within one,
+        // frees before allocations can never exceed the count after it.
+        std::sort(deltas.begin(), deltas.end(),
+                  [](const auto &x, const auto &y) {
+                      return x.first < y.first;
+                  });
+        Peak peak;
+        std::int64_t live = 0;
+        for (std::size_t i = 0; i < deltas.size();) {
+            const std::int64_t t = deltas[i].first;
+            for (; i < deltas.size() && deltas[i].first == t; ++i)
+                live += deltas[i].second;
+            if (live > peak.elems)
+                peak = Peak{live, t};
+        }
+        return peak;
+    }
+
+    /** Capacity check per buffer against the architecture's sizes. */
+    void
+    sweepCapacity(AnalyzeResult *result)
+    {
+        const std::int64_t t_end = time_ + 1;
+        for (const auto &[key, buf] : events_) {
+            const Peak live = peakLive(buf.events, t_end);
+            const std::int64_t peak = live.elems;
 
             std::int64_t capacity = 0;
             const char *check_id = check::kCapacityL0;
@@ -1488,49 +1666,55 @@ class Analyzer
             const bool enforce =
                 key.space != MemSpace::kL0
                 || options_.validate.enforce_l0_capacity;
-            if (enforce && capacity > 0 && peak > capacity
-                && have_peak) {
-                const Event &ev = events[peak_ev];
-                MopDiagnostic diag;
-                diag.severity = DiagSeverity::kError;
-                diag.check = check_id;
-                diag.section = ev.section;
-                diag.stmt_index = ev.index;
-                diag.code = StatusCode::kResourceExhausted;
-                diag.message = strformat(
-                    "peak live %s footprint %lld elems (%lld bytes) "
-                    "exceeds capacity %lld elems (%.5g KiB)",
-                    bufKeyName(key).c_str(),
-                    static_cast<long long>(peak),
-                    static_cast<long long>(peak * 4),
-                    static_cast<long long>(capacity), size_kib);
-                finalize(std::move(diag));
+            if (enforce && capacity > 0 && peak > capacity) {
+                // Every event at one timestamp shares its anchor.
+                const Event &ev = *std::lower_bound(
+                    buf.events.begin(), buf.events.end(), live.t,
+                    [](const Event &e, std::int64_t t) { return e.t < t; });
+                finalize(makeDiag(
+                    DiagSeverity::kError, check_id,
+                    StatusCode::kResourceExhausted, ev.section, ev.index,
+                    strformat("peak live %s footprint %lld elems (%lld "
+                              "bytes) exceeds capacity %lld elems (%.5g "
+                              "KiB)",
+                              bufKeyName(key).c_str(),
+                              static_cast<long long>(peak),
+                              static_cast<long long>(peak * 4),
+                              static_cast<long long>(capacity),
+                              size_kib)));
             }
         }
     }
 
     const CimArchitecture &arch_;
     AnalyzeOptions options_;
-    Numbering numbering_;
-    std::string section_;
+    const char *section_ = "";
     std::int64_t time_ = 0;
 
     std::vector<MopDiagnostic> diags_;
     std::vector<MopDiagnostic> *block_diags_ = nullptr;
     std::set<std::string> seen_;
 
-    std::map<BufKey, IntervalSet> defined_;
+    std::map<BufKey, IntervalSet> defined_; //!< executable flows only
     std::vector<PendingStore> store_pool_;
     std::map<BufKey, std::map<std::int64_t, StoreSlice>> stores_;
-    std::map<std::pair<std::int64_t, std::int64_t>, IntervalSet>
-        xb_programmed_;
-    std::map<std::pair<std::int64_t, std::int64_t>, std::vector<XbStore>>
-        xb_stores_;
-    std::set<std::pair<std::int64_t, std::int64_t>>
-        xbars_programmed_count_;
+    std::unordered_map<XbKey, XbState, XbKeyHash> xbs_;
     std::map<std::int64_t, CoreStore> core_stores_;
     std::set<std::int64_t> cores_programmed_;
-    std::map<BufKey, std::vector<Event>> events_;
+    std::map<BufKey, BufEvents> events_;
+    BufEvents *last_events_ = nullptr; //!< events_[last_events_key_]
+    BufKey last_events_key_;
+
+    // Scratch reused across ops and blocks.
+    OpEffects fx_;
+    std::vector<RegionRef> written_;
+    IntervalSet own_;
+    std::vector<StagedDef> staged_;
+    std::vector<ArmAccess> accesses_;
+    std::vector<SweepEv> sweep_;
+    std::vector<CoreAcc> core_acc_;
+    std::vector<int> open_[3]; //!< per category: open intervals per arm
+    std::vector<std::pair<std::int64_t, std::int64_t>> deltas_;
 };
 
 } // namespace

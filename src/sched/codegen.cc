@@ -471,9 +471,31 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         }
     };
 
+    // Statement counts from the loop bounds, so the large per-window and
+    // per-chunk vectors are sized once instead of growing by doubling.
+    auto row_groups = [&](std::int64_t tile) {
+        std::int64_t r0, r1, c0, c1;
+        tile_geometry(tile, &r0, &r1, &c0, &c1);
+        return ceilDiv(r1 - r0, parallel_row);
+    };
+    auto writes_in = [&](std::int64_t t0, std::int64_t t1) {
+        std::int64_t n = 0;
+        for (std::int64_t tile = t0; tile < t1; ++tile)
+            n += (!wlm || spread == 1) ? 1 : row_groups(tile);
+        return n;
+    };
+    auto reads_in = [&](std::int64_t t0, std::int64_t t1) {
+        std::int64_t n = 0;
+        for (std::int64_t tile = t0; tile < t1; ++tile)
+            n += wlm ? row_groups(tile) : 1;
+        return n;
+    };
+
     // ----- init: program resident tiles (single-chunk operators) --------
     if (!chunked) {
         std::vector<Stmt> writes;
+        writes.reserve(
+            static_cast<std::size_t>(replicas * writes_in(0, tiles)));
         for (std::int64_t rep = 0; rep < replicas; ++rep)
             emit_writes(rep, 0, tiles, &writes);
         // Segment 0 and dual-mode resident segments program at init
@@ -512,9 +534,20 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
     const std::int64_t emit_windows = options_.unroll ? total_windows : 1;
     const RequantParams shift = shiftFor(node.id);
 
+    // One window's statements: the gather (at most a zero plus Cin * KH
+    // movs), the accumulator zero, each chunk's programming, feeds and
+    // read block, then requant and scatter.
+    std::int64_t window_stmts = 1 + Cin * KH + 1 + 2;
+    for (std::int64_t t0 = 0; t0 < tiles; t0 += chunk_tiles) {
+        const std::int64_t t1 = std::min(tiles, t0 + chunk_tiles);
+        window_stmts +=
+            (chunked ? writes_in(t0, t1) : 0) + (t1 - t0) * spread + 1;
+    }
+
     std::vector<Stmt> window_block_template;
     for (std::int64_t w = 0; w < emit_windows; ++w) {
         std::vector<Stmt> block;
+        block.reserve(static_cast<std::size_t>(window_stmts));
         const std::int64_t rep = w % replicas;
 
         // 1. Gather the input vector for this window into L0 patch
@@ -600,6 +633,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             if (chunked)
                 emit_writes(rep, t0, t1, &block);
             std::vector<Stmt> reads;
+            reads.reserve(static_cast<std::size_t>(reads_in(t0, t1)));
             for (std::int64_t tile = t0; tile < t1; ++tile) {
                 std::int64_t r0, r1, c0, c1;
                 tile_geometry(tile, &r0, &r1, &c0, &c1);

@@ -3,12 +3,16 @@
  * Socket-level tests for the compile daemon: handshake, report
  * byte-identity against an in-process session, the warm artifact memo,
  * admission rejection under a full queue, cancel-on-disconnect, stats,
- * shutdown, and tune-cache snapshotting. Each test runs its own
+ * shutdown (including a stop racing idle accept threads), tune-cache
+ * snapshotting, and TCP_NODELAY on both ends of a TCP connection. Each test runs its own
  * DaemonServer on a unique /tmp Unix socket (or ephemeral TCP port);
  * deterministic in-flight blocking uses the server's test-only
  * compile hook.
  */
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -21,6 +25,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "common/socket.h"
 #include "compiler/session.h"
 #include "daemon/client.h"
 #include "daemon/server.h"
@@ -408,6 +413,50 @@ TEST(DaemonServerTest, ShutdownRequestStopsTheServer)
     // serveForever() would now return; stop() drains and is idempotent.
     server.stop();
     server.stop();
+}
+
+TEST(DaemonServerTest, StopWhileAcceptThreadsIdle)
+{
+    // stop() must unblock accept threads parked on both transports and
+    // close the listeners only after joining them (a data race under
+    // TSan otherwise).
+    for (int round = 0; round < 3; ++round) {
+        DaemonConfig config;
+        config.unix_path = uniqueSocketPath("idle");
+        config.tcp_port = 0;
+        config.threads = 1;
+        DaemonServer server(std::move(config));
+        ASSERT_TRUE(server.start().isOk());
+        ASSERT_GT(server.boundTcpPort(), 0);
+        server.stop();
+        EXPECT_EQ(server.boundTcpPort(), -1);
+    }
+}
+
+/** TCP_NODELAY as read back from a connected socket. */
+int
+noDelayOf(const Socket &socket)
+{
+    int value = -1;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(socket.fd(), IPPROTO_TCP, TCP_NODELAY, &value,
+                           &len),
+              0);
+    return value;
+}
+
+TEST(DaemonServerTest, TcpSocketsDisableNagleOnBothEnds)
+{
+    // Multi-frame replies must not wait for a delayed ACK.
+    auto listener = Listener::listenTcp(0);
+    ASSERT_TRUE(listener.isOk()) << listener.status().toString();
+    auto client =
+        connectTcp("127.0.0.1", listener.value().boundPort());
+    ASSERT_TRUE(client.isOk()) << client.status().toString();
+    auto accepted = listener.value().accept();
+    ASSERT_TRUE(accepted.isOk()) << accepted.status().toString();
+    EXPECT_NE(noDelayOf(client.value()), 0);
+    EXPECT_NE(noDelayOf(accepted.value()), 0);
 }
 
 TEST(DaemonServerTest, TunedCompilesShareTheWarmCacheAndSnapshot)
