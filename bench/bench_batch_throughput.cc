@@ -21,12 +21,14 @@ using bench::ShapeChecker;
 namespace {
 
 double
-runSweep(const std::vector<BatchJob> &jobs, int threads,
-         std::string *table_out)
+timeSweep(const std::vector<BatchJob> &jobs, int threads,
+          std::string *table_out)
 {
-    const BatchCompiler batch(ScheduleOptions::full(), threads);
+    BatchSweep sweep;
+    sweep.jobs = jobs;
+    sweep.threads = threads;
     const auto start = std::chrono::steady_clock::now();
-    auto result = batch.run(jobs);
+    auto result = runSweep(sweep);
     const auto stop = std::chrono::steady_clock::now();
     CIMMLC_CHECK(result.isOk()) << result.status().toString();
     CIMMLC_CHECK_EQ(result.value().okCount(),
@@ -45,7 +47,7 @@ main()
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("hardware threads: %u\n\n", hw);
 
-    auto jobs = BatchCompiler::crossProduct(
+    auto jobs = crossProductJobs(
         {"resnet18", "resnet34", "resnet50", "vgg11", "vgg16",
          "vit_tiny"},
         {"isaac", "puma", "jia"});
@@ -58,10 +60,10 @@ main()
     // Warm-up pass so first-touch allocation noise does not skew the
     // serial measurement.
     std::string scratch;
-    runSweep(jobs.value(), 1, &scratch);
+    timeSweep(jobs.value(), 1, &scratch);
 
-    const double serial_s = runSweep(jobs.value(), 1, &serial_table);
-    const double parallel_s = runSweep(jobs.value(), 0, &parallel_table);
+    const double serial_s = timeSweep(jobs.value(), 1, &serial_table);
+    const double parallel_s = timeSweep(jobs.value(), 0, &parallel_table);
 
     std::fputs(parallel_table.c_str(), stdout);
 

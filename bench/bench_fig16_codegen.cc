@@ -13,7 +13,7 @@
 
 #include "arch/presets.h"
 #include "bench_util.h"
-#include "compiler/compiler.h"
+#include "compiler/session.h"
 #include "graph/models.h"
 #include "mop/printer.h"
 #include "mop/validator.h"
@@ -32,24 +32,26 @@ main()
     for (ComputeMode mode :
          {ComputeMode::kCM, ComputeMode::kXBM, ComputeMode::kWLM}) {
         const CimArchitecture arch = presets::tutorialTable2(mode);
-        CimCompiler compiler(arch);
-        auto result = compiler.compile(graph);
+        CompileRequest request;
+        request.graph = &graph;
+        request.arch_ref = &arch;
+        auto result = CompilerSession(std::move(request)).run();
         CIMMLC_CHECK(result.isOk()) << result.status().toString();
-        const CompileResult &compiled = result.value();
+        const CompileArtifacts &compiled = result.value();
 
         std::printf("\n--- %s interface ---\n", computeModeName(mode));
         PrintOptions print;
         print.max_statements = 18;
-        std::fputs(printProgram(compiled.code.program, print).c_str(),
+        std::fputs(printProgram(compiled.code->program, print).c_str(),
                    stdout);
 
         const Status valid =
-            validateProgram(compiled.code.program, arch);
+            validateProgram(compiled.code->program, arch);
         check.require(valid.isOk(),
                       std::string(computeModeName(mode)) +
                           ": flow validates (" + valid.toString() + ")");
 
-        const OperatorMapping &conv = compiled.schedule.ops.at(1);
+        const OperatorMapping &conv = compiled.schedule->ops.at(1);
         if (mode == ComputeMode::kCM) {
             check.require(conv.duplication == 2,
                           "CM: operator duplicated twice (2 cores)");

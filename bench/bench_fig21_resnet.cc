@@ -17,7 +17,6 @@
 #include "arch/presets.h"
 #include "bench_util.h"
 #include "common/table.h"
-#include "compiler/compiler.h"
 #include "graph/models.h"
 #include "perfsim/perf_model.h"
 #include "sched/multi_level.h"

@@ -10,7 +10,6 @@
 
 #include "arch/presets.h"
 #include "baselines/poly_schedule.h"
-#include "compiler/compiler.h"
 #include "funcsim/simulator.h"
 #include "graph/models.h"
 #include "graph/reference.h"

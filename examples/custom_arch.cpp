@@ -10,7 +10,7 @@
 
 #include "arch/serialize.h"
 #include "common/rng.h"
-#include "compiler/compiler.h"
+#include "compiler/session.h"
 #include "funcsim/verify.h"
 #include "graph/models.h"
 #include "mop/printer.h"
@@ -69,19 +69,22 @@ main()
 
     // 2. Compile a small CNN for it.
     Graph graph = models::macroCnn();
-    CimCompiler compiler(arch);
-    auto result = compiler.compile(graph);
+    CompileRequest request;
+    request.graph = &graph;
+    request.arch_ref = &arch;
+    auto result = CompilerSession(std::move(request)).run();
     if (!result.isOk()) {
         std::fprintf(stderr, "compile failed: %s\n",
                      result.status().toString().c_str());
         return 1;
     }
-    std::fputs(result.value().schedule.summary(graph).c_str(), stdout);
-    std::printf("%s\n\n", result.value().perf.toString().c_str());
+    const CompileArtifacts &compiled = result.value();
+    std::fputs(compiled.schedule->summary(graph).c_str(), stdout);
+    std::printf("%s\n\n", compiled.perf->toString().c_str());
 
     PrintOptions print;
     print.max_statements = 16;
-    std::fputs(printProgram(result.value().code.program, print).c_str(),
+    std::fputs(printProgram(compiled.code->program, print).c_str(),
                stdout);
 
     // 3. Verify the generated flow bit-exactly.

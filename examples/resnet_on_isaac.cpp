@@ -14,7 +14,7 @@
 #include "arch/presets.h"
 #include "common/strutil.h"
 #include "common/table.h"
-#include "compiler/compiler.h"
+#include "compiler/session.h"
 #include "graph/models.h"
 #include "perfsim/perf_model.h"
 #include "sched/multi_level.h"
@@ -66,16 +66,17 @@ main()
     std::fputs(table.render().c_str(), stdout);
 
     // Detailed report for one schedule.
-    CimCompiler compiler(arch);
-    auto result = compiler.compile(models::resnet18());
+    const Graph resnet18 = models::resnet18();
+    CompileRequest request;
+    request.graph = &resnet18;
+    request.arch_ref = &arch;
+    auto result = CompilerSession(std::move(request)).run();
     if (!result.isOk())
         return 1;
+    const CompileArtifacts &compiled = result.value();
     std::puts("\nResNet18 full-stack schedule:");
-    std::fputs(
-        result.value().schedule.summary(models::resnet18()).c_str(),
-        stdout);
-    std::printf("\nperf: %s\n", result.value().perf.toString().c_str());
-    std::printf("flow: %s\n",
-                result.value().code.program.summary().c_str());
+    std::fputs(compiled.schedule->summary(resnet18).c_str(), stdout);
+    std::printf("\nperf: %s\n", compiled.perf->toString().c_str());
+    std::printf("flow: %s\n", compiled.code->program.summary().c_str());
     return 0;
 }

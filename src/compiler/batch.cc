@@ -13,40 +13,30 @@ namespace cimmlc {
 
 namespace {
 
-/** Per-run tuning context shared by every job of one sweep. */
-struct TuneContext {
-    TuneObjective objective = TuneObjective::kLatency;
-    TuneCache *cache = nullptr; //!< nullptr = tuning disabled
-    SearchBudget budget;        //!< per-job tuner evaluation budget
-    bool lint = false;          //!< run mopcheck on each job's flow
-    bool lint_strict = false;   //!< lint errors fail the job
-    //! perf engine each job evaluates with
-    PerfEngineKind perf_engine = PerfEngineKind::kClosedForm;
-};
-
-/** Runs one job into @p entry; never throws or aborts on bad names. */
+/** Runs one job into @p entry; never throws or aborts on bad names.
+ * @p cache is the sweep's shared tune memo (read only when tuning). */
 void
-compileJob(const BatchJob &job, const ScheduleOptions &options,
-           const TuneContext &tune, BatchEntry &entry)
+compileJob(const BatchJob &job, const BatchSweep &sweep, TuneCache &cache,
+           BatchEntry &entry)
 {
     entry.job = job;
 
     CompileRequest request;
     request.model = job.model;
     request.arch = job.arch;
-    request.options = options;
-    if (tune.cache != nullptr) {
+    request.options = sweep.options;
+    if (sweep.tune) {
         // Job-level parallelism already fills the pool; tune serially
         // inside the job so nested pools do not oversubscribe.
         request.tune = true;
-        request.objective = tune.objective;
-        request.tune_cache = tune.cache;
-        request.search_budget = tune.budget;
+        request.objective = sweep.objective;
+        request.tune_cache = &cache;
+        request.search_budget = sweep.budget;
         request.threads = 1;
     }
-    request.lint = tune.lint;
-    request.lint_strict = tune.lint_strict;
-    request.perf_engine = tune.perf_engine;
+    request.lint = sweep.lint || sweep.lint_strict;
+    request.lint_strict = sweep.lint_strict;
+    request.perf_engine = sweep.perf_engine;
 
     CompilerSession session(std::move(request));
     // Identity facts survive in the entry even when a later stage fails
@@ -148,7 +138,7 @@ BatchResult::table() const
 }
 
 StatusOr<BatchResult>
-BatchCompiler::run(const std::vector<BatchJob> &jobs) const
+runSweep(const BatchSweep &sweep, const std::vector<BatchJob> &jobs)
 {
     if (jobs.empty())
         return invalidArgument("batch sweep has no jobs");
@@ -160,20 +150,18 @@ BatchCompiler::run(const std::vector<BatchJob> &jobs) const
     // pair reuse every candidate evaluation. Cached values are
     // bit-identical to fresh ones, so hits cannot perturb the output.
     TuneCache cache;
-    const TuneContext tune{objective_, tune_ ? &cache : nullptr, budget_,
-                           lint_, lint_strict_, perf_engine_};
 
-    if (threads_ == 1) {
+    if (sweep.threads == 1) {
         // Serial reference path: the determinism tests compare against it.
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            compileJob(jobs[i], options_, tune, result.entries[i]);
+            compileJob(jobs[i], sweep, cache, result.entries[i]);
         return result;
     }
 
-    ThreadPool pool(threads_);
+    ThreadPool pool(sweep.threads);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool.submit([this, &jobs, &result, &tune, i] {
-            compileJob(jobs[i], options_, tune, result.entries[i]);
+        pool.submit([&sweep, &jobs, &cache, &result, i] {
+            compileJob(jobs[i], sweep, cache, result.entries[i]);
         });
     }
     pool.wait();
@@ -181,8 +169,8 @@ BatchCompiler::run(const std::vector<BatchJob> &jobs) const
 }
 
 StatusOr<std::vector<BatchJob>>
-BatchCompiler::crossProduct(const std::vector<std::string> &model_names,
-                            const std::vector<std::string> &arch_names)
+crossProductJobs(const std::vector<std::string> &model_names,
+                 const std::vector<std::string> &arch_names)
 {
     if (model_names.empty())
         return invalidArgument("sweep needs at least one model");
@@ -239,8 +227,8 @@ sweepFromConfig(const ConfigValue &doc)
                             readNames("archs"));
 
     BatchSweep sweep;
-    CIMMLC_ASSIGN_OR_RETURN(sweep.jobs, BatchCompiler::crossProduct(
-                                            model_names, arch_names));
+    CIMMLC_ASSIGN_OR_RETURN(sweep.jobs,
+                            crossProductJobs(model_names, arch_names));
     CIMMLC_ASSIGN_OR_RETURN(
         sweep.options,
         scheduleOptionsByName(doc.getStringOr("opt", "full")));

@@ -1,11 +1,21 @@
 /**
  * @file
- * BatchCompiler: design-space exploration over models x architectures.
+ * Batch sweeps: design-space exploration over models x architectures.
  *
  * The paper's evaluation (Figures 21/22) sweeps networks across
- * architecture presets one compile at a time; BatchCompiler runs the
- * same sweep concurrently on a work-stealing pool and aggregates the
- * per-job performance reports into one table.
+ * architecture presets one compile at a time; runSweep runs the same
+ * sweep concurrently on a work-stealing pool and aggregates the per-job
+ * performance reports into one table. A BatchSweep holds every setting
+ * of a sweep: fill one (or parse it with sweepFromFile) and run it.
+ *
+ * @code
+ *   BatchSweep sweep;
+ *   sweep.jobs = crossProductJobs({"resnet18", "vgg16"},
+ *                                 {"isaac", "puma"}).value();
+ *   sweep.tune = true; // optional per-job auto-tuning
+ *   auto result = runSweep(sweep);
+ *   std::cout << result.value().table();
+ * @endcode
  *
  * Reentrancy: the whole compile path (scheduling, codegen, perfsim)
  * takes `const Graph &` / `const CimArchitecture &` and keeps no global
@@ -61,113 +71,56 @@ struct BatchResult {
     std::string table() const;
 };
 
-/** A sweep description parsed from a kvjson file (see sweepFromFile). */
+/** Every setting of one sweep; sweepFromFile parses one from kvjson. */
 struct BatchSweep {
     std::vector<BatchJob> jobs;
     ScheduleOptions options;
-    int threads = 0; //!< 0 = one per hardware thread
-    bool tune = false; //!< auto-tune each job ("tune": true)
+    int threads = 0; //!< 0 = one per hardware thread, 1 = serial loop
+    //! auto-tune each job ("tune": true): the job compiles with the
+    //! configuration the AutoTuner selects for its (model, arch) pair
+    //! under objective instead of the fixed options
+    bool tune = false;
     TuneObjective objective = TuneObjective::kLatency;
     //! per-job tuner evaluation budget ("budget": N or object); enables
     //! dominance pruning when tuning (see search/search_budget.h)
     SearchBudget budget;
-    bool lint = false;        //!< mopcheck each job's flow ("lint": true)
-    bool lint_strict = false; //!< lint errors fail the job ("lint_strict")
+    //! mopcheck each job's flow ("lint": true); the finding counts land
+    //! in BatchEntry and the table grows a "lint" column
+    bool lint = false;
+    //! lint errors fail the job ("lint_strict"; implies lint); the
+    //! sweep itself still completes
+    bool lint_strict = false;
     //! perf engine every job prices with ("perf_engine": name)
     PerfEngineKind perf_engine = PerfEngineKind::kClosedForm;
 };
 
 /**
- * Compiles batches of (model, arch) jobs concurrently.
- *
- * @code
- *   BatchCompiler batch(ScheduleOptions::full(), 8);
- *   auto jobs = BatchCompiler::crossProduct({"resnet18", "vgg16"},
- *                                           {"isaac", "puma"});
- *   auto result = batch.run(jobs.value());
- *   std::cout << result.value().table();
- * @endcode
+ * Compiles @p jobs with @p sweep's settings; sweep.jobs is not read, so
+ * a shard passes its slice. Per-job failures (unknown name, infeasible
+ * mapping) are recorded in the entry, not propagated. Entries are
+ * always in @p jobs order regardless of thread timing. A tuned sweep
+ * shares one TuneCache across the run, so jobs repeating a model x arch
+ * pair reuse the evaluated candidates. The call itself only fails on
+ * an empty job list.
  */
-class BatchCompiler
+StatusOr<BatchResult> runSweep(const BatchSweep &sweep,
+                               const std::vector<BatchJob> &jobs);
+
+/** Compiles every job of @p sweep. */
+inline StatusOr<BatchResult>
+runSweep(const BatchSweep &sweep)
 {
-  public:
-    /** @p threads: 0 = hardware concurrency, 1 = serial reference path. */
-    explicit BatchCompiler(ScheduleOptions options = ScheduleOptions::full(),
-                           int threads = 0)
-        : options_(options), threads_(threads)
-    {
-    }
+    return runSweep(sweep, sweep.jobs);
+}
 
-    const ScheduleOptions &options() const { return options_; }
-    int threads() const { return threads_; }
-
-    /**
-     * Auto-tunes every job before compiling it: each job is compiled
-     * with the configuration the AutoTuner selects for its (model,
-     * arch) pair under @p objective instead of the fixed options. One
-     * TuneCache is shared across the run, so jobs repeating a model x
-     * arch pair reuse the evaluated candidates.
-     */
-    void
-    setTuning(bool enabled,
-              TuneObjective objective = TuneObjective::kLatency)
-    {
-        tune_ = enabled;
-        objective_ = objective;
-    }
-    bool tuning() const { return tune_; }
-    TuneObjective objective() const { return objective_; }
-
-    /** Per-job tuner evaluation budget (only read when tuning). */
-    void setSearchBudget(const SearchBudget &budget) { budget_ = budget; }
-    const SearchBudget &searchBudget() const { return budget_; }
-
-    /**
-     * Runs mopcheck (mop/analyzer.h) on every job's emitted flow; the
-     * per-job finding counts land in BatchEntry and the result table
-     * grows a "lint" column. With @p strict, any error-severity finding
-     * fails that job (the sweep itself still completes).
-     */
-    void
-    setLint(bool enabled, bool strict = false)
-    {
-        lint_ = enabled || strict;
-        lint_strict_ = strict;
-    }
-    bool linting() const { return lint_; }
-    bool lintStrict() const { return lint_strict_; }
-
-    /** Perf engine every job evaluates with (default closed_form). */
-    void setPerfEngine(PerfEngineKind engine) { perf_engine_ = engine; }
-    PerfEngineKind perfEngine() const { return perf_engine_; }
-
-    /**
-     * Runs every job; per-job failures (unknown name, infeasible
-     * mapping) are recorded in the entry, not propagated. Entries are
-     * always in @p jobs order regardless of thread timing. The call
-     * itself only fails on an empty job list.
-     */
-    StatusOr<BatchResult> run(const std::vector<BatchJob> &jobs) const;
-
-    /**
-     * Builds the models x archs cross product, validating every name
-     * up front (models::byName aborts on unknown names, so the batch
-     * path must reject them before compiling).
-     */
-    static StatusOr<std::vector<BatchJob>>
-    crossProduct(const std::vector<std::string> &model_names,
+/**
+ * Builds the models x archs cross product, validating every name up
+ * front (models::byName aborts on unknown names, so the batch path
+ * must reject them before compiling).
+ */
+StatusOr<std::vector<BatchJob>>
+crossProductJobs(const std::vector<std::string> &model_names,
                  const std::vector<std::string> &arch_names);
-
-  private:
-    ScheduleOptions options_;
-    int threads_;
-    bool tune_ = false;
-    TuneObjective objective_ = TuneObjective::kLatency;
-    SearchBudget budget_;
-    bool lint_ = false;
-    bool lint_strict_ = false;
-    PerfEngineKind perf_engine_ = PerfEngineKind::kClosedForm;
-};
 
 /**
  * Parses a sweep file:

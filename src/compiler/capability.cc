@@ -2,7 +2,7 @@
 
 #include "arch/presets.h"
 #include "common/table.h"
-#include "compiler/compiler.h"
+#include "compiler/session.h"
 #include "graph/models.h"
 
 namespace cimmlc {
@@ -44,9 +44,12 @@ probeCimMlc()
             arch.xbar.cell_type = device;
             // Keep cell precision feasible for every technology probed.
             arch.xbar.cell_bits = device == CellType::kSram ? 1 : 2;
-            CimCompiler compiler(arch);
-            auto schedule = compiler.scheduleOnly(graph);
-            if (!schedule.isOk()) {
+            CompileRequest request;
+            request.graph = &graph;
+            request.arch_ref = &arch;
+            request.stop_after = CompileStage::kSchedule;
+            CompilerSession session(std::move(request));
+            if (!session.run().isOk()) {
                 device_ok = false;
                 break;
             }

@@ -77,6 +77,8 @@
  *   --help / -h
  */
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -185,14 +187,14 @@ usage(const char *argv0)
     return 2;
 }
 
-/** Parses a flag value as a non-negative integer or exits with 2. */
+/** Parses a flag value as an integer in [0, @p max] or exits with 2. */
 bool
 parseNonNegativeInt(const char *flag, const char *value,
-                    std::int64_t *out)
+                    std::int64_t *out, std::int64_t max = INT64_MAX)
 {
     char *end = nullptr;
     const long long parsed = std::strtoll(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0) {
+    if (end == value || *end != '\0' || parsed < 0 || parsed > max) {
         std::fprintf(stderr,
                      "%s expects a non-negative integer, got '%s'\n",
                      flag, value);
@@ -219,13 +221,17 @@ parsePerfEngineFlag(const CliArgs &args, PerfEngineKind *kind)
 int
 runBatch(const CliArgs &args)
 {
-    auto sweep = sweepFromFile(args.batch_file);
-    if (!sweep.isOk()) {
+    auto loaded = sweepFromFile(args.batch_file);
+    if (!loaded.isOk()) {
         std::fprintf(stderr, "sweep load failed: %s\n",
-                     sweep.status().toString().c_str());
+                     loaded.status().toString().c_str());
         return 1;
     }
-    ScheduleOptions options = sweep.value().options;
+    // The flags override the file in place, giving the sweep every
+    // process (shard, merge, or single) agrees on: shard files carry
+    // its digest, so slices of differently-flagged invocations can
+    // never be combined.
+    BatchSweep resolved = std::move(loaded).value();
     if (args.opt_explicit) {
         auto overridden = scheduleOptionsByName(args.opt);
         if (!overridden.isOk()) {
@@ -233,23 +239,23 @@ runBatch(const CliArgs &args)
                          overridden.status().toString().c_str());
             return 1;
         }
-        options = overridden.value();
+        resolved.options = overridden.value();
     }
     if (args.dual_mode)
-        options.dual_mode = true;
+        resolved.options.dual_mode = true;
     if (args.host_offload)
-        options.host_offload = true;
-    int threads = args.threads >= 0 ? args.threads : sweep.value().threads;
+        resolved.options.host_offload = true;
+    if (args.threads >= 0)
+        resolved.threads = args.threads;
     if (args.serial)
-        threads = 1;
+        resolved.threads = 1;
 
-    const bool tune = args.autotune || sweep.value().tune;
-    if (tune && args.opt_explicit) {
+    resolved.tune = resolved.tune || args.autotune;
+    if (resolved.tune && args.opt_explicit) {
         std::fprintf(stderr,
                      "note: --opt is ignored when tuning — the tuner "
                      "searches the whole option space\n");
     }
-    TuneObjective objective = sweep.value().objective;
     if (args.objective_explicit) {
         auto parsed = parseTuneObjective(args.objective);
         if (!parsed.isOk()) {
@@ -257,49 +263,38 @@ runBatch(const CliArgs &args)
                          parsed.status().toString().c_str());
             return 1;
         }
-        objective = parsed.value();
+        resolved.objective = parsed.value();
     }
 
-    SearchBudget budget = sweep.value().budget;
     if (args.search_budget >= 0)
-        budget.max_full_evals = args.search_budget;
-    if (budget.enabled() && !tune) {
+        resolved.budget.max_full_evals = args.search_budget;
+    if (resolved.budget.enabled() && !resolved.tune) {
         std::fprintf(stderr,
                      "--search-budget/'budget' only applies to tuned "
                      "sweeps; set \"tune\": true or pass --autotune\n");
         return 1;
     }
 
-    PerfEngineKind perf_engine = sweep.value().perf_engine;
     if (args.perf_engine_explicit
-        && !parsePerfEngineFlag(args, &perf_engine))
+        && !parsePerfEngineFlag(args, &resolved.perf_engine))
         return 1;
-
-    // The sweep every process (shard, merge, or single) agrees on:
-    // shard files carry its digest, so slices of differently-flagged
-    // invocations can never be combined.
-    BatchSweep resolved = sweep.value();
-    resolved.options = options;
-    resolved.threads = threads;
-    resolved.tune = tune;
-    resolved.objective = objective;
-    resolved.budget = budget;
-    resolved.lint = args.lint || sweep.value().lint;
-    resolved.lint_strict = args.lint_strict || sweep.value().lint_strict;
-    resolved.perf_engine = perf_engine;
+    resolved.lint = resolved.lint || args.lint;
+    resolved.lint_strict = resolved.lint_strict || args.lint_strict;
 
     const auto render = [&](const BatchResult &result) {
-        if (tune) {
+        if (resolved.tune) {
             std::printf("batch: %zu jobs, %lld ok, tuned per job "
                         "(objective=%s), threads=%d\n",
                         result.entries.size(),
                         static_cast<long long>(result.okCount()),
-                        tuneObjectiveName(objective), threads);
+                        tuneObjectiveName(resolved.objective),
+                        resolved.threads);
         } else {
             std::printf("batch: %zu jobs, %lld ok, opt=%s, threads=%d\n",
                         result.entries.size(),
                         static_cast<long long>(result.okCount()),
-                        options.toString().c_str(), threads);
+                        resolved.options.toString().c_str(),
+                        resolved.threads);
         }
         std::fputs(result.table().c_str(), stdout);
         return result.okCount()
@@ -339,12 +334,7 @@ runBatch(const CliArgs &args)
         }
     }
 
-    BatchCompiler batch(options, threads);
-    batch.setTuning(tune, objective);
-    batch.setSearchBudget(budget);
-    batch.setLint(resolved.lint, resolved.lint_strict);
-    batch.setPerfEngine(perf_engine);
-    auto result = batch.run(slice);
+    auto result = runSweep(resolved, slice);
     if (!result.isOk()) {
         std::fprintf(stderr, "batch failed: %s\n",
                      result.status().toString().c_str());
@@ -946,7 +936,7 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             std::int64_t parsed = 0;
-            if (!parseNonNegativeInt("--threads", v, &parsed))
+            if (!parseNonNegativeInt("--threads", v, &parsed, INT_MAX))
                 return 2;
             args.threads = static_cast<int>(parsed);
         } else if (flag == "--serial") {

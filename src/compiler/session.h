@@ -176,7 +176,7 @@ struct CompileRequest {
     //! when outputs.flow is off.
     PerfEngineKind perf_engine = PerfEngineKind::kClosedForm;
 
-    //! last stage to run; subsumes the old scheduleOnly entry point
+    //! last stage to run (kSchedule = schedule only, no codegen or perf)
     CompileStage stop_after = CompileStage::kVerify;
 
     std::uint64_t verify_seed = 1234; //!< stimulus seed for the verify stage

@@ -34,6 +34,7 @@
  * Clients: `cimmlc --connect PATH --model ... [--report json]`, or any
  * program speaking the framing documented in DESIGN.md.
  */
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -70,12 +71,14 @@ printUsage(std::FILE *out, const char *argv0)
                  argv0);
 }
 
+/** Parses a flag value as an integer in [0, @p max]. */
 bool
-parseIntFlag(const char *flag, const char *value, long long *out)
+parseIntFlag(const char *flag, const char *value, long long max,
+             long long *out)
 {
     char *end = nullptr;
     const long long parsed = std::strtoll(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0) {
+    if (end == value || *end != '\0' || parsed < 0 || parsed > max) {
         std::fprintf(stderr,
                      "%s expects a non-negative integer, got '%s'\n",
                      flag, value);
@@ -117,7 +120,12 @@ main(int argc, char **argv)
                    || flag == "--cache-capacity") {
             const char *v = next();
             long long parsed = 0;
-            if (!v || !parseIntFlag(flag.c_str(), v, &parsed)) {
+            // --tcp and --threads narrow to int: a larger value must be
+            // rejected, not wrapped into an ephemeral port or pool size.
+            const long long max = flag == "--tcp" || flag == "--threads"
+                                      ? INT_MAX
+                                      : LLONG_MAX;
+            if (!v || !parseIntFlag(flag.c_str(), v, max, &parsed)) {
                 printUsage(stderr, argv[0]);
                 return 2;
             }

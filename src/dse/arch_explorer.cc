@@ -74,7 +74,7 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
         if (spec.tune) {
             // Candidate-level parallelism already fills the pool; tune
             // serially inside the candidate so nested pools do not
-            // oversubscribe (same discipline as BatchCompiler).
+            // oversubscribe (same discipline as runSweep).
             request.tune = true;
             request.objective = spec.objective;
             request.tune_cache = cache;

@@ -16,7 +16,7 @@
  * with pre-assigned result slots, and the latency/energy Pareto front
  * is computed with deterministic dominance filtering — the report is
  * byte-identical for any thread count, the same discipline the
- * AutoTuner and BatchCompiler follow.
+ * AutoTuner and batch sweeps follow.
  */
 #ifndef CIMMLC_DSE_ARCH_EXPLORER_H
 #define CIMMLC_DSE_ARCH_EXPLORER_H

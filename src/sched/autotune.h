@@ -201,8 +201,12 @@ struct AutoTuneConfig {
  *
  * @code
  *   AutoTuner tuner({TuneObjective::kEdp});
- *   auto result = tuner.tune(models::resnet18(), presets::puma());
- *   CimCompiler compiler(arch, result.value().best().options);
+ *   auto result = tuner.tune(graph, arch);
+ *   CompileRequest request;
+ *   request.graph = &graph;
+ *   request.arch_ref = &arch;
+ *   request.options = result.value().best().options;
+ *   auto artifacts = CompilerSession(std::move(request)).run();
  * @endcode
  */
 class AutoTuner

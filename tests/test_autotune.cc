@@ -523,23 +523,24 @@ TEST(TuneSweepTest, SweepFileRejectsUnknownObjective)
 
 TEST(TuneSweepTest, TunedBatchMatchesSerialAndBeatsFixedOptions)
 {
-    auto jobs = BatchCompiler::crossProduct({"lenet5", "macro_cnn"},
-                                            {"jain", "jia"});
+    auto jobs = crossProductJobs({"lenet5", "macro_cnn"}, {"jain", "jia"});
     ASSERT_TRUE(jobs.isOk());
 
-    BatchCompiler serial(ScheduleOptions::full(), /*threads=*/1);
-    serial.setTuning(true, TuneObjective::kLatency);
-    BatchCompiler parallel(ScheduleOptions::full(), /*threads=*/4);
-    parallel.setTuning(true, TuneObjective::kLatency);
-
-    auto a = serial.run(jobs.value());
-    auto b = parallel.run(jobs.value());
+    BatchSweep sweep;
+    sweep.jobs = jobs.value();
+    sweep.threads = 1;
+    sweep.tune = true;
+    sweep.objective = TuneObjective::kLatency;
+    auto a = runSweep(sweep);
+    sweep.threads = 4;
+    auto b = runSweep(sweep);
     ASSERT_TRUE(a.isOk());
     ASSERT_TRUE(b.isOk());
     EXPECT_EQ(a.value().table(), b.value().table());
 
-    BatchCompiler fixed(ScheduleOptions::full(), /*threads=*/1);
-    auto baseline = fixed.run(jobs.value());
+    sweep.threads = 1;
+    sweep.tune = false;
+    auto baseline = runSweep(sweep);
     ASSERT_TRUE(baseline.isOk());
     for (std::size_t i = 0; i < a.value().entries.size(); ++i) {
         const BatchEntry &tuned = a.value().entries[i];

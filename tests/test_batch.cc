@@ -18,14 +18,25 @@ namespace {
 std::vector<BatchJob>
 smokeJobs()
 {
-    auto jobs = BatchCompiler::crossProduct(
+    auto jobs = crossProductJobs(
         {"mlp", "lenet5", "conv_relu_toy", "macro_cnn"},
         {"isaac", "puma", "jia"});
     EXPECT_TRUE(jobs.isOk()) << jobs.status().toString();
     return jobs.value();
 }
 
-// ----- crossProduct ------------------------------------------------------
+BatchSweep
+sweepOf(std::vector<BatchJob> jobs, int threads,
+        ScheduleOptions options = ScheduleOptions::full())
+{
+    BatchSweep sweep;
+    sweep.jobs = std::move(jobs);
+    sweep.threads = threads;
+    sweep.options = options;
+    return sweep;
+}
+
+// ----- crossProductJobs ----------------------------------------------------
 
 TEST(BatchCompilerTest, CrossProductEnumeratesModelsTimesArchs)
 {
@@ -39,36 +50,34 @@ TEST(BatchCompilerTest, CrossProductEnumeratesModelsTimesArchs)
 
 TEST(BatchCompilerTest, CrossProductRejectsUnknownModel)
 {
-    auto jobs = BatchCompiler::crossProduct({"resnet9000"}, {"isaac"});
+    auto jobs = crossProductJobs({"resnet9000"}, {"isaac"});
     ASSERT_FALSE(jobs.isOk());
     EXPECT_EQ(jobs.status().code(), StatusCode::kNotFound);
 }
 
 TEST(BatchCompilerTest, CrossProductRejectsUnknownArch)
 {
-    auto jobs = BatchCompiler::crossProduct({"mlp"}, {"tpu"});
+    auto jobs = crossProductJobs({"mlp"}, {"tpu"});
     ASSERT_FALSE(jobs.isOk());
     EXPECT_EQ(jobs.status().code(), StatusCode::kNotFound);
 }
 
 TEST(BatchCompilerTest, CrossProductRejectsEmptyAxes)
 {
-    EXPECT_FALSE(BatchCompiler::crossProduct({}, {"isaac"}).isOk());
-    EXPECT_FALSE(BatchCompiler::crossProduct({"mlp"}, {}).isOk());
+    EXPECT_FALSE(crossProductJobs({}, {"isaac"}).isOk());
+    EXPECT_FALSE(crossProductJobs({"mlp"}, {}).isOk());
 }
 
-// ----- run ---------------------------------------------------------------
+// ----- runSweep ----------------------------------------------------------
 
 TEST(BatchCompilerTest, EmptyJobListIsAnError)
 {
-    const BatchCompiler batch;
-    EXPECT_FALSE(batch.run({}).isOk());
+    EXPECT_FALSE(runSweep(BatchSweep{}).isOk());
 }
 
 TEST(BatchCompilerTest, SerialRunCompilesEveryJob)
 {
-    const BatchCompiler batch(ScheduleOptions::full(), /*threads=*/1);
-    auto result = batch.run(smokeJobs());
+    auto result = runSweep(sweepOf(smokeJobs(), /*threads=*/1));
     ASSERT_TRUE(result.isOk());
     EXPECT_EQ(result.value().entries.size(), 12u);
     EXPECT_EQ(result.value().okCount(), 12);
@@ -83,11 +92,8 @@ TEST(BatchCompilerTest, SerialRunCompilesEveryJob)
 TEST(BatchCompilerTest, ParallelRunMatchesSerialByteForByte)
 {
     const std::vector<BatchJob> jobs = smokeJobs();
-    const BatchCompiler serial(ScheduleOptions::full(), /*threads=*/1);
-    const BatchCompiler parallel(ScheduleOptions::full(), /*threads=*/4);
-
-    auto serial_result = serial.run(jobs);
-    auto parallel_result = parallel.run(jobs);
+    auto serial_result = runSweep(sweepOf(jobs, /*threads=*/1));
+    auto parallel_result = runSweep(sweepOf(jobs, /*threads=*/4));
     ASSERT_TRUE(serial_result.isOk());
     ASSERT_TRUE(parallel_result.isOk());
 
@@ -115,10 +121,9 @@ TEST(BatchCompilerTest, ParallelRunMatchesSerialByteForByte)
 
 TEST(BatchCompilerTest, ParallelRunIsStableAcrossRepeats)
 {
-    const std::vector<BatchJob> jobs = smokeJobs();
-    const BatchCompiler batch(ScheduleOptions::full(), /*threads=*/4);
-    auto first = batch.run(jobs);
-    auto second = batch.run(jobs);
+    const BatchSweep sweep = sweepOf(smokeJobs(), /*threads=*/4);
+    auto first = runSweep(sweep);
+    auto second = runSweep(sweep);
     ASSERT_TRUE(first.isOk());
     ASSERT_TRUE(second.isOk());
     EXPECT_EQ(first.value().table(), second.value().table());
@@ -132,8 +137,7 @@ TEST(BatchCompilerTest, PerJobFailureDoesNotPoisonTheBatch)
     // pair compiles.)
     const std::vector<BatchJob> jobs = {
         {"mlp", "isaac"}, {"vgg7", "npu-9000"}, {"macro_cnn", "jain"}};
-    const BatchCompiler batch(ScheduleOptions::full(), /*threads=*/2);
-    auto result = batch.run(jobs);
+    auto result = runSweep(sweepOf(jobs, /*threads=*/2));
     ASSERT_TRUE(result.isOk());
     ASSERT_EQ(result.value().entries.size(), 3u);
     EXPECT_TRUE(result.value().entries[0].status.isOk());
@@ -148,8 +152,7 @@ TEST(BatchCompilerTest, UnknownModelInJobIsIsolated)
 {
     const std::vector<BatchJob> jobs = {{"mlp", "isaac"},
                                         {"not_a_model", "isaac"}};
-    const BatchCompiler batch(ScheduleOptions::full(), /*threads=*/2);
-    auto result = batch.run(jobs);
+    auto result = runSweep(sweepOf(jobs, /*threads=*/2));
     ASSERT_TRUE(result.isOk());
     EXPECT_TRUE(result.value().entries[0].status.isOk());
     EXPECT_EQ(result.value().entries[1].status.code(),
@@ -159,10 +162,8 @@ TEST(BatchCompilerTest, UnknownModelInJobIsIsolated)
 TEST(BatchCompilerTest, OptionsChangeTheSchedule)
 {
     const std::vector<BatchJob> jobs = {{"lenet5", "isaac"}};
-    const BatchCompiler full(ScheduleOptions::full(), 1);
-    const BatchCompiler none(ScheduleOptions::none(), 1);
-    auto full_result = full.run(jobs);
-    auto none_result = none.run(jobs);
+    auto full_result = runSweep(sweepOf(jobs, 1));
+    auto none_result = runSweep(sweepOf(jobs, 1, ScheduleOptions::none()));
     ASSERT_TRUE(full_result.isOk());
     ASSERT_TRUE(none_result.isOk());
     // Unoptimized latency must be strictly worse.

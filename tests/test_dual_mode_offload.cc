@@ -384,14 +384,15 @@ TEST(DeterminismTest, KnobbedBatchIsByteIdenticalAcrossThreads)
         for (const char *arch : {"jain", "puma"})
             jobs.push_back(BatchJob{model, arch});
 
-    ScheduleOptions options = ScheduleOptions::full();
-    options.dual_mode = true;
-    options.host_offload = true;
+    BatchSweep sweep;
+    sweep.jobs = jobs;
+    sweep.options.dual_mode = true;
+    sweep.options.host_offload = true;
 
     std::string reference;
     for (int threads : {1, 2, 8}) {
-        const BatchCompiler batch(options, threads);
-        auto result = batch.run(jobs);
+        sweep.threads = threads;
+        auto result = runSweep(sweep);
         ASSERT_TRUE(result.isOk()) << result.status().toString();
         if (reference.empty())
             reference = result.value().table();

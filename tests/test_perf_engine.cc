@@ -366,18 +366,19 @@ TEST(EventEngineTest, BatchTableByteIdenticalAcrossThreadCounts)
         for (const char *arch : {"jia", "jain", "tutorial"})
             jobs.push_back({model, arch});
 
+    BatchSweep sweep;
+    sweep.jobs = jobs;
+    sweep.threads = 1;
+    sweep.perf_engine = PerfEngineKind::kEvent;
     std::string serial_table;
     {
-        BatchCompiler batch(ScheduleOptions::full(), 1);
-        batch.setPerfEngine(PerfEngineKind::kEvent);
-        auto result = batch.run(jobs);
+        auto result = runSweep(sweep);
         ASSERT_TRUE(result.isOk());
         serial_table = result.value().table();
     }
     for (int threads : {2, 8}) {
-        BatchCompiler batch(ScheduleOptions::full(), threads);
-        batch.setPerfEngine(PerfEngineKind::kEvent);
-        auto result = batch.run(jobs);
+        sweep.threads = threads;
+        auto result = runSweep(sweep);
         ASSERT_TRUE(result.isOk());
         EXPECT_EQ(result.value().table(), serial_table)
             << "threads=" << threads;

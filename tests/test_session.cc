@@ -2,8 +2,8 @@
  * @file
  * Tests for the staged compilation-session API: CompileRequest
  * validation, stage planning (stop_after, requested outputs), the
- * observer hook, artifact completeness, the kvjson report round-trip,
- * and equivalence with the deprecated CimCompiler shim.
+ * observer hook, artifact completeness, and the kvjson report
+ * round-trip.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "arch/presets.h"
 #include "common/config.h"
 #include "common/version.h"
-#include "compiler/compiler.h"
 #include "compiler/session.h"
 #include "graph/models.h"
 
@@ -483,31 +482,6 @@ TEST(CompileStageTest, NamesRoundTrip)
         EXPECT_EQ(parsed.value(), stage);
     }
     EXPECT_FALSE(parseCompileStage("link").isOk());
-}
-
-// ----- deprecated shim -----------------------------------------------------
-
-TEST(CompilerSessionTest, CimCompilerShimMatchesSessionBitForBit)
-{
-    const Graph graph = models::lenet5();
-    const CimArchitecture arch = presets::isaacBaseline();
-
-    CimCompiler compiler(arch);
-    auto legacy = compiler.compile(graph);
-    ASSERT_TRUE(legacy.isOk());
-
-    CompilerSession session(borrowedRequest(graph, arch));
-    auto staged = session.run();
-    ASSERT_TRUE(staged.isOk());
-
-    EXPECT_EQ(legacy.value().perf.latency_cycles,
-              staged.value().perf->latency_cycles);
-    EXPECT_EQ(legacy.value().perf.energy.total(),
-              staged.value().perf->energy.total());
-    EXPECT_EQ(legacy.value().schedule.total_latency_cycles,
-              staged.value().schedule->total_latency_cycles);
-    EXPECT_EQ(legacy.value().code.program.counts().total(),
-              staged.value().code->program.counts().total());
 }
 
 } // namespace

@@ -60,9 +60,7 @@ runBatchShard(const BatchSweep &sweep, int index, int count)
             slice.push_back(sweep.jobs[i]);
         }
     }
-    BatchCompiler batch(sweep.options, 1);
-    batch.setLint(sweep.lint, sweep.lint_strict);
-    auto result = batch.run(slice);
+    auto result = runSweep(sweep, slice);
     EXPECT_TRUE(result.isOk()) << result.status().toString();
     const std::string path = testing::TempDir() + "/cimmlc_shard_"
                              + std::to_string(::getpid()) + "_"
@@ -115,9 +113,7 @@ TEST(BatchShardTest, TwoShardMergeIsByteIdenticalToSingleProcess)
 {
     const BatchSweep sweep = smokeSweep();
 
-    BatchCompiler batch(sweep.options, 1);
-    batch.setLint(sweep.lint, sweep.lint_strict);
-    auto single = batch.run(sweep.jobs);
+    auto single = runSweep(sweep);
     ASSERT_TRUE(single.isOk());
 
     const std::vector<std::string> paths = {runBatchShard(sweep, 0, 2),
