@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/logging.h"
 #include "common/mathutil.h"
 #include "common/strutil.h"
 #include "arch/device.h"
@@ -143,14 +142,19 @@ CimArchitecture::validate() const
                 "%s: xb_noc_cost must be %zux%zu", name.c_str(), n, n));
         }
     }
-    // Mode/tier consistency: WLM requires a meaningful parallel_row.
-    if (mode == ComputeMode::kWLM && xbar.parallel_row == xbar.rows) {
-        // Not an error — WLM with full-row activation degenerates to XBM
-        // behaviour — but worth surfacing to the user.
-        warn(name + ": WLM mode with parallel_row == crossbar rows; "
-                    "VVM remapping will be a no-op");
-    }
     return Status::ok();
+}
+
+std::string
+CimArchitecture::advisory() const
+{
+    // Mode/tier consistency: WLM requires a meaningful parallel_row.
+    // Not an error — WLM with full-row activation degenerates to XBM
+    // behaviour — but worth surfacing to the user.
+    if (mode == ComputeMode::kWLM && xbar.parallel_row == xbar.rows)
+        return name + ": WLM mode with parallel_row == crossbar rows; "
+                      "VVM remapping will be a no-op";
+    return "";
 }
 
 std::string

@@ -148,8 +148,16 @@ struct CimArchitecture {
     /** True when the device technology freezes weights at load time. */
     bool weightsStationary() const;
 
-    /** Semantic checks over every tier. */
+    /** Semantic checks over every tier. Logs nothing; see advisory(). */
     Status validate() const;
+
+    /**
+     * A survivable but questionable setting worth one warning per
+     * compile ("" when there is none). The session's validate stage
+     * logs it; validate() is called many times per compile and stays
+     * free of side effects.
+     */
+    std::string advisory() const;
 
     /** Multi-line dump mirroring the Figure 17-19 abstraction boxes. */
     std::string toString() const;

@@ -1,6 +1,6 @@
 #include "arch/noc.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -93,35 +93,27 @@ NocModel::transferCycles(std::int64_t src, std::int64_t dst,
     return bits / bandwidth_ + static_cast<double>(hops);
 }
 
-double
-NocModel::averageCyclesPerBit() const
-{
-    const std::int64_t n = endpointCount();
-    if (n <= 1)
-        return 0.0;
-    double total = 0.0;
-    std::int64_t pairs = 0;
-    for (std::int64_t s = 0; s < n; ++s) {
-        for (std::int64_t d = 0; d < n; ++d) {
-            if (s == d)
-                continue;
-            total += transferCycles(s, d, 1.0);
-            ++pairs;
-        }
-    }
-    return total / static_cast<double>(pairs);
-}
-
 std::int64_t
 NocModel::diameter() const
 {
-    const std::int64_t n = endpointCount();
-    std::int64_t best = 0;
-    for (std::int64_t s = 0; s < n; ++s) {
-        for (std::int64_t d = 0; d < n; ++d)
-            best = std::max(best, hopCount(s, d));
+    // Closed forms of the all-pairs maximum of hopCount().
+    if (endpointCount() <= 1)
+        return 0;
+    switch (type_) {
+      case NocType::kIdeal:
+        return 0;
+      case NocType::kSharedBus:
+      case NocType::kDisjointBufferSwitch:
+        return 1;
+      case NocType::kMesh:
+        return (rows_ - 1) + (cols_ - 1);
+      case NocType::kHTree:
+        // Two indices below n first meet after bit_width(a ^ b) shifts,
+        // which peaks at bit_width(n - 1) (e.g. 0 and n - 1).
+        return 2 * static_cast<std::int64_t>(std::bit_width(
+                       static_cast<std::uint64_t>(endpointCount() - 1)));
     }
-    return best;
+    return 1;
 }
 
 } // namespace cimmlc

@@ -50,10 +50,10 @@ class NocModel
     double transferCycles(std::int64_t src, std::int64_t dst,
                           double bits) const;
 
-    /** Average transfer cycles per bit over all distinct pairs. */
-    double averageCyclesPerBit() const;
-
-    /** Worst-case hop count across the network (its diameter). */
+    /**
+     * Worst-case hop count across the network (its diameter), in O(1)
+     * from the topology and the grid shape.
+     */
     std::int64_t diameter() const;
 
   private:

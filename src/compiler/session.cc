@@ -4,6 +4,7 @@
 
 #include "arch/presets.h"
 #include "arch/serialize.h"
+#include "common/logging.h"
 #include "common/strutil.h"
 #include "common/version.h"
 #include "graph/analysis.h"
@@ -457,6 +458,8 @@ CompilerSession::stageValidate(std::string &detail)
 {
     CIMMLC_RETURN_IF_ERROR(validateGraphForScheduling(*graph_));
     CIMMLC_RETURN_IF_ERROR(arch_->validate());
+    if (const std::string advisory = arch_->advisory(); !advisory.empty())
+        warn(advisory);
     detail = "graph and Abs-arch preconditions hold";
     return Status::ok();
 }

@@ -24,11 +24,13 @@ EnergyModel::EnergyModel(const CimArchitecture &arch)
         dacEnergyPj(arch.xbar.dac_bits) *
             static_cast<double>(arch.xbar.parallel_row);
 
-    const NocModel chip_noc = NocModel::forChip(arch);
+    // Only the diameter is needed, so the model is built without the
+    // chip's explicit cost matrix (n^2 doubles) that forChip() copies.
+    const NocModel chip_noc(arch.chip.core_noc, arch.chip.core_rows,
+                            arch.chip.core_cols,
+                            arch.chip.core_noc_bandwidth);
     const double avg_hops =
-        chip_noc.type() == NocType::kIdeal
-            ? 0.0
-            : static_cast<double>(chip_noc.diameter()) * 0.5;
+        static_cast<double>(chip_noc.diameter()) * 0.5;
     movement_pj_per_bit_ =
         peripherals.buffer_energy_pj_per_bit * 2.0 + // read + write
         peripherals.noc_energy_pj_per_bit_hop * avg_hops;

@@ -4,12 +4,15 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <numeric>
 
 #include "common/strutil.h"
 #include "common/table.h"
 #include "common/threadpool.h"
-#include "compiler/session.h"
+#include "perfsim/perf_engine.h"
 #include "search/dominance.h"
+#include "sched/cg.h"
 #include "sched/multi_level.h"
 
 namespace cimmlc {
@@ -42,19 +45,16 @@ static_assert(kTuneContextMask
               == (kBitsToCrossbarsBit | kSegmentCapMask | kDualModeBit
                   | kHostOffloadBit));
 
-/** The option clamp scheduleGraph applies for @p mode. */
-ScheduleOptions
-clampToMode(ScheduleOptions options, ComputeMode mode)
-{
-    if (mode == ComputeMode::kCM) {
-        options.mvm_duplication = false;
-        options.mvm_pipeline = false;
-        options.vvm_remap = false;
-    } else if (mode == ComputeMode::kXBM) {
-        options.vvm_remap = false;
-    }
-    return options;
-}
+// The bits of the options runCgOptimization reads: cg_duplication,
+// cg_pipeline, binding, segment_max_nodes, dual_mode and host_offload.
+// Candidates that agree on them get the same CG plan, so the tuner
+// computes it once per group; only the MVM/VVM knobs vary inside one.
+constexpr std::uint32_t kCgKeyMask =
+    kCgDuplicationBit | kCgPipelineBit | kBitsToCrossbarsBit
+    | kSegmentCapMask | kDualModeBit | kHostOffloadBit;
+static_assert((kCgKeyMask | kMvmDuplicationBit | kMvmPipelineBit
+               | kVvmRemapBit)
+              == kEncodingSpace - 1);
 
 /** Bits a candidate may not set under @p mode. */
 std::uint32_t
@@ -94,58 +94,114 @@ graphStructureHash(const Graph &graph)
     return hash;
 }
 
-void
-evaluateCandidate(const Graph &graph, const CimArchitecture &arch,
-                  const HostModel &host_model, TuneCandidate &candidate,
-                  TuneCache *cache,
-                  std::atomic<std::int64_t> &cache_hits)
+/**
+ * The checks a CompilerSession runs before its schedule stage (request
+ * validation, then the validate stage), with the same context prefixes.
+ */
+Status
+sessionPrecheck(const Graph &graph, const CimArchitecture &arch,
+                const HostModel &host)
 {
-    std::string key;
-    if (cache != nullptr) {
-        key = TuneCache::fingerprint(graph, arch, candidate.encoding, {},
-                                     candidate.options.host_offload
-                                         ? host_model.cacheTag()
-                                         : "");
-        if (auto hit = cache->lookup(key)) {
-            candidate.status = hit->status;
-            candidate.latency_cycles = hit->latency_cycles;
-            candidate.energy_pj = hit->energy_pj;
-            candidate.edp = hit->edp;
-            cache_hits.fetch_add(1, std::memory_order_relaxed);
-            return;
+    CIMMLC_RETURN_IF_ERROR(host.validate()
+                               .withContext("host_model")
+                               .withContext("CompileRequest"));
+    CIMMLC_RETURN_IF_ERROR(
+        validateGraphForScheduling(graph).withContext("validate"));
+    return arch.validate().withContext("validate");
+}
+
+/**
+ * Prices candidates for one tune. Each candidate gets exactly the status
+ * and metrics a CompilerSession run of its options (stop_after = kPerf,
+ * closed-form perf) would give it, through the same functions that
+ * session's schedule and perf stages call, but the inputs are validated
+ * once per tune and the CG plan once per group.
+ */
+class CandidatePricer
+{
+  public:
+    CandidatePricer(const Graph &graph, const CimArchitecture &arch,
+                    const HostModel &host, TuneCache *cache)
+        : graph_(graph), arch_(arch), host_(host), cache_(cache),
+          engine_(makePerfEngine(PerfEngineKind::kClosedForm)),
+          precheck_(sessionPrecheck(graph, arch, host))
+    {
+    }
+
+    /**
+     * Prices @p members (indices into @p candidates that share one CG
+     * key, ascending). The group's CG plan is computed on the first
+     * cache miss and freed on return.
+     */
+    void
+    priceGroup(std::vector<TuneCandidate> &candidates,
+               const std::vector<std::size_t> &members)
+    {
+        std::optional<StatusOr<CgResult>> plan;
+        for (std::size_t index : members) {
+            TuneCandidate &candidate = candidates[index];
+            std::string key;
+            if (cache_ != nullptr) {
+                key = TuneCache::fingerprint(
+                    graph_, arch_, candidate.encoding, {},
+                    candidate.options.host_offload ? host_.cacheTag()
+                                                   : "");
+                if (auto hit = cache_->lookup(key)) {
+                    candidate.status = hit->status;
+                    candidate.latency_cycles = hit->latency_cycles;
+                    candidate.energy_pj = hit->energy_pj;
+                    candidate.edp = hit->edp;
+                    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+                    continue;
+                }
+            }
+            candidate.status = price(candidate, plan);
+            if (cache_ != nullptr) {
+                cache_->insert(key,
+                               TuneCache::Entry{candidate.status,
+                                                candidate.latency_cycles,
+                                                candidate.energy_pj,
+                                                candidate.edp});
+            }
         }
     }
 
-    // Each candidate is priced through the shared staged pipeline
-    // (schedule + perf only — no codegen), so the tuner holds no
-    // private copy of the compile flow.
-    auto fill = [&]() -> Status {
-        CompileRequest request;
-        request.graph = &graph;
-        request.arch_ref = &arch;
-        request.options = candidate.options;
-        request.host_model = host_model;
-        request.threads = 1;
-        request.outputs.flow = false;
-        request.stop_after = CompileStage::kPerf;
-        CompilerSession session(std::move(request));
-        CIMMLC_ASSIGN_OR_RETURN(const CompileArtifacts artifacts,
-                                session.run());
-        candidate.latency_cycles = artifacts.perf->latency_cycles;
-        candidate.energy_pj = artifacts.perf->energy.total();
+    std::int64_t cacheHits() const { return cache_hits_.load(); }
+
+  private:
+    Status
+    price(TuneCandidate &candidate,
+          std::optional<StatusOr<CgResult>> &plan) const
+    {
+        CIMMLC_RETURN_IF_ERROR(precheck_);
+        const ScheduleOptions options =
+            clampOptionsToMode(candidate.options, arch_.mode);
+        if (!plan.has_value())
+            plan.emplace(runCgOptimization(graph_, arch_, options, host_));
+        CIMMLC_RETURN_IF_ERROR(plan->status().withContext("schedule"));
+        const StatusOr<Schedule> schedule =
+            scheduleFromCg(graph_, arch_, options, host_, plan->value());
+        CIMMLC_RETURN_IF_ERROR(schedule.status().withContext("schedule"));
+        PerfInput input;
+        input.graph = &graph_;
+        input.arch = &arch_;
+        input.schedule = &schedule.value();
+        const StatusOr<PerfReport> perf = engine_->evaluate(input);
+        CIMMLC_RETURN_IF_ERROR(perf.status().withContext("perf"));
+        candidate.latency_cycles = perf.value().latency_cycles;
+        candidate.energy_pj = perf.value().energy.total();
         candidate.edp = candidate.latency_cycles * candidate.energy_pj;
         return Status::ok();
-    };
-    candidate.status = fill();
-
-    if (cache != nullptr) {
-        cache->insert(key,
-                      TuneCache::Entry{candidate.status,
-                                       candidate.latency_cycles,
-                                       candidate.energy_pj,
-                                       candidate.edp});
     }
-}
+
+    const Graph &graph_;
+    const CimArchitecture &arch_;
+    const HostModel &host_;
+    TuneCache *cache_;
+    const std::unique_ptr<PerfEngine> engine_;
+    const Status precheck_;
+    std::atomic<std::int64_t> cache_hits_{0};
+};
 
 } // namespace
 
@@ -529,7 +585,7 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
     result.objective = config_.objective;
 
     const std::uint32_t default_encoding =
-        encodeOptions(clampToMode(ScheduleOptions{}, arch.mode));
+        encodeOptions(clampOptionsToMode(ScheduleOptions{}, arch.mode));
     for (const ScheduleOptions &options :
          enumerateCandidates(arch.mode)) {
         TuneCandidate candidate;
@@ -540,28 +596,38 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
         result.candidates.push_back(candidate);
     }
 
-    std::atomic<std::int64_t> cache_hits{0};
+    CandidatePricer pricer(graph, arch, config_.host_model, config_.cache);
+    std::optional<ThreadPool> pool;
+    if (config_.threads != 1)
+        pool.emplace(config_.threads);
+    // Prices @p indices with one pool task per CG group.
+    auto price = [&](const std::vector<std::size_t> &indices) {
+        std::map<std::uint32_t, std::vector<std::size_t>> groups;
+        for (std::size_t index : indices)
+            groups[result.candidates[index].encoding & kCgKeyMask]
+                .push_back(index);
+        for (const auto &[cg_key, members] : groups) {
+            (void)cg_key;
+            if (pool.has_value()) {
+                pool->submit([&pricer, &result, &members] {
+                    pricer.priceGroup(result.candidates, members);
+                });
+            } else {
+                pricer.priceGroup(result.candidates, members);
+            }
+        }
+        if (pool.has_value())
+            pool->wait();
+    };
+
     result.budget = config_.budget;
     if (!config_.budget.enabled()) {
         // Exhaustive reference path, byte-identical to the pre-budget
         // tuner; the differential suite compares the budgeted engine
         // against it.
-        if (config_.threads == 1) {
-            for (TuneCandidate &candidate : result.candidates)
-                evaluateCandidate(graph, arch, config_.host_model,
-                                  candidate, config_.cache, cache_hits);
-        } else {
-            ThreadPool pool(config_.threads);
-            for (TuneCandidate &candidate : result.candidates) {
-                pool.submit(
-                    [this, &graph, &arch, &candidate, &cache_hits] {
-                        evaluateCandidate(graph, arch,
-                                          config_.host_model, candidate,
-                                          config_.cache, cache_hits);
-                    });
-            }
-            pool.wait();
-        }
+        std::vector<std::size_t> all(result.candidates.size());
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        price(all);
         result.evaluated_count =
             static_cast<std::int64_t>(result.candidates.size());
     } else {
@@ -587,9 +653,6 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
         // (the speedup-over-default baseline of every report) until its
         // wave schedules it, so the cap is never overrun.
         bool default_pending = true;
-        std::optional<ThreadPool> pool;
-        if (config_.threads != 1)
-            pool.emplace(config_.threads);
         for (auto &[knob_count, wave] : waves) {
             (void)knob_count;
             std::vector<std::size_t> to_eval;
@@ -623,24 +686,7 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
                 }
                 to_eval.push_back(index);
             }
-            if (pool.has_value()) {
-                for (std::size_t index : to_eval) {
-                    TuneCandidate &candidate = result.candidates[index];
-                    pool->submit(
-                        [this, &graph, &arch, &candidate, &cache_hits] {
-                            evaluateCandidate(graph, arch,
-                                              config_.host_model,
-                                              candidate, config_.cache,
-                                              cache_hits);
-                        });
-                }
-                pool->wait();
-            } else {
-                for (std::size_t index : to_eval)
-                    evaluateCandidate(graph, arch, config_.host_model,
-                                      result.candidates[index],
-                                      config_.cache, cache_hits);
-            }
+            price(to_eval);
             evaluated += static_cast<std::int64_t>(to_eval.size());
             for (std::size_t index : to_eval) {
                 const TuneCandidate &candidate = result.candidates[index];
@@ -655,7 +701,7 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
             static_cast<std::int64_t>(result.candidates.size())
             - evaluated;
     }
-    result.cache_hits = cache_hits.load();
+    result.cache_hits = pricer.cacheHits();
 
     // Objective minimum with stable tie-breaking: candidates are in
     // ascending encoding order; ties on the objective fall back to EDP

@@ -7,13 +7,22 @@
  * The tuner enumerates every legal `ScheduleOptions x DimensionBinding`
  * point for an architecture — clamped by its ComputeMode exactly as
  * `scheduleGraph` clamps, so a CM chip never wastes candidates on
- * MVM/VVM knobs — prices each point through the staged CompilerSession
- * pipeline (schedule + perf stages; see compiler/session.h), and returns
- * the best configuration under a
- * selectable objective. Candidate evaluation fans out over the
- * work-stealing ThreadPool; results are independent of thread count
- * because every candidate owns a pre-assigned slot and ties break on the
- * stable option encoding.
+ * MVM/VVM knobs — prices each point, and returns the best configuration
+ * under a selectable objective.
+ *
+ * Pricing gives each candidate the status text and metrics a
+ * CompilerSession run of its options (schedule + closed-form perf)
+ * would give it, through the functions those stages call; the graph,
+ * arch and host model are validated once per tune. Candidates that
+ * agree on the six options runCgOptimization reads (CG duplication and
+ * pipelining, binding, segment cap, dual mode, host offload) form a
+ * group: 128 groups on every mode, with 8 members on WLM, 4 on XBM and
+ * 1 on CM. One ThreadPool task per group computes the CG plan on the
+ * group's first TuneCache miss, prices each member through
+ * scheduleFromCg and the closed-form PerfEngine, and frees the plan when
+ * the group is done. Results are independent of thread count because
+ * every candidate owns a pre-assigned slot and ties break on the stable
+ * option encoding.
  */
 #ifndef CIMMLC_SCHED_AUTOTUNE_H
 #define CIMMLC_SCHED_AUTOTUNE_H

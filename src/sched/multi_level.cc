@@ -92,34 +92,34 @@ refreshCmActivationStats(CgResult &cg, bool cg_pipeline)
     return Status::ok();
 }
 
-StatusOr<Schedule>
-scheduleGraph(const Graph &graph, const CimArchitecture &arch,
-              const ScheduleOptions &options, const HostModel &host)
+ScheduleOptions
+clampOptionsToMode(ScheduleOptions options, ComputeMode mode)
 {
-    CIMMLC_RETURN_IF_ERROR(validateGraphForScheduling(graph));
-
-    // Clamp options to the levels the programming interface exposes.
-    ScheduleOptions effective = options;
-    if (arch.mode == ComputeMode::kCM) {
-        effective.mvm_duplication = false;
-        effective.mvm_pipeline = false;
-        effective.vvm_remap = false;
-    } else if (arch.mode == ComputeMode::kXBM) {
-        effective.vvm_remap = false;
+    if (mode == ComputeMode::kCM) {
+        options.mvm_duplication = false;
+        options.mvm_pipeline = false;
+        options.vvm_remap = false;
+    } else if (mode == ComputeMode::kXBM) {
+        options.vvm_remap = false;
     }
+    return options;
+}
 
-    CIMMLC_ASSIGN_OR_RETURN(
-        CgResult cg, runCgOptimization(graph, arch, effective, host));
+StatusOr<Schedule>
+scheduleFromCg(const Graph &graph, const CimArchitecture &arch,
+               const ScheduleOptions &options, const HostModel &host,
+               CgResult cg)
+{
     if (arch.mode != ComputeMode::kCM) {
         CIMMLC_RETURN_IF_ERROR(
-            runMvmOptimization(graph, arch, effective, &cg));
+            runMvmOptimization(graph, arch, options, &cg));
     } else {
         CIMMLC_RETURN_IF_ERROR(
-            refreshCmActivationStats(cg, effective.cg_pipeline));
+            refreshCmActivationStats(cg, options.cg_pipeline));
     }
     if (arch.mode == ComputeMode::kWLM) {
         CIMMLC_RETURN_IF_ERROR(
-            runVvmOptimization(graph, arch, effective, &cg));
+            runVvmOptimization(graph, arch, options, &cg));
     }
 
     // Assemble the Schedule.
@@ -127,8 +127,8 @@ scheduleGraph(const Graph &graph, const CimArchitecture &arch,
     schedule.graph_name = graph.name();
     schedule.arch_name = arch.name;
     schedule.mode = arch.mode;
-    schedule.options = effective;
-    schedule.segments = cg.segments;
+    schedule.options = options;
+    schedule.segments = std::move(cg.segments);
     schedule.host_regions = std::move(cg.host_regions);
     schedule.host_model = host;
 
@@ -160,7 +160,7 @@ scheduleGraph(const Graph &graph, const CimArchitecture &arch,
         if (vit != cg.vvm_spreads.end())
             mapping.vvm_spread = vit->second;
         mapping.mvm_pipelined =
-            effective.mvm_pipeline && arch.mode != ComputeMode::kCM;
+            options.mvm_pipeline && arch.mode != ComputeMode::kCM;
 
         schedule.op_index[cost.node] = schedule.ops.size();
         schedule.ops.push_back(mapping);
@@ -190,6 +190,17 @@ scheduleGraph(const Graph &graph, const CimArchitecture &arch,
             std::max(schedule.peak_active_xbs, segment.peak_active_xbs);
     }
     return schedule;
+}
+
+StatusOr<Schedule>
+scheduleGraph(const Graph &graph, const CimArchitecture &arch,
+              const ScheduleOptions &options, const HostModel &host)
+{
+    CIMMLC_RETURN_IF_ERROR(validateGraphForScheduling(graph));
+    const ScheduleOptions effective = clampOptionsToMode(options, arch.mode);
+    CIMMLC_ASSIGN_OR_RETURN(
+        CgResult cg, runCgOptimization(graph, arch, effective, host));
+    return scheduleFromCg(graph, arch, effective, host, std::move(cg));
 }
 
 std::string

@@ -35,7 +35,29 @@ Status validateGraphForScheduling(const Graph &graph);
 Status refreshCmActivationStats(CgResult &cg, bool cg_pipeline);
 
 /**
- * Compiles @p graph for @p arch under @p options.
+ * Clears the options of levels @p mode does not expose: CM drops the
+ * MVM and VVM knobs, XBM drops the VVM remap. scheduleGraph schedules
+ * under the clamped options.
+ */
+ScheduleOptions clampOptionsToMode(ScheduleOptions options,
+                                   ComputeMode mode);
+
+/**
+ * Everything scheduleGraph does after the CG level: the MVM level (XBM
+ * and WLM) or the CM activation refresh, the VVM level (WLM), and the
+ * Schedule assembly, on top of @p cg. @p options must already be
+ * clamped to arch.mode. The CG level reads none of the MVM/VVM knobs,
+ * so one CG plan can be shared by options that differ only in them
+ * (the auto-tuner does this).
+ */
+StatusOr<Schedule> scheduleFromCg(const Graph &graph,
+                                  const CimArchitecture &arch,
+                                  const ScheduleOptions &options,
+                                  const HostModel &host, CgResult cg);
+
+/**
+ * Compiles @p graph for @p arch under @p options: validation, the clamp,
+ * runCgOptimization, then scheduleFromCg.
  *
  * The architecture's computing mode bounds the deepest level applied;
  * options can disable levels below that bound (for ablations) but never

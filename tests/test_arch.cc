@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "arch/arch.h"
 #include "arch/device.h"
 #include "arch/noc.h"
@@ -183,13 +187,50 @@ TEST(NocTest, HTreeHopsGrowLogarithmically)
     NocModel tree(NocType::kHTree, 1, 8, 64.0);
     EXPECT_EQ(tree.hopCount(0, 1), 2);
     EXPECT_EQ(tree.hopCount(0, 7), 6);
-    EXPECT_LE(tree.diameter(), 6);
+    EXPECT_EQ(tree.diameter(), 6);
+    // One endpoint past a power of two adds a tree level.
+    EXPECT_EQ(NocModel(NocType::kHTree, 3, 3, 64.0).diameter(), 8);
+    EXPECT_EQ(NocModel(NocType::kHTree, 1, 2, 64.0).diameter(), 2);
+    EXPECT_EQ(NocModel(NocType::kHTree, 1, 1, 64.0).diameter(), 0);
 }
 
 TEST(NocTest, IdealIsFree)
 {
     NocModel ideal(NocType::kIdeal, 2, 2, 0.0);
     EXPECT_DOUBLE_EQ(ideal.transferCycles(0, 3, 1024.0), 0.0);
+    EXPECT_EQ(ideal.diameter(), 0);
+}
+
+/** The all-pairs walk the closed-form diameter replaces. */
+std::int64_t
+allPairsDiameter(const NocModel &noc)
+{
+    std::int64_t best = 0;
+    for (std::int64_t src = 0; src < noc.endpointCount(); ++src) {
+        for (std::int64_t dst = 0; dst < noc.endpointCount(); ++dst)
+            best = std::max(best, noc.hopCount(src, dst));
+    }
+    return best;
+}
+
+TEST(NocTest, ClosedFormDiameterMatchesAllPairsWalk)
+{
+    std::vector<std::pair<std::int64_t, std::int64_t>> grids;
+    for (std::int64_t rows = 1; rows <= 20; ++rows) {
+        for (std::int64_t cols = 1; cols <= 20; ++cols)
+            grids.emplace_back(rows, cols);
+    }
+    grids.emplace_back(32, 24); // isaac-baseline's core grid
+    for (NocType type :
+         {NocType::kIdeal, NocType::kSharedBus, NocType::kMesh,
+          NocType::kHTree, NocType::kDisjointBufferSwitch}) {
+        for (const auto &[rows, cols] : grids) {
+            const NocModel noc(type, rows, cols, 32.0);
+            ASSERT_EQ(noc.diameter(), allPairsDiameter(noc))
+                << nocTypeName(type) << " " << rows << "x" << cols;
+        }
+    }
+    EXPECT_EQ(NocModel(NocType::kMesh, 32, 24, 32.0).diameter(), 54);
 }
 
 TEST(NocTest, TransferSerializationDominates)

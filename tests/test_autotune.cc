@@ -7,15 +7,23 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "arch/presets.h"
+#include "arch/serialize.h"
 #include "compiler/batch.h"
+#include "compiler/session.h"
 #include "graph/models.h"
 #include "sched/autotune.h"
+
+#ifndef CIMMLC_SOURCE_DIR
+#error "CIMMLC_SOURCE_DIR must name the repository root"
+#endif
 
 namespace cimmlc {
 namespace {
@@ -128,6 +136,178 @@ TEST(TuneDeterminismTest, SerialAndParallelRunsAreByteIdentical)
     EXPECT_EQ(a.value().best().encoding, b.value().best().encoding);
     EXPECT_EQ(a.value().table(), b.value().table());
     EXPECT_EQ(a.value().summary(), b.value().summary());
+}
+
+// ----- oracle: every candidate prices as a CompilerSession run ----------
+//
+// The tuner shares one CG plan per group of candidates and validates its
+// inputs once per tune; a CompilerSession run of each candidate's options
+// (schedule + closed-form perf) is the reference it must match bit for
+// bit, status text included.
+
+/** The reference: one session run of @p options, stopped after perf. */
+TuneCache::Entry
+sessionReference(const Graph &graph, const CimArchitecture &arch,
+                 const ScheduleOptions &options, const HostModel &host)
+{
+    CompileRequest request;
+    request.graph = &graph;
+    request.arch_ref = &arch;
+    request.options = options;
+    request.host_model = host;
+    request.threads = 1;
+    request.outputs.flow = false;
+    request.stop_after = CompileStage::kPerf;
+    auto artifacts = CompilerSession(std::move(request)).run();
+    TuneCache::Entry entry;
+    if (!artifacts.isOk()) {
+        entry.status = artifacts.status();
+        return entry;
+    }
+    entry.latency_cycles = artifacts.value().perf->latency_cycles;
+    entry.energy_pj = artifacts.value().perf->energy.total();
+    entry.edp = entry.latency_cycles * entry.energy_pj;
+    return entry;
+}
+
+/** Checks one priced value against its reference, bit for bit. */
+void
+expectSameEntry(const TuneCache::Entry &actual,
+                const TuneCache::Entry &expected, const std::string &what)
+{
+    EXPECT_EQ(actual.status.toString(), expected.status.toString())
+        << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.latency_cycles),
+              std::bit_cast<std::uint64_t>(expected.latency_cycles))
+        << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.energy_pj),
+              std::bit_cast<std::uint64_t>(expected.energy_pj))
+        << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(actual.edp),
+              std::bit_cast<std::uint64_t>(expected.edp))
+        << what;
+}
+
+/**
+ * Tunes @p graph x @p arch exhaustively and under a 60-evaluation
+ * budget, at 1 and 4 threads, and compares every evaluated candidate
+ * with its session reference. Returns the number of infeasible
+ * candidates seen in the exhaustive runs.
+ */
+int
+expectTunerMatchesSessions(const Graph &graph, const CimArchitecture &arch,
+                           const HostModel &host = HostModel{})
+{
+    std::map<std::uint32_t, TuneCache::Entry> reference;
+    int infeasible = 0;
+    for (const bool budgeted : {false, true}) {
+        for (const int threads : {1, 4}) {
+            AutoTuneConfig config;
+            config.threads = threads;
+            config.host_model = host;
+            if (budgeted)
+                config.budget.max_full_evals = 60;
+            auto result = AutoTuner(config).tune(graph, arch);
+            if (!result.isOk()) {
+                ADD_FAILURE() << result.status().toString();
+                return infeasible;
+            }
+            std::int64_t evaluated = 0;
+            for (const TuneCandidate &candidate :
+                 result.value().candidates) {
+                if (candidate.pruned)
+                    continue;
+                ++evaluated;
+                auto [it, inserted] =
+                    reference.try_emplace(candidate.encoding);
+                if (inserted)
+                    it->second = sessionReference(graph, arch,
+                                                  candidate.options, host);
+                expectSameEntry(
+                    TuneCache::Entry{candidate.status,
+                                     candidate.latency_cycles,
+                                     candidate.energy_pj, candidate.edp},
+                    it->second,
+                    graph.name() + " x " + arch.name + " "
+                        + candidate.options.toString()
+                        + (budgeted ? " budgeted" : "") + " threads "
+                        + std::to_string(threads));
+                if (!budgeted && threads == 1 && !candidate.status.isOk())
+                    ++infeasible;
+            }
+            EXPECT_EQ(result.value().evaluated_count, evaluated);
+        }
+    }
+    return infeasible;
+}
+
+TEST(TuneOracleTest, EveryCandidateMatchesItsSessionRunOnPresets)
+{
+    int infeasible = 0;
+    for (const char *model : {"lenet5", "inception_toy"}) {
+        for (const char *preset : {"jia-isscc21", "puma", "jain-jssc21"}) {
+            infeasible += expectTunerMatchesSessions(
+                models::byName(model), presets::byName(preset).value());
+        }
+    }
+    // On puma and jain every bits-to-xb candidate fails in the MVM
+    // level, so the oracle also covers failures below the shared CG plan.
+    EXPECT_GT(infeasible, 0);
+}
+
+TEST(TuneOracleTest, EveryCandidateMatchesItsSessionRunOnDualAndHostArchs)
+{
+    // arch_dual_win makes the dual-mode bit matter, arch_weak_alu the
+    // host-offload bit.
+    for (const char *file : {"arch_dual_win.json", "arch_weak_alu.json"}) {
+        auto arch = archFromFile(std::string(CIMMLC_SOURCE_DIR)
+                                 + "/examples/" + file);
+        ASSERT_TRUE(arch.isOk()) << arch.status().toString();
+        expectTunerMatchesSessions(models::byName("lenet5"), arch.value());
+    }
+}
+
+TEST(TuneOracleTest, InputsRejectedBeforeSchedulingKeepTheSessionText)
+{
+    // The tuner validates its inputs once per tune; every candidate
+    // must still carry (and cache) the text its session would give it.
+    const Graph graph = models::byName("lenet5");
+    CimArchitecture bad_arch = presets::byName("puma").value();
+    bad_arch.xbar.parallel_row = 0;
+    HostModel bad_host;
+    bad_host.alu_ops_per_cycle = -1.0;
+    struct Case {
+        CimArchitecture arch;
+        HostModel host;
+        const char *prefix;
+    };
+    for (const Case &c :
+         {Case{bad_arch, HostModel{}, "validate: "},
+          Case{presets::byName("puma").value(), bad_host,
+               "CompileRequest: host_model: "}}) {
+        TuneCache cache;
+        AutoTuneConfig config;
+        config.threads = 4;
+        config.cache = &cache;
+        config.host_model = c.host;
+        auto result = AutoTuner(config).tune(graph, c.arch);
+        ASSERT_FALSE(result.isOk());
+        EXPECT_NE(result.status().message().find(c.prefix),
+                  std::string::npos)
+            << result.status().toString();
+        const auto candidates = AutoTuner::enumerateCandidates(c.arch.mode);
+        ASSERT_EQ(cache.size(), candidates.size());
+        for (const ScheduleOptions &options : candidates) {
+            const std::uint32_t encoding = AutoTuner::encodeOptions(options);
+            auto entry = cache.lookup(TuneCache::fingerprint(
+                graph, c.arch, encoding, {},
+                options.host_offload ? c.host.cacheTag() : ""));
+            ASSERT_TRUE(entry.has_value()) << options.toString();
+            expectSameEntry(*entry,
+                            sessionReference(graph, c.arch, options, c.host),
+                            options.toString());
+        }
+    }
 }
 
 // ----- cache -------------------------------------------------------------

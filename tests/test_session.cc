@@ -7,13 +7,21 @@
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "arch/presets.h"
 #include "common/config.h"
+#include "common/logging.h"
 #include "common/version.h"
 #include "compiler/session.h"
 #include "graph/models.h"
+
+#ifndef CIMMLC_SOURCE_DIR
+#error "CIMMLC_SOURCE_DIR must name the repository root"
+#endif
 
 namespace cimmlc {
 namespace {
@@ -274,6 +282,34 @@ TEST(CompilerSessionTest, TuneStageSelectsTunedOptions)
     EXPECT_EQ(result.value().tune->objective, TuneObjective::kEdp);
     EXPECT_EQ(result.value().options.toString(),
               result.value().tune->best().options.toString());
+}
+
+TEST(CompilerSessionTest, TunedCompileWarnsOnceAboutItsArch)
+{
+    // arch_dual_win switched to WLM keeps parallel_row == crossbar rows,
+    // which deserves one warning. CimArchitecture::validate() runs on
+    // load, in the validate stage and in every CG plan the tuner builds,
+    // so the warning must come from the validate stage alone.
+    std::ifstream in(std::string(CIMMLC_SOURCE_DIR)
+                     + "/examples/arch_dual_win.json");
+    ASSERT_TRUE(in.good());
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::size_t mode = text.find("\"XBM\"");
+    ASSERT_NE(mode, std::string::npos);
+    text.replace(mode, 5, "\"WLM\"");
+
+    const Graph graph = models::lenet5();
+    CompileRequest request;
+    request.graph = &graph;
+    request.arch_text = text;
+    request.threads = 2;
+    request.tune = true;
+    const long warnings_before = Logger::warningCount();
+    auto result = CompilerSession(std::move(request)).run();
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_EQ(result.value().arch_mode, "WLM");
+    EXPECT_EQ(Logger::warningCount(), warnings_before + 1);
 }
 
 TEST(CompilerSessionTest, VerifyStageReportsBitExactMatch)

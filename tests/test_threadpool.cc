@@ -9,8 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
-#include <set>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -89,27 +90,40 @@ TEST(ThreadPoolTest, TasksMaySubmitFurtherTasks)
 
 TEST(ThreadPoolTest, UnevenWorkIsStolenAcrossWorkers)
 {
-    // All tasks land round-robin, but the long task pins one worker;
-    // with stealing, the remaining short tasks still finish quickly.
+    // A blocker pins one worker. Round-robin submission then seeds 16 of
+    // the 64 short tasks into the pinned worker's own deque, and the
+    // blocker returns only once all 64 have run, so the other workers
+    // must steal them. Which workers ran the tasks proves nothing: one
+    // worker draining all 64 is itself stealing.
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool blocker_running = false;
+    int done = 0;
+    bool drained_while_blocked = false;
     ThreadPool pool(4);
-    std::atomic<int> count{0};
-    std::set<std::thread::id> seen_ids;
-    std::mutex ids_mutex;
-    pool.submit([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    pool.submit([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        blocker_running = true;
+        cv.notify_all();
+        drained_while_blocked = cv.wait_for(
+            lock, std::chrono::seconds(30), [&] { return done == 64; });
     });
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return blocker_running; }));
+    }
     for (int i = 0; i < 64; ++i) {
-        pool.submit([&count, &seen_ids, &ids_mutex] {
-            std::lock_guard<std::mutex> lock(ids_mutex);
-            seen_ids.insert(std::this_thread::get_id());
-            count.fetch_add(1);
+        pool.submit([&] {
+            std::lock_guard<std::mutex> lock(mutex);
+            ++done;
+            cv.notify_all();
         });
     }
     pool.wait();
-    EXPECT_EQ(count.load(), 64);
-    // The 64 short tasks were seeded across all 4 deques; at least one
-    // other worker must have executed some of them.
-    EXPECT_GE(seen_ids.size(), 2u);
+    EXPECT_EQ(done, 64);
+    EXPECT_TRUE(drained_while_blocked)
+        << "the blocked worker's deque was not stolen from";
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedWork)
