@@ -172,7 +172,7 @@ FunctionalSimulator::execOp(const MetaOp &op)
         if (!op.payload)
             return failedPrecondition("writecore without payload");
         CoreState &state = cores_[op.core];
-        state.params = op.core_params;
+        state.params = op.coreParams();
         state.weights = *op.payload;
         state.valid = true;
         ++stats_.cim_writes;
@@ -271,7 +271,7 @@ FunctionalSimulator::execReadCore(const MetaOp &op)
             static_cast<long long>(op.core)));
     }
     const CoreState &state = it->second;
-    const CoreOpParams &p = op.core_params;
+    const CoreOpParams &p = op.coreParams();
 
     if (p.is_conv) {
         const std::int64_t OH =
@@ -345,7 +345,7 @@ FunctionalSimulator::execReadCore(const MetaOp &op)
 Status
 FunctionalSimulator::execDcom(const MetaOp &op)
 {
-    const DcomParams &p = op.dcom_params;
+    const DcomParams &p = op.dcomParams();
     if (op.func == dcomfunc::kZero) {
         CIMMLC_ASSIGN_OR_RETURN(std::int32_t *dst,
                                 bufPtr(op.dst, op.len));
@@ -375,7 +375,7 @@ FunctionalSimulator::execDcom(const MetaOp &op)
         CIMMLC_ASSIGN_OR_RETURN(const std::int32_t *a,
                                 bufPtrConst(op.src, op.len));
         CIMMLC_ASSIGN_OR_RETURN(const std::int32_t *b,
-                                bufPtrConst(op.src2, op.len));
+                                bufPtrConst(op.src2(), op.len));
         CIMMLC_ASSIGN_OR_RETURN(std::int32_t *dst,
                                 bufPtr(op.dst, op.len));
         for (std::int64_t i = 0; i < op.len; ++i)
@@ -440,7 +440,7 @@ FunctionalSimulator::execDcom(const MetaOp &op)
         const bool transpose = p.kernel != 0;
         const std::int64_t b_elems = K * N;
         CIMMLC_ASSIGN_OR_RETURN(const std::int32_t *b,
-                                bufPtrConst(op.src2, b_elems));
+                                bufPtrConst(op.src2(), b_elems));
         Int8Tensor lhs = regionToInt8(a, TensorShape({M, K}));
         Int8Tensor rhs = regionToInt8(
             b, transpose ? TensorShape({N, K}) : TensorShape({K, N}));
@@ -453,7 +453,8 @@ FunctionalSimulator::execDcom(const MetaOp &op)
         int8ToRegion(q, dst);
         return Status::ok();
     }
-    return unimplemented("DCOM function '" + op.func + "'");
+    return unimplemented("DCOM function '" + std::string(op.func.view()) +
+                         "'");
 }
 
 Status

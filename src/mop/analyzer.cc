@@ -344,7 +344,7 @@ computeEffects(const MetaOp &op, OpEffects *fx)
         break;
       case MetaOpKind::kReadCore: {
         fx->core_reads.push_back(op.core);
-        const CoreOpParams &p = op.core_params;
+        const CoreOpParams &p = op.coreParams();
         if (p.is_conv) {
             const std::int64_t OH =
                 convOutDim(p.in_h, p.kernel, p.stride, p.padding);
@@ -399,7 +399,7 @@ computeEffects(const MetaOp &op, OpEffects *fx)
         break;
       }
       case MetaOpKind::kDcom: {
-        const DcomParams &p = op.dcom_params;
+        const DcomParams &p = op.dcomParams();
         if (op.func == dcomfunc::kZero) {
             addExtent(&fx->writes, op.dst, op.len);
         } else if (op.func == dcomfunc::kRelu ||
@@ -411,7 +411,7 @@ computeEffects(const MetaOp &op, OpEffects *fx)
             addExtent(&fx->writes, op.dst, op.len);
         } else if (op.func == dcomfunc::kAdd) {
             addExtent(&fx->reads, op.src, op.len);
-            addExtent(&fx->reads, op.src2, op.len);
+            addExtent(&fx->reads, op.src2(), op.len);
             addExtent(&fx->writes, op.dst, op.len);
         } else if (op.func == dcomfunc::kMaxPool ||
                    op.func == dcomfunc::kAvgPool) {
@@ -430,7 +430,7 @@ computeEffects(const MetaOp &op, OpEffects *fx)
         } else if (op.func == dcomfunc::kMatMul) {
             const std::int64_t m = p.in_h, k = p.in_w, n = p.channels;
             addExtent(&fx->reads, op.src, m * k);
-            addExtent(&fx->reads, op.src2, k * n);
+            addExtent(&fx->reads, op.src2(), k * n);
             addExtent(&fx->writes, op.dst, m * n);
         }
         // Unknown functions are reported by the structural pass.

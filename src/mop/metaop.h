@@ -17,9 +17,11 @@
 #ifndef CIMMLC_MOP_METAOP_H
 #define CIMMLC_MOP_METAOP_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "graph/node.h"
 #include "tensor/tensor.h"
@@ -27,7 +29,7 @@
 namespace cimmlc {
 
 /** Meta-operator opcodes. */
-enum class MetaOpKind {
+enum class MetaOpKind : std::uint8_t {
     kReadCore,  //!< MOP_CM: run one DNN operator on a core
     kWriteCore, //!< MOP_CM extension: install operator weights on a core
     kReadXb,    //!< MOP_XBM: activate crossbar(s) for an MVM
@@ -97,21 +99,109 @@ struct DcomParams {
     bool operator==(const DcomParams &) const = default;
 };
 
+/** DCOM function names understood by the simulator and validator. */
+namespace dcomfunc {
+//! One table, so each known name has one address in the whole program.
+inline constexpr std::string_view kKnown[] = {
+    "zero", "relu",    "add",       "requant", "maxpool", "avgpool",
+    "gap",  "softmax", "layernorm", "gelu",    "matmul",
+};
+} // namespace dcomfunc
+
+/**
+ * A DCOM function name, interned: one pointer, compared by identity.
+ * The dcomfunc::k* names point into the static dcomfunc::kKnown table.
+ * Constructing from text looks the name up there first; any other
+ * name (only the text parser produces one) is copied into a
+ * thread-safe, process-wide pool that lives until exit and never
+ * shrinks, so equal texts always give equal names.
+ */
+class FuncName
+{
+  public:
+    constexpr FuncName() = default;
+    FuncName(std::string_view name);
+    FuncName(const char *name) : FuncName(std::string_view(name)) {}
+    FuncName(const std::string &name) : FuncName(std::string_view(name)) {}
+
+    /** The name of dcomfunc::kKnown[index], without a lookup. */
+    static constexpr FuncName
+    known(std::size_t index)
+    {
+        FuncName name;
+        name.text_ = &dcomfunc::kKnown[index];
+        return name;
+    }
+
+    const char *c_str() const { return text_ ? text_->data() : ""; }
+    std::string_view view() const { return text_ ? *text_ : ""; }
+
+    /** True for the functions in dcomfunc::kKnown. */
+    bool isKnown() const;
+
+    friend bool
+    operator==(FuncName a, FuncName b)
+    {
+        return a.text_ == b.text_;
+    }
+
+  private:
+    //! a kKnown entry or a pool entry; null is the empty name
+    const std::string_view *text_ = nullptr;
+};
+
+namespace dcomfunc {
+inline constexpr FuncName kZero = FuncName::known(0);
+inline constexpr FuncName kRelu = FuncName::known(1);
+inline constexpr FuncName kAdd = FuncName::known(2);
+inline constexpr FuncName kRequant = FuncName::known(3);
+inline constexpr FuncName kMaxPool = FuncName::known(4);
+inline constexpr FuncName kAvgPool = FuncName::known(5);
+inline constexpr FuncName kGlobalAvgPool = FuncName::known(6);
+inline constexpr FuncName kSoftmax = FuncName::known(7);
+inline constexpr FuncName kLayerNorm = FuncName::known(8);
+inline constexpr FuncName kGelu = FuncName::known(9);
+inline constexpr FuncName kMatMul = FuncName::known(10);
+} // namespace dcomfunc
+
+/** Operands only some kinds use; a MetaOp keeps them out of line. */
+struct MetaOpExtras {
+    CoreOpParams core_params; //!< kReadCore / kWriteCore
+    DcomParams dcom_params;   //!< kDcom
+    BufAddr src2;             //!< kDcom binary functions (add, matmul)
+};
+
+/** What an op without an out-of-line record reads. */
+inline constexpr MetaOpExtras kNoMetaOpExtras{};
+
 /**
  * One meta-operator instance. Field usage by kind:
  *
- *  kReadCore:  core, core_params, src (L0 in), dst (L0 out, int32 acc)
- *  kWriteCore: core, core_params, payload (weights)
+ *  kReadCore:  core, coreParams(), src (L0 in), dst (L0 out, int32 acc)
+ *  kWriteCore: core, coreParams(), payload (weights)
  *  kReadXb:    core, xb, len (#crossbars), rows (input length),
  *              cols (outputs produced), src (L1 in), dst (L1 acc)
  *  kWriteXb:   core, xb, payload ([rows x logical-cols] weights)
  *  kReadRow:   core, xb, row, len (#rows), cols, src, dst
  *  kWriteRow:  core, xb, row, len, payload
- *  kDcom:      func, src, src2 (binary funcs), dst, len, dcom_params
+ *  kDcom:      func, src, src2() (binary funcs), dst, len, dcomParams()
  *  kMov:       src, dst, len, count/src_stride/dst_stride (strided block)
+ *
+ * coreParams(), dcomParams() and src2() live in one out-of-line
+ * MetaOpExtras record, allocated by the first mutable*() call; until
+ * then they read as defaults. Copying an op copies the record by value.
+ * See DESIGN.md "Meta-op IR layout".
  */
 struct MetaOp {
     MetaOpKind kind = MetaOpKind::kMov;
+
+    //! hybrid offload: this kDcom/kMov executes on the host CPU. The
+    //! numerics are identical to the chip ALU path — the flag only
+    //! changes where the op is priced, so funcsim replays it unchanged.
+    bool host = false;
+
+    //! graph node this op was generated from (traceability)
+    NodeId origin = kInvalidNode;
 
     std::int64_t core = 0;
     std::int64_t xb = 0;
@@ -121,12 +211,9 @@ struct MetaOp {
     std::int64_t cols = 0;
 
     BufAddr src;
-    BufAddr src2;
     BufAddr dst;
 
-    std::string func; //!< DCOM function name ("relu", "add", ...)
-    CoreOpParams core_params;
-    DcomParams dcom_params;
+    FuncName func; //!< DCOM function name ("relu", "add", ...)
 
     // Strided block-copy extension for kMov: copies `count` blocks of
     // `len` elements, advancing src/dst by the strides between blocks.
@@ -137,32 +224,70 @@ struct MetaOp {
     //! weight payload for write ops (shared: flows can be large)
     std::shared_ptr<const Int8Tensor> payload;
 
-    //! graph node this op was generated from (traceability)
-    NodeId origin = kInvalidNode;
+    const CoreOpParams &
+    coreParams() const
+    {
+        return extras_.get().core_params;
+    }
+    CoreOpParams &mutableCoreParams() { return extras_.mut().core_params; }
 
-    //! hybrid offload: this kDcom/kMov executes on the host CPU. The
-    //! numerics are identical to the chip ALU path — the flag only
-    //! changes where the op is priced, so funcsim replays it unchanged.
-    bool host = false;
+    const DcomParams &
+    dcomParams() const
+    {
+        return extras_.get().dcom_params;
+    }
+    DcomParams &mutableDcomParams() { return extras_.mut().dcom_params; }
+
+    const BufAddr &src2() const { return extras_.get().src2; }
+    BufAddr &mutableSrc2() { return extras_.mut().src2; }
 
     /** One-line rendering in the Figure 16 surface syntax. */
     std::string toString() const;
-};
 
-/** DCOM function names understood by the simulator and validator. */
-namespace dcomfunc {
-inline constexpr const char *kZero = "zero";
-inline constexpr const char *kRelu = "relu";
-inline constexpr const char *kAdd = "add";
-inline constexpr const char *kRequant = "requant";
-inline constexpr const char *kMaxPool = "maxpool";
-inline constexpr const char *kAvgPool = "avgpool";
-inline constexpr const char *kGlobalAvgPool = "gap";
-inline constexpr const char *kSoftmax = "softmax";
-inline constexpr const char *kLayerNorm = "layernorm";
-inline constexpr const char *kGelu = "gelu";
-inline constexpr const char *kMatMul = "matmul";
-} // namespace dcomfunc
+  private:
+    /** Owns the MetaOpExtras record; copies deep-copy it. */
+    class ExtrasPtr
+    {
+      public:
+        ExtrasPtr() = default;
+        ExtrasPtr(const ExtrasPtr &other) : ptr_(clone(other)) {}
+        ExtrasPtr(ExtrasPtr &&) noexcept = default;
+        ExtrasPtr &
+        operator=(const ExtrasPtr &other)
+        {
+            if (this != &other)
+                ptr_ = clone(other);
+            return *this;
+        }
+        ExtrasPtr &operator=(ExtrasPtr &&) noexcept = default;
+
+        const MetaOpExtras &
+        get() const
+        {
+            return ptr_ ? *ptr_ : kNoMetaOpExtras;
+        }
+
+        MetaOpExtras &
+        mut()
+        {
+            if (!ptr_)
+                ptr_ = std::make_unique<MetaOpExtras>();
+            return *ptr_;
+        }
+
+      private:
+        static std::unique_ptr<MetaOpExtras>
+        clone(const ExtrasPtr &other)
+        {
+            return other.ptr_ ? std::make_unique<MetaOpExtras>(*other.ptr_)
+                              : nullptr;
+        }
+
+        std::unique_ptr<MetaOpExtras> ptr_;
+    };
+
+    ExtrasPtr extras_;
+};
 
 } // namespace cimmlc
 

@@ -171,26 +171,35 @@ keyedBuf(const ParsedArgs &args, const std::string &key, BufAddr *out)
 Status
 fillCoreParams(const ParsedArgs &args, MetaOp *op)
 {
-    if (!args.positional.empty()) {
-        op->core_params.is_conv = args.positional[0] == "conv";
-    }
-    CIMMLC_RETURN_IF_ERROR(
-        keyedInt(args, "cin", &op->core_params.in_channels));
-    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "h", &op->core_params.in_h));
-    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "w", &op->core_params.in_w));
-    CIMMLC_RETURN_IF_ERROR(
-        keyedInt(args, "cout", &op->core_params.out_channels));
-    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "k", &op->core_params.kernel));
-    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "s", &op->core_params.stride));
-    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "p", &op->core_params.padding));
-    CIMMLC_RETURN_IF_ERROR(
-        keyedInt(args, "fin", &op->core_params.in_features));
-    CIMMLC_RETURN_IF_ERROR(
-        keyedInt(args, "fout", &op->core_params.out_features));
-    CIMMLC_RETURN_IF_ERROR(
-        keyedInt(args, "wb", &op->core_params.win_begin));
-    CIMMLC_RETURN_IF_ERROR(
-        keyedInt(args, "we", &op->core_params.win_end));
+    CoreOpParams &p = op->mutableCoreParams();
+    if (!args.positional.empty())
+        p.is_conv = args.positional[0] == "conv";
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "cin", &p.in_channels));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "h", &p.in_h));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "w", &p.in_w));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "cout", &p.out_channels));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "k", &p.kernel));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "s", &p.stride));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "p", &p.padding));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "fin", &p.in_features));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "fout", &p.out_features));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "wb", &p.win_begin));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "we", &p.win_end));
+    return Status::ok();
+}
+
+Status
+fillDcomParams(const ParsedArgs &args, DcomParams *p)
+{
+    std::int64_t shift = 0;
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "shift", &shift));
+    p->shift = static_cast<int>(shift);
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "k", &p->kernel));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "s", &p->stride));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "p", &p->padding));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "c", &p->channels));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "h", &p->in_h));
+    CIMMLC_RETURN_IF_ERROR(keyedInt(args, "w", &p->in_w));
     return Status::ok();
 }
 
@@ -276,22 +285,19 @@ parseOpLine(const std::string &line)
         // Anything else is a DCOM function.
         op.kind = MetaOpKind::kDcom;
         op.func = name;
+        BufAddr src2;
+        DcomParams params;
         CIMMLC_RETURN_IF_ERROR(keyedBuf(args, "src", &op.src));
         CIMMLC_RETURN_IF_ERROR(keyedBuf(args, "src1", &op.src));
-        CIMMLC_RETURN_IF_ERROR(keyedBuf(args, "src2", &op.src2));
+        CIMMLC_RETURN_IF_ERROR(keyedBuf(args, "src2", &src2));
         CIMMLC_RETURN_IF_ERROR(keyedBuf(args, "dst", &op.dst));
         CIMMLC_RETURN_IF_ERROR(keyedInt(args, "len", &op.len));
-        std::int64_t shift = 0;
-        CIMMLC_RETURN_IF_ERROR(keyedInt(args, "shift", &shift));
-        op.dcom_params.shift = static_cast<int>(shift);
-        CIMMLC_RETURN_IF_ERROR(keyedInt(args, "k", &op.dcom_params.kernel));
-        CIMMLC_RETURN_IF_ERROR(keyedInt(args, "s", &op.dcom_params.stride));
-        CIMMLC_RETURN_IF_ERROR(
-            keyedInt(args, "p", &op.dcom_params.padding));
-        CIMMLC_RETURN_IF_ERROR(
-            keyedInt(args, "c", &op.dcom_params.channels));
-        CIMMLC_RETURN_IF_ERROR(keyedInt(args, "h", &op.dcom_params.in_h));
-        CIMMLC_RETURN_IF_ERROR(keyedInt(args, "w", &op.dcom_params.in_w));
+        CIMMLC_RETURN_IF_ERROR(fillDcomParams(args, &params));
+        // Allocate the out-of-line record only for non-default values.
+        if (src2 != BufAddr{})
+            op.mutableSrc2() = src2;
+        if (params != DcomParams{})
+            op.mutableDcomParams() = params;
         std::int64_t host = 0;
         CIMMLC_RETURN_IF_ERROR(keyedInt(args, "host", &host));
         op.host = host != 0;

@@ -8,35 +8,47 @@ namespace cimmlc {
 
 namespace {
 
+/** Statements a section may still print. */
+struct Budget {
+    std::int64_t left; //!< < 0: no limit
+    bool cut = false;  //!< the truncation marker has been printed
+};
+
+/**
+ * Prints @p stmts at @p indent. The first statement past the budget is
+ * replaced by one "... (truncated)" marker at its own indentation;
+ * after that, open blocks print only their closing braces.
+ */
 void
-printStmt(const Stmt &stmt, int indent, std::ostringstream *out,
-          std::int64_t *budget)
+printBody(const std::vector<Stmt> &stmts, int indent, Budget *budget,
+          std::ostringstream *out)
 {
-    if (*budget == 0)
-        return;
     const std::string pad(static_cast<std::size_t>(indent) * 4, ' ');
-    switch (stmt.kind) {
-      case Stmt::Kind::kOp:
-        *out << pad << stmt.op.toString() << "\n";
-        if (*budget > 0)
-            --*budget;
-        break;
-      case Stmt::Kind::kParallel:
-        *out << pad << "parallel {\n";
-        if (*budget > 0)
-            --*budget;
-        for (const Stmt &child : stmt.body)
-            printStmt(child, indent + 1, out, budget);
-        *out << pad << "}\n";
-        break;
-      case Stmt::Kind::kRepeat:
-        *out << pad << "repeat " << stmt.repeat << " {\n";
-        if (*budget > 0)
-            --*budget;
-        for (const Stmt &child : stmt.body)
-            printStmt(child, indent + 1, out, budget);
-        *out << pad << "}\n";
-        break;
+    for (const Stmt &stmt : stmts) {
+        if (budget->cut)
+            return;
+        if (budget->left == 0) {
+            *out << pad << "... (truncated)\n";
+            budget->cut = true;
+            return;
+        }
+        if (budget->left > 0)
+            --budget->left;
+        switch (stmt.kind) {
+          case Stmt::Kind::kOp:
+            *out << pad << stmt.op.toString() << "\n";
+            break;
+          case Stmt::Kind::kParallel:
+            *out << pad << "parallel {\n";
+            printBody(stmt.body, indent + 1, budget, out);
+            *out << pad << "}\n";
+            break;
+          case Stmt::Kind::kRepeat:
+            *out << pad << "repeat " << stmt.repeat << " {\n";
+            printBody(stmt.body, indent + 1, budget, out);
+            *out << pad << "}\n";
+            break;
+        }
     }
 }
 
@@ -47,15 +59,8 @@ printStatements(const std::vector<Stmt> &stmts, int indent,
                 std::int64_t max_statements)
 {
     std::ostringstream out;
-    std::int64_t budget = max_statements == 0 ? -1 : max_statements;
-    for (const Stmt &stmt : stmts) {
-        if (budget == 0) {
-            out << std::string(static_cast<std::size_t>(indent) * 4, ' ')
-                << "... (truncated)\n";
-            break;
-        }
-        printStmt(stmt, indent, &out, &budget);
-    }
+    Budget budget{max_statements == 0 ? -1 : max_statements};
+    printBody(stmts, indent, &budget, &out);
     return out.str();
 }
 

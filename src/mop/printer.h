@@ -14,7 +14,10 @@ namespace cimmlc {
 
 /** Printer options. */
 struct PrintOptions {
-    //! truncate each section after this many statements (0 = no limit)
+    //! truncate each section after this many statements (0 = no limit);
+    //! every op, `parallel {` and `repeat N {` line counts as one. The
+    //! first statement cut is replaced by one "... (truncated)" line at
+    //! its indentation, and open blocks still print their closing brace.
     std::int64_t max_statements = 0;
     //! include the header comment with the program summary
     bool header = true;

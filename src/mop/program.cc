@@ -1,8 +1,44 @@
 #include "mop/program.h"
 
+#include <map>
+#include <mutex>
+
 #include "common/strutil.h"
 
 namespace cimmlc {
+
+FuncName::FuncName(std::string_view name)
+{
+    if (name.empty())
+        return;
+    for (const std::string_view &known : dcomfunc::kKnown) {
+        if (known == name) {
+            text_ = &known;
+            return;
+        }
+    }
+    // Unknown names (only the text parser makes them) live until exit.
+    // Map nodes never move, so a name's entry keeps its address.
+    static std::mutex mutex;
+    static std::map<std::string, std::string_view, std::less<>> pool;
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto it = pool.find(name);
+    if (it == pool.end()) {
+        it = pool.emplace(std::string(name), std::string_view()).first;
+        it->second = it->first;
+    }
+    text_ = &it->second;
+}
+
+bool
+FuncName::isKnown() const
+{
+    for (const std::string_view &known : dcomfunc::kKnown) {
+        if (text_ == &known)
+            return true;
+    }
+    return false;
+}
 
 const char *
 metaOpKindName(MetaOpKind kind)
@@ -88,12 +124,12 @@ MetaOp::toString() const
       case MetaOpKind::kReadCore:
         return strformat(
             "cim.readcore(%s, coreaddr=%lld, src=%s, dst=%s)",
-            coreParamsToString(core_params).c_str(),
+            coreParamsToString(coreParams()).c_str(),
             static_cast<long long>(core), bufAddrToString(src).c_str(),
             bufAddrToString(dst).c_str());
       case MetaOpKind::kWriteCore:
         return strformat("cim.writecore(%s, coreaddr=%lld, weights=%s)",
-                         coreParamsToString(core_params).c_str(),
+                         coreParamsToString(coreParams()).c_str(),
                          static_cast<long long>(core),
                          payloadShapeToString(payload).c_str());
       case MetaOpKind::kReadXb:
@@ -124,31 +160,31 @@ MetaOp::toString() const
             static_cast<long long>(row), static_cast<long long>(len),
             payloadShapeToString(payload).c_str());
       case MetaOpKind::kDcom: {
+        const DcomParams &p = dcomParams();
         std::string extras;
         if (func == dcomfunc::kRequant) {
-            extras = strformat(", shift=%d", dcom_params.shift);
+            extras = strformat(", shift=%d", p.shift);
         } else if (func == dcomfunc::kMaxPool ||
                    func == dcomfunc::kAvgPool ||
                    func == dcomfunc::kGlobalAvgPool) {
             extras = strformat(
                 ", k=%lld, s=%lld, p=%lld, c=%lld, h=%lld, w=%lld",
-                static_cast<long long>(dcom_params.kernel),
-                static_cast<long long>(dcom_params.stride),
-                static_cast<long long>(dcom_params.padding),
-                static_cast<long long>(dcom_params.channels),
-                static_cast<long long>(dcom_params.in_h),
-                static_cast<long long>(dcom_params.in_w));
+                static_cast<long long>(p.kernel),
+                static_cast<long long>(p.stride),
+                static_cast<long long>(p.padding),
+                static_cast<long long>(p.channels),
+                static_cast<long long>(p.in_h),
+                static_cast<long long>(p.in_w));
         } else if (func == dcomfunc::kSoftmax ||
                    func == dcomfunc::kLayerNorm) {
-            extras = strformat(", w=%lld",
-                               static_cast<long long>(dcom_params.in_w));
+            extras = strformat(", w=%lld", static_cast<long long>(p.in_w));
         }
         if (host)
             extras += ", host=1";
         if (func == dcomfunc::kAdd || func == dcomfunc::kMatMul) {
             return strformat("%s(src1=%s, src2=%s, dst=%s, len=%lld%s)",
                              func.c_str(), bufAddrToString(src).c_str(),
-                             bufAddrToString(src2).c_str(),
+                             bufAddrToString(src2()).c_str(),
                              bufAddrToString(dst).c_str(),
                              static_cast<long long>(len), extras.c_str());
         }

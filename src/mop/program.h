@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mop/metaop.h"
@@ -53,6 +54,21 @@ struct Stmt {
     }
 };
 
+// Large flows hold hundreds of thousands of statements, and the page
+// faults of a compile scale with their bytes (DESIGN.md "Meta-op IR
+// layout"): keep kind-specific operands out of line.
+static_assert(sizeof(Stmt) <= 200, "Stmt grew past 200 bytes");
+static_assert(std::is_nothrow_move_constructible_v<Stmt>,
+              "growing a statement vector must move, not copy");
+
+/** Appends an op statement to @p stmts; fill the returned op in place
+ * before appending again. */
+inline MetaOp &
+appendOp(std::vector<Stmt> *stmts)
+{
+    return stmts->emplace_back().op;
+}
+
 /** Aggregate op counts of a program (reported by `summary()`). */
 struct MopCounts {
     std::int64_t cim_reads = 0;
@@ -93,18 +109,10 @@ class MopProgram
     const std::vector<Stmt> &compute() const { return compute_; }
 
     /** Appends a single op to the compute section. */
-    void
-    emit(MetaOp op)
-    {
-        compute_.push_back(Stmt::makeOp(std::move(op)));
-    }
+    void emit(MetaOp op) { appendOp(&compute_) = std::move(op); }
 
     /** Appends a single op to the init section. */
-    void
-    emitInit(MetaOp op)
-    {
-        init_.push_back(Stmt::makeOp(std::move(op)));
-    }
+    void emitInit(MetaOp op) { appendOp(&init_) = std::move(op); }
 
     /** Counts ops across both sections, expanding repeats. */
     MopCounts counts() const;

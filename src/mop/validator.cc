@@ -1,6 +1,5 @@
 #include "mop/validator.h"
 
-#include <set>
 #include <string>
 #include <utility>
 
@@ -30,19 +29,6 @@ opAllowedInMode(MetaOpKind kind, ComputeMode mode)
         return true;
     }
     return false;
-}
-
-bool
-knownDcomFunc(const std::string &func)
-{
-    static const std::set<std::string> known = {
-        dcomfunc::kZero,    dcomfunc::kRelu,
-        dcomfunc::kAdd,     dcomfunc::kRequant,
-        dcomfunc::kMaxPool, dcomfunc::kAvgPool,   dcomfunc::kGlobalAvgPool,
-        dcomfunc::kSoftmax, dcomfunc::kLayerNorm, dcomfunc::kGelu,
-        dcomfunc::kMatMul,
-    };
-    return known.count(func) > 0;
 }
 
 namespace check {
@@ -307,10 +293,11 @@ class Validator
             break;
           }
           case MetaOpKind::kDcom: {
-            if (!knownDcomFunc(op.func)) {
+            if (!op.func.isKnown()) {
                 add(index, check::kDcomFunc,
                     StatusCode::kInvalidArgument,
-                    "unknown DCOM function '" + op.func + "'");
+                    "unknown DCOM function '" +
+                        std::string(op.func.view()) + "'");
                 return;
             }
             if (!checkBufAddr(op.src, op.len, op, index))

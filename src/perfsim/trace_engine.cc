@@ -50,7 +50,7 @@ metaOpDurationCycles(const MetaOp &op, const CimArchitecture &arch)
         return static_cast<double>(arch.xbar.rows) *
                device.write_latency_cycles;
       case MetaOpKind::kReadCore: {
-        const CoreOpParams &p = op.core_params;
+        const CoreOpParams &p = op.coreParams();
         double windows = 1.0;
         std::int64_t matrix_rows = 1;
         if (p.is_conv) {

@@ -313,18 +313,16 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
     // other later segments reprogram inline — they time-multiplex the
     // same cores (the reload of Figure 9(b)). Resident segments own
     // their cores exclusively, so their one-time init write is safe.
+    std::vector<Stmt> *install = (mapping.segment == 0 || mapping.resident)
+                                     ? &program_.init()
+                                     : &program_.compute();
     for (std::int64_t rep = 0; rep < replicas; ++rep) {
-        MetaOp op;
+        MetaOp &op = appendOp(install);
         op.kind = MetaOpKind::kWriteCore;
         op.core = mapping.core_base + rep * mapping.cores_per_replica;
-        op.core_params = params;
+        op.mutableCoreParams() = params;
         op.payload = payload;
         op.origin = node.id;
-        if (mapping.segment == 0 || mapping.resident) {
-            program_.emitInit(std::move(op));
-        } else {
-            program_.emit(std::move(op));
-        }
         ++emitted_ops_;
     }
 
@@ -336,29 +334,28 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
         const std::int64_t w1 = std::min(total_windows, w0 + chunk);
         if (w0 >= w1)
             break;
-        MetaOp op;
+        MetaOp &op = appendOp(&block);
         op.kind = MetaOpKind::kReadCore;
         op.core = mapping.core_base + rep * mapping.cores_per_replica;
-        op.core_params = params;
-        op.core_params.win_begin = w0;
-        op.core_params.win_end = w1;
+        CoreOpParams &window = op.mutableCoreParams();
+        window = params;
+        window.win_begin = w0;
+        window.win_end = w1;
         op.src = {MemSpace::kL0, 0, offsetOf(in)};
         op.dst = {MemSpace::kL0, 0, acc_base_};
         op.origin = node.id;
-        block.push_back(Stmt::makeOp(std::move(op)));
         ++emitted_ops_;
     }
     program_.compute().push_back(Stmt::makeParallel(std::move(block)));
 
-    MetaOp requant;
+    MetaOp &requant = appendOp(&program_.compute());
     requant.kind = MetaOpKind::kDcom;
     requant.func = dcomfunc::kRequant;
     requant.src = {MemSpace::kL0, 0, acc_base_};
     requant.dst = {MemSpace::kL0, 0, offsetOf(out)};
     requant.len = graph_.tensor(out).numel();
-    requant.dcom_params.shift = shiftFor(node.id).shift;
+    requant.mutableDcomParams().shift = shiftFor(node.id).shift;
     requant.origin = node.id;
-    program_.emit(std::move(requant));
     ++emitted_ops_;
     return Status::ok();
 }
@@ -428,7 +425,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             const std::int64_t local = tile - t0;
             if (!wlm || spread == 1) {
                 const XbSlot slot = slot_of(rep, local, 0);
-                MetaOp op;
+                MetaOp &op = appendOp(target);
                 op.kind = wlm ? MetaOpKind::kWriteRow
                               : MetaOpKind::kWriteXb;
                 op.core = slot.core;
@@ -440,7 +437,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         sliceMatrix(matrix, r0, r1, c0, c1));
                 }
                 op.origin = node.id;
-                target->push_back(Stmt::makeOp(std::move(op)));
                 ++emitted_ops_;
                 continue;
             }
@@ -454,7 +450,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                 const std::int64_t gr0 = r0 + g * parallel_row;
                 const std::int64_t gr1 = std::min(r1, gr0 + parallel_row);
                 const XbSlot slot = slot_of(rep, local, lane);
-                MetaOp op;
+                MetaOp &op = appendOp(target);
                 op.kind = MetaOpKind::kWriteRow;
                 op.core = slot.core;
                 op.xb = slot.xb;
@@ -465,7 +461,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         sliceMatrix(matrix, gr0, gr1, c0, c1));
                 }
                 op.origin = node.id;
-                target->push_back(Stmt::makeOp(std::move(op)));
                 ++emitted_ops_;
             }
         }
@@ -493,20 +488,14 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
 
     // ----- init: program resident tiles (single-chunk operators) --------
     if (!chunked) {
-        std::vector<Stmt> writes;
-        writes.reserve(
-            static_cast<std::size_t>(replicas * writes_in(0, tiles)));
-        for (std::int64_t rep = 0; rep < replicas; ++rep)
-            emit_writes(rep, 0, tiles, &writes);
         // Segment 0 and dual-mode resident segments program at init
         // time; other later segments reprogram inline — they
         // time-multiplex the same cores (the reload of Figure 9(b)).
-        auto &section =
-            (mapping.segment == 0 || mapping.resident)
-                ? program_.init()
-                : program_.compute();
-        for (Stmt &stmt : writes)
-            section.push_back(std::move(stmt));
+        std::vector<Stmt> *section =
+            (mapping.segment == 0 || mapping.resident) ? &program_.init()
+                                                       : &program_.compute();
+        for (std::int64_t rep = 0; rep < replicas; ++rep)
+            emit_writes(rep, 0, tiles, section);
     }
 
     // ----- compute -------------------------------------------------------
@@ -562,13 +551,12 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             const bool clipped = ih0 < 0 || iw0 < 0 || ih0 + KH > H ||
                                  iw0 + KW > W;
             if (clipped) {
-                MetaOp zero;
+                MetaOp &zero = appendOp(&block);
                 zero.kind = MetaOpKind::kDcom;
                 zero.func = dcomfunc::kZero;
                 zero.dst = {MemSpace::kL0, 0, patch_base_};
                 zero.len = R;
                 zero.origin = node.id;
-                block.push_back(Stmt::makeOp(std::move(zero)));
                 ++emitted_ops_;
                 for (std::int64_t c = 0; c < Cin; ++c) {
                     for (std::int64_t kh = 0; kh < KH; ++kh) {
@@ -580,7 +568,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         const std::int64_t kw_hi = std::min(KW, W - iw0);
                         if (kw_lo >= kw_hi)
                             continue;
-                        MetaOp mov;
+                        MetaOp &mov = appendOp(&block);
                         mov.kind = MetaOpKind::kMov;
                         mov.src = {MemSpace::kL0, 0,
                                    offsetOf(in) + (c * H + ih) * W + iw0 +
@@ -590,14 +578,13 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                                        kw_lo};
                         mov.len = kw_hi - kw_lo;
                         mov.origin = node.id;
-                        block.push_back(Stmt::makeOp(std::move(mov)));
                         ++emitted_ops_;
                     }
                 }
             } else {
                 // Interior window: one strided mov per channel.
                 for (std::int64_t c = 0; c < Cin; ++c) {
-                    MetaOp mov;
+                    MetaOp &mov = appendOp(&block);
                     mov.kind = MetaOpKind::kMov;
                     mov.src = {MemSpace::kL0, 0,
                                offsetOf(in) + (c * H + ih0) * W + iw0};
@@ -607,7 +594,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                     mov.src_stride = W;
                     mov.dst_stride = KW;
                     mov.origin = node.id;
-                    block.push_back(Stmt::makeOp(std::move(mov)));
                     ++emitted_ops_;
                 }
             }
@@ -616,13 +602,12 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         }
 
         // 2. Zero the output accumulator columns.
-        MetaOp zero_acc;
+        MetaOp &zero_acc = appendOp(&block);
         zero_acc.kind = MetaOpKind::kDcom;
         zero_acc.func = dcomfunc::kZero;
         zero_acc.dst = {MemSpace::kL0, 0, acc_base_};
         zero_acc.len = C;
         zero_acc.origin = node.id;
-        block.push_back(Stmt::makeOp(std::move(zero_acc)));
         ++emitted_ops_;
 
         // 3. Chunk loop: program (when chunked), feed the cores' L1
@@ -641,17 +626,16 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                 for (std::int64_t lane = 0; lane < spread; ++lane) {
                     const XbSlot slot = slot_of(rep, local, lane);
                     const std::int64_t l1_off = slot.xb * arch_.xbar.rows;
-                    MetaOp feed;
+                    MetaOp &feed = appendOp(&block);
                     feed.kind = MetaOpKind::kMov;
                     feed.src = {MemSpace::kL0, 0, patch_off + r0};
                     feed.dst = {MemSpace::kL1, slot.core, l1_off};
                     feed.len = r1 - r0;
                     feed.origin = node.id;
-                    block.push_back(Stmt::makeOp(std::move(feed)));
                     ++emitted_ops_;
 
                     if (!wlm) {
-                        MetaOp read;
+                        MetaOp &read = appendOp(&reads);
                         read.kind = MetaOpKind::kReadXb;
                         read.core = slot.core;
                         read.xb = slot.xb;
@@ -661,7 +645,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         read.src = {MemSpace::kL1, slot.core, l1_off};
                         read.dst = {MemSpace::kL0, 0, acc_base_ + c0};
                         read.origin = node.id;
-                        reads.push_back(Stmt::makeOp(std::move(read)));
                         ++emitted_ops_;
                         break; // spread == 1 in XBM
                     }
@@ -674,7 +657,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         const std::int64_t gr0 = g * parallel_row;
                         const std::int64_t gr1 =
                             std::min(r1 - r0, gr0 + parallel_row);
-                        MetaOp read;
+                        MetaOp &read = appendOp(&reads);
                         read.kind = MetaOpKind::kReadRow;
                         read.core = slot.core;
                         read.xb = slot.xb;
@@ -685,7 +668,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                                     l1_off + gr0};
                         read.dst = {MemSpace::kL0, 0, acc_base_ + c0};
                         read.origin = node.id;
-                        reads.push_back(Stmt::makeOp(std::move(read)));
                         ++emitted_ops_;
                     }
                 }
@@ -694,18 +676,17 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         }
 
         // 4. Requantize and scatter into the output tensor layout.
-        MetaOp requant;
+        MetaOp &requant = appendOp(&block);
         requant.kind = MetaOpKind::kDcom;
         requant.func = dcomfunc::kRequant;
         requant.src = {MemSpace::kL0, 0, acc_base_};
         requant.dst = {MemSpace::kL0, 0, quant_base_};
         requant.len = C;
-        requant.dcom_params.shift = shift.shift;
+        requant.mutableDcomParams().shift = shift.shift;
         requant.origin = node.id;
-        block.push_back(Stmt::makeOp(std::move(requant)));
         ++emitted_ops_;
 
-        MetaOp scatter;
+        MetaOp &scatter = appendOp(&block);
         scatter.kind = MetaOpKind::kMov;
         scatter.src = {MemSpace::kL0, 0, quant_base_};
         if (node.kind == OpKind::kConv2d) {
@@ -720,7 +701,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             scatter.len = C;
         }
         scatter.origin = node.id;
-        block.push_back(Stmt::makeOp(std::move(scatter)));
         ++emitted_ops_;
 
         if (options_.unroll) {
@@ -772,13 +752,13 @@ Emitter::emitDigital(const Node &node)
                                                 : dcomfunc::kLayerNorm;
         op.src = in_addr(0);
         const auto &dims = graph_.tensor(node.inputs[0]).dims;
-        op.dcom_params.in_w = dims.back();
+        op.mutableDcomParams().in_w = dims.back();
         break;
       }
       case OpKind::kAdd:
         op.func = dcomfunc::kAdd;
         op.src = in_addr(0);
-        op.src2 = in_addr(1);
+        op.mutableSrc2() = in_addr(1);
         break;
       case OpKind::kMaxPool2d:
       case OpKind::kAvgPool2d: {
@@ -787,35 +767,37 @@ Emitter::emitDigital(const Node &node)
         op.src = in_addr(0);
         const auto &attrs = node.pool();
         const auto &dims = graph_.tensor(node.inputs[0]).dims;
-        op.dcom_params.kernel = attrs.kernel;
-        op.dcom_params.stride = attrs.stride;
-        op.dcom_params.padding = attrs.padding;
-        op.dcom_params.channels = dims[1];
-        op.dcom_params.in_h = dims[2];
-        op.dcom_params.in_w = dims[3];
+        DcomParams &p = op.mutableDcomParams();
+        p.kernel = attrs.kernel;
+        p.stride = attrs.stride;
+        p.padding = attrs.padding;
+        p.channels = dims[1];
+        p.in_h = dims[2];
+        p.in_w = dims[3];
         break;
       }
       case OpKind::kGlobalAvgPool: {
         op.func = dcomfunc::kGlobalAvgPool;
         op.src = in_addr(0);
         const auto &dims = graph_.tensor(node.inputs[0]).dims;
-        op.dcom_params.channels = dims[1];
-        op.dcom_params.in_h = dims[2];
-        op.dcom_params.in_w = dims[3];
+        DcomParams &p = op.mutableDcomParams();
+        p.channels = dims[1];
+        p.in_h = dims[2];
+        p.in_w = dims[3];
         break;
       }
       case OpKind::kMatMul: {
         op.func = dcomfunc::kMatMul;
         op.src = in_addr(0);
-        op.src2 = in_addr(1);
+        op.mutableSrc2() = in_addr(1);
         const auto &lhs = graph_.tensor(node.inputs[0]).dims;
         const auto &out_dims = graph_.tensor(out).dims;
-        op.dcom_params.in_h = lhs[lhs.size() - 2]; // M
-        op.dcom_params.in_w = lhs.back();          // K
-        op.dcom_params.channels = out_dims.back(); // N
-        op.dcom_params.kernel =
-            node.matmul().transpose_rhs ? 1 : 0;
-        op.dcom_params.shift = shiftFor(node.id).shift;
+        DcomParams &p = op.mutableDcomParams();
+        p.in_h = lhs[lhs.size() - 2]; // M
+        p.in_w = lhs.back();          // K
+        p.channels = out_dims.back(); // N
+        p.kernel = node.matmul().transpose_rhs ? 1 : 0;
+        p.shift = shiftFor(node.id).shift;
         break;
       }
       case OpKind::kConcat: {
@@ -825,7 +807,7 @@ Emitter::emitDigital(const Node &node)
             const auto &dims = graph_.tensor(node.inputs[i]).dims;
             const std::int64_t piece = graph_.tensor(node.inputs[i])
                                            .numel();
-            MetaOp mov;
+            MetaOp &mov = appendOp(&program_.compute());
             mov.kind = MetaOpKind::kMov;
             mov.host = on_host;
             mov.src = in_addr(i);
@@ -833,7 +815,6 @@ Emitter::emitDigital(const Node &node)
                        offsetOf(out) + channel_base};
             mov.len = piece;
             mov.origin = node.id;
-            program_.emit(std::move(mov));
             ++emitted_ops_;
             channel_base += piece;
             (void)dims;

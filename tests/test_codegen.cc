@@ -203,7 +203,7 @@ TEST(CodegenTest, RequantShiftsPropagate)
     code.value().program.forEachOp([&](const MetaOp &op) {
         if (op.kind == MetaOpKind::kDcom &&
             op.func == dcomfunc::kRequant) {
-            EXPECT_EQ(op.dcom_params.shift, 5);
+            EXPECT_EQ(op.dcomParams().shift, 5);
             found = true;
         }
     });

@@ -254,10 +254,11 @@ TEST(FuncsimUnitTest, ReadCoreWithoutWeightsFails)
     MetaOp read;
     read.kind = MetaOpKind::kReadCore;
     read.core = 0;
-    read.core_params.is_conv = false;
-    read.core_params.in_features = 4;
-    read.core_params.out_features = 2;
-    read.core_params.win_end = 1;
+    CoreOpParams &params = read.mutableCoreParams();
+    params.is_conv = false;
+    params.in_features = 4;
+    params.out_features = 2;
+    params.win_end = 1;
     code.program.emit(read);
     FunctionalSimulator sim(arch, code);
     EXPECT_FALSE(sim.run().isOk());

@@ -1,10 +1,16 @@
 /**
  * @file
- * Tests for the meta-operator IR: op construction and printing, the
+ * Tests for the meta-operator IR: op construction and printing, value
+ * semantics of the out-of-line operands, interned DCOM names, the
  * parser round trip, program statistics, and architecture validation of
  * flows (mode legality, address bounds, device write policy).
  */
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "arch/presets.h"
 #include "mop/parser.h"
@@ -51,6 +57,158 @@ TEST(MetaOpTest, ReadXbToString)
     EXPECT_EQ(makeReadXb().toString(),
               "cim.readxb(xbaddr=c1.x2, len=1, rows=27, cols=32, "
               "src=L1c1[0], dst=L0[4096])");
+}
+
+MetaOp
+makeReadCore()
+{
+    MetaOp op;
+    op.kind = MetaOpKind::kReadCore;
+    op.core = 3;
+    op.src = {MemSpace::kL0, 0, 0};
+    op.dst = {MemSpace::kL0, 0, 3072};
+    CoreOpParams &p = op.mutableCoreParams();
+    p.in_channels = 3;
+    p.in_h = 32;
+    p.in_w = 32;
+    p.out_channels = 32;
+    p.kernel = 3;
+    p.padding = 1;
+    return op;
+}
+
+TEST(MetaOpTest, CopiesDeepCopyOutOfLineOperands)
+{
+    MetaOp original = makeReadCore();
+    original.mutableSrc2() = {MemSpace::kL1, 2, 8};
+    original.mutableDcomParams().shift = 4;
+    const std::string before = original.toString();
+
+    MetaOp copy = original;
+    copy.mutableCoreParams().in_channels = 64;
+    copy.mutableCoreParams().win_end = 2;
+    copy.mutableSrc2().offset = 99;
+    copy.mutableDcomParams().shift = 7;
+    EXPECT_EQ(original.toString(), before);
+    EXPECT_EQ(original.coreParams().in_channels, 3);
+    EXPECT_EQ(original.src2().offset, 8);
+    EXPECT_EQ(original.dcomParams().shift, 4);
+    EXPECT_EQ(copy.coreParams().in_channels, 64);
+
+    MetaOp assigned;
+    assigned = original;
+    original.mutableCoreParams().kernel = 5;
+    EXPECT_EQ(assigned.toString(), before);
+    const MetaOp &self = assigned;
+    assigned = self; // self-assignment keeps the record
+    EXPECT_EQ(assigned.toString(), before);
+}
+
+TEST(MetaOpTest, DefaultOperandsPrintLikeUnallocatedOnes)
+{
+    std::vector<MetaOp> ops;
+    for (const FuncName func :
+         {dcomfunc::kRequant, dcomfunc::kMaxPool, dcomfunc::kSoftmax,
+          dcomfunc::kAdd, dcomfunc::kMatMul, FuncName("teleport")}) {
+        MetaOp op;
+        op.kind = MetaOpKind::kDcom;
+        op.func = func;
+        op.len = 16;
+        ops.push_back(op);
+    }
+    for (MetaOpKind kind : {MetaOpKind::kReadCore, MetaOpKind::kWriteCore}) {
+        MetaOp op;
+        op.kind = kind;
+        ops.push_back(op);
+    }
+    for (const MetaOp &bare : ops) {
+        MetaOp explicit_defaults = bare;
+        explicit_defaults.mutableCoreParams() = CoreOpParams{};
+        explicit_defaults.mutableDcomParams() = DcomParams{};
+        explicit_defaults.mutableSrc2() = BufAddr{};
+        EXPECT_EQ(explicit_defaults.toString(), bare.toString());
+        EXPECT_EQ(bare.coreParams(), CoreOpParams{});
+        EXPECT_EQ(bare.dcomParams(), DcomParams{});
+        EXPECT_EQ(bare.src2(), BufAddr{});
+    }
+}
+
+TEST(MetaOpTest, MovedFromOpsDestroyAndReassignSafely)
+{
+    MetaOp source = makeReadCore();
+    const std::string text = source.toString();
+    MetaOp moved = std::move(source);
+    EXPECT_EQ(moved.toString(), text);
+    source = moved; // reassign the moved-from op
+    EXPECT_EQ(source.toString(), text);
+
+    std::vector<Stmt> stmts;
+    appendOp(&stmts) = makeReadCore();
+    std::vector<Stmt> taken = std::move(stmts);
+    stmts.clear();
+    appendOp(&stmts) = std::move(taken.front().op);
+    taken.clear(); // destroys the moved-from op
+    EXPECT_EQ(stmts.front().op.toString(), text);
+}
+
+TEST(FuncNameTest, KnownNamesAreStaticAndEqualByText)
+{
+    EXPECT_EQ(FuncName("relu"), dcomfunc::kRelu);
+    EXPECT_EQ(FuncName(std::string("matmul")), dcomfunc::kMatMul);
+    EXPECT_TRUE(dcomfunc::kGlobalAvgPool.isKnown());
+    EXPECT_STREQ(dcomfunc::kGlobalAvgPool.c_str(), "gap");
+    EXPECT_FALSE(dcomfunc::kRelu == dcomfunc::kGelu);
+    EXPECT_EQ(FuncName(""), FuncName());
+    EXPECT_STREQ(FuncName().c_str(), "");
+    EXPECT_FALSE(FuncName().isKnown());
+    EXPECT_FALSE(FuncName("teleport").isKnown());
+    EXPECT_EQ(FuncName("teleport").view(), "teleport");
+}
+
+TEST(FuncNameTest, ParsingUnknownNamesInternsAcrossThreads)
+{
+    constexpr int kThreads = 8;
+    constexpr int kNames = 64;
+    std::vector<std::vector<FuncName>> seen(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([t, &seen] {
+            for (int i = 0; i < kNames; ++i) {
+                // Threads walk the names in different orders, so first
+                // insertions race with lookups.
+                const int n = (i * 7 + t * 13) % kNames;
+                auto op = parseOpLine("fn" + std::to_string(n) +
+                                      "(src=L0[0], dst=L0[1], len=1)");
+                seen[t].push_back(op.isOk() ? op.value().func : FuncName());
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(seen[t].size(), static_cast<std::size_t>(kNames));
+        for (int i = 0; i < kNames; ++i) {
+            const int n = (i * 7 + t * 13) % kNames;
+            const std::string text = "fn" + std::to_string(n);
+            EXPECT_EQ(seen[t][i], FuncName(text)) << text;
+            EXPECT_EQ(seen[t][i].view(), text);
+            EXPECT_FALSE(seen[t][i] == FuncName("fn" + std::to_string(
+                                                   (n + 1) % kNames)));
+        }
+    }
+}
+
+TEST(FuncNameTest, UnknownDcomMessageNamesTheFunction)
+{
+    auto op = parseOpLine("teleport(src=L0[0], dst=L0[1], len=1)");
+    ASSERT_TRUE(op.isOk());
+    MopProgram program("p", "WLM");
+    program.emit(op.value());
+    const auto diags = collectProgramDiagnostics(
+        program, presets::tutorialTable2(ComputeMode::kWLM));
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].check, "struct-dcom-func");
+    EXPECT_EQ(diags[0].message, "unknown DCOM function 'teleport'");
 }
 
 // Round-trip property: print -> parse -> print must be a fixed point.
@@ -185,8 +343,53 @@ TEST(PrinterTest, TruncationMarks)
         program.emit(makeReadXb());
     PrintOptions options;
     options.max_statements = 3;
+    const std::string line = "    " + makeReadXb().toString() + "\n";
+    EXPECT_EQ(printStatements(program.compute(), 1, 3),
+              line + line + line + "    ... (truncated)\n");
     const std::string text = printProgram(program, options);
     EXPECT_NE(text.find("... (truncated)"), std::string::npos);
+}
+
+/** `repeat 4 { mov x5 }`, the shape of a compressed window loop. */
+Stmt
+repeatOfMovs()
+{
+    MetaOp mov;
+    mov.kind = MetaOpKind::kMov;
+    std::vector<Stmt> body;
+    for (int i = 0; i < 5; ++i) {
+        mov.dst.offset = i;
+        body.push_back(Stmt::makeOp(mov));
+    }
+    return Stmt::makeRepeat(4, std::move(body));
+}
+
+TEST(PrinterTest, TruncationInsideABlockIsMarkedOnce)
+{
+    const std::string mov0 = "        mov(src=L0[0], dst=L0[0], len=1)\n";
+    const std::string mov1 = "        mov(src=L0[0], dst=L0[1], len=1)\n";
+    const std::string cut = "    repeat 4 {\n" + mov0 + mov1 +
+                            "        ... (truncated)\n    }\n";
+    // The cut block is the last top-level statement.
+    const std::vector<Stmt> last = {repeatOfMovs()};
+    EXPECT_EQ(printStatements(last, 1, 3), cut);
+    // More top-level statements follow: still one marker, at the depth
+    // of the first skipped statement.
+    const std::vector<Stmt> nested = {repeatOfMovs(),
+                                      Stmt::makeOp(makeReadXb())};
+    EXPECT_EQ(printStatements(nested, 1, 3), cut);
+    // Cut between blocks: the marker sits at the top level.
+    EXPECT_EQ(printStatements(nested, 1, 6),
+              printStatements(last, 1, 0) + "    ... (truncated)\n");
+}
+
+TEST(PrinterTest, SectionThatFitsExactlyHasNoMarker)
+{
+    const std::vector<Stmt> stmts = {repeatOfMovs()};
+    const std::string full = printStatements(stmts, 1, 0);
+    EXPECT_EQ(full.find("truncated"), std::string::npos);
+    EXPECT_EQ(printStatements(stmts, 1, 6), full);
+    EXPECT_EQ(printStatements(stmts, 1, 100), full);
 }
 
 // ----- validator ----------------------------------------------------------

@@ -199,14 +199,15 @@ TEST(MopAnalyzerTest, UseBeforeDefCore)
     MetaOp conv;
     conv.kind = MetaOpKind::kReadCore;
     conv.core = 0;
-    conv.core_params.is_conv = true;
-    conv.core_params.in_channels = 1;
-    conv.core_params.in_h = 4;
-    conv.core_params.in_w = 4;
-    conv.core_params.out_channels = 2;
-    conv.core_params.kernel = 3;
-    conv.core_params.stride = 1;
-    conv.core_params.padding = 1;
+    CoreOpParams &params = conv.mutableCoreParams();
+    params.is_conv = true;
+    params.in_channels = 1;
+    params.in_h = 4;
+    params.in_w = 4;
+    params.out_channels = 2;
+    params.kernel = 3;
+    params.stride = 1;
+    params.padding = 1;
     conv.src = {MemSpace::kL0, 0, 0};
     conv.dst = {MemSpace::kL0, 0, 64};
     program.emit(conv);
@@ -314,9 +315,10 @@ TEST(MopAnalyzerTest, RaceCoreOnInstallVsUse)
     MetaOp use;
     use.kind = MetaOpKind::kReadCore;
     use.core = 0;
-    use.core_params.is_conv = false;
-    use.core_params.in_features = 8;
-    use.core_params.out_features = 4;
+    CoreOpParams &params = use.mutableCoreParams();
+    params.is_conv = false;
+    params.in_features = 8;
+    params.out_features = 4;
     use.src = {MemSpace::kL0, 0, 0};
     use.dst = {MemSpace::kL0, 0, 32};
 

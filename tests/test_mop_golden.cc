@@ -8,21 +8,31 @@
  * a mismatch the test writes the actual rendering to <case>.actual in
  * its working directory, so a deliberate change can be reviewed with
  * diff and copied over the golden.
+ *
+ * The same compiles pin the emitted flows themselves: one line per case
+ * in tests/golden/flows.txt (materialised statements, total ops, printed
+ * length and a digest of the printed text); a mismatch writes the actual
+ * line to <case>.flow.actual. Flows small enough to replay quickly must
+ * also survive print -> parse -> print unchanged.
  */
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/presets.h"
+#include "cache/artifact_cache.h"
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "compiler/session.h"
 #include "graph/models.h"
 #include "mop/analyzer.h"
+#include "mop/parser.h"
+#include "mop/printer.h"
 
 #ifndef CIMMLC_SOURCE_DIR
 #error "CIMMLC_SOURCE_DIR must name the repository root"
@@ -72,6 +82,78 @@ expectGolden(const std::string &name, const AnalyzeResult &result)
                   << ".actual)";
 }
 
+/** Materialised statements: every op and every block counts once. */
+std::int64_t
+countStatements(const std::vector<Stmt> &stmts)
+{
+    std::int64_t n = 0;
+    for (const Stmt &stmt : stmts)
+        n += 1 + countStatements(stmt.body);
+    return n;
+}
+
+/** tests/golden/flows.txt, keyed by the case name that opens each line. */
+const std::map<std::string, std::string> &
+flowGoldens()
+{
+    static const std::map<std::string, std::string> lines = [] {
+        std::map<std::string, std::string> out;
+        std::ifstream in(std::string(CIMMLC_SOURCE_DIR) +
+                         "/tests/golden/flows.txt");
+        std::string line;
+        while (std::getline(in, line))
+            out[line.substr(0, line.find(' '))] = line;
+        return out;
+    }();
+    return lines;
+}
+
+/** Drops write payloads: the text shows only their shapes, so a parsed
+ * flow carries none. */
+void
+dropPayloads(std::vector<Stmt> &stmts)
+{
+    for (Stmt &stmt : stmts) {
+        stmt.op.payload.reset();
+        dropPayloads(stmt.body);
+    }
+}
+
+/** Pins @p program against its flows.txt line; when @p round_trip, the
+ * headerless print (payloads dropped) must also re-parse and print
+ * unchanged. */
+void
+expectFlowGolden(const std::string &name, const MopProgram &program,
+                 bool round_trip)
+{
+    const std::string printed = printProgram(program);
+    const std::string actual = strformat(
+        "%s statements=%lld ops=%lld chars=%zu digest=%s", name.c_str(),
+        static_cast<long long>(countStatements(program.init()) +
+                               countStatements(program.compute())),
+        static_cast<long long>(program.counts().total()), printed.size(),
+        ArtifactHash().mix(printed).digest().c_str());
+    const auto it = flowGoldens().find(name);
+    if (it == flowGoldens().end() || it->second != actual) {
+        std::ofstream(name + ".flow.actual") << actual << "\n";
+        ADD_FAILURE() << name << " flow differs from tests/golden/flows.txt"
+                      << " (actual line written to " << name
+                      << ".flow.actual)";
+    }
+    if (!round_trip)
+        return;
+    MopProgram bare = program;
+    dropPayloads(bare.init());
+    dropPayloads(bare.compute());
+    PrintOptions options;
+    options.header = false;
+    const std::string text = printProgram(bare, options);
+    auto parsed = parseProgram(text);
+    ASSERT_TRUE(parsed.isOk()) << name << ": " << parsed.status().toString();
+    EXPECT_TRUE(printProgram(parsed.value(), options) == text)
+        << name << " does not survive print -> parse -> print";
+}
+
 /** A bundled model with seeded random weights: unrolled codegen
  * programs the crossbars with real payloads. */
 Graph
@@ -102,24 +184,30 @@ lintRequest(const std::string &model, const std::string &arch,
     return request;
 }
 
-/** The session lint stage's result for one model x arch flow. */
+/** The session lint stage's result for one model x arch flow, and the
+ * flow it linted. */
 void
-expectSessionGolden(const std::string &name, CompileRequest request)
+expectSessionGolden(const std::string &name, CompileRequest request,
+                    bool round_trip = false)
 {
     CompilerSession session(std::move(request));
     auto result = session.run();
     ASSERT_TRUE(result.isOk()) << name << ": " << result.status().toString();
     ASSERT_TRUE(result.value().lint.has_value()) << name;
     expectGolden(name, *result.value().lint);
+    ASSERT_TRUE(result.value().code.has_value()) << name;
+    expectFlowGolden(name, result.value().code->program, round_trip);
 }
 
 TEST(MopAnalyzerGoldenTest, CompressedLargeFlows)
 {
     for (const char *model : {"resnet18", "googlenet", "vgg7", "vit_tiny"}) {
         for (const std::string &arch : kPresets) {
+            // isaac and jain flows take ~0.4 s each to round-trip.
             expectSessionGolden(
                 strformat("compressed_%s_%s", model, arch.c_str()),
-                lintRequest(model, arch));
+                lintRequest(model, arch),
+                arch == "puma" || arch == "jia-isscc21");
         }
     }
 }
@@ -131,7 +219,7 @@ TEST(MopAnalyzerGoldenTest, UnrolledSmallFlows)
         for (const std::string &arch : kPresets) {
             expectSessionGolden(
                 strformat("unrolled_%s_%s", model, arch.c_str()),
-                lintRequest(model, arch, &graph));
+                lintRequest(model, arch, &graph), /*round_trip=*/true);
         }
     }
 }

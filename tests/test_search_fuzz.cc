@@ -14,8 +14,8 @@
 
 #include "arch/presets.h"
 #include "common/config.h"
-#include "common/rng.h"
 #include "dse/arch_explorer.h"
+#include "fuzz_mutate.h"
 #include "graph/models.h"
 #include "search/search_budget.h"
 #include "sched/autotune.h"
@@ -41,53 +41,6 @@ const char *kDseSpecSeed = R"({
 
 const char *kBudgetSeed =
     R"({"evals": 9, "proxy_opt_none": true, "proxy_prefix_fraction": 0.25})";
-
-/** One deterministic mutation: overwrite 1-4 bytes, truncate, or
- * splice a random chunk; always returns a non-empty string. */
-std::string
-mutate(const std::string &seed, Rng &rng)
-{
-    std::string text = seed;
-    switch (rng.uniformInt(0, 3)) {
-      case 0: { // overwrite random bytes with random values
-        const int edits = static_cast<int>(rng.uniformInt(1, 4));
-        for (int i = 0; i < edits; ++i) {
-            const std::size_t at = static_cast<std::size_t>(
-                rng.uniformInt(0,
-                               static_cast<std::int64_t>(text.size()) - 1));
-            text[at] = static_cast<char>(rng.uniformInt(0, 255));
-        }
-        break;
-      }
-      case 1: { // truncate
-        const std::size_t at = static_cast<std::size_t>(rng.uniformInt(
-            1, static_cast<std::int64_t>(text.size()) - 1));
-        text.resize(at);
-        break;
-      }
-      case 2: { // delete a chunk
-        const std::size_t at = static_cast<std::size_t>(rng.uniformInt(
-            0, static_cast<std::int64_t>(text.size()) - 2));
-        const std::size_t len = static_cast<std::size_t>(rng.uniformInt(
-            1, static_cast<std::int64_t>(text.size() - at) - 1));
-        text.erase(at, len);
-        break;
-      }
-      default: { // duplicate a chunk somewhere else
-        const std::size_t at = static_cast<std::size_t>(rng.uniformInt(
-            0, static_cast<std::int64_t>(text.size()) - 2));
-        const std::size_t len = static_cast<std::size_t>(
-            rng.uniformInt(1, 16));
-        const std::size_t to = static_cast<std::size_t>(rng.uniformInt(
-            0, static_cast<std::int64_t>(text.size()) - 1));
-        text.insert(to, text.substr(at, len));
-        break;
-      }
-    }
-    if (text.empty())
-        text = "x";
-    return text;
-}
 
 TEST(SearchFuzzTest, MutatedDseSpecsErrorOrParseButNeverCrash)
 {
