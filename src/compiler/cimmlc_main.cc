@@ -2,98 +2,33 @@
  * @file
  * `cimmlc` — the command-line driver over the compilation stack.
  *
- * A thin client of the staged session API (compiler/session.h): flags
- * are folded into one CompileRequest, CompilerSession runs the
- * load -> validate -> tune? -> schedule -> codegen -> perf -> verify?
- * pipeline, and the driver renders the resulting CompileArtifacts —
- * as the classic text report or, with `--report json`, as the kvjson
- * document a compile service would return.
- *
- * Usage:
- *   cimmlc --model resnet18 --arch isaac-baseline [options]
- *   cimmlc --model-file net.json --arch-file chip.json [options]
- *   cimmlc --batch sweep.json [--threads N] [--serial]
- *   cimmlc --arch-dse spec.json [--objective NAME] [--report json]
- *
- * Options:
- *   --model NAME        built-in model (see --list-models)
- *   --model-file PATH   kvjson graph description
- *   --arch NAME         architecture preset (see --list-archs)
- *   --arch-file PATH    kvjson Abs-arch description
- *   --opt LEVEL         none | cg | cg+mvm | full      (default full)
- *   --autotune          search the schedule-option space and compile
- *                       with the best configuration found
- *   --objective NAME    tuning/ranking objective: latency | energy | edp
- *   --autotune-verbose  print the per-candidate DSE report table
- *   --print-flow [N]    print the meta-operator flow (first N stmts)
- *   --print-schedule    print the per-operator mapping report
- *   --verify            unroll, execute, and check against the oracle
- *   --lint              run mopcheck (dataflow static analysis) over
- *                       the emitted flow and print the findings
- *   --lint-strict       like --lint, but any error-severity finding
- *                       fails the compile (nonzero exit)
- *   --perf-engine NAME  performance engine: closed_form (default,
- *                       analytic) | event (discrete-event simulation
- *                       with resource contention); applies to single
- *                       compiles, --batch sweeps, and --arch-dse full
- *                       evaluations
- *   --report FORMAT     text (default) | json — json serializes the
- *                       full CompileArtifacts / DSE record as kvjson
- *   --batch PATH        compile a models x archs sweep concurrently
- *   --arch-dse PATH     sweep Abs-arch parameters for one workload and
- *                       report the latency/energy Pareto front
- *   --tune-cache PATH   persist evaluated candidates across invocations
- *                       (kvjson memo; --autotune and --arch-dse)
- *   --shard I/N         (--batch / --arch-dse) evaluate only the work
- *                       units whose enumeration index satisfies
- *                       index %% N == I and write the slice's results
- *                       to --shard-out; N such processes cover the
- *                       sweep exactly once
- *   --shard-out PATH    destination shard file (required with --shard)
- *   --merge-shards LIST comma-separated shard files from the same spec;
- *                       merges them and prints the aggregate report,
- *                       byte-identical to the single-process run
- *   --search-budget N   cap full-fidelity evaluations: the tuner prunes
- *                       dominated knob supersets, the DSE explorer runs
- *                       successive halving over cheap proxies
- *                       (--autotune, --arch-dse, and tuned --batch)
- *   --threads N         worker threads for --batch / --autotune /
- *                       --arch-dse (0 = hardware concurrency)
- *   --serial            force the serial path (reference/debug)
- *   --check-kvjson PATH parse a kvjson file and exit 0/1 (CI helper)
- *   --connect SOCK      submit the compile to a running cimmlcd over
- *                       its Unix-domain socket instead of compiling
- *                       in-process; streams per-stage events to stderr
- *                       and prints the daemon's report (byte-identical
- *                       to the in-process --report json document,
- *                       timing fields aside)
- *   --connect-tcp H:P   like --connect over localhost TCP
- *   --daemon-stats      (client mode) print the daemon's cimmlc.stats.v1
- *                       snapshot: queue depth, cache hit rates, and
- *                       per-stage latency histograms
- *   --daemon-shutdown   (client mode) ask the daemon to drain and exit
- *   --version           print the compiler version and exit
- *   --list-models / --list-archs
- *   --help / -h
+ * A thin client of the staged session API (compiler/session.h). Every
+ * flag is one row of cimmlcFlags(): the compile knobs come from the
+ * daemon protocol's table (daemon/protocol.h) and fill one
+ * RpcCompileRequest, which a single compile maps in process through the
+ * daemon's own RpcCompileRequest::applyKnobs and --connect sends to a
+ * running cimmlcd. The same rows print --help and reject a flag that
+ * the chosen mode does not read. `cimmlc --help` lists them.
  */
 #include <algorithm>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "arch/presets.h"
 #include "common/config.h"
+#include "common/flags.h"
 #include "common/strutil.h"
 #include "common/version.h"
 #include "compiler/batch.h"
 #include "compiler/session.h"
 #include "compiler/shard.h"
 #include "daemon/client.h"
+#include "daemon/protocol.h"
 #include "dse/arch_explorer.h"
 #include "graph/models.h"
 #include "sched/autotune.h"
@@ -103,118 +38,162 @@ using namespace cimmlc;
 namespace {
 
 struct CliArgs {
-    std::string model;
-    std::string model_file;
-    std::string arch = "isaac-baseline";
-    bool arch_explicit = false;
-    std::string arch_file;
-    std::string opt = "full";
-    bool opt_explicit = false;
-    bool dual_mode = false;    //!< force per-segment dual-mode arrays on
-    bool host_offload = false; //!< force host/CIM hybrid offload on
+    //! the compile knobs; --model-file and --arch-file leave their
+    //! paths in model_text and arch_text
+    RpcCompileRequest rpc;
     std::string batch_file;
     std::string arch_dse_file;
     std::string tune_cache_file;
     std::string shard;        //!< "i/N" — run one slice of the sweep
     std::string shard_out;    //!< where the slice's shard file goes
     std::string merge_shards; //!< comma-separated shard file paths
-    std::int64_t search_budget = -1; //!< -1 = not set (exhaustive)
     std::string check_kvjson;
     std::string report = "text";
     int threads = -1; //!< -1 = use the sweep file's setting
     bool serial = false;
-    bool autotune = false;
-    bool autotune_explicit = false; //!< --autotune[-verbose] was spelled out
     bool autotune_verbose = false;
-    std::string objective = "latency";
-    bool objective_explicit = false;
-    bool print_flow = false;
-    std::int64_t flow_limit = 40;
+    std::int64_t flow_limit = 40; //!< --print-flow's statement cap
     bool print_schedule = false;
-    bool verify = false;
-    bool lint = false;
-    bool lint_strict = false;
-    std::string perf_engine = "closed_form";
-    bool perf_engine_explicit = false;
     std::string connect;     //!< daemon unix socket ("" = in-process)
     std::string connect_tcp; //!< daemon HOST:PORT ("" = unix/in-process)
     bool daemon_stats = false;
     bool daemon_shutdown = false;
+    FlagParse parse; //!< which flags argv gave
 };
 
-void
-printUsage(std::FILE *out, const char *argv0)
+constexpr unsigned kCompileModes = kSingleMode | kTunedMode;
+constexpr unsigned kSweepModes = kBatchMode | kDseMode;
+
+const char *const kUsage =
+    "usage: cimmlc (--model NAME | --model-file PATH) [flags]\n"
+    "       cimmlc --batch SWEEP.json [flags]\n"
+    "       cimmlc --arch-dse SPEC.json [flags]\n"
+    "       cimmlc (--connect SOCK | --connect-tcp HOST:PORT) [flags]\n"
+    "\n"
+    "A single compile runs in process; --autotune (or --objective) makes\n"
+    "it a tuned compile. --connect runs either on a cimmlcd, and the\n"
+    "compile's own flags must also be read by the mode it runs as.\n";
+
+/** The flag table: every flag cimmlc reads, once. */
+FlagTable
+cimmlcFlags(CliArgs &args)
 {
-    std::fprintf(
-        out,
-        "usage: %s --model NAME | --model-file PATH\n"
-        "          [--arch NAME | --arch-file PATH] [--opt LEVEL]\n"
-        "          [--dual-mode] [--host-offload]\n"
-        "          [--autotune [--objective latency|energy|edp] "
-        "[--autotune-verbose]]\n"
-        "          [--search-budget N] [--threads N] [--serial]\n"
-        "          [--print-flow [N]] [--print-schedule] [--verify]\n"
-        "          [--lint | --lint-strict] "
-        "[--perf-engine closed_form|event]\n"
-        "          [--report text|json]\n"
-        "       %s --batch SWEEP.json [--opt LEVEL] [--dual-mode] "
-        "[--host-offload]\n"
-        "          [--autotune] [--objective NAME]\n"
-        "          [--search-budget N] [--threads N] [--serial] "
-        "[--lint | --lint-strict]\n"
-        "          [--perf-engine closed_form|event]\n"
-        "          [--shard I/N --shard-out PATH | "
-        "--merge-shards P1,P2,...]\n"
-        "       %s --arch-dse SPEC.json [--objective NAME] "
-        "[--tune-cache PATH] [--lint]\n"
-        "          [--search-budget N] [--threads N] [--serial] "
-        "[--report text|json]\n"
-        "          [--perf-engine closed_form|event]\n"
-        "          [--shard I/N --shard-out PATH | "
-        "--merge-shards P1,P2,...]\n"
-        "       %s --connect SOCK | --connect-tcp HOST:PORT\n"
-        "          [--model NAME | --model-file PATH] [compile flags]\n"
-        "          [--daemon-stats] [--daemon-shutdown]\n"
-        "          [--check-kvjson PATH]\n"
-        "          [--list-models] [--list-archs] [--version] [--help]\n",
-        argv0, argv0, argv0, argv0);
+    FlagTable table{"cimmlc",
+                    kUsage,
+                    {{'s', "single compile"},
+                     {'t', "tuned compile"},
+                     {'b', "--batch"},
+                     {'d', "--arch-dse"},
+                     {'c', "--connect"}},
+                    {}};
+    table.flags = {
+        {"--help", nullptr, FlagHelp{}, "print this help and exit (also -h)"},
+        {"--version", nullptr,
+         [] { std::printf("cimmlc %s\n", cimmlcVersion()); },
+         "print the compiler version and exit"},
+        {"--list-models", nullptr,
+         [] {
+             for (const std::string &name : models::availableModels())
+                 std::puts(name.c_str());
+         },
+         "print the built-in models and exit"},
+        {"--list-archs", nullptr,
+         [] {
+             for (const std::string &name : presets::availablePresets())
+                 std::puts(name.c_str());
+         },
+         "print the architecture presets and exit"},
+        {"--batch", "PATH", &args.batch_file,
+         "compile a models x archs sweep concurrently", kBatchMode},
+        {"--arch-dse", "PATH", &args.arch_dse_file,
+         "sweep Abs-arch parameters for a Pareto front", kDseMode},
+        {"--connect", "SOCK", &args.connect,
+         "compile on the cimmlcd at this Unix socket", kConnectMode},
+        {"--connect-tcp", "HOST:PORT", &args.connect_tcp,
+         "like --connect, over localhost TCP", kConnectMode},
+    };
+    for (const CompileKnob &knob : compileKnobs())
+        table.flags.push_back(knob.flagOn(args.rpc));
+    table.flags.insert(
+        table.flags.end(),
+        {
+            {"--autotune-verbose", nullptr, &args.autotune_verbose,
+             "--autotune, and print every candidate", kTunedMode},
+            {"--print-flow", "[N]", &args.flow_limit,
+             "print the flow (N per section: 40; 0 = all)",
+             kCompileModes},
+            {"--print-schedule", nullptr, &args.print_schedule,
+             "print the per-operator mapping report", kCompileModes},
+            {"--report", "text|json", &args.report,
+             "report format (--batch prints text only)", ~0U, true},
+            {"--tune-cache", "PATH", &args.tune_cache_file,
+             "persist evaluated candidates across runs",
+             kTunedMode | kDseMode},
+            {"--threads", "N", &args.threads,
+             "worker threads (0 = hardware concurrency)",
+             kTunedMode | kSweepModes},
+            {"--serial", nullptr, &args.serial,
+             "one worker thread (reference/debug)",
+             kTunedMode | kSweepModes},
+            {"--shard", "I/N", &args.shard,
+             "evaluate the work units with index % N == I", kSweepModes},
+            {"--shard-out", "PATH", &args.shard_out,
+             "where a --shard run writes its slice", kSweepModes},
+            {"--merge-shards", "LIST", &args.merge_shards,
+             "merge these comma-separated shard files", kSweepModes},
+            {"--check-kvjson", "PATH", &args.check_kvjson,
+             "check that a kvjson file parses (exit 0/1)"},
+            {"--daemon-stats", nullptr, &args.daemon_stats,
+             "print the daemon's cimmlc.stats.v1 snapshot", kConnectMode},
+            {"--daemon-shutdown", nullptr, &args.daemon_shutdown,
+             "ask the daemon to drain and exit", kConnectMode},
+        });
+    return table;
 }
 
-int
-usage(const char *argv0)
-{
-    printUsage(stderr, argv0);
-    return 2;
-}
-
-/** Parses a flag value as an integer in [0, @p max] or exits with 2. */
+/** Prints @p status to stderr, after @p context when given; true when
+ * it is an error. */
 bool
-parseNonNegativeInt(const char *flag, const char *value,
-                    std::int64_t *out, std::int64_t max = INT64_MAX)
+failed(const Status &status, const char *context = nullptr)
 {
-    char *end = nullptr;
-    const long long parsed = std::strtoll(value, &end, 10);
-    if (end == value || *end != '\0' || parsed < 0 || parsed > max) {
-        std::fprintf(stderr,
-                     "%s expects a non-negative integer, got '%s'\n",
-                     flag, value);
+    if (status.isOk())
         return false;
-    }
-    *out = parsed;
+    if (context != nullptr)
+        std::fprintf(stderr, "%s: %s\n", context, status.toString().c_str());
+    else
+        std::fprintf(stderr, "%s\n", status.toString().c_str());
     return true;
 }
 
-/** Parses --perf-engine into the enum, reporting errors to stderr. */
+/**
+ * Overrides the fields --batch and --arch-dse share with the flags
+ * given. The budget flag replaces the file's evaluation cap but keeps
+ * its proxy settings, so a spec can pin e.g. opt=none proxies while CI
+ * varies the budget. False after reporting a bad value.
+ */
+template <typename Sweep>
 bool
-parsePerfEngineFlag(const CliArgs &args, PerfEngineKind *kind)
+overrideSweep(const CliArgs &args, Sweep &sweep)
 {
-    auto parsed = parsePerfEngineKind(args.perf_engine);
-    if (!parsed.isOk()) {
-        std::fprintf(stderr, "%s\n",
-                     parsed.status().toString().c_str());
-        return false;
+    if (args.parse.has(&args.rpc.objective)) {
+        auto objective = parseTuneObjective(args.rpc.objective);
+        if (failed(objective.status()))
+            return false;
+        sweep.objective = objective.value();
     }
-    *kind = parsed.value();
+    if (args.parse.has(&args.rpc.perf_engine)) {
+        auto engine = parsePerfEngineKind(args.rpc.perf_engine);
+        if (failed(engine.status()))
+            return false;
+        sweep.perf_engine = engine.value();
+    }
+    if (args.threads >= 0)
+        sweep.threads = args.threads;
+    if (args.serial)
+        sweep.threads = 1;
+    if (args.rpc.search_budget >= 0)
+        sweep.budget.max_full_evals = args.rpc.search_budget;
+    sweep.lint = sweep.lint || args.rpc.lint;
     return true;
 }
 
@@ -222,64 +201,39 @@ int
 runBatch(const CliArgs &args)
 {
     auto loaded = sweepFromFile(args.batch_file);
-    if (!loaded.isOk()) {
-        std::fprintf(stderr, "sweep load failed: %s\n",
-                     loaded.status().toString().c_str());
+    if (failed(loaded.status(), "sweep load failed"))
         return 1;
-    }
     // The flags override the file in place, giving the sweep every
     // process (shard, merge, or single) agrees on: shard files carry
     // its digest, so slices of differently-flagged invocations can
     // never be combined.
     BatchSweep resolved = std::move(loaded).value();
-    if (args.opt_explicit) {
-        auto overridden = scheduleOptionsByName(args.opt);
-        if (!overridden.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         overridden.status().toString().c_str());
+    const bool opt_given = args.parse.has(&args.rpc.opt);
+    if (opt_given) {
+        auto overridden = scheduleOptionsByName(args.rpc.opt);
+        if (failed(overridden.status()))
             return 1;
-        }
         resolved.options = overridden.value();
     }
-    if (args.dual_mode)
+    if (args.rpc.dual_mode)
         resolved.options.dual_mode = true;
-    if (args.host_offload)
+    if (args.rpc.host_offload)
         resolved.options.host_offload = true;
-    if (args.threads >= 0)
-        resolved.threads = args.threads;
-    if (args.serial)
-        resolved.threads = 1;
-
-    resolved.tune = resolved.tune || args.autotune;
-    if (resolved.tune && args.opt_explicit) {
+    resolved.tune = resolved.tune || args.rpc.tune;
+    if (resolved.tune && opt_given) {
         std::fprintf(stderr,
                      "note: --opt is ignored when tuning — the tuner "
                      "searches the whole option space\n");
     }
-    if (args.objective_explicit) {
-        auto parsed = parseTuneObjective(args.objective);
-        if (!parsed.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         parsed.status().toString().c_str());
-            return 1;
-        }
-        resolved.objective = parsed.value();
-    }
-
-    if (args.search_budget >= 0)
-        resolved.budget.max_full_evals = args.search_budget;
+    if (!overrideSweep(args, resolved))
+        return 1;
     if (resolved.budget.enabled() && !resolved.tune) {
         std::fprintf(stderr,
                      "--search-budget/'budget' only applies to tuned "
                      "sweeps; set \"tune\": true or pass --autotune\n");
         return 1;
     }
-
-    if (args.perf_engine_explicit
-        && !parsePerfEngineFlag(args, &resolved.perf_engine))
-        return 1;
-    resolved.lint = resolved.lint || args.lint;
-    resolved.lint_strict = resolved.lint_strict || args.lint_strict;
+    resolved.lint_strict = resolved.lint_strict || args.rpc.lint_strict;
 
     const auto render = [&](const BatchResult &result) {
         if (resolved.tune) {
@@ -306,11 +260,8 @@ runBatch(const CliArgs &args)
     if (!args.merge_shards.empty()) {
         auto merged =
             mergeBatchShards(resolved, split(args.merge_shards, ','));
-        if (!merged.isOk()) {
-            std::fprintf(stderr, "shard merge failed: %s\n",
-                         merged.status().toString().c_str());
+        if (failed(merged.status(), "shard merge failed"))
             return 1;
-        }
         return render(merged.value());
     }
 
@@ -319,11 +270,8 @@ runBatch(const CliArgs &args)
     std::vector<BatchJob> slice = resolved.jobs;
     if (!args.shard.empty()) {
         auto parsed = parseShardSpec(args.shard);
-        if (!parsed.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         parsed.status().toString().c_str());
+        if (failed(parsed.status()))
             return 1;
-        }
         shard = parsed.value();
         slice.clear();
         for (std::size_t i = 0; i < resolved.jobs.size(); ++i) {
@@ -335,22 +283,16 @@ runBatch(const CliArgs &args)
     }
 
     auto result = runSweep(resolved, slice);
-    if (!result.isOk()) {
-        std::fprintf(stderr, "batch failed: %s\n",
-                     result.status().toString().c_str());
+    if (failed(result.status(), "batch failed"))
         return 1;
-    }
 
     if (shard.enabled() || !args.shard_out.empty()) {
         const Status saved = saveConfigFile(
             args.shard_out,
             batchShardToConfig(resolved, shard, owned,
                                result.value().entries));
-        if (!saved.isOk()) {
-            std::fprintf(stderr, "cannot write shard file: %s\n",
-                         saved.toString().c_str());
+        if (failed(saved, "cannot write shard file"))
             return 1;
-        }
         std::printf("batch shard %d/%d: %zu of %zu jobs, %lld ok -> %s\n",
                     shard.index, shard.count, slice.size(),
                     resolved.jobs.size(),
@@ -370,11 +312,8 @@ int
 runCheckKvjson(const std::string &path)
 {
     auto doc = loadConfigFile(path);
-    if (!doc.isOk()) {
-        std::fprintf(stderr, "kvjson check failed: %s\n",
-                     doc.status().toString().c_str());
+    if (failed(doc.status(), "kvjson check failed"))
         return 1;
-    }
     std::printf("kvjson OK: %s (%zu top-level keys)\n", path.c_str(),
                 doc.value().isObject() ? doc.value().asObject().size()
                                        : 0);
@@ -410,35 +349,11 @@ int
 runDse(const CliArgs &args)
 {
     auto spec = dseSpecFromFile(args.arch_dse_file);
-    if (!spec.isOk()) {
-        std::fprintf(stderr, "DSE spec load failed: %s\n",
-                     spec.status().toString().c_str());
+    if (failed(spec.status(), "DSE spec load failed"))
         return 1;
-    }
-    if (args.objective_explicit) {
-        auto objective = parseTuneObjective(args.objective);
-        if (!objective.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         objective.status().toString().c_str());
-            return 1;
-        }
-        spec.value().objective = objective.value();
-    }
-    if (args.threads >= 0)
-        spec.value().threads = args.threads;
-    if (args.serial)
-        spec.value().threads = 1;
     // DSE lint is always strict per candidate: a flow with error
     // findings marks that design infeasible.
-    if (args.lint)
-        spec.value().lint = true;
-    // The flag overrides the spec's evaluation cap but keeps its proxy
-    // fidelity settings, so a spec can pin e.g. opt=none proxies while
-    // CI varies the budget.
-    if (args.search_budget >= 0)
-        spec.value().budget.max_full_evals = args.search_budget;
-    if (args.perf_engine_explicit
-        && !parsePerfEngineFlag(args, &spec.value().perf_engine))
+    if (!overrideSweep(args, spec.value()))
         return 1;
 
     const auto render = [&](const DseResult &result) {
@@ -454,11 +369,8 @@ runDse(const CliArgs &args)
     if (!args.merge_shards.empty()) {
         auto merged = mergeDseShards(spec.value(),
                                      split(args.merge_shards, ','));
-        if (!merged.isOk()) {
-            std::fprintf(stderr, "shard merge failed: %s\n",
-                         merged.status().toString().c_str());
+        if (failed(merged.status(), "shard merge failed"))
             return 1;
-        }
         return render(merged.value());
     }
 
@@ -470,42 +382,28 @@ runDse(const CliArgs &args)
 
     if (!args.shard.empty()) {
         auto parsed = parseShardSpec(args.shard);
-        if (!parsed.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         parsed.status().toString().c_str());
+        if (failed(parsed.status()))
             return 1;
-        }
         const Status shardable =
             validateDseSpecForSharding(spec.value());
-        if (!shardable.isOk()) {
-            std::fprintf(stderr, "%s\n", shardable.toString().c_str());
+        if (failed(shardable))
             return 1;
-        }
         ArchExplorer explorer(std::move(spec).value());
         const Status restricted = explorer.restrictToShard(
             parsed.value().index, parsed.value().count);
-        if (!restricted.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         restricted.toString().c_str());
+        if (failed(restricted))
             return 1;
-        }
         auto result = explorer.explore(&cache);
-        if (!result.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         result.status().toString().c_str());
+        if (failed(result.status()))
             return 1;
-        }
         if (!args.tune_cache_file.empty())
             saveTuneCache(args.tune_cache_file, cache);
         const Status saved = saveConfigFile(
             args.shard_out,
             dseShardToConfig(explorer.spec(), parsed.value(),
                              result.value()));
-        if (!saved.isOk()) {
-            std::fprintf(stderr, "cannot write shard file: %s\n",
-                         saved.toString().c_str());
+        if (failed(saved, "cannot write shard file"))
             return 1;
-        }
         std::size_t owned = 0;
         for (const DseCandidate &candidate : result.value().candidates)
             if (parsed.value().owns(candidate.index))
@@ -519,10 +417,8 @@ runDse(const CliArgs &args)
 
     const ArchExplorer explorer(std::move(spec).value());
     auto result = explorer.explore(&cache);
-    if (!result.isOk()) {
-        std::fprintf(stderr, "%s\n", result.status().toString().c_str());
+    if (failed(result.status()))
         return 1;
-    }
     if (!args.tune_cache_file.empty())
         saveTuneCache(args.tune_cache_file, cache);
 
@@ -534,68 +430,39 @@ runSingle(const CliArgs &args)
 {
     const bool json = args.report == "json";
 
+    // In process the files stay paths, so load errors name the file.
     CompileRequest request;
-    request.model = args.model;
-    request.model_file = args.model_file;
-    // Set every arch source the user actually gave, so an explicit
-    // --arch combined with --arch-file hits the request's
-    // conflicting-sources check instead of one silently winning.
-    request.arch_file = args.arch_file;
-    if (args.arch_explicit || args.arch_file.empty())
-        request.arch = args.arch;
-    request.opt = args.opt;
-    if (!parsePerfEngineFlag(args, &request.perf_engine))
+    request.model = args.rpc.model;
+    request.model_file = args.rpc.model_text;
+    request.arch = args.rpc.arch;
+    request.arch_file = args.rpc.arch_text;
+    const Status mapped = args.rpc.applyKnobs(request);
+    if (failed(mapped))
         return 1;
-    if ((args.dual_mode || args.host_offload) && !args.autotune) {
-        // Overlay the flags on the named level; request.options wins
-        // over the string opt inside the session.
-        auto base = scheduleOptionsByName(args.opt);
-        if (!base.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         base.status().toString().c_str());
-            return 1;
-        }
-        ScheduleOptions overlay = base.value();
-        overlay.dual_mode = args.dual_mode;
-        overlay.host_offload = args.host_offload;
-        request.options = overlay;
-    }
 
     TuneCache tune_cache;
-    if (args.autotune) {
-        if (args.opt_explicit) {
+    if (request.tune) {
+        if (args.parse.has(&args.rpc.opt)) {
             std::fprintf(stderr,
                          "note: --opt is ignored with --autotune — the "
                          "tuner searches the whole option space\n");
         }
-        if (args.dual_mode || args.host_offload) {
+        if (args.rpc.dual_mode || args.rpc.host_offload) {
             std::fprintf(stderr,
                          "note: --dual-mode/--host-offload are ignored "
                          "with --autotune — the tuner searches both "
                          "knobs automatically\n");
         }
-        auto objective = parseTuneObjective(args.objective);
-        if (!objective.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         objective.status().toString().c_str());
-            return 1;
-        }
-        request.tune = true;
-        request.objective = objective.value();
         request.threads = args.serial ? 1 : std::max(args.threads, 0);
         request.tune_cache = &tune_cache;
-        if (args.search_budget >= 0)
-            request.search_budget.max_full_evals = args.search_budget;
         if (!args.tune_cache_file.empty())
             loadTuneCache(args.tune_cache_file, tune_cache);
     }
 
+    const bool print_flow = args.parse.has(&args.flow_limit);
     request.outputs.schedule_report = args.print_schedule;
-    request.outputs.flow_text = args.print_flow;
+    request.outputs.flow_text = print_flow;
     request.outputs.flow_limit = args.flow_limit;
-    request.outputs.verify = args.verify;
-    request.lint = args.lint;
-    request.lint_strict = args.lint_strict;
 
     CompilerSession session(std::move(request));
     if (!json) {
@@ -630,13 +497,10 @@ runSingle(const CliArgs &args)
     }
 
     auto result = session.run();
-    if (args.autotune && !args.tune_cache_file.empty())
+    if (args.rpc.tune && !args.tune_cache_file.empty())
         saveTuneCache(args.tune_cache_file, tune_cache);
-    if (!result.isOk()) {
-        std::fprintf(stderr, "%s\n",
-                     result.status().toString().c_str());
+    if (failed(result.status()))
         return 1;
-    }
     const CompileArtifacts &artifacts = result.value();
     const bool mismatch =
         artifacts.verify.has_value() && !artifacts.verify->match;
@@ -654,7 +518,7 @@ runSingle(const CliArgs &args)
     std::printf("perf: %s\n", artifacts.perf->toString().c_str());
     std::printf("flow: %s\n",
                 artifacts.code->program.summary().c_str());
-    if (args.print_flow)
+    if (print_flow)
         std::fputs(artifacts.flow_text.c_str(), stdout);
 
     if (artifacts.verify.has_value()) {
@@ -704,11 +568,8 @@ runClient(const CliArgs &args)
         return DaemonClient::connectTcpSocket(
             args.connect_tcp.substr(0, colon), static_cast<int>(port));
     }();
-    if (!connected.isOk()) {
-        std::fprintf(stderr, "%s\n",
-                     connected.status().toString().c_str());
+    if (failed(connected.status()))
         return 1;
-    }
     DaemonClient client = std::move(connected).value();
     if (client.versionSkew()) {
         std::fprintf(stderr,
@@ -719,46 +580,27 @@ runClient(const CliArgs &args)
 
     if (args.daemon_shutdown) {
         const Status bye = client.shutdownServer();
-        if (!bye.isOk()) {
-            std::fprintf(stderr, "%s\n", bye.toString().c_str());
+        if (failed(bye))
             return 1;
-        }
         std::printf("daemon shutdown requested\n");
         return 0;
     }
     if (args.daemon_stats) {
         auto stats = client.stats();
-        if (!stats.isOk()) {
-            std::fprintf(stderr, "%s\n",
-                         stats.status().toString().c_str());
+        if (failed(stats.status()))
             return 1;
-        }
         std::printf("%s\n", stats.value().dump(true).c_str());
         return 0;
     }
 
-    RpcCompileRequest request;
-    request.model = args.model;
-    if (!args.model_file.empty()
-        && !readFileText(args.model_file, &request.model_text))
+    // The daemon never reads client paths: send the files' text.
+    RpcCompileRequest request = args.rpc;
+    if (!request.model_text.empty()
+        && !readFileText(args.rpc.model_text, &request.model_text))
         return 1;
-    if (!args.arch_file.empty()
-        && !readFileText(args.arch_file, &request.arch_text))
+    if (!request.arch_text.empty()
+        && !readFileText(args.rpc.arch_text, &request.arch_text))
         return 1;
-    // Both sources are forwarded when both were spelled out, so the
-    // daemon rejects the conflict exactly like the in-process path.
-    if (args.arch_explicit || args.arch_file.empty())
-        request.arch = args.arch;
-    request.opt = args.opt;
-    request.dual_mode = args.dual_mode;
-    request.host_offload = args.host_offload;
-    request.tune = args.autotune;
-    request.objective = args.objective;
-    request.search_budget = args.search_budget;
-    request.perf_engine = args.perf_engine;
-    request.lint = args.lint;
-    request.lint_strict = args.lint_strict;
-    request.verify = args.verify;
 
     const bool json = args.report == "json";
     auto response = client.compile(
@@ -770,21 +612,15 @@ runClient(const CliArgs &args)
                          status.c_str(), wall_ms,
                          detail.empty() ? "" : " - ", detail.c_str());
         });
-    if (!response.isOk()) {
-        std::fprintf(stderr, "%s\n",
-                     response.status().toString().c_str());
+    if (failed(response.status()))
         return 1;
-    }
     if (json) {
         std::printf("%s\n", response.value().report_json.c_str());
         return 0;
     }
     auto report = parseConfig(response.value().report_json);
-    if (!report.isOk()) {
-        std::fprintf(stderr, "daemon sent an unparseable report: %s\n",
-                     report.status().toString().c_str());
+    if (failed(report.status(), "daemon sent an unparseable report"))
         return 1;
-    }
     const ConfigValue &doc = report.value();
     if (response.value().cached)
         std::printf("(served from the daemon's artifact memo)\n");
@@ -817,297 +653,94 @@ runClient(const CliArgs &args)
     return 0;
 }
 
+/** The mode argv selects, CimmlcMode bits. */
+unsigned
+modeOf(const CliArgs &args)
+{
+    if (!args.connect.empty() || !args.connect_tcp.empty())
+        return kConnectMode;
+    if (!args.batch_file.empty())
+        return kBatchMode;
+    if (!args.arch_dse_file.empty())
+        return kDseMode;
+    return args.rpc.tune ? kTunedMode : kSingleMode;
+}
+
+/** The table's mode check, then the rules between flags. */
+Status
+checkFlags(const FlagTable &table, const CliArgs &args, unsigned mode)
+{
+    if (!args.connect.empty() && !args.connect_tcp.empty())
+        return invalidArgument("--connect and --connect-tcp are exclusive");
+    CIMMLC_RETURN_IF_ERROR(checkFlagModes(table, args.parse.given, mode));
+    if (mode == kConnectMode) {
+        // The daemon runs a single or tuned compile, so the compile's
+        // own flags must be read by that mode too.
+        std::vector<const Flag *> sent;
+        std::copy_if(args.parse.given.begin(), args.parse.given.end(),
+                     std::back_inserter(sent), [](const Flag *flag) {
+                         return (flag->modes & kCompileModes) != 0;
+                     });
+        CIMMLC_RETURN_IF_ERROR(
+            checkFlagModes(table, sent,
+                           args.rpc.tune ? kTunedMode : kSingleMode)
+                .withContext("--connect"));
+    }
+    if (!args.shard.empty() && !args.merge_shards.empty())
+        return invalidArgument("--shard and --merge-shards are exclusive");
+    if (args.shard.empty() != args.shard_out.empty())
+        return invalidArgument("--shard I/N and --shard-out PATH go "
+                               "together");
+    if (!args.shard.empty() && args.report != "text")
+        return invalidArgument("a --shard run writes its results to "
+                               "--shard-out; --report applies to the "
+                               "merge");
+    if (mode == kBatchMode && args.report != "text")
+        return invalidArgument("--report json is not supported with "
+                               "--batch");
+    const bool compiles =
+        (mode & kCompileModes) != 0
+        || (mode == kConnectMode && !args.daemon_stats
+            && !args.daemon_shutdown);
+    if (compiles && args.rpc.model.empty() && args.rpc.model_text.empty())
+        return invalidArgument("a model is required: --model NAME or "
+                               "--model-file PATH");
+    return Status::ok();
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     CliArgs args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string flag = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (flag == "--help" || flag == "-h") {
-            printUsage(stdout, argv[0]);
-            return 0;
-        }
-        if (flag == "--version") {
-            std::printf("cimmlc %s\n", cimmlcVersion());
-            return 0;
-        }
-        if (flag == "--list-models") {
-            for (const std::string &name : models::availableModels())
-                std::puts(name.c_str());
-            return 0;
-        }
-        if (flag == "--list-archs") {
-            for (const std::string &name : presets::availablePresets())
-                std::puts(name.c_str());
-            return 0;
-        }
-        if (flag == "--model") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.model = v;
-        } else if (flag == "--model-file") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.model_file = v;
-        } else if (flag == "--arch") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.arch = v;
-            args.arch_explicit = true;
-        } else if (flag == "--arch-file") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.arch_file = v;
-        } else if (flag == "--opt") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.opt = v;
-            args.opt_explicit = true;
-        } else if (flag == "--dual-mode") {
-            args.dual_mode = true;
-        } else if (flag == "--host-offload") {
-            args.host_offload = true;
-        } else if (flag == "--batch") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.batch_file = v;
-        } else if (flag == "--arch-dse") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.arch_dse_file = v;
-        } else if (flag == "--tune-cache") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.tune_cache_file = v;
-        } else if (flag == "--shard") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.shard = v;
-        } else if (flag == "--shard-out") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.shard_out = v;
-        } else if (flag == "--merge-shards") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.merge_shards = v;
-        } else if (flag == "--search-budget") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            if (!parseNonNegativeInt("--search-budget", v,
-                                     &args.search_budget))
-                return 2;
-        } else if (flag == "--check-kvjson") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.check_kvjson = v;
-        } else if (flag == "--report") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.report = v;
-            if (args.report != "text" && args.report != "json") {
-                std::fprintf(stderr,
-                             "--report expects 'text' or 'json', got "
-                             "'%s'\n",
-                             v);
-                return 2;
-            }
-        } else if (flag == "--threads") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            std::int64_t parsed = 0;
-            if (!parseNonNegativeInt("--threads", v, &parsed, INT_MAX))
-                return 2;
-            args.threads = static_cast<int>(parsed);
-        } else if (flag == "--serial") {
-            args.serial = true;
-        } else if (flag == "--autotune") {
-            args.autotune = true;
-            args.autotune_explicit = true;
-        } else if (flag == "--autotune-verbose") {
-            args.autotune = true;
-            args.autotune_explicit = true;
-            args.autotune_verbose = true;
-        } else if (flag == "--objective") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.objective = v;
-            args.objective_explicit = true;
-            args.autotune = true;
-        } else if (flag == "--print-flow") {
-            args.print_flow = true;
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
-                // Optional limit; reject garbage instead of letting
-                // atoll() silently turn it into a limit of 0.
-                if (!parseNonNegativeInt("--print-flow", argv[++i],
-                                         &args.flow_limit))
-                    return 2;
-            }
-        } else if (flag == "--print-schedule") {
-            args.print_schedule = true;
-        } else if (flag == "--verify") {
-            args.verify = true;
-        } else if (flag == "--lint") {
-            args.lint = true;
-        } else if (flag == "--lint-strict") {
-            args.lint = true;
-            args.lint_strict = true;
-        } else if (flag == "--perf-engine") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.perf_engine = v;
-            args.perf_engine_explicit = true;
-        } else if (flag == "--connect") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.connect = v;
-        } else if (flag == "--connect-tcp") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            args.connect_tcp = v;
-        } else if (flag == "--daemon-stats") {
-            args.daemon_stats = true;
-        } else if (flag == "--daemon-shutdown") {
-            args.daemon_shutdown = true;
-        } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
-            return usage(argv[0]);
-        }
-    }
+    const FlagTable table = cimmlcFlags(args);
+    args.parse = parseFlags(table, argc, argv);
+    if (args.parse.exit.has_value())
+        return *args.parse.exit;
     if (!args.check_kvjson.empty())
         return runCheckKvjson(args.check_kvjson);
-    // Mode-conflict checks run before dispatch, so misused flags are
-    // hard errors instead of being silently dropped by the mode that
-    // does not read them.
-    const bool batch_mode = !args.batch_file.empty();
-    const bool dse_mode = !args.arch_dse_file.empty();
-    const bool client_mode =
-        !args.connect.empty() || !args.connect_tcp.empty();
-    if (!args.connect.empty() && !args.connect_tcp.empty()) {
-        std::fprintf(stderr,
-                     "--connect and --connect-tcp are exclusive\n");
-        return usage(argv[0]);
+    // --lint-strict implies --lint; --autotune-verbose and --objective
+    // imply --autotune.
+    args.rpc.lint = args.rpc.lint || args.rpc.lint_strict;
+    args.rpc.tune = args.rpc.tune || args.autotune_verbose
+                    || args.parse.has(&args.rpc.objective);
+
+    const unsigned mode = modeOf(args);
+    const Status usable = checkFlags(table, args, mode);
+    if (!usable.isOk()) {
+        std::fprintf(stderr, "cimmlc: %s (see --help)\n",
+                     usable.message().c_str());
+        return 2;
     }
-    if ((args.daemon_stats || args.daemon_shutdown) && !client_mode) {
-        std::fprintf(stderr, "--daemon-stats/--daemon-shutdown need "
-                             "--connect or --connect-tcp\n");
-        return usage(argv[0]);
-    }
-    if (client_mode) {
-        // The daemon owns scheduling, caching, and rendering; flags
-        // that only make sense in-process are hard errors here.
-        if (batch_mode || dse_mode || !args.tune_cache_file.empty()
-            || !args.shard.empty() || !args.shard_out.empty()
-            || !args.merge_shards.empty()
-            || args.threads >= 0 || args.serial || args.print_flow
-            || args.print_schedule || args.autotune_verbose) {
-            std::fprintf(stderr,
-                         "--connect/--connect-tcp submits one compile "
-                         "to a daemon; --batch, --arch-dse, "
-                         "--tune-cache, --threads, --serial, "
-                         "--print-flow, --print-schedule, and "
-                         "--autotune-verbose stay local\n");
-            return usage(argv[0]);
-        }
-        if (!args.daemon_stats && !args.daemon_shutdown
-            && args.model.empty() && args.model_file.empty())
-            return usage(argv[0]);
+    switch (mode) {
+      case kConnectMode:
         return runClient(args);
-    }
-    if (batch_mode && dse_mode) {
-        std::fprintf(stderr,
-                     "--batch and --arch-dse are exclusive modes\n");
-        return usage(argv[0]);
-    }
-    if ((!args.shard.empty() || !args.shard_out.empty()
-         || !args.merge_shards.empty())
-        && !batch_mode && !dse_mode) {
-        std::fprintf(stderr,
-                     "--shard/--shard-out/--merge-shards apply to "
-                     "--batch and --arch-dse modes\n");
-        return usage(argv[0]);
-    }
-    if (!args.shard.empty() && !args.merge_shards.empty()) {
-        std::fprintf(stderr,
-                     "--shard and --merge-shards are exclusive\n");
-        return usage(argv[0]);
-    }
-    if (args.shard.empty() != args.shard_out.empty()) {
-        std::fprintf(stderr, "--shard I/N and --shard-out PATH go "
-                             "together\n");
-        return usage(argv[0]);
-    }
-    if (!args.shard.empty() && args.report != "text") {
-        std::fprintf(stderr, "a --shard run writes its results to "
-                             "--shard-out; --report applies to the "
-                             "merge\n");
-        return usage(argv[0]);
-    }
-    if (batch_mode && args.report != "text") {
-        std::fprintf(stderr,
-                     "--report json is not supported with --batch\n");
-        return usage(argv[0]);
-    }
-    if (!args.tune_cache_file.empty() && !dse_mode
-        && (batch_mode || !args.autotune)) {
-        std::fprintf(stderr, "--tune-cache only applies to --autotune "
-                             "and --arch-dse modes\n");
-        return usage(argv[0]);
-    }
-    if (args.search_budget >= 0 && !dse_mode && !batch_mode
-        && !args.autotune) {
-        std::fprintf(stderr, "--search-budget only applies to "
-                             "--autotune, --batch, and --arch-dse "
-                             "modes\n");
-        return usage(argv[0]);
-    }
-    if (dse_mode
-        && (!args.model.empty() || !args.model_file.empty()
-            || args.arch_explicit || !args.arch_file.empty()
-            || args.opt_explicit || args.dual_mode || args.host_offload
-            || args.autotune_explicit
-            || args.print_flow || args.print_schedule || args.verify)) {
-        std::fprintf(stderr,
-                     "--arch-dse reads the workload, base arch, opt "
-                     "level (including dual_mode/host_offload), and "
-                     "tuning from the spec file; drop the conflicting "
-                     "flags\n");
-        return usage(argv[0]);
-    }
-    if (batch_mode)
+      case kBatchMode:
         return runBatch(args);
-    if (dse_mode)
+      case kDseMode:
         return runDse(args);
-    if ((args.threads >= 0 || args.serial) && !args.autotune) {
-        std::fprintf(stderr, "--threads/--serial only apply to --batch, "
-                             "--arch-dse, and --autotune modes\n");
-        return usage(argv[0]);
+      default:
+        return runSingle(args);
     }
-    if (args.model.empty() && args.model_file.empty())
-        return usage(argv[0]);
-    return runSingle(args);
 }

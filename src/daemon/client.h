@@ -22,7 +22,7 @@ namespace cimmlc {
 /** The terminal outcome of one daemon-served compile. */
 struct RpcCompileResponse {
     std::string report_json; //!< pretty `cimmlc.report.v1` document
-    bool cached = false;     //!< answered from the daemon's artifact memo
+    bool cached = false;     //!< every stage after load replayed
     std::int64_t events = 0; //!< stage events streamed before the report
 };
 

@@ -1,6 +1,7 @@
 #include "daemon/protocol.h"
 
-#include <set>
+#include <algorithm>
+#include <cmath>
 
 #include "common/strutil.h"
 #include "common/version.h"
@@ -21,9 +22,123 @@ number(std::int64_t v)
     return ConfigValue::makeNumber(static_cast<double>(v));
 }
 
+ConfigValue
+kvjson(const std::string &v)
+{
+    return text(v);
+}
+
+ConfigValue
+kvjson(bool v)
+{
+    return ConfigValue::makeBool(v);
+}
+
+ConfigValue
+kvjson(std::int64_t v)
+{
+    return number(v);
+}
+
+Status
+mistyped(const std::string &key, const char *type)
+{
+    return invalidArgument("compile frame key '" + key + "' must be "
+                           + type);
+}
+
+Status
+readKey(const std::string &key, const ConfigValue &v, std::string *out)
+{
+    if (!v.isString())
+        return mistyped(key, "a string");
+    *out = v.asString();
+    return Status::ok();
+}
+
+Status
+readKey(const std::string &key, const ConfigValue &v, bool *out)
+{
+    if (!v.isBool())
+        return mistyped(key, "a bool");
+    *out = v.asBool();
+    return Status::ok();
+}
+
+Status
+readKey(const std::string &key, const ConfigValue &v, std::int64_t *out)
+{
+    // ConfigValue::asInt would truncate a fraction, and its cast is
+    // undefined outside int64.
+    if (!v.isNumber() || v.asNumber() != std::trunc(v.asNumber())
+        || !(v.asNumber() >= -0x1p63 && v.asNumber() < 0x1p63))
+        return mistyped(key, "an integer in int64 range");
+    *out = static_cast<std::int64_t>(v.asNumber());
+    return Status::ok();
+}
+
+constexpr unsigned kCompileModes = kSingleMode | kTunedMode;
+constexpr unsigned kAllModes =
+    kSingleMode | kTunedMode | kBatchMode | kDseMode | kConnectMode;
+
 } // namespace
 
 // ----- RpcCompileRequest ----------------------------------------------------
+
+const std::vector<CompileKnob> &
+compileKnobs()
+{
+    using R = RpcCompileRequest;
+    static const std::vector<CompileKnob> knobs = {
+        {"model", &R::model, "--model", "NAME",
+         "built-in model (see --list-models)", kCompileModes | kConnectMode},
+        {"model_text", &R::model_text, "--model-file", "PATH",
+         "kvjson graph (--connect sends its text)",
+         kCompileModes | kConnectMode},
+        {"arch", &R::arch, "--arch", "NAME",
+         "architecture preset (default isaac-baseline)",
+         kCompileModes | kConnectMode},
+        {"arch_text", &R::arch_text, "--arch-file", "PATH",
+         "kvjson Abs-arch (--connect sends its text)",
+         kCompileModes | kConnectMode},
+        {"opt", &R::opt, "--opt", "LEVEL", "none | cg | cg+mvm | full (default)",
+         kCompileModes | kBatchMode | kConnectMode},
+        {"dual_mode", &R::dual_mode, "--dual-mode", nullptr,
+         "force resident dual-mode arrays on",
+         kCompileModes | kBatchMode | kConnectMode},
+        {"host_offload", &R::host_offload, "--host-offload", nullptr,
+         "force host/CIM hybrid offload on",
+         kCompileModes | kBatchMode | kConnectMode},
+        {"tune", &R::tune, "--autotune", nullptr,
+         "search the schedule options, compile the best",
+         kTunedMode | kBatchMode | kConnectMode},
+        {"objective", &R::objective, "--objective", "NAME",
+         "objective: latency (default) | energy | edp",
+         kTunedMode | kBatchMode | kDseMode | kConnectMode},
+        {"search_budget", &R::search_budget, "--search-budget", "N",
+         "cap full-fidelity evaluations (tuner, DSE)",
+         kTunedMode | kBatchMode | kDseMode | kConnectMode},
+        {"perf_engine", &R::perf_engine, "--perf-engine", "NAME",
+         "closed_form (default) | event", kAllModes},
+        {"lint", &R::lint, "--lint", nullptr,
+         "run mopcheck over the flow, print its findings", kAllModes},
+        {"lint_strict", &R::lint_strict, "--lint-strict", nullptr,
+         "--lint, and error findings fail the compile", kAllModes},
+        {"verify", &R::verify, "--verify", nullptr,
+         "unroll, execute, and check against the oracle",
+         kCompileModes | kConnectMode},
+    };
+    return knobs;
+}
+
+Flag
+CompileKnob::flagOn(RpcCompileRequest &request) const
+{
+    const FlagTarget target = std::visit(
+        [&request](auto member) -> FlagTarget { return &(request.*member); },
+        field);
+    return Flag{flag, value, target, help, modes};
+}
 
 ConfigValue
 RpcCompileRequest::toConfig() const
@@ -31,20 +146,10 @@ RpcCompileRequest::toConfig() const
     ConfigValue::Object doc;
     doc["type"] = text("compile");
     doc["id"] = number(id);
-    doc["model"] = text(model);
-    doc["model_text"] = text(model_text);
-    doc["arch"] = text(arch);
-    doc["arch_text"] = text(arch_text);
-    doc["opt"] = text(opt);
-    doc["dual_mode"] = ConfigValue::makeBool(dual_mode);
-    doc["host_offload"] = ConfigValue::makeBool(host_offload);
-    doc["tune"] = ConfigValue::makeBool(tune);
-    doc["objective"] = text(objective);
-    doc["search_budget"] = number(search_budget);
-    doc["perf_engine"] = text(perf_engine);
-    doc["lint"] = ConfigValue::makeBool(lint);
-    doc["lint_strict"] = ConfigValue::makeBool(lint_strict);
-    doc["verify"] = ConfigValue::makeBool(verify);
+    for (const CompileKnob &knob : compileKnobs())
+        doc[knob.key] = std::visit(
+            [this](auto member) { return kvjson(this->*member); },
+            knob.field);
     return ConfigValue::makeObject(std::move(doc));
 }
 
@@ -58,22 +163,14 @@ RpcCompileRequest::fingerprint() const
     return canonical.toConfig().dump(/*pretty=*/false);
 }
 
-StatusOr<CompileRequest>
-RpcCompileRequest::toCompileRequest(TuneCache *tune_cache,
-                                    ArtifactCache *artifact_cache) const
+Status
+RpcCompileRequest::applyKnobs(CompileRequest &request) const
 {
-    CompileRequest request;
-    request.artifact_cache = artifact_cache;
-    request.model = model;
-    request.model_text = model_text;
-    request.arch = arch;
-    request.arch_text = arch_text;
     request.opt = opt;
     if ((dual_mode || host_offload) && !tune) {
-        // Same overlay rule as the CLI: the named level resolves first,
-        // then the knobs force on; request.options wins over the string
-        // opt inside the session. Tuned requests skip it — the tuner
-        // searches both knobs automatically.
+        // The named level resolves first, then the knobs force on;
+        // request.options wins over the string opt inside the session.
+        // Tuned requests skip it: the tuner searches both knobs.
         CIMMLC_ASSIGN_OR_RETURN(ScheduleOptions overlay,
                                 scheduleOptionsByName(opt));
         overlay.dual_mode = dual_mode;
@@ -84,16 +181,32 @@ RpcCompileRequest::toCompileRequest(TuneCache *tune_cache,
         request.tune = true;
         CIMMLC_ASSIGN_OR_RETURN(request.objective,
                                 parseTuneObjective(objective));
-        request.threads = 1;
-        request.tune_cache = tune_cache;
         if (search_budget >= 0)
             request.search_budget.max_full_evals = search_budget;
     }
     CIMMLC_ASSIGN_OR_RETURN(request.perf_engine,
                             parsePerfEngineKind(perf_engine));
-    request.lint = lint;
+    request.lint = lint || lint_strict;
     request.lint_strict = lint_strict;
     request.outputs.verify = verify;
+    return Status::ok();
+}
+
+StatusOr<CompileRequest>
+RpcCompileRequest::toCompileRequest(TuneCache *tune_cache,
+                                    ArtifactCache *artifact_cache) const
+{
+    CompileRequest request;
+    request.model = model;
+    request.model_text = model_text;
+    request.arch = arch;
+    request.arch_text = arch_text;
+    CIMMLC_RETURN_IF_ERROR(applyKnobs(request).withContext("rpc compile"));
+    request.artifact_cache = artifact_cache;
+    if (tune) {
+        request.threads = 1;
+        request.tune_cache = tune_cache;
+    }
     CIMMLC_RETURN_IF_ERROR(request.validate().withContext("rpc compile"));
     return request;
 }
@@ -103,39 +216,30 @@ parseCompileFrame(const ConfigValue &doc)
 {
     if (!doc.isObject())
         return parseError("compile frame is not an object");
-    static const std::set<std::string> known = {
-        "type",         "id",          "model",      "model_text",
-        "arch",         "arch_text",   "opt",        "tune",
-        "dual_mode",    "host_offload",
-        "objective",    "search_budget", "perf_engine", "lint",
-        "lint_strict",  "verify",
-    };
-    for (const auto &[key, value] : doc.asObject()) {
-        (void)value;
-        if (known.find(key) == known.end())
+    const std::vector<CompileKnob> &knobs = compileKnobs();
+    RpcCompileRequest request;
+    request.id = -1;
+    for (const auto &[key, v] : doc.asObject()) {
+        if (key == "type")
+            continue;
+        if (key == "id") {
+            CIMMLC_RETURN_IF_ERROR(readKey(key, v, &request.id));
+            continue;
+        }
+        const auto knob =
+            std::find_if(knobs.begin(), knobs.end(),
+                         [&key](const CompileKnob &k) { return key == k.key; });
+        if (knob == knobs.end())
             return invalidArgument(
                 "compile frame has unknown key '" + key
                 + "' (daemon/client version skew?)");
+        CIMMLC_RETURN_IF_ERROR(std::visit(
+            [&](auto member) { return readKey(key, v, &(request.*member)); },
+            knob->field));
     }
-    RpcCompileRequest request;
-    request.id = doc.getIntOr("id", -1);
     if (request.id < 0)
         return invalidArgument(
             "compile frame needs a non-negative integer 'id'");
-    request.model = doc.getStringOr("model", "");
-    request.model_text = doc.getStringOr("model_text", "");
-    request.arch = doc.getStringOr("arch", "");
-    request.arch_text = doc.getStringOr("arch_text", "");
-    request.opt = doc.getStringOr("opt", "full");
-    request.dual_mode = doc.getBoolOr("dual_mode", false);
-    request.host_offload = doc.getBoolOr("host_offload", false);
-    request.tune = doc.getBoolOr("tune", false);
-    request.objective = doc.getStringOr("objective", "latency");
-    request.search_budget = doc.getIntOr("search_budget", -1);
-    request.perf_engine = doc.getStringOr("perf_engine", "closed_form");
-    request.lint = doc.getBoolOr("lint", false);
-    request.lint_strict = doc.getBoolOr("lint_strict", false);
-    request.verify = doc.getBoolOr("verify", false);
     return request;
 }
 

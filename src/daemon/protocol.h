@@ -29,8 +29,11 @@
 
 #include <cstdint>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/config.h"
+#include "common/flags.h"
 #include "common/status.h"
 #include "compiler/session.h"
 
@@ -41,9 +44,11 @@ constexpr const char *kRpcSchema = "cimmlc.rpc.v1";
 
 /**
  * A compile request as it travels over the wire. Field semantics match
- * CompileRequest; the daemon maps it with toCompileRequest() so a
+ * CompileRequest. The daemon maps it with toCompileRequest(), and an
+ * in-process `cimmlc` compile goes through the same applyKnobs(), so a
  * daemon-served compile is byte-identical to `cimmlc --report json`
- * run in-process (timing fields aside).
+ * run in-process (timing fields aside). Every field but `id` is a
+ * compile knob (compileKnobs()).
  */
 struct RpcCompileRequest {
     std::int64_t id = 0;      //!< client-chosen, echoed on every reply
@@ -67,13 +72,21 @@ struct RpcCompileRequest {
     ConfigValue toConfig() const;
 
     /** Canonical request identity: the canonical dump minus the
-     * client-chosen id (test hooks and request-level telemetry). */
+     * client-chosen id. It feeds the daemon's test hook. */
     std::string fingerprint() const;
 
     /**
-     * Maps the wire request onto a staged-session CompileRequest.
-     * @p tune_cache is the daemon's shared warm TuneCache and
-     * @p artifact_cache its process-wide stage-level artifact cache
+     * Sets the knob part of @p request: the schedule options (the
+     * dual_mode/host_offload overlay on `opt`), tuning, perf engine,
+     * lint (lint_strict implies lint) and verify. The workload and
+     * arch sources, caches and thread budget stay the caller's.
+     */
+    Status applyKnobs(CompileRequest &request) const;
+
+    /**
+     * Maps the wire request onto a staged-session CompileRequest and
+     * validates it. @p tune_cache is the daemon's shared warm TuneCache
+     * and @p artifact_cache its process-wide stage-level artifact cache
      * (either may be null). The tune stage runs serial (threads=1):
      * daemon concurrency comes from running many sessions, not from
      * oversubscribing one.
@@ -83,8 +96,43 @@ struct RpcCompileRequest {
                      ArtifactCache *artifact_cache = nullptr) const;
 };
 
-/** Parses a compile frame. Unknown keys are an error (they usually
- * mean daemon/client version skew, which should be loud). */
+/** The modes of `cimmlc`, as bits of Flag::modes. */
+enum CimmlcMode : unsigned {
+    kSingleMode = 1U << 0,  //!< one in-process compile
+    kTunedMode = 1U << 1,   //!< one in-process compile with --autotune
+    kBatchMode = 1U << 2,   //!< --batch
+    kDseMode = 1U << 3,     //!< --arch-dse
+    kConnectMode = 1U << 4, //!< --connect / --connect-tcp
+};
+
+/**
+ * One compile knob: an RpcCompileRequest field, its frame key, and the
+ * `cimmlc` flag that sets it. The field's type gives the key's kvjson
+ * type: a string, a bool, or an integral number. These rows drive the
+ * frame codec and the knob rows of cimmlc's flag table.
+ */
+struct CompileKnob {
+    const char *key; //!< frame key, the field's name
+    std::variant<std::string RpcCompileRequest::*, bool RpcCompileRequest::*,
+                 std::int64_t RpcCompileRequest::*>
+        field;
+    const char *flag;  //!< the cimmlc flag
+    const char *value; //!< its value in --help (nullptr: none)
+    const char *help;
+    unsigned modes; //!< CimmlcMode bits of the modes that read the flag
+
+    /** The flag's row, writing @p request's field. --model-file and
+     * --arch-file write a path into model_text and arch_text; the
+     * front end reads the file (--connect) or passes the path on. */
+    Flag flagOn(RpcCompileRequest &request) const;
+};
+
+/** The 14 compile knobs, in field order. */
+const std::vector<CompileKnob> &compileKnobs();
+
+/** Parses a compile frame. An unknown key, or a key of the wrong
+ * kvjson type, is an error naming the key: unknown keys usually mean
+ * daemon/client version skew, which should be loud. */
 StatusOr<RpcCompileRequest> parseCompileFrame(const ConfigValue &doc);
 
 // ----- frame builders -------------------------------------------------------
@@ -98,7 +146,8 @@ ConfigValue helloFrame(std::int64_t max_inflight,
 ConfigValue eventFrame(std::int64_t id, const StageTrace &trace);
 
 /** Terminal success frame; @p report_json is the pretty
- * `cimmlc.report.v1` dump, @p cached marks an artifact-memo hit. */
+ * `cimmlc.report.v1` dump, and @p cached marks a request whose every
+ * stage after load replayed from the stage artifact cache. */
 ConfigValue reportFrame(std::int64_t id, const std::string &report_json,
                         bool cached);
 

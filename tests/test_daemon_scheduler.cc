@@ -3,8 +3,8 @@
  * Unit tests for the daemon's policy layer, isolated from sockets and
  * threads: FairScheduler admission control and weighted round-robin
  * fairness, LatencyHistogram quantiles, and the `cimmlc.rpc.v1` frame
- * vocabulary (parse round-trips, unknown-key rejection, and the
- * id-invariant artifact-memo fingerprint).
+ * vocabulary (pinned dumps, parse round-trips, unknown- and mistyped-
+ * key rejection, a mutation fuzz, and the id-invariant fingerprint).
  */
 #include <gtest/gtest.h>
 
@@ -12,9 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
+#include "common/rng.h"
 #include "daemon/protocol.h"
 #include "daemon/scheduler.h"
 #include "daemon/stats.h"
+#include "fuzz_mutate.h"
 
 namespace cimmlc {
 namespace {
@@ -233,6 +236,49 @@ TEST(RpcProtocolTest, CompileFrameRoundTrips)
               request.toConfig().dump());
 }
 
+/** A request with every field away from its default. */
+RpcCompileRequest
+everyFieldSet()
+{
+    RpcCompileRequest request;
+    request.id = 7;
+    request.model = "lenet5";
+    request.model_text = "{\"name\": \"g\"}";
+    request.arch = "jain";
+    request.arch_text = "{\"name\": \"a\"}";
+    request.opt = "cg";
+    request.dual_mode = true;
+    request.host_offload = true;
+    request.tune = true;
+    request.objective = "energy";
+    request.search_budget = 5;
+    request.perf_engine = "event";
+    request.lint = true;
+    request.lint_strict = true;
+    request.verify = true;
+    return request;
+}
+
+const char *const kDefaultFrame =
+    R"({"arch":"","arch_text":"","dual_mode":false,"host_offload":false,)"
+    R"("id":0,"lint":false,"lint_strict":false,"model":"","model_text":"",)"
+    R"("objective":"latency","opt":"full","perf_engine":"closed_form",)"
+    R"("search_budget":-1,"tune":false,"type":"compile","verify":false})";
+const char *const kEveryFieldFrame =
+    R"({"arch":"jain","arch_text":"{\"name\": \"a\"}","dual_mode":true,)"
+    R"("host_offload":true,"id":7,"lint":true,"lint_strict":true,)"
+    R"("model":"lenet5","model_text":"{\"name\": \"g\"}",)"
+    R"("objective":"energy","opt":"cg","perf_engine":"event",)"
+    R"("search_budget":5,"tune":true,"type":"compile","verify":true})";
+
+// The compact dump is the request fingerprint and the wire form, so
+// its keys, types and defaults are pinned byte for byte.
+TEST(RpcProtocolTest, CompileFrameDumpIsPinned)
+{
+    EXPECT_EQ(RpcCompileRequest{}.toConfig().dump(false), kDefaultFrame);
+    EXPECT_EQ(everyFieldSet().toConfig().dump(false), kEveryFieldFrame);
+}
+
 TEST(RpcProtocolTest, UnknownKeysAreRejectedAsSkew)
 {
     RpcCompileRequest request;
@@ -306,6 +352,113 @@ TEST(RpcProtocolTest, BadEnumValuesFailMapping)
     request.opt = "full";
     request.perf_engine = "analytic";
     EXPECT_FALSE(request.toCompileRequest(nullptr).isOk());
+}
+
+/** parseCompileFrame over @p json; the status message when it fails. */
+std::string
+frameError(const std::string &json)
+{
+    auto doc = parseConfig(json);
+    EXPECT_TRUE(doc.isOk()) << json;
+    auto parsed = parseCompileFrame(doc.value());
+    return parsed.isOk() ? "" : parsed.status().message();
+}
+
+TEST(RpcProtocolTest, MistypedKeysAreRejectedNotDefaulted)
+{
+    // Each of these used to parse with the key at its default.
+    for (const char *json :
+         {R"({"type":"compile","id":1,"lint":"true"})",
+          R"({"type":"compile","id":1,"search_budget":"5"})",
+          R"({"type":"compile","id":1,"tune":1})",
+          R"({"type":"compile","id":1,"verify":"yes"})",
+          R"({"type":"compile","id":1,"opt":3})",
+          R"({"type":"compile","id":1,"perf_engine":true})",
+          R"({"type":"compile","id":1,"model":null})"}) {
+        const std::string error = frameError(json);
+        EXPECT_NE(error.find("compile frame key '"), std::string::npos)
+            << json << ": " << error;
+        EXPECT_NE(error.find("' must be "), std::string::npos) << json;
+    }
+    EXPECT_EQ(frameError(R"({"id":1,"lint":"true"})"),
+              "compile frame key 'lint' must be a bool");
+    EXPECT_EQ(frameError(R"({"id":1,"opt":3})"),
+              "compile frame key 'opt' must be a string");
+}
+
+TEST(RpcProtocolTest, IntegerKeysMustBeIntegralAndInRange)
+{
+    for (const char *json :
+         {R"({"id":3.9})", R"({"id":1,"search_budget":2.75})",
+          R"({"id":1,"search_budget":1e300})",
+          R"({"id":1,"search_budget":-1e300})",
+          R"({"id":9223372036854775808})", R"({"id":1e19})"}) {
+        EXPECT_NE(frameError(json).find("must be an integer in int64 range"),
+                  std::string::npos)
+            << json;
+    }
+    EXPECT_EQ(frameError(R"({"id":3.9})"),
+              "compile frame key 'id' must be an integer in int64 range");
+
+    // The edges of int64 that a double holds exactly still parse.
+    auto parsed = parseCompileFrame(
+        parseConfig(R"({"id":0,"search_budget":-9223372036854775808})")
+            .value());
+    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+    EXPECT_EQ(parsed.value().search_budget, INT64_MIN);
+    parsed = parseCompileFrame(
+        parseConfig(R"({"id":4611686018427387904,"search_budget":2})")
+            .value());
+    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+    EXPECT_EQ(parsed.value().id, 4611686018427387904);
+    EXPECT_EQ(parsed.value().search_budget, 2);
+}
+
+TEST(RpcProtocolTest, LintStrictImpliesLint)
+{
+    // As --lint-strict and a sweep file's "lint_strict" do.
+    RpcCompileRequest request;
+    request.model = "mlp";
+    request.lint_strict = true;
+    auto mapped = request.toCompileRequest(nullptr);
+    ASSERT_TRUE(mapped.isOk()) << mapped.status().toString();
+    EXPECT_TRUE(mapped.value().lint);
+    EXPECT_TRUE(mapped.value().lint_strict);
+
+    // CompileRequest::validate keeps its check for programmatic callers.
+    CompileRequest direct;
+    direct.model = "mlp";
+    direct.lint_strict = true;
+    EXPECT_FALSE(direct.validate().isOk());
+}
+
+// Mutated frames must yield a Status or a request whose canonical dump
+// survives toConfig -> parseCompileFrame -> toConfig unchanged.
+TEST(RpcProtocolTest, MutatedFramesErrorOrRoundTrip)
+{
+    Rng rng(0xF4A3E5ull);
+    int parsed = 0;
+    for (const char *seed : {kDefaultFrame, kEveryFieldFrame}) {
+        for (int round = 0; round < 2000; ++round) {
+            const std::string text = mutate(seed, rng);
+            auto doc = parseConfig(text);
+            if (!doc.isOk())
+                continue;
+            auto first = parseCompileFrame(doc.value());
+            if (!first.isOk()) {
+                EXPECT_FALSE(first.status().message().empty()) << text;
+                continue;
+            }
+            ++parsed;
+            const std::string dump = first.value().toConfig().dump(false);
+            auto second = parseCompileFrame(first.value().toConfig());
+            ASSERT_TRUE(second.isOk())
+                << text << ": " << second.status().toString();
+            EXPECT_EQ(second.value().toConfig().dump(false), dump) << text;
+        }
+    }
+    // Enough mutants parse for the round trip to be exercised.
+    EXPECT_GT(parsed, 100);
 }
 
 } // namespace
