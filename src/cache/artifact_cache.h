@@ -4,10 +4,10 @@
  * generalized to every CompilerSession stage.
  *
  * Each pipeline stage derives a key from the hashes of its own inputs
- * (graph + Abs-arch fingerprint, the schedule options actually in
- * effect, codegen parameters, upstream-stage digests), so a changed
- * workload replays the unchanged stage prefix from cache and re-runs
- * only the invalidated suffix. Values are the stage artifacts
+ * (the evaluationDigest of graph + Abs-arch, the schedule options
+ * actually in effect, codegen parameters, upstream-stage digests), so a
+ * changed workload replays the unchanged stage prefix from cache and
+ * re-runs only the invalidated suffix. Values are the stage artifacts
  * themselves (Schedule, CodegenResult, ...), stored type-erased behind
  * shared_ptr<const void>; replays copy the artifact out, so cached and
  * uncached runs stay byte-identical in every report field except

@@ -131,7 +131,12 @@ ConfigValue::getIntOr(const std::string &key, std::int64_t fallback) const
     if (!has(key))
         return fallback;
     const ConfigValue &v = object_value_.at(key);
-    return v.isNumber() ? v.asInt() : fallback;
+    if (!v.isNumber())
+        return fallback;
+    // The int64 cast is undefined outside [-2^63, 2^63), so such
+    // numbers read as absent.
+    const double number = v.asNumber();
+    return number >= -0x1p63 && number < 0x1p63 ? v.asInt() : fallback;
 }
 
 std::string

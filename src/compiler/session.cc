@@ -424,16 +424,12 @@ CompilerSession::stageLoad(CompileArtifacts &artifacts, std::string &detail)
     }
 
     if (request_.artifact_cache != nullptr) {
-        // Every downstream stage key chains from this digest; the
-        // TuneCache fingerprint already covers the graph structure and
-        // every cost-relevant Abs-arch parameter, so two requests that
-        // price differently can never share a base.
-        // A non-default host model reprices offload-enabled options, so
-        // it joins the base; the default model's tag is empty, keeping
-        // pre-offload digests (and populated caches) valid verbatim.
+        // Every downstream stage key chains from this digest, which
+        // starts from the TuneCache keys' (graph, arch) digest. The host
+        // model reprices offload-enabled options, so it joins the base.
         base_digest_ = ArtifactHash()
-                           .mix(TuneCache::fingerprint(*graph_, *arch_, 0))
-                           .mix(request_.host_model.cacheTag())
+                           .mix(evaluationDigest(*graph_, *arch_))
+                           .mix(request_.host_model.tag())
                            .digest();
     }
 

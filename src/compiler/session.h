@@ -124,8 +124,7 @@ struct CompileRequest {
 
     //! host-CPU cost model for hybrid offload: prices digital regions
     //! whenever the effective options (or a tuned candidate) enable
-    //! host_offload. The default model is part of the request identity
-    //! only when it differs from HostModel{} (see HostModel::cacheTag).
+    //! host_offload. It is part of every stage-cache key.
     HostModel host_model;
 
     /**

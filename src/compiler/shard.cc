@@ -482,15 +482,11 @@ mergeDseShards(const DseSpec &spec, const std::vector<std::string> &paths)
     for (DseCandidate &candidate : result.candidates) {
         if (!keyed[candidate.index])
             continue; // structurally invalid, never keyed
-        std::string key = TuneCache::fingerprint(
-            graph, candidate.arch,
-            AutoTuner::encodeOptions(spec.options));
-        if (spec.lint)
-            key += "+lint";
-        if (spec.perf_engine == PerfEngineKind::kEvent)
-            key += "+engine:event";
-        auto [it, inserted] =
-            first_of_key.emplace(std::move(key), candidate.index);
+        auto [it, inserted] = first_of_key.emplace(
+            evaluationKey(evaluationDigest(graph, candidate.arch),
+                          AutoTuner::encodeOptions(spec.options), {},
+                          HostModel{}, spec.lint, spec.perf_engine),
+            candidate.index);
         if (inserted) {
             ++unique_keys;
         } else {

@@ -153,16 +153,6 @@ RpcCompileRequest::toConfig() const
     return ConfigValue::makeObject(std::move(doc));
 }
 
-std::string
-RpcCompileRequest::fingerprint() const
-{
-    RpcCompileRequest canonical = *this;
-    canonical.id = 0;
-    // ConfigValue objects are key-sorted maps, so the compact dump of
-    // the fully-explicit form is already canonical.
-    return canonical.toConfig().dump(/*pretty=*/false);
-}
-
 Status
 RpcCompileRequest::applyKnobs(CompileRequest &request) const
 {

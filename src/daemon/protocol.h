@@ -71,10 +71,6 @@ struct RpcCompileRequest {
      * meaning the same compile dump identically). */
     ConfigValue toConfig() const;
 
-    /** Canonical request identity: the canonical dump minus the
-     * client-chosen id. It feeds the daemon's test hook. */
-    std::string fingerprint() const;
-
     /**
      * Sets the knob part of @p request: the schedule options (the
      * dual_mode/host_offload overlay on `opt`), tuning, perf engine,

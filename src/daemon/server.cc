@@ -185,7 +185,7 @@ DaemonServer::inflight() const
 }
 
 void
-DaemonServer::setCompileHook(std::function<void(const std::string &)> hook)
+DaemonServer::setCompileHook(std::function<void()> hook)
 {
     std::lock_guard<std::mutex> lock(hook_mutex_);
     compile_hook_ = std::move(hook);
@@ -317,15 +317,14 @@ void
 DaemonServer::runCompile(const std::shared_ptr<Connection> &conn,
                          const RpcCompileRequest &request)
 {
-    const std::string fingerprint = request.fingerprint();
     {
-        std::function<void(const std::string &)> hook;
+        std::function<void()> hook;
         {
             std::lock_guard<std::mutex> lock(hook_mutex_);
             hook = compile_hook_;
         }
         if (hook)
-            hook(fingerprint);
+            hook();
     }
     const auto start = std::chrono::steady_clock::now();
     auto elapsed_ms = [&start] {

@@ -111,11 +111,11 @@ class DaemonServer
 
     /**
      * Test-only hook, called at the start of every admitted compile
-     * job (before the session runs) with the request fingerprint.
-     * Lets tests hold a compile in-flight deterministically to
-     * exercise admission rejection and cancellation.
+     * job (before the session runs). Lets tests hold a compile
+     * in-flight deterministically to exercise admission rejection and
+     * cancellation.
      */
-    void setCompileHook(std::function<void(const std::string &)> hook);
+    void setCompileHook(std::function<void()> hook);
 
   private:
     struct Connection;
@@ -161,7 +161,7 @@ class DaemonServer
     bool stopped_ = false;
 
     std::mutex hook_mutex_;
-    std::function<void(const std::string &)> compile_hook_;
+    std::function<void()> compile_hook_;
 };
 
 } // namespace cimmlc

@@ -40,8 +40,8 @@ text(std::string v)
 }
 
 /**
- * Prices one candidate. @p key is its evaluation fingerprint from
- * explore()'s dedup pass — the memo key for fixed-options runs.
+ * Prices one candidate. @p key is its evaluationKey from explore()'s
+ * dedup pass — the memo key for fixed-options runs.
  */
 void
 evaluateCandidate(const Graph &graph, const DseSpec &spec,
@@ -49,7 +49,7 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
                   TuneCache *cache,
                   std::atomic<std::int64_t> &cache_hits)
 {
-    // Fixed-options candidates reuse the tuner's fingerprint scheme for
+    // Fixed-options candidates share the tuner's evaluation keys for
     // cross-process memoization; spec options always come from a named
     // --opt level, which the encoding represents exactly. Duplicate
     // sweep points were deduplicated by explore(), so this lookup only
@@ -122,9 +122,9 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
  * Prices one candidate on the cheap proxy stage of a halving rung:
  * forced `opt=none` and/or a topological workload prefix, routed
  * through the same staged CompilerSession as a full evaluation. @p key
- * is the fidelity-tagged fingerprint, so proxy entries in a shared
- * TuneCache can never alias full evaluations. @p session_runs counts
- * actual (non-memoized) session executions for the report.
+ * has the fidelity in it, so proxy entries in a shared TuneCache can
+ * never alias full evaluations. @p session_runs counts actual
+ * (non-memoized) session executions for the report.
  */
 void
 evaluateProxy(const Graph &graph, const DseSpec &spec,
@@ -448,6 +448,7 @@ ArchExplorer::explore(TuneCache *cache) const
     // would depend on thread timing.
     std::map<std::string, std::size_t> first_of_key;
     std::vector<std::size_t> unique;
+    std::vector<std::string> digests(result.candidates.size());
     std::vector<std::string> keys(result.candidates.size());
     std::vector<std::size_t> copy_from(result.candidates.size(),
                                        result.candidates.size());
@@ -467,19 +468,14 @@ ArchExplorer::explore(TuneCache *cache) const
         if (!candidate.status.isOk())
             continue;
         // The arch identity alone for tuned runs (the tuner covers every
-        // encoding); arch + the fixed options otherwise.
-        keys[candidate.index] = TuneCache::fingerprint(
-            graph, candidate.arch,
-            spec_.tune ? 0u : AutoTuner::encodeOptions(spec_.options));
-        // Linted evaluations gate feasibility on mopcheck, so their
-        // memo entries must never alias unlinted ones.
-        if (spec_.lint)
-            keys[candidate.index] += "+lint";
-        // Event-engine metrics come from a different pricing model;
-        // closed-form proxy keys stay untagged so they correctly alias
-        // plain closed-form full evaluations.
-        if (spec_.perf_engine == PerfEngineKind::kEvent)
-            keys[candidate.index] += "+engine:event";
+        // encoding); arch + the fixed options otherwise. Linted and
+        // event-engine evaluations price differently from the plain
+        // closed-form one, whose key a tuner candidate shares.
+        digests[candidate.index] = evaluationDigest(graph, candidate.arch);
+        keys[candidate.index] = evaluationKey(
+            digests[candidate.index],
+            spec_.tune ? 0u : AutoTuner::encodeOptions(spec_.options), {},
+            HostModel{}, spec_.lint, spec_.perf_engine);
         auto [it, inserted] =
             first_of_key.emplace(keys[candidate.index], candidate.index);
         if (inserted)
@@ -563,9 +559,8 @@ ArchExplorer::explore(TuneCache *cache) const
                 std::vector<std::string> proxy_keys(
                     result.candidates.size());
                 for (std::size_t index : survivors)
-                    proxy_keys[index] = TuneCache::fingerprint(
-                        graph, result.candidates[index].arch,
-                        proxy_encoding, fidelity);
+                    proxy_keys[index] = evaluationKey(
+                        digests[index], proxy_encoding, fidelity);
                 run_rung(survivors, [&](std::size_t index) {
                     DseCandidate &candidate = result.candidates[index];
                     candidate.rung = static_cast<std::int64_t>(rung);

@@ -75,8 +75,8 @@ struct DseSpec {
      * `--lint`): each candidate's emitted flow is linted and any
      * error-severity finding marks the candidate infeasible, so the
      * Pareto front only contains designs whose flow passes static
-     * analysis. Proxy rungs are unaffected. Cache fingerprints are
-     * tagged so linted evaluations never alias unlinted ones.
+     * analysis. Proxy rungs are unaffected. Lint is part of the cache
+     * key, so linted evaluations never alias unlinted ones.
      */
     bool lint = false;
 
@@ -85,8 +85,8 @@ struct DseSpec {
      * (`"perf_engine"` key / CLI `--perf-engine`). Halving proxy rungs
      * always run the closed-form model: with `event` selected, the
      * analytic model itself is the cheap fidelity rung below the
-     * discrete-event simulation, and cache fingerprints are tagged so
-     * event evaluations never alias closed-form ones.
+     * discrete-event simulation. The engine is part of the cache key,
+     * so event evaluations never alias closed-form ones.
      */
     PerfEngineKind perf_engine = PerfEngineKind::kClosedForm;
 
@@ -257,8 +257,8 @@ class ArchExplorer
      * memoizes evaluations across candidates and calls — with per-
      * candidate tuning it is the tuner's shared memo, without it each
      * candidate's single (graph, arch, options) evaluation is memoized
-     * under the same fingerprint scheme, so a persisted cache warms
-     * both modes. Fails only when the workload cannot be loaded or no
+     * under the tuner's evaluationKey, so a persisted cache warms both
+     * modes. Fails only when the workload cannot be loaded or no
      * candidate is feasible.
      */
     StatusOr<DseResult> explore(TuneCache *cache = nullptr) const;

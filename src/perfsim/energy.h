@@ -4,7 +4,8 @@
  * the PUMA-sim / NeuroSim / NVSim models the paper extends (Section 4.1):
  * crossbar cell reads, shared per-crossbar ADC, per-row DACs, buffer and
  * NoC data movement, and digital ALU ops. Cycle time is normalized to
- * 1 ns (1 GHz), so pJ/cycle equals mW.
+ * 1 ns (1 GHz), so pJ/cycle equals mW. Also home of the per-meta-op
+ * duration and energy accounting that every flow-replaying engine uses.
  */
 #ifndef CIMMLC_PERFSIM_ENERGY_H
 #define CIMMLC_PERFSIM_ENERGY_H
@@ -12,6 +13,7 @@
 #include <cstdint>
 
 #include "arch/arch.h"
+#include "mop/metaop.h"
 
 namespace cimmlc {
 
@@ -69,6 +71,27 @@ class EnergyModel
     double alu_pj_per_op_ = 0.0;
     double write_pj_per_cell_ = 0.0;
 };
+
+/** Duration of one meta-op, in cycles: the per-op timing both the
+ * discrete-event engine and the trace walk replay flows with. */
+double metaOpDurationCycles(const MetaOp &op, const CimArchitecture &arch);
+
+/** Crossbars @p op holds active for its whole duration (0 for non-read
+ * ops) — the contribution to the peak-power sweep. */
+std::int64_t metaOpActiveCrossbars(const MetaOp &op,
+                                   const CimArchitecture &arch);
+
+/**
+ * Accumulates @p op's energy into @p energy, weighted by @p multiplier
+ * (the product of enclosing repeat counts). Shared by the discrete-event
+ * engine (perfsim/event/event_engine.h) and the trace walk
+ * (perfsim/trace_engine.h), so the two price energy identically and
+ * differ only in timing.
+ */
+void accountMetaOpEnergy(const MetaOp &op, double duration,
+                         double multiplier, const CimArchitecture &arch,
+                         const EnergyModel &model,
+                         EnergyBreakdown *energy);
 
 } // namespace cimmlc
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "perfsim/trace_engine.h"
+#include "perfsim/energy.h"
 
 namespace cimmlc {
 

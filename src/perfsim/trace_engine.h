@@ -37,25 +37,6 @@ struct TraceReport {
     std::string toString() const;
 };
 
-/** Per-op duration model used by the engine (exposed for tests). */
-double metaOpDurationCycles(const MetaOp &op, const CimArchitecture &arch);
-
-/** Crossbars @p op holds active for its whole duration (0 for non-read
- * ops) — the contribution to the peak-power sweep. */
-std::int64_t metaOpActiveCrossbars(const MetaOp &op,
-                                   const CimArchitecture &arch);
-
-/**
- * Accumulates @p op's energy into @p energy, weighted by @p multiplier
- * (the product of enclosing repeat counts). Shared by the trace walk
- * and the discrete-event engine (perfsim/event/event_engine.h), so the
- * two price energy identically and differ only in timing.
- */
-void accountMetaOpEnergy(const MetaOp &op, double duration,
-                         double multiplier, const CimArchitecture &arch,
-                         const EnergyModel &model,
-                         EnergyBreakdown *energy);
-
 /** Traces @p program on @p arch. */
 StatusOr<TraceReport> traceProgram(const MopProgram &program,
                                    const CimArchitecture &arch);

@@ -2,11 +2,12 @@
 
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
 
+#include "arch/serialize.h"
+#include "cache/artifact_cache.h"
 #include "common/strutil.h"
 #include "common/table.h"
 #include "common/threadpool.h"
@@ -36,6 +37,8 @@ constexpr std::int64_t kSegmentCaps[] = {0, 1, 2, 4};
 constexpr std::uint32_t kDualModeBit = 1u << 8;
 constexpr std::uint32_t kHostOffloadBit = 1u << 9;
 constexpr std::uint32_t kEncodingSpace = 1u << 10;
+
+constexpr const char *kTuneCacheSchema = "cimmlc.tunecache.v2";
 
 // The public pruning masks (autotune.h) must track this bit layout.
 static_assert(kTuneKnobMask
@@ -72,29 +75,6 @@ forbiddenBits(ComputeMode mode)
 }
 
 /**
- * Order-sensitive FNV-1a over the graph structure (node kinds, arity,
- * output dims in topo order), so graphs that agree on name and
- * aggregate totals but differ structurally never share a memo entry.
- */
-std::uint64_t
-graphStructureHash(const Graph &graph)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    auto mix = [&hash](std::uint64_t value) {
-        hash ^= value;
-        hash *= 1099511628211ull;
-    };
-    for (NodeId id : graph.topoOrder()) {
-        const Node &node = graph.node(id);
-        mix(static_cast<std::uint64_t>(node.kind));
-        mix(node.inputs.size());
-        for (std::int64_t dim : graph.tensor(node.output).dims)
-            mix(static_cast<std::uint64_t>(dim));
-    }
-    return hash;
-}
-
-/**
  * The checks a CompilerSession runs before its schedule stage (request
  * validation, then the validate stage), with the same context prefixes.
  */
@@ -123,6 +103,7 @@ class CandidatePricer
     CandidatePricer(const Graph &graph, const CimArchitecture &arch,
                     const HostModel &host, TuneCache *cache)
         : graph_(graph), arch_(arch), host_(host), cache_(cache),
+          digest_(cache != nullptr ? evaluationDigest(graph, arch) : ""),
           engine_(makePerfEngine(PerfEngineKind::kClosedForm)),
           precheck_(sessionPrecheck(graph, arch, host))
     {
@@ -142,10 +123,7 @@ class CandidatePricer
             TuneCandidate &candidate = candidates[index];
             std::string key;
             if (cache_ != nullptr) {
-                key = TuneCache::fingerprint(
-                    graph_, arch_, candidate.encoding, {},
-                    candidate.options.host_offload ? host_.cacheTag()
-                                                   : "");
+                key = evaluationKey(digest_, candidate.encoding, {}, host_);
                 if (auto hit = cache_->lookup(key)) {
                     candidate.status = hit->status;
                     candidate.latency_cycles = hit->latency_cycles;
@@ -198,6 +176,8 @@ class CandidatePricer
     const CimArchitecture &arch_;
     const HostModel &host_;
     TuneCache *cache_;
+    //! evaluationDigest of (graph, arch); empty without a cache
+    const std::string digest_;
     const std::unique_ptr<PerfEngine> engine_;
     const Status precheck_;
     std::atomic<std::int64_t> cache_hits_{0};
@@ -334,70 +314,39 @@ TuneCache::size() const
 }
 
 std::string
-TuneCache::fingerprint(const Graph &graph, const CimArchitecture &arch,
-                       std::uint32_t encoding,
-                       const SearchFidelity &fidelity,
-                       const std::string &host_tag)
+evaluationDigest(const Graph &graph, const CimArchitecture &arch)
 {
-    // Identity of the evaluation inputs: graph structure summarized by
-    // name + size + work, architecture by every cost-relevant parameter.
-    // A DSE sweep shares one cache across many arch candidates, so any
-    // parameter the cost model reads must appear here — including the
-    // NoC topologies, buffer sizes, and explicit cost matrices the
-    // first version of this key omitted.
-    std::uint64_t noc_cost_hash = 1469598103934665603ull;
-    auto mix_doubles = [&noc_cost_hash](const std::vector<double> &values) {
-        for (double value : values) {
-            std::uint64_t bits = 0;
-            static_assert(sizeof(bits) == sizeof(value));
-            std::memcpy(&bits, &value, sizeof(bits));
-            noc_cost_hash ^= bits;
-            noc_cost_hash *= 1099511628211ull;
-        }
-        // Separator between the two matrices so ({x}, {}) != ({}, {x}).
-        noc_cost_hash ^= 0x9e3779b97f4a7c15ull;
-        noc_cost_hash *= 1099511628211ull;
-    };
-    mix_doubles(arch.chip.core_noc_cost);
-    mix_doubles(arch.core.xb_noc_cost);
-    // A non-default host model changes how offload-enabled encodings
-    // price; the default model's tag is empty so pre-offload
-    // fingerprints — and persisted caches — remain valid verbatim.
-    const std::string host_part =
-        host_tag.empty() ? std::string() : "|hm" + host_tag;
-    return strformat(
-        "%s|n%zu|w%lld|m%lld|h%016llx||%s|%s|c%lldx%lld|x%lldx%lld|"
-        "r%lldx%lld|pr%lld|dac%d|adc%d|ct%d|cb%d|wb%d|ab%d|"
-        "bw%.17g/%.17g/%.17g|alu%.17g/%.17g|noc%d/%d|xbw%.17g|"
-        "l0s%.17g|l1s%.17g|nch%016llx||o%u%s",
-        graph.name().c_str(), graph.nodeCount(),
-        static_cast<long long>(graph.totalWeights()),
-        static_cast<long long>(graph.totalMacs()),
-        static_cast<unsigned long long>(graphStructureHash(graph)),
-        arch.name.c_str(),
-        computeModeName(arch.mode),
-        static_cast<long long>(arch.chip.core_rows),
-        static_cast<long long>(arch.chip.core_cols),
-        static_cast<long long>(arch.core.xb_rows),
-        static_cast<long long>(arch.core.xb_cols),
-        static_cast<long long>(arch.xbar.rows),
-        static_cast<long long>(arch.xbar.cols),
-        static_cast<long long>(arch.xbar.parallel_row),
-        arch.xbar.dac_bits, arch.xbar.adc_bits,
-        static_cast<int>(arch.xbar.cell_type), arch.xbar.cell_bits,
-        arch.weight_bits, arch.activation_bits,
-        arch.chip.core_noc_bandwidth, arch.chip.l0_bandwidth,
-        arch.core.l1_bandwidth, arch.chip.alu_ops_per_cycle,
-        arch.core.alu_ops_per_cycle,
-        static_cast<int>(arch.chip.core_noc),
-        static_cast<int>(arch.core.xb_noc), arch.core.xb_noc_bandwidth,
-        arch.chip.l0_size_kib, arch.core.l1_size_kib,
-        static_cast<unsigned long long>(noc_cost_hash), encoding,
-        // Proxy evaluations (halving rungs force opt=none and/or price
-        // a workload prefix) are tagged so a warm cache entry from a
-        // rung can never alias — and never poison — a full evaluation
-        // of the same point.
-        fidelity.tag().c_str()) + host_part;
+    ArtifactHash hash;
+    hash.mix(graph.name())
+        .mix(static_cast<std::int64_t>(graph.nodeCount()))
+        .mix(graph.totalWeights())
+        .mix(graph.totalMacs());
+    for (NodeId id : graph.topoOrder()) {
+        const Node &node = graph.node(id);
+        const std::vector<std::int64_t> &dims =
+            graph.tensor(node.output).dims;
+        hash.mix(static_cast<std::int64_t>(node.kind))
+            .mix(static_cast<std::int64_t>(node.inputs.size()))
+            .mix(static_cast<std::int64_t>(dims.size()));
+        for (std::int64_t dim : dims)
+            hash.mix(dim);
+    }
+    return hash.mix(archToConfig(arch).dump(false)).digest();
+}
+
+std::string
+evaluationKey(const std::string &digest, std::uint32_t encoding,
+              const SearchFidelity &fidelity, const HostModel &host,
+              bool lint, PerfEngineKind engine)
+{
+    ArtifactHash hash;
+    hash.mix(digest)
+        .mix(static_cast<std::int64_t>(encoding))
+        .mix(fidelity.prefix_nodes)
+        .mix(fidelity.forced_opt_none);
+    if ((encoding & kHostOffloadBit) != 0)
+        hash.mix(host.tag());
+    return hash.mix(lint).mix(perfEngineName(engine)).digest();
 }
 
 ConfigValue
@@ -420,7 +369,7 @@ TuneCache::toConfig() const
         rows.push_back(ConfigValue::makeObject(std::move(row)));
     }
     ConfigValue::Object doc;
-    doc["schema"] = ConfigValue::makeString("cimmlc.tunecache.v1");
+    doc["schema"] = ConfigValue::makeString(kTuneCacheSchema);
     doc["entries"] = ConfigValue::makeArray(std::move(rows));
     return ConfigValue::makeObject(std::move(doc));
 }
@@ -441,10 +390,10 @@ TuneCache::loadFromConfig(const ConfigValue &doc)
     if (!doc.isObject())
         return fail(parseError("tune cache must be a kvjson object"));
     const std::string schema = doc.getStringOr("schema", "");
-    if (schema != "cimmlc.tunecache.v1")
+    if (schema != kTuneCacheSchema)
         return fail(parseError("tune cache has schema '" + schema
-                               + "', expected 'cimmlc.tunecache.v1' "
-                                 "(stale file?)"));
+                               + "', expected '" + kTuneCacheSchema
+                               + "' (stale file?)"));
     auto rows = doc.get("entries");
     if (!rows.isOk() || !rows.value().isArray())
         return fail(parseError("tune cache 'entries' must be an array"));

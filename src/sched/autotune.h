@@ -38,6 +38,7 @@
 #include "common/config.h"
 #include "common/status.h"
 #include "graph/graph.h"
+#include "perfsim/perf_model.h"
 #include "search/search_budget.h"
 #include "sched/host_model.h"
 #include "sched/options.h"
@@ -133,16 +134,17 @@ class TuneCache
 
     /**
      * Serializes the memo as a kvjson document (schema
-     * "cimmlc.tunecache.v1"), keyed by the evaluation fingerprints, so
-     * a sweep can persist across processes (`cimmlc --tune-cache`).
+     * "cimmlc.tunecache.v2"), keyed by evaluationKey(), so a sweep can
+     * persist across processes (`cimmlc --tune-cache`).
      */
     ConfigValue toConfig() const;
 
     /**
      * Replaces the memo with @p doc's entries. A malformed document
-     * (wrong schema, truncated entry, bad status code) returns an error
-     * and leaves the cache EMPTY — callers degrade to a cold cache with
-     * a diagnostic instead of aborting the run.
+     * (wrong schema, such as a v1 file, truncated entry, bad status
+     * code) returns an error and leaves the cache EMPTY — callers
+     * degrade to a cold cache with a diagnostic instead of aborting the
+     * run.
      */
     Status loadFromConfig(const ConfigValue &doc);
 
@@ -155,31 +157,36 @@ class TuneCache
      * contract; a missing file is an error too). */
     Status loadFromFile(const std::string &path);
 
-    /**
-     * Memo key for one (graph, arch, options) evaluation. Covers every
-     * cost-relevant Abs-arch parameter — crossbar/core/chip geometry,
-     * NoC topologies and bandwidths, buffer sizes and bandwidths, cost
-     * matrices, precisions — so a cache shared across architecture
-     * candidates (the DSE explorer sweeps them) can never alias two
-     * arch points that price differently.
-     */
-    /**
-     * @param host_tag HostModel::cacheTag() of a non-default host model
-     *   when the encoding enables host offload, "" otherwise. The
-     *   default model's tag is empty so fingerprints (and persisted
-     *   caches) from before hybrid offload stay valid verbatim.
-     */
-    static std::string fingerprint(const Graph &graph,
-                                   const CimArchitecture &arch,
-                                   std::uint32_t encoding,
-                                   const SearchFidelity &fidelity = {},
-                                   const std::string &host_tag = "");
-
   private:
     mutable std::mutex mutex_;
     std::map<std::string, Entry> entries_;
     mutable std::int64_t hits_ = 0;
 };
+
+/**
+ * Identity of one (workload, Abs-arch) pair, the root of every memo key
+ * (evaluationKey) and of a CompilerSession's stage-cache keys. The graph
+ * side covers its name, node count, total weights and MACs, and each
+ * topo-ordered node's kind, arity and output dims; the arch side is the
+ * canonical archToConfig() dump, so a cache shared across architecture
+ * candidates (the DSE explorer sweeps them) can never alias two arch
+ * points that differ in any Abs-arch field.
+ */
+std::string evaluationDigest(const Graph &graph,
+                             const CimArchitecture &arch);
+
+/**
+ * TuneCache key of one evaluation of the pair @p digest names: the
+ * candidate encoding, the fidelity (a halving rung's proxy never aliases
+ * a full evaluation), the host model (only when the encoding offloads
+ * host regions, the one case that reads it), mopcheck gating and the
+ * perf engine. Tuner candidates and fixed-options DSE points that agree
+ * on all of them share an entry.
+ */
+std::string evaluationKey(const std::string &digest, std::uint32_t encoding,
+                          const SearchFidelity &fidelity = {},
+                          const HostModel &host = {}, bool lint = false,
+                          PerfEngineKind engine = PerfEngineKind::kClosedForm);
 
 /** Tuner configuration. */
 struct AutoTuneConfig {

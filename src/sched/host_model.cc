@@ -29,14 +29,6 @@ HostModel::tag() const
                      launch_overhead_cycles, energy_pj_per_op);
 }
 
-std::string
-HostModel::cacheTag() const
-{
-    static const std::string default_tag = HostModel{}.tag();
-    const std::string rendered = tag();
-    return rendered == default_tag ? std::string() : rendered;
-}
-
 double
 hostComputeCycles(const HostModel &model, double alu_ops)
 {

@@ -13,9 +13,9 @@
  *
  * The model is deliberately first-order — a throughput, a link, a launch
  * cost, and an energy rate — mirroring the closed-form chip cost model
- * it competes with. Its parameters join cache fingerprints through
- * cacheTag(), so two compiles that price host regions differently can
- * never alias in the TuneCache / ArtifactCache.
+ * it competes with. Its tag() joins the TuneCache key of every
+ * offloading candidate (evaluationKey) and every stage-cache key, so two
+ * compiles that price host regions differently can never alias.
  */
 #ifndef CIMMLC_SCHED_HOST_MODEL_H
 #define CIMMLC_SCHED_HOST_MODEL_H
@@ -41,13 +41,6 @@ struct HostModel {
 
     /** Canonical parameter render, e.g. "alu64|link64|launch256|pj4". */
     std::string tag() const;
-
-    /** Fingerprint tag: empty for the default-constructed model (the
-     * implicit model every request uses unless it sets one), so cache
-     * keys only grow when a non-default host model is in play. */
-    std::string cacheTag() const;
-
-    bool isDefault() const { return cacheTag().empty(); }
 };
 
 /** Host compute cycles for @p alu_ops elementwise ops (no overheads). */

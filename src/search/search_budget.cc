@@ -6,16 +6,6 @@
 
 namespace cimmlc {
 
-std::string
-SearchFidelity::tag() const
-{
-    if (!isProxy())
-        return "";
-    return strformat("|proxy:pfx%lld:none%d",
-                     static_cast<long long>(prefix_nodes),
-                     forced_opt_none ? 1 : 0);
-}
-
 Status
 SearchBudget::validate() const
 {

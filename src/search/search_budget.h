@@ -14,8 +14,8 @@
  * fraction per rung is promoted to full evaluation.
  *
  * A SearchFidelity names how an evaluation was cheapened. It is part of
- * every TuneCache fingerprint, so a warm cache entry produced by a
- * halving rung can never alias a full evaluation of the same
+ * every TuneCache key (evaluationKey), so a warm cache entry produced by
+ * a halving rung can never alias a full evaluation of the same
  * (graph, arch, options) point.
  */
 #ifndef CIMMLC_SEARCH_SEARCH_BUDGET_H
@@ -31,8 +31,7 @@ namespace cimmlc {
 
 /**
  * How one evaluation was cheapened relative to full fidelity. The
- * default-constructed value means "full fidelity" and contributes
- * nothing to cache fingerprints, so existing keys stay stable.
+ * default-constructed value means "full fidelity".
  */
 struct SearchFidelity {
     //! schedule/price only the first N compute nodes of the workload
@@ -41,12 +40,6 @@ struct SearchFidelity {
     //! the evaluation forced ScheduleOptions::none() regardless of the
     //! configuration under search
     bool forced_opt_none = false;
-
-    bool isProxy() const { return prefix_nodes > 0 || forced_opt_none; }
-
-    /** Cache-fingerprint suffix: empty at full fidelity, a "|proxy:…"
-     * marker otherwise (see TuneCache::fingerprint). */
-    std::string tag() const;
 
     bool operator==(const SearchFidelity &) const = default;
 };

@@ -5,12 +5,12 @@
 
 namespace cimmlc {
 
-std::int64_t
-TensorShape::dim(int i) const
+void
+TensorShape::failDim(int i) const
 {
-    CIMMLC_CHECK(i >= 0 && i < rank())
-        << "dim index " << i << " out of range for rank " << rank();
-    return dims_[static_cast<std::size_t>(i)];
+    detail::checkFailed(__FILE__, __LINE__, "i >= 0 && i < rank()",
+                        strformat("dim index %d out of range for rank %d", i,
+                                  rank()));
 }
 
 std::int64_t

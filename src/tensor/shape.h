@@ -29,7 +29,16 @@ class TensorShape
     }
 
     int rank() const { return static_cast<int>(dims_.size()); }
-    std::int64_t dim(int i) const;
+
+    /** Inline: the tensor element accessors call it per element, so an
+     * out-of-line call would dominate the reference and funcsim loops. */
+    std::int64_t dim(int i) const
+    {
+        if (i < 0 || i >= rank())
+            failDim(i);
+        return dims_[static_cast<std::size_t>(i)];
+    }
+
     const std::vector<std::int64_t> &dims() const { return dims_; }
 
     /** Total element count; 1 for rank-0. */
@@ -51,6 +60,9 @@ class TensorShape
     }
 
   private:
+    /** Aborts with the out-of-range CHECK message. */
+    [[noreturn]] void failDim(int i) const;
+
     std::vector<std::int64_t> dims_;
 };
 

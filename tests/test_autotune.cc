@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "arch/serialize.h"
 #include "compiler/batch.h"
 #include "compiler/session.h"
+#include "dse/arch_explorer.h"
 #include "graph/models.h"
 #include "sched/autotune.h"
 
@@ -297,11 +299,11 @@ TEST(TuneOracleTest, InputsRejectedBeforeSchedulingKeepTheSessionText)
             << result.status().toString();
         const auto candidates = AutoTuner::enumerateCandidates(c.arch.mode);
         ASSERT_EQ(cache.size(), candidates.size());
+        const std::string digest = evaluationDigest(graph, c.arch);
         for (const ScheduleOptions &options : candidates) {
             const std::uint32_t encoding = AutoTuner::encodeOptions(options);
-            auto entry = cache.lookup(TuneCache::fingerprint(
-                graph, c.arch, encoding, {},
-                options.host_offload ? c.host.cacheTag() : ""));
+            auto entry =
+                cache.lookup(evaluationKey(digest, encoding, {}, c.host));
             ASSERT_TRUE(entry.has_value()) << options.toString();
             expectSameEntry(*entry,
                             sessionReference(graph, c.arch, options, c.host),
@@ -337,42 +339,213 @@ TEST(TuneCacheTest, SecondRunIsServedFromTheCache)
               second.value().best().encoding);
 }
 
+/** The leaves of @p doc by path, arrays as one leaf. */
+void
+collectLeaves(const ConfigValue &doc, const std::string &path,
+              std::map<std::string, std::string> *leaves)
+{
+    if (!doc.isObject()) {
+        (*leaves)[path] = doc.dump(false);
+        return;
+    }
+    for (const auto &[key, value] : doc.asObject())
+        collectLeaves(value, path + "/" + key, leaves);
+}
+
+std::map<std::string, std::string>
+archLeaves(const CimArchitecture &arch)
+{
+    std::map<std::string, std::string> leaves;
+    collectLeaves(archToConfig(arch), "", &leaves);
+    return leaves;
+}
+
+/** The graph facts evaluationDigest covers; keyGraph varies one. */
+enum class GraphFact {
+    kNone,
+    kName,
+    kWeightsAndMacs,
+    kNodeKind,
+    kNodeArity,
+    kNodeCount,
+    kOutputDims,
+};
+
+Graph
+keyGraph(GraphFact fact)
+{
+    Graph g(fact == GraphFact::kName ? "h" : "g");
+    const std::int64_t kernel = fact == GraphFact::kWeightsAndMacs ? 5 : 3;
+    TensorId y = g.conv2d(g.addInput("x", {1, 3, 8, 8}), 8, kernel, 1,
+                          kernel / 2);
+    if (fact == GraphFact::kNodeKind)
+        y = g.gelu(y);
+    else if (fact == GraphFact::kNodeArity)
+        y = g.addNode(OpKind::kRelu, std::monostate{}, {y, y});
+    else
+        y = g.relu(y);
+    y = g.linear(g.flatten(y), 10);
+    if (fact == GraphFact::kNodeCount)
+        y = g.relu(y);
+    g.markOutput(g.reshape(y, fact == GraphFact::kOutputDims
+                                  ? std::vector<std::int64_t>{10, 1}
+                                  : std::vector<std::int64_t>{1, 10}));
+    return g;
+}
+
 TEST(TuneCacheTest, FingerprintSeparatesArchCandidates)
 {
-    // A DSE sweep shares one cache across arch candidates; any swept
-    // parameter must change the memo key. xb_size is the satellite pin;
-    // the NoC topology, xb_noc_bandwidth, and buffer sizes are the
-    // parameters the original key actually omitted.
+    // A DSE sweep shares one cache across arch candidates, so every
+    // field archToConfig writes must change the memo key. Each variant
+    // records the archToConfig leaves it changed; together they must
+    // cover every leaf, so a field added to the serializer fails here
+    // until a variant exercises it.
     const Graph graph = models::byName("lenet5");
     const CimArchitecture base = presets::jainJssc21();
+    const std::string base_key =
+        evaluationKey(evaluationDigest(graph, base), 0);
 
-    CimArchitecture xb_size = base;
-    xb_size.xbar.rows = 128;
-    xb_size.xbar.cols = 128;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, xb_size, 0));
+    std::vector<CimArchitecture> variants;
+    // The 12 sweepable axes, through the DSE's own mutation helper.
+    auto axes = sweepSpecFromConfig(parseConfig(R"({
+        "xb_size": [[128, 128]], "xb_grid": [[2, 2]],
+        "core_grid": [[4, 4]], "core_noc": ["mesh"],
+        "core_noc_bandwidth": [64], "l0_bandwidth": [64],
+        "l1_bandwidth": [64], "compute_mode": ["XBM"], "dac_bits": [2],
+        "adc_bits": [4], "cell_type": ["ReRAM"], "cell_bits": [2]
+    })").value());
+    ASSERT_TRUE(axes.isOk()) << axes.status().toString();
+    ASSERT_EQ(axes.value().axes.size(), 12u);
+    for (const ArchAxis &axis : axes.value().axes) {
+        CimArchitecture arch = base;
+        ASSERT_TRUE(
+            applyArchParam(&arch, axis.param, axis.values[0]).isOk());
+        variants.push_back(arch);
+    }
+    // The fields no axis sweeps.
+    auto variant = [&](auto mutate) {
+        CimArchitecture arch = base;
+        mutate(arch);
+        variants.push_back(arch);
+    };
+    const auto cores = static_cast<std::size_t>(base.chip.coreNumber());
+    const auto xbs = static_cast<std::size_t>(base.core.xbNumber());
+    variant([](CimArchitecture &a) { a.name = "jain-variant"; });
+    variant([](CimArchitecture &a) { a.weight_bits = 4; });
+    variant([](CimArchitecture &a) { a.activation_bits = 4; });
+    variant([](CimArchitecture &a) { a.chip.alu_ops_per_cycle = 32.0; });
+    variant([](CimArchitecture &a) { a.core.alu_ops_per_cycle = 32.0; });
+    variant([](CimArchitecture &a) { a.chip.l0_size_kib = 96.0; });
+    variant([](CimArchitecture &a) { a.core.l1_size_kib = 96.0; });
+    variant([](CimArchitecture &a) { a.core.xb_noc = NocType::kMesh; });
+    variant([](CimArchitecture &a) { a.core.xb_noc_bandwidth = 64.0; });
+    variant([](CimArchitecture &a) { a.xbar.parallel_row = 16; });
+    variant([&](CimArchitecture &a) {
+        a.chip.core_noc_cost.assign(cores * cores, 2.0);
+    });
+    variant([&](CimArchitecture &a) {
+        a.core.xb_noc_cost.assign(xbs * xbs, 2.0);
+    });
 
-    CimArchitecture noc = base;
-    noc.chip.core_noc = NocType::kMesh;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, noc, 0));
+    const auto base_leaves = archLeaves(base);
+    std::map<std::string, std::string> every_leaf = base_leaves;
+    std::set<std::string> changed;
+    for (const CimArchitecture &arch : variants) {
+        for (const auto &[path, value] : archLeaves(arch)) {
+            every_leaf[path] = value;
+            auto it = base_leaves.find(path);
+            if (it == base_leaves.end() || it->second != value)
+                changed.insert(path);
+        }
+        EXPECT_NE(evaluationKey(evaluationDigest(graph, arch), 0),
+                  base_key)
+            << arch.toString();
+    }
+    for (const auto &[path, value] : every_leaf)
+        EXPECT_TRUE(changed.count(path) > 0) << "no variant changes " << path;
 
-    CimArchitecture xb_noc_bw = base;
-    xb_noc_bw.core.xb_noc_bandwidth = 64.0;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, xb_noc_bw, 0));
+    // Each graph fact on its own (weights and MACs move together).
+    const std::string graph_key =
+        evaluationKey(evaluationDigest(keyGraph(GraphFact::kNone), base), 0);
+    EXPECT_EQ(evaluationKey(evaluationDigest(keyGraph(GraphFact::kNone),
+                                             base),
+                            0),
+              graph_key);
+    for (GraphFact fact :
+         {GraphFact::kName, GraphFact::kWeightsAndMacs, GraphFact::kNodeKind,
+          GraphFact::kNodeArity, GraphFact::kNodeCount,
+          GraphFact::kOutputDims}) {
+        EXPECT_NE(evaluationKey(evaluationDigest(keyGraph(fact), base), 0),
+                  graph_key)
+            << static_cast<int>(fact);
+    }
+}
 
-    CimArchitecture l0 = base;
-    l0.chip.l0_size_kib = 96.0;
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, l0, 0));
+TEST(TuneCacheTest, KeysGroupTunerDseAndHostModelEvaluations)
+{
+    // One key function serves the tuner and the explorer: a
+    // fixed-options DSE point priced closed-form and unlinted warms
+    // exactly the tuner candidate with its encoding, and a linted or
+    // event-engine point warms none.
+    const Graph graph = models::byName("conv_relu_toy");
+    const std::string sweep = R"("sweep": {"xb_size": [[256, 64]]}})";
+    struct Case {
+        const char *extra;
+        std::int64_t tuner_hits;
+    };
+    for (const Case &c :
+         {Case{"", 1}, Case{R"("lint": true, )", 0},
+          Case{R"("perf_engine": "event", )", 0}}) {
+        auto spec = dseSpecFromText(
+            std::string(R"({"model": "conv_relu_toy", "arch": "jain", )")
+            + R"("threads": 1, )" + c.extra + sweep);
+        ASSERT_TRUE(spec.isOk()) << spec.status().toString();
+        TuneCache cache;
+        auto dse = ArchExplorer(spec.value()).explore(&cache);
+        ASSERT_TRUE(dse.isOk()) << dse.status().toString();
+        ASSERT_EQ(cache.size(), 1u);
+        const DseCandidate &point = dse.value().candidates[0];
+        AutoTuneConfig config;
+        config.threads = 1;
+        config.cache = &cache;
+        auto tuned = AutoTuner(config).tune(graph, point.arch);
+        ASSERT_TRUE(tuned.isOk()) << tuned.status().toString();
+        EXPECT_EQ(tuned.value().cache_hits, c.tuner_hits) << c.extra;
+        if (c.tuner_hits == 0)
+            continue;
+        const std::uint32_t encoding =
+            AutoTuner::encodeOptions(spec.value().options);
+        for (const TuneCandidate &candidate : tuned.value().candidates) {
+            if (candidate.encoding == encoding) {
+                EXPECT_EQ(candidate.latency_cycles, point.latency_cycles);
+            }
+        }
+    }
+    // A halving rung's proxy of the same point is another evaluation.
+    const std::string digest =
+        evaluationDigest(graph, presets::jainJssc21());
+    SearchFidelity proxy;
+    proxy.prefix_nodes = 1;
+    EXPECT_NE(evaluationKey(digest, 0, proxy), evaluationKey(digest, 0));
 
-    CimArchitecture cost = base;
-    const std::size_t cores =
-        static_cast<std::size_t>(cost.chip.coreNumber());
-    cost.chip.core_noc_cost.assign(cores * cores, 2.0);
-    EXPECT_NE(TuneCache::fingerprint(graph, base, 0),
-              TuneCache::fingerprint(graph, cost, 0));
+    // Another host model reprices exactly the offloading candidates.
+    const CimArchitecture arch = presets::jainJssc21();
+    TuneCache cache;
+    AutoTuneConfig config;
+    config.threads = 1;
+    config.cache = &cache;
+    auto cold = AutoTuner(config).tune(graph, arch);
+    ASSERT_TRUE(cold.isOk());
+    std::int64_t offloading = 0;
+    for (const TuneCandidate &candidate : cold.value().candidates)
+        offloading += candidate.options.host_offload ? 1 : 0;
+    ASSERT_GT(offloading, 0);
+    config.host_model.alu_ops_per_cycle = 8.0;
+    auto slow_host = AutoTuner(config).tune(graph, arch);
+    ASSERT_TRUE(slow_host.isOk());
+    EXPECT_EQ(slow_host.value().cache_hits,
+              static_cast<std::int64_t>(cold.value().candidates.size())
+                  - offloading);
 }
 
 TEST(TuneCacheTest, ArchCandidatesWithDifferentXbSizeNeverShareEntries)
@@ -473,9 +646,22 @@ TEST(TuneCachePersistTest, StaleSchemaOrTruncatedEntriesAreRejected)
     EXPECT_FALSE(cache.loadFromConfig(wrong_schema.value()).isOk());
     EXPECT_EQ(cache.size(), 0u);
 
+    // A well-formed v1 file holds the retired fingerprint keys: stale.
+    cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
+    auto v1 = parseConfig(R"({
+        "schema": "cimmlc.tunecache.v1",
+        "entries": [{"key": "k", "code": 0, "latency_cycles": 1,
+                     "energy_pj": 1, "edp": 1}]
+    })");
+    ASSERT_TRUE(v1.isOk());
+    const Status stale = cache.loadFromConfig(v1.value());
+    EXPECT_NE(stale.message().find("stale file?"), std::string::npos)
+        << stale.toString();
+    EXPECT_EQ(cache.size(), 0u);
+
     cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
     auto truncated = parseConfig(R"({
-        "schema": "cimmlc.tunecache.v1",
+        "schema": "cimmlc.tunecache.v2",
         "entries": [{"key": "k", "code": 0, "latency_cycles": 1}]
     })");
     ASSERT_TRUE(truncated.isOk());
@@ -484,7 +670,7 @@ TEST(TuneCachePersistTest, StaleSchemaOrTruncatedEntriesAreRejected)
 
     cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
     auto bad_code = parseConfig(R"({
-        "schema": "cimmlc.tunecache.v1",
+        "schema": "cimmlc.tunecache.v2",
         "entries": [{"key": "k", "code": 99, "latency_cycles": 1,
                      "energy_pj": 1, "edp": 1}]
     })");
@@ -496,7 +682,7 @@ TEST(TuneCachePersistTest, StaleSchemaOrTruncatedEntriesAreRejected)
     // zero-latency entry would win every warm Pareto front).
     cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
     auto mistyped = parseConfig(R"({
-        "schema": "cimmlc.tunecache.v1",
+        "schema": "cimmlc.tunecache.v2",
         "entries": [{"key": "k", "code": 0, "latency_cycles": "oops",
                      "energy_pj": 1, "edp": 1}]
     })");
@@ -546,7 +732,7 @@ TEST(TuneCacheTest, DifferentArchesDoNotCollide)
               on_tutorial.value().best().latency_cycles);
 }
 
-// ----- regression pin: proxy fingerprints never alias full ones ----------
+// ----- regression pin: proxy keys never alias full ones -----------------
 
 TEST(TuneCacheTest, ProxyFidelityNeverAliasesFullEvaluations)
 {
@@ -559,20 +745,18 @@ TEST(TuneCacheTest, ProxyFidelityNeverAliasesFullEvaluations)
     const std::uint32_t encoding =
         AutoTuner::encodeOptions(ScheduleOptions::none());
 
-    const std::string full =
-        TuneCache::fingerprint(graph, arch, encoding);
+    const std::string digest = evaluationDigest(graph, arch);
+    const std::string full = evaluationKey(digest, encoding);
     SearchFidelity prefix;
     prefix.prefix_nodes = 4;
     SearchFidelity opt_none;
     opt_none.forced_opt_none = true;
     SearchFidelity both = prefix;
     both.forced_opt_none = true;
-    const std::string with_prefix =
-        TuneCache::fingerprint(graph, arch, encoding, prefix);
+    const std::string with_prefix = evaluationKey(digest, encoding, prefix);
     const std::string with_opt_none =
-        TuneCache::fingerprint(graph, arch, encoding, opt_none);
-    const std::string with_both =
-        TuneCache::fingerprint(graph, arch, encoding, both);
+        evaluationKey(digest, encoding, opt_none);
+    const std::string with_both = evaluationKey(digest, encoding, both);
 
     EXPECT_NE(full, with_prefix);
     EXPECT_NE(full, with_opt_none);
@@ -583,13 +767,9 @@ TEST(TuneCacheTest, ProxyFidelityNeverAliasesFullEvaluations)
     // Distinct prefix lengths are distinct fidelities.
     SearchFidelity longer = prefix;
     longer.prefix_nodes = 5;
-    EXPECT_NE(with_prefix,
-              TuneCache::fingerprint(graph, arch, encoding, longer));
-    // The default fidelity is the full evaluation: byte-identical key,
-    // so every pre-budget cache file stays valid.
-    EXPECT_EQ(full,
-              TuneCache::fingerprint(graph, arch, encoding,
-                                     SearchFidelity{}));
+    EXPECT_NE(with_prefix, evaluationKey(digest, encoding, longer));
+    // The default fidelity is the full evaluation.
+    EXPECT_EQ(full, evaluationKey(digest, encoding, SearchFidelity{}));
 
     // End to end: a proxy entry in a warm cache is invisible to the
     // full-fidelity lookup path.

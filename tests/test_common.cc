@@ -232,6 +232,20 @@ TEST(ConfigTest, TypedGettersWithDefaults)
     EXPECT_EQ(doc.getIntOr("s", 9), 9);
 }
 
+TEST(ConfigTest, GetIntOrFallsBackOutsideInt64)
+{
+    // The int64 cast is undefined there; in-range values, fractions
+    // included, read as before.
+    auto doc = parseConfig(R"({"huge": 1e300, "tiny": -1e300,
+        "above": 9.3e18, "top": -9223372036854775808, "frac": -2.75})")
+                   .value();
+    EXPECT_EQ(doc.getIntOr("huge", 7), 7);
+    EXPECT_EQ(doc.getIntOr("tiny", 7), 7);
+    EXPECT_EQ(doc.getIntOr("above", 7), 7);
+    EXPECT_EQ(doc.getIntOr("top", 7), INT64_MIN);
+    EXPECT_EQ(doc.getIntOr("frac", 7), -2);
+}
+
 TEST(ConfigTest, GetOnNonObjectFails)
 {
     auto doc = parseConfig("[1]").value();

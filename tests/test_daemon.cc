@@ -258,7 +258,7 @@ TEST(DaemonServerTest, FullQueueRejectsWithResourceExhausted)
     std::condition_variable gate_cv;
     int entered = 0;
     bool release = false;
-    server.setCompileHook([&](const std::string &) {
+    server.setCompileHook([&] {
         std::unique_lock<std::mutex> lock(gate_mutex);
         ++entered;
         gate_cv.notify_all();
@@ -318,7 +318,7 @@ TEST(DaemonServerTest, DisconnectMidCompileCancelsCleanly)
     std::condition_variable gate_cv;
     int entered = 0;
     bool release = false;
-    server.setCompileHook([&](const std::string &) {
+    server.setCompileHook([&] {
         std::unique_lock<std::mutex> lock(gate_mutex);
         ++entered;
         gate_cv.notify_all();
@@ -359,6 +359,38 @@ TEST(DaemonServerTest, DisconnectMidCompileCancelsCleanly)
     }));
     auto response = client.value().compile(toyRequest("mlp", "jain"));
     ASSERT_TRUE(response.isOk()) << response.status().toString();
+    server.stop();
+}
+
+TEST(DaemonServerTest, IdsOutsideInt64AnswerWithMinusOne)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("bigid");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+
+    auto socket = connectUnix(server.config().unix_path);
+    ASSERT_TRUE(socket.isOk());
+    ASSERT_TRUE(recvFrame(socket.value()).isOk()); // hello
+    auto exchange = [&socket](const std::string &frame) {
+        EXPECT_TRUE(
+            sendFrame(socket.value(), parseConfig(frame).value()).isOk());
+        auto reply = recvFrame(socket.value());
+        EXPECT_TRUE(reply.isOk()) << reply.status().toString();
+        return reply.isOk() ? reply.value() : ConfigValue();
+    };
+    const ConfigValue stats = exchange(R"({"type":"stats","id":1e300})");
+    EXPECT_EQ(stats.getStringOr("type", ""), "stats_report");
+    EXPECT_EQ(stats.getIntOr("id", 0), -1);
+    const ConfigValue error = exchange(
+        R"({"type":"compile","id":1e300,"model":"mlp","arch":"jain"})");
+    EXPECT_EQ(error.getStringOr("type", ""), "error");
+    EXPECT_EQ(error.getIntOr("id", 0), -1);
+    // The connection keeps serving.
+    const ConfigValue again = exchange(R"({"type":"stats","id":5})");
+    EXPECT_EQ(again.getStringOr("type", ""), "stats_report");
+    EXPECT_EQ(again.getIntOr("id", 0), 5);
     server.stop();
 }
 

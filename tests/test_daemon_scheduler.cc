@@ -4,7 +4,7 @@
  * threads: FairScheduler admission control and weighted round-robin
  * fairness, LatencyHistogram quantiles, and the `cimmlc.rpc.v1` frame
  * vocabulary (pinned dumps, parse round-trips, unknown- and mistyped-
- * key rejection, a mutation fuzz, and the id-invariant fingerprint).
+ * key rejection, and a mutation fuzz).
  */
 #include <gtest/gtest.h>
 
@@ -271,8 +271,8 @@ const char *const kEveryFieldFrame =
     R"("objective":"energy","opt":"cg","perf_engine":"event",)"
     R"("search_budget":5,"tune":true,"type":"compile","verify":true})";
 
-// The compact dump is the request fingerprint and the wire form, so
-// its keys, types and defaults are pinned byte for byte.
+// The compact dump is the wire form, so its keys, types and defaults
+// are pinned byte for byte.
 TEST(RpcProtocolTest, CompileFrameDumpIsPinned)
 {
     EXPECT_EQ(RpcCompileRequest{}.toConfig().dump(false), kDefaultFrame);
@@ -290,20 +290,6 @@ TEST(RpcProtocolTest, UnknownKeysAreRejectedAsSkew)
     ASSERT_FALSE(parsed.isOk());
     EXPECT_NE(parsed.status().message().find("quantum_mode"),
               std::string::npos);
-}
-
-TEST(RpcProtocolTest, FingerprintIgnoresTheRequestId)
-{
-    RpcCompileRequest a;
-    a.id = 1;
-    a.model = "mlp";
-    a.arch = "jain";
-    RpcCompileRequest b = a;
-    b.id = 999;
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-
-    b.opt = "none";
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
 TEST(RpcProtocolTest, ErrorFrameRoundTripsStatus)

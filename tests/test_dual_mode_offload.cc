@@ -9,7 +9,7 @@
  * workload x architecture pairs where the auto-tuner selects each knob
  * and strictly beats every knob-off candidate, codegen's init-section
  * weight writes for resident segments, the host flag's round-trip
- * through the meta-op text syntax, cache-fingerprint non-aliasing for
+ * through the meta-op text syntax, cache-key non-aliasing for
  * the new encoding bits, and byte-identical batch output across thread
  * counts with both knobs forced on.
  */
@@ -292,7 +292,7 @@ TEST(HostOffloadTest, HostOpsRoundTripThroughText)
     EXPECT_GT(host_ops, 0u);
 }
 
-// ----- cache fingerprints never alias the new knobs (satellite) ----------
+// ----- cache keys never alias the new knobs ------------------------------
 
 TEST(FingerprintTest, DualAndHostBitsNeverAliasInTuneCache)
 {
@@ -305,25 +305,28 @@ TEST(FingerprintTest, DualAndHostBitsNeverAliasInTuneCache)
     ScheduleOptions host = base;
     host.host_offload = true;
 
-    const std::string fp_base = TuneCache::fingerprint(
-        graph, arch, AutoTuner::encodeOptions(base));
-    const std::string fp_dual = TuneCache::fingerprint(
-        graph, arch, AutoTuner::encodeOptions(dual));
-    const std::string fp_host = TuneCache::fingerprint(
-        graph, arch, AutoTuner::encodeOptions(host));
+    const std::string digest = evaluationDigest(graph, arch);
+    const std::string fp_base =
+        evaluationKey(digest, AutoTuner::encodeOptions(base));
+    const std::string fp_dual =
+        evaluationKey(digest, AutoTuner::encodeOptions(dual));
+    const std::string fp_host =
+        evaluationKey(digest, AutoTuner::encodeOptions(host));
     EXPECT_NE(fp_base, fp_dual);
     EXPECT_NE(fp_base, fp_host);
     EXPECT_NE(fp_dual, fp_host);
 
-    // A non-default host model changes the fingerprint of host-offload
-    // evaluations: two compiles that price regions differently can
-    // never alias in a shared (or persisted) cache.
+    // Another host model changes the key of host-offload evaluations
+    // only: two compiles that price regions differently can never
+    // alias in a shared (or persisted) cache.
     HostModel slow;
     slow.alu_ops_per_cycle = 8.0;
-    EXPECT_NE(TuneCache::fingerprint(graph, arch,
-                                     AutoTuner::encodeOptions(host), {},
-                                     slow.cacheTag()),
-              fp_host);
+    EXPECT_NE(
+        evaluationKey(digest, AutoTuner::encodeOptions(host), {}, slow),
+        fp_host);
+    EXPECT_EQ(
+        evaluationKey(digest, AutoTuner::encodeOptions(base), {}, slow),
+        fp_base);
 }
 
 TEST(FingerprintTest, WarmArtifactCacheMissesAcrossKnobChanges)

@@ -495,7 +495,7 @@ TEST(DsePerfEngineTest, HalvingUsesClosedFormProxyBelowEvent)
 TEST(DsePerfEngineTest, SharedCacheKeepsEnginesApart)
 {
     // One cache across an event sweep and a closed-form sweep of the
-    // same space: the "+engine:event" key tag must keep the two result
+    // same space: the perf engine in the key must keep the two result
     // sets from aliasing each other.
     const std::string sweep =
         "\"sweep\": {\"xb_size\": [[256, 64], [128, 128]]}";

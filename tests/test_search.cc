@@ -392,21 +392,5 @@ TEST(SearchBudgetTest, DegenerateProxyOnlyFailsTheHalvingCheck)
     EXPECT_TRUE(SearchBudget{}.validateForHalving().isOk());
 }
 
-TEST(SearchFidelityTest, TagsDistinguishEveryProxyMode)
-{
-    const SearchFidelity full;
-    EXPECT_FALSE(full.isProxy());
-    EXPECT_EQ(full.tag(), "");
-    SearchFidelity none_only;
-    none_only.forced_opt_none = true;
-    SearchFidelity prefix_only;
-    prefix_only.prefix_nodes = 5;
-    SearchFidelity both = prefix_only;
-    both.forced_opt_none = true;
-    const std::set<std::string> tags{full.tag(), none_only.tag(),
-                                     prefix_only.tag(), both.tag()};
-    EXPECT_EQ(tags.size(), 4u) << "fidelity tags must be pairwise distinct";
-}
-
 } // namespace
 } // namespace cimmlc

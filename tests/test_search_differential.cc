@@ -222,7 +222,7 @@ TEST(SearchDifferentialTest, ProxyCacheEntriesNeverPoisonFullRuns)
 {
     // A warm cache carrying halving-rung proxy entries must leave a
     // later exhaustive run byte-identical to a cold one: the fidelity
-    // tag keeps proxy and full fingerprints disjoint.
+    // in the key keeps proxy and full entries disjoint.
     auto spec = dseSpecFromText(kLenetSweep);
     ASSERT_TRUE(spec.isOk());
     spec.value().threads = 1;

@@ -84,19 +84,20 @@ TEST(SearchFuzzTest, MutatedBudgetsErrorOrValidateButNeverCrash)
 
 TEST(SearchFuzzTest, MutatedTuneCachesDegradeToColdNeverHalfLoaded)
 {
-    // A genuine cache document, fidelity-tagged proxy entries included.
+    // A genuine cache document, proxy entries included.
     TuneCache seed_cache;
     const Graph graph = models::byName("conv_relu_toy");
     const CimArchitecture arch = presets::byName("jain").value();
     SearchFidelity proxy;
     proxy.prefix_nodes = 2;
     proxy.forced_opt_none = true;
-    seed_cache.insert(TuneCache::fingerprint(graph, arch, 3),
+    const std::string digest = evaluationDigest(graph, arch);
+    seed_cache.insert(evaluationKey(digest, 3),
                       TuneCache::Entry{Status::ok(), 10.0, 20.0, 200.0});
-    seed_cache.insert(TuneCache::fingerprint(graph, arch, 3, proxy),
+    seed_cache.insert(evaluationKey(digest, 3, proxy),
                       TuneCache::Entry{Status::ok(), 4.0, 8.0, 32.0});
     seed_cache.insert(
-        TuneCache::fingerprint(graph, arch, 7),
+        evaluationKey(digest, 7),
         TuneCache::Entry{resourceExhausted("xbars"), 0.0, 0.0, 0.0});
     const std::string seed_text = seed_cache.toConfig().dump(true);
 
