@@ -1,7 +1,6 @@
 #include "arch/serialize.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/strutil.h"
 
@@ -20,8 +19,9 @@ readGrid(const ConfigValue &tier, const std::string &array_key,
         if (!arr.isArray() || arr.asArray().size() != 2) {
             return parseError(array_key + " must be a [rows, cols] array");
         }
-        *rows = arr.asArray()[0].asInt();
-        *cols = arr.asArray()[1].asInt();
+        if (!integerValue(arr.asArray()[0], rows) ||
+            !integerValue(arr.asArray()[1], cols))
+            return parseError(array_key + " entries must be integers");
         return Status::ok();
     }
     if (tier.has(count_key)) {
@@ -117,8 +117,9 @@ archFromConfig(const ConfigValue &doc)
                                     tier.get("xb_size"));
             if (!size.isArray() || size.asArray().size() != 2)
                 return parseError("xb_size must be [rows, cols]");
-            arch.xbar.rows = size.asArray()[0].asInt();
-            arch.xbar.cols = size.asArray()[1].asInt();
+            if (!integerValue(size.asArray()[0], &arch.xbar.rows) ||
+                !integerValue(size.asArray()[1], &arch.xbar.cols))
+                return parseError("xb_size entries must be integers");
         }
         arch.xbar.parallel_row =
             tier.getIntOr("parallel_row", arch.xbar.rows);
@@ -250,25 +251,6 @@ paramKind(ArchParam param)
         return ParamKind::kCount;
     }
     return ParamKind::kBandwidth;
-}
-
-/**
- * Reads an exactly-representable integer. Fractional values are
- * rejected rather than truncated (a "core_grid": [2.5] must not
- * silently become a 2x2 grid), and the magnitude is capped so the
- * log2 doubling loop below cannot overflow.
- */
-bool
-integerValue(const ConfigValue &item, std::int64_t *out)
-{
-    if (!item.isNumber())
-        return false;
-    const double value = item.asNumber();
-    if (!(value == std::floor(value)) || value < -1.0e18
-        || value > 1.0e18)
-        return false;
-    *out = static_cast<std::int64_t>(value);
-    return true;
 }
 
 /** Validates and canonicalizes one name-kind value. */

@@ -139,6 +139,19 @@ ConfigValue::getIntOr(const std::string &key, std::int64_t fallback) const
     return number >= -0x1p63 && number < 0x1p63 ? v.asInt() : fallback;
 }
 
+bool
+integerValue(const ConfigValue &item, std::int64_t *out)
+{
+    if (!item.isNumber())
+        return false;
+    const double value = item.asNumber();
+    if (!(value == std::floor(value)) || value < -1.0e18
+        || value > 1.0e18)
+        return false;
+    *out = static_cast<std::int64_t>(value);
+    return true;
+}
+
 std::string
 ConfigValue::getStringOr(const std::string &key, std::string fallback) const
 {

@@ -91,6 +91,15 @@ class ConfigValue
     Object object_value_;
 };
 
+/**
+ * Reads @p item into @p out when it is an integer-valued number in
+ * [-1e18, 1e18]. Non-numbers, fractional values and larger magnitudes
+ * return false instead of being truncated or cast out of range (a
+ * "core_grid": [2.5, 2] must not silently become a 2x2 grid); the cap
+ * also leaves callers room to double a value without overflow.
+ */
+bool integerValue(const ConfigValue &item, std::int64_t *out);
+
 /** Parses a kvjson document from text. */
 StatusOr<ConfigValue> parseConfig(const std::string &text);
 

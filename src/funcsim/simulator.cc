@@ -43,17 +43,15 @@ FunctionalSimulator::FunctionalSimulator(const CimArchitecture &arch,
     l0_.assign(static_cast<std::size_t>(std::max<std::int64_t>(
                    code.l0_elements, 1)),
                0);
-    l1_.assign(static_cast<std::size_t>(arch.chip.coreNumber()),
-               std::vector<std::int32_t>(
-                   static_cast<std::size_t>(
-                       std::max<std::int64_t>(code.l1_elements, 1)),
-                   0));
+    // Banks and crossbars start as empty slots: each is allocated by
+    // the first op that writes it, so the state costs what the flow
+    // writes rather than what the chip has.
+    l1_.resize(static_cast<std::size_t>(arch.chip.coreNumber()));
+    zero_bank_.assign(static_cast<std::size_t>(std::max<std::int64_t>(
+                          code.l1_elements, 1)),
+                      0);
     xb_logical_cols_ = arch.logicalColsPerCrossbar();
-    xbars_.assign(static_cast<std::size_t>(arch.totalCrossbars()),
-                  std::vector<std::int8_t>(
-                      static_cast<std::size_t>(arch.xbar.rows *
-                                               xb_logical_cols_),
-                      0));
+    xbars_.resize(static_cast<std::size_t>(arch.totalCrossbars()));
 }
 
 Status
@@ -133,10 +131,10 @@ FunctionalSimulator::execStmts(const std::vector<Stmt> &stmts)
 StatusOr<std::int32_t *>
 FunctionalSimulator::bufPtr(const BufAddr &addr, std::int64_t extent)
 {
-    auto result = bufPtrConst(addr, extent);
-    if (!result.isOk())
-        return result.status();
-    return const_cast<std::int32_t *>(result.value());
+    CIMMLC_RETURN_IF_ERROR(bufPtrConst(addr, extent).status());
+    if (addr.space == MemSpace::kL0)
+        return l0_.data() + addr.offset;
+    return writableBank(addr.core).data() + addr.offset;
 }
 
 StatusOr<const std::int32_t *>
@@ -157,16 +155,31 @@ FunctionalSimulator::bufPtrConst(const BufAddr &addr,
     if (addr.core < 0 ||
         addr.core >= static_cast<std::int64_t>(l1_.size()))
         return outOfRange("L1 core out of range");
-    const auto &bank = l1_[static_cast<std::size_t>(addr.core)];
-    if (addr.offset + extent > static_cast<std::int64_t>(bank.size()))
+    if (addr.offset + extent > static_cast<std::int64_t>(zero_bank_.size()))
         return outOfRange("L1 access exceeds bank");
-    return bank.data() + addr.offset;
+    const auto &bank = l1_[static_cast<std::size_t>(addr.core)];
+    return (bank.empty() ? zero_bank_ : bank).data() + addr.offset;
+}
+
+std::vector<std::int32_t> &
+FunctionalSimulator::writableBank(std::int64_t core)
+{
+    auto &bank = l1_[static_cast<std::size_t>(core)];
+    if (bank.empty())
+        bank.assign(zero_bank_.size(), 0);
+    return bank;
 }
 
 Status
 FunctionalSimulator::execOp(const MetaOp &op)
 {
     ++stats_.ops_executed;
+    // Allocate the destination bank before any operand resolves, so an
+    // operand that overlaps it reads the op's own writes, exactly as
+    // when every bank was allocated up front.
+    if (op.dst.space == MemSpace::kL1 && op.dst.core >= 0 &&
+        op.dst.core < static_cast<std::int64_t>(l1_.size()))
+        writableBank(op.dst.core);
     switch (op.kind) {
       case MetaOpKind::kWriteCore: {
         if (!op.payload)
@@ -190,16 +203,22 @@ FunctionalSimulator::execOp(const MetaOp &op)
         if (index < 0 ||
             index >= static_cast<std::int64_t>(xbars_.size()))
             return outOfRange("crossbar index out of range");
-        auto &cells = xbars_[static_cast<std::size_t>(index)];
         const Int8Tensor &payload = *op.payload;
         const std::int64_t prows = payload.shape().dim(0);
         const std::int64_t pcols = payload.shape().rank() > 1
                                        ? payload.shape().dim(1) : 1;
         const std::int64_t row_base =
             op.kind == MetaOpKind::kWriteRow ? op.row : 0;
-        if (row_base + prows > arch_.xbar.rows ||
+        if (row_base < 0 || prows > arch_.xbar.rows - row_base ||
             pcols > xb_logical_cols_)
             return outOfRange("crossbar write payload exceeds array");
+        // An array stores rows [0, highest row written]; a write above
+        // them appends zeroed rows.
+        auto &cells = xbars_[static_cast<std::size_t>(index)];
+        const auto stored =
+            static_cast<std::size_t>((row_base + prows) * xb_logical_cols_);
+        if (cells.size() < stored)
+            cells.resize(stored, 0);
         for (std::int64_t r = 0; r < prows; ++r) {
             for (std::int64_t c = 0; c < pcols; ++c) {
                 cells[static_cast<std::size_t>(
@@ -242,15 +261,30 @@ FunctionalSimulator::execCimRead(const MetaOp &op)
             static_cast<long long>(arch_.xbar.parallel_row)));
     }
 
+    if (row_base < 0 || rows > arch_.xbar.rows - row_base ||
+        op.cols > xb_logical_cols_) {
+        return outOfRange(strformat(
+            "crossbar read of %lld rows from row %lld x %lld cols exceeds "
+            "the %lld x %lld array",
+            static_cast<long long>(rows),
+            static_cast<long long>(row_base),
+            static_cast<long long>(op.cols),
+            static_cast<long long>(arch_.xbar.rows),
+            static_cast<long long>(xb_logical_cols_)));
+    }
+
     CIMMLC_ASSIGN_OR_RETURN(const std::int32_t *src,
                             bufPtrConst(op.src, rows));
     CIMMLC_ASSIGN_OR_RETURN(std::int32_t *dst, bufPtr(op.dst, op.cols));
+    const auto stored = static_cast<std::int64_t>(cells.size());
     for (std::int64_t i = 0; i < rows; ++i) {
+        const std::int64_t offset = (row_base + i) * xb_logical_cols_;
+        if (offset >= stored)
+            break; // rows past the highest one written hold zeros
         const std::int32_t activation = src[i];
         if (activation == 0)
             continue;
-        const std::int8_t *weight_row =
-            cells.data() + (row_base + i) * xb_logical_cols_;
+        const std::int8_t *weight_row = cells.data() + offset;
         for (std::int64_t j = 0; j < op.cols; ++j)
             dst[j] += activation * static_cast<std::int32_t>(
                                        weight_row[j]);

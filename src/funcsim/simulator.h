@@ -15,7 +15,11 @@
  *  - cim.read* ops multiply a buffer slice with stored weights and
  *    accumulate into the destination; DCOM ops reuse the exact reference
  *    kernels from tensor/ops.h, guaranteeing bit-equality by
- *    construction.
+ *    construction;
+ *  - crossbars and L1 banks are allocated by the first op that writes
+ *    them, and a crossbar stores rows only up to the highest one
+ *    written; state the flow never writes reads as zeros, so memory
+ *    follows the flow, not the chip.
  */
 #ifndef CIMMLC_FUNCSIM_SIMULATOR_H
 #define CIMMLC_FUNCSIM_SIMULATOR_H
@@ -78,13 +82,21 @@ class FunctionalSimulator
                                     std::int64_t extent);
     StatusOr<const std::int32_t *> bufPtrConst(const BufAddr &addr,
                                                std::int64_t extent) const;
+    /** @p core's L1 bank, allocated zeroed on its first write. */
+    std::vector<std::int32_t> &writableBank(std::int64_t core);
 
     const CimArchitecture &arch_;
     const CodegenResult &code_;
 
     std::vector<std::int32_t> l0_;
+    //! L1 bank per core; an unwritten bank is empty and reads as
+    //! zero_bank_
     std::vector<std::vector<std::int32_t>> l1_;
-    //! logical weight state per crossbar, indexed core * xbN + xb
+    std::vector<std::int32_t> zero_bank_;
+    //! logical weight rows [0, highest row written] per crossbar,
+    //! row-major with stride xb_logical_cols_ and indexed core * xbN +
+    //! xb; an array is empty until written, and rows past the stored
+    //! ones hold zeros
     std::vector<std::vector<std::int8_t>> xbars_;
     std::int64_t xb_logical_cols_ = 0;
 

@@ -14,15 +14,19 @@ verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
                    const ScheduleOptions &options,
                    const std::map<TensorId, Int8Tensor> &inputs)
 {
-    // 1. Reference run with shift calibration.
-    CIMMLC_ASSIGN_OR_RETURN(ReferenceResult reference,
-                            runReference(graph, inputs));
-
-    // 2. Compile with the calibrated shifts.
+    // 1. Schedule, and give up before the reference run when the
+    // unrolled flow would be over the op budget.
     CIMMLC_ASSIGN_OR_RETURN(Schedule schedule,
                             scheduleGraph(graph, arch, options));
     CodegenOptions codegen_options;
     codegen_options.unroll = true;
+    CIMMLC_RETURN_IF_ERROR(
+        checkUnrolledOpBudget(graph, arch, schedule, codegen_options));
+
+    // 2. Reference run with shift calibration, then codegen with the
+    // calibrated shifts.
+    CIMMLC_ASSIGN_OR_RETURN(ReferenceResult reference,
+                            runReference(graph, inputs));
     codegen_options.shifts = reference.shifts;
     CIMMLC_ASSIGN_OR_RETURN(
         CodegenResult code,

@@ -36,7 +36,8 @@ struct VerifyReport {
  * Weights must be installed; inputs map graph input tensors to values.
  * The reference run calibrates per-node requantization shifts which the
  * generated flow then reuses, so both sides compute identical integer
- * pipelines.
+ * pipelines. A flow whose unrolled form is over the codegen op budget
+ * fails with RESOURCE_EXHAUSTED before the reference runs.
  */
 StatusOr<VerifyReport>
 verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,

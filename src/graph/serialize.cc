@@ -15,9 +15,10 @@ dimsFromConfig(const ConfigValue &value, const std::string &what)
         return parseError(what + " must be an array of dims");
     std::vector<std::int64_t> dims;
     for (const ConfigValue &d : value.asArray()) {
-        if (!d.isNumber())
-            return parseError(what + " dims must be numbers");
-        dims.push_back(d.asInt());
+        std::int64_t dim = 0;
+        if (!integerValue(d, &dim))
+            return parseError(what + " dims must be integers");
+        dims.push_back(dim);
     }
     return dims;
 }

@@ -78,7 +78,6 @@ class Emitter
 
   private:
     Status layoutMemory();
-    Status estimateOpBudget();
     Status emitNode(const Node &node);
     Status emitCoreMode(const Node &node, const OperatorMapping &mapping);
     Status emitCrossbarMode(const Node &node,
@@ -191,48 +190,12 @@ Emitter::layoutMemory()
     return Status::ok();
 }
 
-Status
-Emitter::estimateOpBudget()
-{
-    if (!options_.unroll || options_.max_ops <= 0)
-        return Status::ok();
-    double estimate = 0.0;
-    for (const OperatorMapping &mapping : schedule_.ops) {
-        const Node &node = graph_.node(mapping.node);
-        if (!mapping.is_cim) {
-            estimate += 4.0;
-            continue;
-        }
-        if (arch_.mode == ComputeMode::kCM) {
-            estimate += static_cast<double>(mapping.mvm_duplication) + 4.0;
-            continue;
-        }
-        const std::int64_t gathers =
-            node.kind == OpKind::kConv2d
-                ? graph_.tensor(node.inputs[0]).dims[1] + 2
-                : 1;
-        const std::int64_t reads = mapping.grid.vxbCount() *
-                                   mapping.vvm_spread *
-                                   (arch_.mode == ComputeMode::kWLM
-                                        ? arch_.rowGroupsPerActivation()
-                                        : 1);
-        estimate += static_cast<double>(mapping.windows) *
-                    static_cast<double>(gathers + 2 * reads + 5);
-    }
-    if (estimate > static_cast<double>(options_.max_ops)) {
-        return resourceExhausted(strformat(
-            "unrolled flow would need ~%.3g ops (limit %lld); use "
-            "compressed emission for this network",
-            estimate, static_cast<long long>(options_.max_ops)));
-    }
-    return Status::ok();
-}
-
 StatusOr<CodegenResult>
 Emitter::run()
 {
     CIMMLC_RETURN_IF_ERROR(layoutMemory());
-    CIMMLC_RETURN_IF_ERROR(estimateOpBudget());
+    CIMMLC_RETURN_IF_ERROR(
+        checkUnrolledOpBudget(graph_, arch_, schedule_, options_));
 
     for (NodeId id : graph_.topoOrder()) {
         const Node &node = graph_.node(id);
@@ -829,6 +792,45 @@ Emitter::emitDigital(const Node &node)
 }
 
 } // namespace
+
+Status
+checkUnrolledOpBudget(const Graph &graph, const CimArchitecture &arch,
+                      const Schedule &schedule,
+                      const CodegenOptions &options)
+{
+    if (!options.unroll || options.max_ops <= 0)
+        return Status::ok();
+    double estimate = 0.0;
+    for (const OperatorMapping &mapping : schedule.ops) {
+        const Node &node = graph.node(mapping.node);
+        if (!mapping.is_cim) {
+            estimate += 4.0;
+            continue;
+        }
+        if (arch.mode == ComputeMode::kCM) {
+            estimate += static_cast<double>(mapping.mvm_duplication) + 4.0;
+            continue;
+        }
+        const std::int64_t gathers =
+            node.kind == OpKind::kConv2d
+                ? graph.tensor(node.inputs[0]).dims[1] + 2
+                : 1;
+        const std::int64_t reads = mapping.grid.vxbCount() *
+                                   mapping.vvm_spread *
+                                   (arch.mode == ComputeMode::kWLM
+                                        ? arch.rowGroupsPerActivation()
+                                        : 1);
+        estimate += static_cast<double>(mapping.windows) *
+                    static_cast<double>(gathers + 2 * reads + 5);
+    }
+    if (estimate > static_cast<double>(options.max_ops)) {
+        return resourceExhausted(strformat(
+            "unrolled flow would need ~%.3g ops (limit %lld); use "
+            "compressed emission for this network",
+            estimate, static_cast<long long>(options.max_ops)));
+    }
+    return Status::ok();
+}
 
 StatusOr<CodegenResult>
 generateProgram(const Graph &graph, const CimArchitecture &arch,

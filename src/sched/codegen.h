@@ -58,6 +58,17 @@ struct CodegenResult {
 };
 
 /**
+ * Fails with RESOURCE_EXHAUSTED when the unrolled flow of @p schedule
+ * would exceed options.max_ops (a no-op for compressed emission or
+ * max_ops 0). generateProgram runs this check first; callers with
+ * costly work before codegen run it up front to fail fast.
+ */
+Status checkUnrolledOpBudget(const Graph &graph,
+                             const CimArchitecture &arch,
+                             const Schedule &schedule,
+                             const CodegenOptions &options);
+
+/**
  * Generates the meta-operator flow for @p schedule.
  *
  * @pre graph weights are installed when options.unroll is set (write ops

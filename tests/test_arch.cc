@@ -15,6 +15,7 @@
 #include "arch/noc.h"
 #include "arch/presets.h"
 #include "arch/serialize.h"
+#include "common/strutil.h"
 
 namespace cimmlc {
 namespace {
@@ -319,6 +320,30 @@ TEST(SerializeTest, RejectsInvalidConfigs)
     EXPECT_FALSE(archFromText(R"({
         "xb_tier": {"xb_size": [0, 64]}
     })").isOk());
+}
+
+TEST(SerializeTest, GridAndSizeEntriesMustBeIntegers)
+{
+    const struct {
+        const char *tier;
+        const char *key;
+    } slots[] = {{"chip_tier", "core_grid"},
+                 {"core_tier", "xb_grid"},
+                 {"xb_tier", "xb_size"}};
+    for (const auto &slot : slots) {
+        for (const char *bad : {"\"3\"", "3.9", "1e300"}) {
+            const std::string text =
+                strformat(R"({"%s": {"%s": [%s, 64]}})", slot.tier,
+                          slot.key, bad);
+            auto arch = archFromText(text);
+            ASSERT_FALSE(arch.isOk()) << text;
+            EXPECT_EQ(arch.status().code(), StatusCode::kParseError)
+                << text;
+            EXPECT_NE(arch.status().message().find(slot.key),
+                      std::string::npos)
+                << arch.status().toString();
+        }
+    }
 }
 
 } // namespace

@@ -394,6 +394,31 @@ TEST(DaemonServerTest, IdsOutsideInt64AnswerWithMinusOne)
     server.stop();
 }
 
+TEST(DaemonServerTest, MalformedArchTextGetsAnErrorReply)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("badarch");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+
+    auto client = DaemonClient::connectUnixSocket(server.config().unix_path);
+    ASSERT_TRUE(client.isOk());
+    RpcCompileRequest request = toyRequest();
+    request.arch.clear();
+    request.arch_text = R"({"chip_tier": {"core_grid": ["3", 3]}})";
+    auto response = client.value().compile(request);
+    ASSERT_FALSE(response.isOk());
+    EXPECT_NE(response.status().message().find("core_grid"),
+              std::string::npos)
+        << response.status().toString();
+    // The daemon is still up and serving.
+    auto stats = client.value().stats();
+    ASSERT_TRUE(stats.isOk()) << stats.status().toString();
+    EXPECT_EQ(stats.value().getStringOr("schema", ""), "cimmlc.stats.v1");
+    server.stop();
+}
+
 TEST(DaemonServerTest, StatsSnapshotCountsTraffic)
 {
     DaemonConfig config;

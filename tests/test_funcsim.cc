@@ -7,8 +7,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "arch/presets.h"
+#include "cache/artifact_cache.h"
 #include "common/rng.h"
+#include "common/strutil.h"
 #include "funcsim/simulator.h"
 #include "funcsim/verify.h"
 #include "graph/models.h"
@@ -134,6 +139,108 @@ TEST(VerifyTest, DifferentSeedsStillMatch)
     }
 }
 
+TEST(VerifyTest, OverBudgetFlowFailsBeforeTheReferenceRun)
+{
+    // resnet18 unrolled on isaac-baseline is ~1.3e8 ops. The graph has
+    // no weights, so the reference run would fail with another code:
+    // RESOURCE_EXHAUSTED shows the budget is checked before it.
+    const Graph g = models::byName("resnet18");
+    auto report = verifyCompiledFlow(g, presets::isaacBaseline(),
+                                     ScheduleOptions::full(), {});
+    ASSERT_FALSE(report.isOk());
+    EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted)
+        << report.status().toString();
+}
+
+// ----- replay goldens across presets -----------------------------------------
+
+/**
+ * Replays @p model on @p preset the way the session's verify stage does
+ * (verifyWithRandomStimulus: seed 1234, weights then inputs from one
+ * stream, full opt) and renders the simulator's counters, the flow's op
+ * count and a digest of every marked output.
+ */
+StatusOr<std::string>
+replayLine(const std::string &model, const std::string &preset)
+{
+    Graph g = models::byName(model);
+    Rng rng(1234);
+    g.randomizeWeights(rng);
+    std::map<TensorId, Int8Tensor> inputs;
+    for (TensorId in : g.inputs()) {
+        Int8Tensor t(TensorShape(g.tensor(in).dims));
+        t.fillRandom(rng, -16, 16);
+        inputs.emplace(in, std::move(t));
+    }
+    CIMMLC_ASSIGN_OR_RETURN(const CimArchitecture arch,
+                            presets::byName(preset));
+    CIMMLC_ASSIGN_OR_RETURN(ReferenceResult reference,
+                            runReference(g, inputs));
+    CIMMLC_ASSIGN_OR_RETURN(
+        Schedule schedule, scheduleGraph(g, arch, ScheduleOptions::full()));
+    CodegenOptions options;
+    options.shifts = reference.shifts;
+    CIMMLC_ASSIGN_OR_RETURN(CodegenResult code,
+                            generateProgram(g, arch, schedule, options));
+    FunctionalSimulator sim(arch, code);
+    for (const auto &[tensor, value] : inputs)
+        CIMMLC_RETURN_IF_ERROR(sim.loadInput(g, tensor, value));
+    CIMMLC_RETURN_IF_ERROR(sim.run());
+    ArtifactHash outputs;
+    for (TensorId out : g.outputs()) {
+        CIMMLC_ASSIGN_OR_RETURN(const Int8Tensor value,
+                                sim.readTensor(g, out));
+        std::string bytes;
+        for (std::int64_t i = 0; i < value.numel(); ++i)
+            bytes.push_back(static_cast<char>(value[i]));
+        outputs.mix(bytes);
+    }
+    const FuncSimStats &s = sim.stats();
+    return strformat(
+        "%s %s ops=%lld cim_reads=%lld cim_writes=%lld macs=%lld "
+        "buffer_reads=%lld buffer_writes=%lld flow_ops=%lld outputs=%s",
+        model.c_str(), preset.c_str(),
+        static_cast<long long>(s.ops_executed),
+        static_cast<long long>(s.cim_reads),
+        static_cast<long long>(s.cim_writes),
+        static_cast<long long>(s.macs),
+        static_cast<long long>(s.buffer_reads),
+        static_cast<long long>(s.buffer_writes),
+        static_cast<long long>(code.program.counts().total()),
+        outputs.digest().c_str());
+}
+
+// The 25 model x preset pairs the service-mixed benchmark verifies. The
+// lines in tests/golden/funcsim_stats.txt were recorded with a simulator
+// that zero-filled every crossbar and L1 bank up front, so a match shows
+// that allocating state on first write moves no counter and no output.
+// On a mismatch the replayed lines are written to
+// funcsim_stats.txt.actual.
+TEST(FuncsimGoldenTest, ReplayMatchesRecordedStatsOnEveryPreset)
+{
+    std::ifstream in(std::string(CIMMLC_SOURCE_DIR) +
+                     "/tests/golden/funcsim_stats.txt");
+    std::stringstream expected;
+    expected << in.rdbuf();
+    std::string actual;
+    for (const char *model : {"mlp", "lenet5", "conv_relu_toy",
+                              "macro_cnn", "inception_toy"}) {
+        for (const std::string &preset : presets::availablePresets()) {
+            auto line = replayLine(model, preset);
+            ASSERT_TRUE(line.isOk())
+                << model << " x " << preset << ": "
+                << line.status().toString();
+            actual += line.value() + "\n";
+        }
+    }
+    if (expected.str() != actual) {
+        std::ofstream("funcsim_stats.txt.actual") << actual;
+        ADD_FAILURE() << "replay differs from tests/golden/funcsim_stats.txt"
+                      << " (actual lines written to "
+                         "funcsim_stats.txt.actual)";
+    }
+}
+
 // ----- simulator unit behaviour ----------------------------------------------
 
 class FuncsimFixture : public testing::Test
@@ -223,6 +330,192 @@ TEST(FuncsimUnitTest, ReadRowRespectsParallelRowLimit)
     code.program.emit(read);
     FunctionalSimulator sim(arch, code);
     EXPECT_FALSE(sim.run().isOk());
+}
+
+/**
+ * A hand-built flow on tutorialTable2's 32 x 32 logical arrays. L0
+ * holds two graph inputs, 32 activations at [0, 32) and 4 accumulators
+ * at [32, 36), and has room for a 33-column read into the latter.
+ */
+class HandFlowTest : public testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        acts_ = graph_.addInput("acts", {1, 32});
+        acc_ = graph_.addInput("acc", {1, 4});
+        code_.l0_elements = 128;
+        code_.l1_elements = 64;
+        code_.executable = true;
+        code_.tensor_offsets = {{acts_, 0}, {acc_, 32}};
+    }
+
+    /** writerow of @p rows rows at @p row on core 0 / xb 0; row r of
+     * the payload holds weight r + 1 in every column. */
+    void
+    writeRows(std::int64_t row, std::int64_t rows)
+    {
+        auto payload = std::make_shared<Int8Tensor>(TensorShape({rows, 4}));
+        for (std::int64_t r = 0; r < rows; ++r) {
+            for (std::int64_t c = 0; c < 4; ++c)
+                payload->at2(r, c) = static_cast<std::int8_t>(r + 1);
+        }
+        MetaOp op;
+        op.kind = MetaOpKind::kWriteRow;
+        op.row = row;
+        op.payload = payload;
+        code_.program.emit(op);
+    }
+
+    /** readxb of all 32 rows x 4 cols of core 0 / @p xb into acc. */
+    void
+    readAll(std::int64_t xb)
+    {
+        MetaOp op;
+        op.kind = MetaOpKind::kReadXb;
+        op.xb = xb;
+        op.rows = 32;
+        op.cols = 4;
+        op.src = {MemSpace::kL0, 0, 0};
+        op.dst = {MemSpace::kL0, 0, 32};
+        code_.program.emit(op);
+    }
+
+    /** Runs the flow with activation i + 1 on row i and @p acc in every
+     * accumulator. */
+    FunctionalSimulator
+    runWith(std::int8_t acc)
+    {
+        Int8Tensor acts(TensorShape({1, 32}));
+        for (std::int64_t i = 0; i < 32; ++i)
+            acts[i] = static_cast<std::int8_t>(i + 1);
+        Int8Tensor accs(TensorShape({1, 4}));
+        accs.fill(acc);
+        FunctionalSimulator sim(arch_, code_);
+        EXPECT_TRUE(sim.loadInput(graph_, acts_, acts).isOk());
+        EXPECT_TRUE(sim.loadInput(graph_, acc_, accs).isOk());
+        EXPECT_TRUE(sim.run().isOk());
+        return sim;
+    }
+
+    const CimArchitecture arch_ =
+        presets::tutorialTable2(ComputeMode::kWLM);
+    Graph graph_{"hand"};
+    TensorId acts_ = kInvalidTensor;
+    TensorId acc_ = kInvalidTensor;
+    CodegenResult code_;
+};
+
+TEST_F(HandFlowTest, ReadOverAllRowsReadsExactlyTheWrittenRows)
+{
+    writeRows(20, 4);
+    readAll(0);
+    FunctionalSimulator sim = runWith(0);
+    // Rows 20..23 hold weights 1..4 and activations 21..24.
+    for (std::int64_t j = 0; j < 4; ++j)
+        EXPECT_EQ(sim.l0At(32 + j), 21 * 1 + 22 * 2 + 23 * 3 + 24 * 4);
+    EXPECT_EQ(sim.stats().macs, 32 * 4);
+    EXPECT_EQ(sim.stats().buffer_reads, 32);
+    EXPECT_EQ(sim.stats().buffer_writes, 4);
+}
+
+TEST_F(HandFlowTest, LowerRowWriteKeepsHigherRows)
+{
+    writeRows(20, 4);
+    writeRows(2, 1);
+    readAll(0);
+    FunctionalSimulator sim = runWith(0);
+    for (std::int64_t j = 0; j < 4; ++j)
+        EXPECT_EQ(sim.l0At(32 + j),
+                  3 * 1 + 21 * 1 + 22 * 2 + 23 * 3 + 24 * 4);
+}
+
+TEST_F(HandFlowTest, ReadOfUnwrittenArrayLeavesDstButCountsMacs)
+{
+    writeRows(20, 4);
+    readAll(1);
+    FunctionalSimulator sim = runWith(5);
+    for (std::int64_t j = 0; j < 4; ++j)
+        EXPECT_EQ(sim.l0At(32 + j), 5);
+    EXPECT_EQ(sim.stats().macs, 32 * 4);
+}
+
+TEST_F(HandFlowTest, MovFromUntouchedBankCopiesZeros)
+{
+    MetaOp mov;
+    mov.kind = MetaOpKind::kMov;
+    mov.src = {MemSpace::kL1, 1, 8};
+    mov.dst = {MemSpace::kL0, 0, 32};
+    mov.len = 4;
+    code_.program.emit(mov);
+    FunctionalSimulator sim = runWith(7);
+    for (std::int64_t j = 0; j < 4; ++j)
+        EXPECT_EQ(sim.l0At(32 + j), 0);
+    EXPECT_EQ(sim.stats().buffer_reads, 4);
+}
+
+TEST_F(HandFlowTest, AddIntoUntouchedBankReadsItsOwnWrites)
+{
+    // dst = src + 1 element on one fresh bank: each element reads the
+    // one the op wrote before it, as when every bank is allocated up
+    // front.
+    MetaOp add;
+    add.kind = MetaOpKind::kDcom;
+    add.func = dcomfunc::kAdd;
+    add.src = {MemSpace::kL1, 0, 0};
+    add.mutableSrc2() = {MemSpace::kL0, 0, 0};
+    add.dst = {MemSpace::kL1, 0, 1};
+    add.len = 4;
+    code_.program.emit(add);
+    MetaOp mov;
+    mov.kind = MetaOpKind::kMov;
+    mov.src = {MemSpace::kL1, 0, 1};
+    mov.dst = {MemSpace::kL0, 0, 32};
+    mov.len = 4;
+    code_.program.emit(mov);
+    FunctionalSimulator sim = runWith(0);
+    // Activations are 1, 2, 3, 4: running sums of the bank's own writes.
+    EXPECT_EQ(sim.l0At(32), 1);
+    EXPECT_EQ(sim.l0At(33), 3);
+    EXPECT_EQ(sim.l0At(34), 6);
+    EXPECT_EQ(sim.l0At(35), 10);
+}
+
+TEST_F(HandFlowTest, CrossbarAccessOutsideTheArrayIsOutOfRange)
+{
+    const auto outcome = [this](const MetaOp &op) {
+        code_.program = MopProgram(graph_.name(), "WLM");
+        code_.program.emit(op);
+        FunctionalSimulator sim(arch_, code_);
+        return sim.run().code();
+    };
+    MetaOp write;
+    write.kind = MetaOpKind::kWriteRow;
+    write.row = -4;
+    write.payload = std::make_shared<Int8Tensor>(TensorShape({4, 4}));
+    EXPECT_EQ(outcome(write), StatusCode::kOutOfRange);
+
+    MetaOp read;
+    read.kind = MetaOpKind::kReadRow;
+    read.row = 24;
+    read.len = 16; // rows 24..39 of 32
+    read.cols = 4;
+    read.src = {MemSpace::kL0, 0, 0};
+    read.dst = {MemSpace::kL0, 0, 32};
+    EXPECT_EQ(outcome(read), StatusCode::kOutOfRange);
+    read.row = -1;
+    read.len = 4;
+    EXPECT_EQ(outcome(read), StatusCode::kOutOfRange);
+    read.row = 0;
+    read.cols = 33; // 32 logical columns
+    EXPECT_EQ(outcome(read), StatusCode::kOutOfRange);
+    read.kind = MetaOpKind::kReadXb;
+    read.rows = 33;
+    read.cols = 4;
+    EXPECT_EQ(outcome(read), StatusCode::kOutOfRange);
+    read.rows = 32;
+    EXPECT_EQ(outcome(read), StatusCode::kOk);
 }
 
 TEST(FuncsimUnitTest, BufferOverrunCaught)

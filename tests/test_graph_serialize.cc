@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strutil.h"
 #include "graph/models.h"
 #include "graph/reference.h"
 #include "graph/serialize.h"
@@ -118,6 +119,28 @@ TEST(GraphSerializeTest, RejectsMalformedDocuments)
         "nodes": [{"op": "relu", "name": "r", "inputs": ["x"]}],
         "outputs": ["nope"]
     })").isOk());
+}
+
+TEST(GraphSerializeTest, DimsMustBeIntegers)
+{
+    for (const char *bad : {"\"4\"", "4.5", "1e300"}) {
+        auto input = graphFromText(strformat(R"({
+            "inputs": [{"name": "x", "dims": [1, %s]}],
+            "nodes": [{"op": "relu", "name": "r", "inputs": ["x"]}],
+            "outputs": ["r"]
+        })", bad));
+        ASSERT_FALSE(input.isOk()) << bad;
+        EXPECT_EQ(input.status().code(), StatusCode::kParseError) << bad;
+        auto reshape = graphFromText(strformat(R"({
+            "inputs": [{"name": "x", "dims": [1, 4]}],
+            "nodes": [{"op": "reshape", "name": "r", "inputs": ["x"],
+                       "dims": [%s, 1]}],
+            "outputs": ["r"]
+        })", bad));
+        ASSERT_FALSE(reshape.isOk()) << bad;
+        EXPECT_EQ(reshape.status().code(), StatusCode::kParseError)
+            << bad;
+    }
 }
 
 TEST(GraphSerializeTest, FileRoundTrip)
