@@ -1,6 +1,8 @@
 #include "mop/analyzer.h"
 
 #include <algorithm>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -293,14 +295,20 @@ struct OpEffects {
     }
 };
 
+/** Appends [begin, end) relative to @p addr. A region at a negative
+ * base address, or reaching below element 0 or past
+ * kMaxBufferElements, is left to the structural check. */
 void
 addRegion(std::vector<RegionRef> *out, const BufAddr &addr,
           std::int64_t begin, std::int64_t end)
 {
-    if (addr.offset < 0 || begin >= end)
+    RegionRef ref{keyOf(addr), 0, 0};
+    if (addr.offset < 0 || begin >= end ||
+        __builtin_add_overflow(addr.offset, begin, &ref.begin) ||
+        __builtin_add_overflow(addr.offset, end, &ref.end) ||
+        ref.begin < 0 || ref.end > kMaxBufferElements)
         return;
-    out->push_back(RegionRef{keyOf(addr), addr.offset + begin,
-                             addr.offset + end});
+    out->push_back(ref);
 }
 
 void
@@ -310,27 +318,96 @@ addExtent(std::vector<RegionRef> *out, const BufAddr &addr,
     addRegion(out, addr, 0, extent);
 }
 
+/** Appends [begin * scale, end * scale) relative to @p addr, unless a
+ * product overflows int64. */
+void
+addScaled(std::vector<RegionRef> *out, const BufAddr &addr,
+          std::int64_t begin, std::int64_t end, std::int64_t scale)
+{
+    std::int64_t lo = 0, hi = 0;
+    if (!__builtin_mul_overflow(begin, scale, &lo) &&
+        !__builtin_mul_overflow(end, scale, &hi))
+        addRegion(out, addr, lo, hi);
+}
+
+/** The product of @p factors; 0 (no extent) when one is negative or the
+ * product overflows int64, as in a malformed parsed op. */
+std::int64_t
+product(std::initializer_list<std::int64_t> factors)
+{
+    std::int64_t result = 1;
+    for (const std::int64_t factor : factors) {
+        if (factor < 0 || __builtin_mul_overflow(result, factor, &result))
+            return 0;
+    }
+    return result;
+}
+
+/** convOutDim; 0 (no output) for a stride below 1 or a window that
+ * overflows int64, as in a malformed parsed op. */
+std::int64_t
+outDim(std::int64_t in, std::int64_t kernel, std::int64_t stride,
+       std::int64_t padding)
+{
+    std::int64_t span = 0;
+    if (stride < 1 || __builtin_mul_overflow(padding, 2, &span) ||
+        __builtin_add_overflow(span, in, &span) ||
+        __builtin_sub_overflow(span, kernel, &span))
+        return 0;
+    return convOutDim(in, kernel, stride, padding);
+}
+
 //! strided movs beyond this many blocks fall back to their hull
 constexpr std::int64_t kMaxMovBlocks = 1024;
+//! convs beyond this many output channels write their planes' hull (no
+//! bundled model has more than 2,048, so emitted flows never do)
+constexpr std::int64_t kMaxConvChannels = 65536;
 
+/**
+ * A strided operand of @p count blocks of @p len elements, @p stride
+ * apart: each block at its own base, or the hull of all blocks when
+ * they are more than @p max_blocks or run downwards. Operands with no
+ * blocks or a hull past int64 are left to the structural check.
+ */
 void
 addStrided(std::vector<RegionRef> *out, const BufAddr &addr,
-           std::int64_t len, std::int64_t count, std::int64_t stride)
+           std::int64_t len, std::int64_t count, std::int64_t stride,
+           std::int64_t max_blocks = kMaxMovBlocks)
 {
-    if (len <= 0 || count <= 0)
+    const std::optional<Footprint> hull = stridedHull(len, count, stride);
+    if (!hull)
         return;
-    if (count <= kMaxMovBlocks && stride >= 0) {
+    if (count <= max_blocks && stride >= 0) {
         for (std::int64_t b = 0; b < count; ++b) {
             BufAddr block = addr;
-            block.offset += b * stride;
+            if (__builtin_add_overflow(addr.offset, b * stride,
+                                       &block.offset))
+                return;
             addExtent(out, block, len);
         }
         return;
     }
-    const std::int64_t span = stride * (count - 1);
-    const std::int64_t lo = std::min<std::int64_t>(0, span);
-    const std::int64_t hi = std::max<std::int64_t>(0, span) + len;
-    addRegion(out, addr, lo, hi);
+    addRegion(out, addr, hull->lo, hull->hi);
+}
+
+/** The writes of a conv readcore: each output channel's rows [w0, w1)
+ * of its OH x OW plane, blocks of (w1 - w0) * OW elements, a plane
+ * apart. */
+void
+addConvWindows(std::vector<RegionRef> *out, const BufAddr &dst,
+               std::int64_t channels, std::int64_t OH, std::int64_t OW,
+               std::int64_t w0, std::int64_t w1)
+{
+    BufAddr first = dst;
+    std::int64_t skip = 0, rows = 0;
+    const std::int64_t plane = product({OH, OW});
+    if (dst.offset < 0 || plane == 0 ||
+        __builtin_mul_overflow(w0, OW, &skip) ||
+        __builtin_add_overflow(dst.offset, skip, &first.offset) ||
+        __builtin_sub_overflow(w1, w0, &rows))
+        return;
+    addStrided(out, first, product({rows, OW}), channels, plane,
+               kMaxConvChannels);
 }
 
 /** Fills @p fx (cleared first, so callers can reuse one scratch). */
@@ -347,26 +424,20 @@ computeEffects(const MetaOp &op, OpEffects *fx)
         const CoreOpParams &p = op.coreParams();
         if (p.is_conv) {
             const std::int64_t OH =
-                convOutDim(p.in_h, p.kernel, p.stride, p.padding);
+                outDim(p.in_h, p.kernel, p.stride, p.padding);
             const std::int64_t OW =
-                convOutDim(p.in_w, p.kernel, p.stride, p.padding);
+                outDim(p.in_w, p.kernel, p.stride, p.padding);
             if (OH <= 0 || OW <= 0)
                 break;
             addExtent(&fx->reads, op.src,
-                      p.in_channels * p.in_h * p.in_w);
-            const std::int64_t w0 = p.win_begin;
-            const std::int64_t w1 = p.win_end > 0 ? p.win_end : OH;
-            for (std::int64_t o = 0; o < p.out_channels; ++o) {
-                addRegion(&fx->writes, op.dst, (o * OH + w0) * OW,
-                          (o * OH + w1) * OW);
-            }
+                      product({p.in_channels, p.in_h, p.in_w}));
+            addConvWindows(&fx->writes, op.dst, p.out_channels, OH, OW,
+                           p.win_begin, p.win_end > 0 ? p.win_end : OH);
         } else {
             const std::int64_t w0 = p.win_begin;
             const std::int64_t w1 = p.win_end > 0 ? p.win_end : 1;
-            addRegion(&fx->reads, op.src, w0 * p.in_features,
-                      w1 * p.in_features);
-            addRegion(&fx->writes, op.dst, w0 * p.out_features,
-                      w1 * p.out_features);
+            addScaled(&fx->reads, op.src, w0, w1, p.in_features);
+            addScaled(&fx->writes, op.dst, w0, w1, p.out_features);
         }
         break;
       }
@@ -377,8 +448,9 @@ computeEffects(const MetaOp &op, OpEffects *fx)
         break;
       }
       case MetaOpKind::kReadRow: {
-        fx->xb_reads.push_back(
-            XbRef{op.core, op.xb, op.row, op.row + op.len});
+        std::int64_t end = 0;
+        if (!__builtin_add_overflow(op.row, op.len, &end))
+            fx->xb_reads.push_back(XbRef{op.core, op.xb, op.row, end});
         addExtent(&fx->reads, op.src, op.len);
         addExtent(&fx->accums, op.dst, op.cols);
         break;
@@ -392,10 +464,9 @@ computeEffects(const MetaOp &op, OpEffects *fx)
         std::int64_t rows = op.len;
         if (op.payload && op.payload->shape().rank() > 0)
             rows = op.payload->shape().dim(0);
-        if (rows > 0) {
-            fx->xb_writes.push_back(
-                XbRef{op.core, op.xb, row_base, row_base + rows});
-        }
+        std::int64_t end = 0;
+        if (rows > 0 && !__builtin_add_overflow(row_base, rows, &end))
+            fx->xb_writes.push_back(XbRef{op.core, op.xb, row_base, end});
         break;
       }
       case MetaOpKind::kDcom: {
@@ -416,22 +487,21 @@ computeEffects(const MetaOp &op, OpEffects *fx)
         } else if (op.func == dcomfunc::kMaxPool ||
                    op.func == dcomfunc::kAvgPool) {
             addExtent(&fx->reads, op.src,
-                      p.channels * p.in_h * p.in_w);
+                      product({p.channels, p.in_h, p.in_w}));
             const std::int64_t oh =
-                convOutDim(p.in_h, p.kernel, p.stride, p.padding);
+                outDim(p.in_h, p.kernel, p.stride, p.padding);
             const std::int64_t ow =
-                convOutDim(p.in_w, p.kernel, p.stride, p.padding);
-            if (oh > 0 && ow > 0)
-                addExtent(&fx->writes, op.dst, p.channels * oh * ow);
+                outDim(p.in_w, p.kernel, p.stride, p.padding);
+            addExtent(&fx->writes, op.dst, product({p.channels, oh, ow}));
         } else if (op.func == dcomfunc::kGlobalAvgPool) {
             addExtent(&fx->reads, op.src,
-                      p.channels * p.in_h * p.in_w);
+                      product({p.channels, p.in_h, p.in_w}));
             addExtent(&fx->writes, op.dst, p.channels);
         } else if (op.func == dcomfunc::kMatMul) {
             const std::int64_t m = p.in_h, k = p.in_w, n = p.channels;
-            addExtent(&fx->reads, op.src, m * k);
-            addExtent(&fx->reads, op.src2(), k * n);
-            addExtent(&fx->writes, op.dst, m * n);
+            addExtent(&fx->reads, op.src, product({m, k}));
+            addExtent(&fx->reads, op.src2(), product({k, n}));
+            addExtent(&fx->writes, op.dst, product({m, n}));
         }
         // Unknown functions are reported by the structural pass.
         break;
@@ -503,6 +573,8 @@ class Analyzer
         countStmts(program.compute(), &result->statements, &result->ops);
 
         for (const LiveInRegion &region : options_.live_in) {
+            if (region.begin < 0 || region.end > kMaxBufferElements)
+                continue;
             BufKey key;
             key.space = region.space;
             key.core = region.space == MemSpace::kL1 ? region.core : 0;
@@ -614,12 +686,18 @@ class Analyzer
               case Stmt::Kind::kRepeat: {
                 // Two passes expose loop-carried dataflow (a store at
                 // the end of the body read at the start of the next
-                // iteration) without unrolling; findings dedup. Both
-                // passes see the same statement indices.
+                // iteration) and its capacity without unrolling;
+                // findings dedup. Both passes see the same statement
+                // indices. Race findings depend only on a block's
+                // arms, so the second pass does not look for them.
                 const int passes = stmt.repeat > 1 ? 2 : 1;
+                const bool replaying = replaying_;
                 std::int64_t next = index;
-                for (int p = 0; p < passes; ++p)
+                for (int p = 0; p < passes; ++p) {
+                    replaying_ = replaying || p > 0;
                     next = walkStmts(stmt.body, index);
+                }
+                replaying_ = replaying;
                 index = next;
                 break;
               }
@@ -1280,12 +1358,14 @@ class Analyzer
         std::vector<MopDiagnostic> *saved = block_diags_;
         block_diags_ = &local;
 
-        // Race detection over the arms' footprints. A linear endpoint
-        // sweep decides whether any conflicting overlap exists at all;
-        // only then does the quadratic pairwise pass run to produce the
-        // canonical (arm-order-invariant) report. Clean blocks — the
-        // overwhelming majority — stay O(E log E).
-        if (mayConflict(block)) {
+        // Race detection over the arms' footprints, once per block: a
+        // replayed repeat body would only repeat the findings. A
+        // linear endpoint sweep decides whether any conflicting
+        // overlap exists at all; only then does the quadratic pairwise
+        // pass run to produce the canonical (arm-order-invariant)
+        // report. Clean blocks — the overwhelming majority — stay
+        // O(E log E).
+        if (!replaying_ && mayConflict(block)) {
             std::vector<ArmSummary> summaries(block.body.size());
             for (std::size_t i = 0; i < block.body.size(); ++i)
                 summarizeArm(block.body[i], &summaries[i]);
@@ -1541,94 +1621,123 @@ class Analyzer
      * Live-range sweep over one buffer's events: a region is live from
      * each def to its last use before the next def (defs with no later
      * use stay live to the end — program outputs are read externally).
-     * Streamed through an interval map of open def chains, so cost
-     * scales with the event count, not with region widths.
+     * The events' endpoints cut the buffer into elementary segments,
+     * each holding the open def chain of its elements, so the cost is
+     * O(events + segments touched + timestamps), not region widths.
      */
     Peak
     peakLive(const std::vector<Event> &events, std::int64_t t_end)
     {
-        // One open def chain per element range with uniform state; the
-        // map key is the range begin.
-        struct Chain {
-            std::int64_t end = 0;       //!< element range end
-            std::int64_t def_t = 0;     //!< defining timestamp
-            std::int64_t last_use = -2; //!< latest use, < def_t if none
+        if (events.empty())
+            return Peak{};
+        // Rank the endpoints once: event i spans segments
+        // [rank_[2i], rank_[2i + 1]), and segment s is
+        // [cuts_[s], cuts_[s + 1]).
+        endpoints_.clear();
+        endpoints_.reserve(2 * events.size());
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            endpoints_.push_back(Endpoint{events[i].begin, 2 * i});
+            endpoints_.push_back(Endpoint{events[i].end, 2 * i + 1});
+        }
+        std::sort(endpoints_.begin(), endpoints_.end(),
+                  [](const Endpoint &x, const Endpoint &y) {
+                      return x.pos < y.pos;
+                  });
+        cuts_.clear();
+        rank_.resize(endpoints_.size());
+        for (const Endpoint &e : endpoints_) {
+            if (cuts_.empty() || cuts_.back() != e.pos)
+                cuts_.push_back(e.pos);
+            rank_[e.slot] = cuts_.size() - 1;
+        }
+        const std::size_t segments = cuts_.size() - 1;
+        chains_.assign(segments, Chain{});
+
+        // (timestamp, live-element change) pairs. The chains one def,
+        // or the program end, closes with the same def and end add one
+        // pair for their total width.
+        deltas_.clear();
+        std::int64_t run_def = kNoChain, run_end = 0, run_width = 0;
+        const auto flush = [this, &run_def, &run_end, &run_width]() {
+            if (run_width > 0) {
+                deltas_.emplace_back(run_def, run_width);
+                deltas_.emplace_back(run_end + 1, -run_width);
+            }
+            run_width = 0;
         };
-        std::map<std::int64_t, Chain> open;
-        // (timestamp, live-element change) pairs
-        std::vector<std::pair<std::int64_t, std::int64_t>> &deltas =
-            deltas_;
-        deltas.clear();
-        const auto splitAt = [&open](std::int64_t pos) {
-            auto it = open.upper_bound(pos);
-            if (it == open.begin())
-                return;
-            --it;
-            if (it->first >= pos || it->second.end <= pos)
-                return;
-            Chain tail = it->second;
-            it->second.end = pos;
-            open.emplace_hint(std::next(it), pos, tail);
+        const auto closeChain = [&](std::size_t s, std::int64_t live_end) {
+            if (run_width > 0 &&
+                (run_def != chains_[s].def || run_end != live_end))
+                flush();
+            run_def = chains_[s].def;
+            run_end = live_end;
+            run_width += cuts_[s + 1] - cuts_[s];
         };
-        const auto closeChain = [&deltas](std::int64_t begin,
-                                          const Chain &c) {
-            const std::int64_t width = c.end - begin;
-            const std::int64_t live_end =
-                c.last_use >= c.def_t ? c.last_use : c.def_t;
-            deltas.emplace_back(c.def_t, width);
-            deltas.emplace_back(live_end + 1, -width);
-        };
-        for (const Event &ev : events) {
-            splitAt(ev.begin);
-            splitAt(ev.end);
-            auto it = open.lower_bound(ev.begin);
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            const Event &ev = events[i];
+            const std::size_t first = rank_[2 * i], last = rank_[2 * i + 1];
             if (!ev.is_def) {
                 // Uses outside any chain are use-before-def — reported
-                // elsewhere, ignored here. Touching chains of one def
-                // now share their state, so they merge.
-                auto prev = open.end();
-                while (it != open.end() && it->first < ev.end) {
-                    it->second.last_use = ev.t;
-                    if (prev != open.end() && prev->second.end == it->first &&
-                        prev->second.def_t == it->second.def_t) {
-                        prev->second.end = it->second.end;
-                        it = open.erase(it);
-                    } else {
-                        prev = it++;
-                    }
+                // elsewhere, ignored here.
+                for (std::size_t s = first; s < last; ++s) {
+                    if (chains_[s].def != kNoChain)
+                        chains_[s].use = ev.t;
                 }
                 continue;
             }
             // Defs at the same timestamp (parallel arms) extend the same
-            // chain; a later def closes it. Either way the whole range
-            // ends up as one chain defined now (a use at the def's own
-            // timestamp does not extend its live range).
-            const auto first = it;
-            for (; it != open.end() && it->first < ev.end; ++it) {
-                if (it->second.def_t != ev.t)
-                    closeChain(it->first, it->second);
+            // chain; a later def closes it. Either way the range ends
+            // up defined now (a use at the def's own timestamp does not
+            // extend its live range).
+            for (std::size_t s = first; s < last; ++s) {
+                Chain &chain = chains_[s];
+                if (chain.def != kNoChain && chain.def != ev.t)
+                    closeChain(s, std::max(chain.use, chain.def));
+                chain = Chain{ev.t, -2};
             }
-            open.erase(first, it);
-            open.emplace_hint(it, ev.begin, Chain{ev.end, ev.t, -2});
+            flush();
         }
         // Chains never redefined stay live to the program end.
-        for (const auto &[begin, chain] : open) {
-            deltas.emplace_back(chain.def_t, chain.end - begin);
-            deltas.emplace_back(t_end + 1, begin - chain.end);
+        for (std::size_t s = 0; s < segments; ++s) {
+            if (chains_[s].def != kNoChain)
+                closeChain(s, t_end);
         }
+        flush();
+        return peakOfDeltas(events.front().t, t_end + 1);
+    }
 
-        // Only the live count after each timestamp matters: within one,
-        // frees before allocations can never exceed the count after it.
-        std::sort(deltas.begin(), deltas.end(),
+    /**
+     * The highest live count after any timestamp in deltas_, which lie
+     * in [t_lo, t_hi], and the first timestamp reaching it. Within one
+     * timestamp frees before allocations can never exceed the count
+     * after it, so only per-timestamp sums matter: a dense array over
+     * the range when the pairs are many, a sort when they are few.
+     */
+    Peak
+    peakOfDeltas(std::int64_t t_lo, std::int64_t t_hi)
+    {
+        Peak peak;
+        std::int64_t live = 0;
+        const std::int64_t span = t_hi - t_lo + 1;
+        if (span <= 16 * static_cast<std::int64_t>(deltas_.size())) {
+            live_at_.assign(static_cast<std::size_t>(span), 0);
+            for (const auto &[t, change] : deltas_)
+                live_at_[static_cast<std::size_t>(t - t_lo)] += change;
+            for (std::int64_t i = 0; i < span; ++i) {
+                live += live_at_[static_cast<std::size_t>(i)];
+                if (live > peak.elems)
+                    peak = Peak{live, t_lo + i};
+            }
+            return peak;
+        }
+        std::sort(deltas_.begin(), deltas_.end(),
                   [](const auto &x, const auto &y) {
                       return x.first < y.first;
                   });
-        Peak peak;
-        std::int64_t live = 0;
-        for (std::size_t i = 0; i < deltas.size();) {
-            const std::int64_t t = deltas[i].first;
-            for (; i < deltas.size() && deltas[i].first == t; ++i)
-                live += deltas[i].second;
+        for (std::size_t i = 0; i < deltas_.size();) {
+            const std::int64_t t = deltas_[i].first;
+            for (; i < deltas_.size() && deltas_[i].first == t; ++i)
+                live += deltas_[i].second;
             if (live > peak.elems)
                 peak = Peak{live, t};
         }
@@ -1690,6 +1799,7 @@ class Analyzer
     AnalyzeOptions options_;
     const char *section_ = "";
     std::int64_t time_ = 0;
+    bool replaying_ = false; //!< in a repeat body's second pass
 
     std::vector<MopDiagnostic> diags_;
     std::vector<MopDiagnostic> *block_diags_ = nullptr;
@@ -1714,7 +1824,25 @@ class Analyzer
     std::vector<SweepEv> sweep_;
     std::vector<CoreAcc> core_acc_;
     std::vector<int> open_[3]; //!< per category: open intervals per arm
+
+    // Capacity sweep scratch (see peakLive).
+    static constexpr std::int64_t kNoChain =
+        std::numeric_limits<std::int64_t>::min();
+    struct Endpoint {
+        std::int64_t pos = 0;
+        std::size_t slot = 0; //!< 2 * event index, + 1 for its end
+    };
+    std::vector<Endpoint> endpoints_;
+    std::vector<std::size_t> rank_;       //!< per endpoint slot
+    std::vector<std::int64_t> cuts_;      //!< segment boundaries
+    /** The open def chain of one segment's elements. */
+    struct Chain {
+        std::int64_t def = kNoChain; //!< defining timestamp, if any
+        std::int64_t use = -2;       //!< latest use, < def if none
+    };
+    std::vector<Chain> chains_; //!< per segment
     std::vector<std::pair<std::int64_t, std::int64_t>> deltas_;
+    std::vector<std::int64_t> live_at_; //!< dense per-timestamp sums
 };
 
 } // namespace

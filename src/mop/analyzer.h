@@ -4,7 +4,11 @@
  *
  * Walks the sequential / `parallel {}` / `repeat N {}` structure of a
  * MopProgram and checks properties the structural validator cannot see
- * because they span statements:
+ * because they span statements. A `repeat` body of count > 1 is walked
+ * twice: the second walk sees what the first left behind, as the next
+ * iteration would, so loop-carried dataflow and live ranges across
+ * iterations are checked without unrolling. Races are checked in the
+ * first walk only; they depend on nothing but the block. The checks:
  *
  *  - def-before-use on buffer regions (use-before-def-buffer), crossbar
  *    weights (use-before-def-xbar, xbar-overwrite) and core state
@@ -59,7 +63,8 @@
 namespace cimmlc {
 
 /** A buffer region defined before the program runs (e.g. a graph input
- * loaded by the host, or a scratch area owned by the caller). */
+ * loaded by the host, or a scratch area owned by the caller). A region
+ * outside [0, kMaxBufferElements) is ignored. */
 struct LiveInRegion {
     MemSpace space = MemSpace::kL0;
     std::int64_t core = 0; //!< L1 bank (ignored for L0)

@@ -60,6 +60,11 @@ struct BufAddr {
     bool operator==(const BufAddr &) const = default;
 };
 
+//! Element offsets stay below this (2^59, far past any buffer), so sums
+//! of region widths fit in int64. The structural check reports a region
+//! that reaches past it, and mopcheck leaves that region out.
+inline constexpr std::int64_t kMaxBufferElements = std::int64_t{1} << 59;
+
 /** Renders like "L0[4096]" or "L1c3[128]". */
 std::string bufAddrToString(const BufAddr &addr);
 

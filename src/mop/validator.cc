@@ -1,5 +1,6 @@
 #include "mop/validator.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -114,9 +115,27 @@ class Validator
     checkBufAddr(const BufAddr &addr, std::int64_t extent,
                  const MetaOp &op, std::int64_t index)
     {
-        if (addr.offset < 0 || extent < 0) {
+        return checkBufAddr(addr, Footprint{0, extent}, op, index);
+    }
+
+    /** Checks the elements [offset + lo, offset + hi) of @p addr; a
+     * null footprint is one that overflowed int64. */
+    bool
+    checkBufAddr(const BufAddr &addr, const std::optional<Footprint> &fp,
+                 const MetaOp &op, std::int64_t index)
+    {
+        std::int64_t first = 0, end = 0;
+        const bool fits =
+            fp && !__builtin_add_overflow(addr.offset, fp->lo, &first) &&
+            !__builtin_add_overflow(addr.offset, fp->hi, &end);
+        if (addr.offset < 0 || (fits && (first < 0 || fp->hi < 0))) {
             add(index, check::kAddr, StatusCode::kOutOfRange,
                 "negative buffer address in " + op.toString());
+            return false;
+        }
+        if (!fits || end > kMaxBufferElements) {
+            add(index, check::kAddr, StatusCode::kOutOfRange,
+                "buffer extent past 2^59 elements in " + op.toString());
             return false;
         }
         if (addr.space == MemSpace::kL1) {
@@ -129,11 +148,11 @@ class Validator
             if (arch_.core.l1_size_kib > 0) {
                 const std::int64_t capacity = static_cast<std::int64_t>(
                     arch_.core.l1_size_kib * 1024.0 / 4.0);
-                if (addr.offset + extent > capacity) {
+                if (end > capacity) {
                     add(index, check::kAddr, StatusCode::kOutOfRange,
                         strformat(
                             "L1 overflow (%lld > %lld elems) in %s",
-                            static_cast<long long>(addr.offset + extent),
+                            static_cast<long long>(end),
                             static_cast<long long>(capacity),
                             op.toString().c_str()));
                     return false;
@@ -143,10 +162,10 @@ class Validator
                    && arch_.chip.l0_size_kib > 0) {
             const std::int64_t capacity = static_cast<std::int64_t>(
                 arch_.chip.l0_size_kib * 1024.0 / 4.0);
-            if (addr.offset + extent > capacity) {
+            if (end > capacity) {
                 add(index, check::kAddr, StatusCode::kOutOfRange,
                     strformat("L0 overflow (%lld > %lld elems) in %s",
-                              static_cast<long long>(addr.offset + extent),
+                              static_cast<long long>(end),
                               static_cast<long long>(capacity),
                               op.toString().c_str()));
                 return false;
@@ -202,7 +221,9 @@ class Validator
         }
         switch (op.kind) {
           case MetaOpKind::kReadXb: {
-            if (op.xb + op.len > arch_.core.xbNumber()) {
+            // The bounds are written so that parsed fields cannot
+            // overflow them (op.xb is already in range).
+            if (op.len > arch_.core.xbNumber() - op.xb) {
                 add(index, check::kGeometry, StatusCode::kOutOfRange,
                     "readxb len exceeds crossbars in " + op.toString());
                 return;
@@ -213,7 +234,13 @@ class Validator
                         op.toString());
                 return;
             }
-            if (op.cols > arch_.logicalColsPerCrossbar() * op.len) {
+            // cols > logical cols * len: a product past int64 is below
+            // every cols when len < 0 and above every cols otherwise.
+            std::int64_t cols = 0;
+            if (__builtin_mul_overflow(arch_.logicalColsPerCrossbar(),
+                                       op.len, &cols)
+                    ? op.len < 0
+                    : op.cols > cols) {
                 add(index, check::kGeometry, StatusCode::kOutOfRange,
                     "readxb cols exceed capacity in " + op.toString());
                 return;
@@ -224,7 +251,7 @@ class Validator
             break;
           }
           case MetaOpKind::kReadRow: {
-            if (op.row < 0 || op.row + op.len > arch_.xbar.rows) {
+            if (op.row < 0 || op.len > arch_.xbar.rows - op.row) {
                 add(index, check::kGeometry, StatusCode::kOutOfRange,
                     "readrow range exceeds crossbar in " + op.toString());
                 return;
@@ -262,7 +289,7 @@ class Validator
                 return;
             }
             if (op.kind == MetaOpKind::kWriteRow &&
-                (op.row < 0 || op.row + op.len > arch_.xbar.rows)) {
+                (op.row < 0 || op.len > arch_.xbar.rows - op.row)) {
                 add(index, check::kGeometry, StatusCode::kOutOfRange,
                     "writerow range exceeds crossbar in " +
                         op.toString());
@@ -311,13 +338,12 @@ class Validator
                     "mov len/count must be positive in " + op.toString());
                 return;
             }
-            const std::int64_t src_extent =
-                op.src_stride * (op.count - 1) + op.len;
-            const std::int64_t dst_extent =
-                op.dst_stride * (op.count - 1) + op.len;
-            if (!checkBufAddr(op.src, src_extent, op, index))
+            if (!checkBufAddr(op.src,
+                              stridedHull(op.len, op.count, op.src_stride),
+                              op, index))
                 return;
-            checkBufAddr(op.dst, dst_extent, op, index);
+            checkBufAddr(op.dst, stridedHull(op.len, op.count, op.dst_stride),
+                         op, index);
             break;
           }
           case MetaOpKind::kReadCore:
@@ -334,6 +360,17 @@ class Validator
 };
 
 } // namespace
+
+std::optional<Footprint>
+stridedHull(std::int64_t len, std::int64_t count, std::int64_t stride)
+{
+    std::int64_t span = 0, hi = 0;
+    if (len < 1 || count < 1 ||
+        __builtin_mul_overflow(stride, count - 1, &span) ||
+        __builtin_add_overflow(std::max<std::int64_t>(span, 0), len, &hi))
+        return std::nullopt;
+    return Footprint{std::min<std::int64_t>(span, 0), hi};
+}
 
 std::vector<MopDiagnostic>
 collectProgramDiagnostics(const MopProgram &program,

@@ -14,6 +14,8 @@
 #ifndef CIMMLC_MOP_VALIDATOR_H
 #define CIMMLC_MOP_VALIDATOR_H
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "arch/arch.h"
@@ -39,6 +41,22 @@ struct ValidateOptions {
      */
     bool enforce_l0_capacity = true;
 };
+
+/** Elements [lo, hi) around an operand's base address. */
+struct Footprint {
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+};
+
+/**
+ * The elements a strided operand of @p count blocks of @p len elements,
+ * @p stride apart, spans around its base address (a negative stride
+ * puts the later blocks below it); nullopt for a len or count below 1
+ * or a hull that does not fit in int64. The structural check bounds a
+ * mov by it, and mopcheck falls back to it for many or downward blocks.
+ */
+std::optional<Footprint> stridedHull(std::int64_t len, std::int64_t count,
+                                     std::int64_t stride);
 
 /**
  * Collect-all mode: every structural violation in @p program, in

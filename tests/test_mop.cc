@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -520,6 +521,142 @@ TEST_F(ValidatorTest, L1CapacityChecked)
     mov.len = 100; // 200 + 100 > 256
     program.emit(mov);
     EXPECT_FALSE(validateProgram(program, arch).isOk());
+}
+
+/** The one structural finding of a program holding just @p mov. */
+std::vector<MopDiagnostic>
+movFindings(const MetaOp &mov, const CimArchitecture &arch)
+{
+    MopProgram program("p", arch.mode == ComputeMode::kWLM ? "WLM" : "XBM");
+    program.emit(mov);
+    return collectProgramDiagnostics(program, arch);
+}
+
+TEST_F(ValidatorTest, NegativeStrideMovBoundedByItsLowestBlock)
+{
+    // Block 1 reads L0[-10, 30): below the buffer.
+    MetaOp mov = {};
+    mov.kind = MetaOpKind::kMov;
+    mov.src = {MemSpace::kL0, 0, 20};
+    mov.dst = {MemSpace::kL0, 0, 0};
+    mov.len = 40;
+    mov.count = 2;
+    mov.src_stride = -30;
+    mov.dst_stride = 40;
+    std::vector<MopDiagnostic> diags = movFindings(mov, arch_);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].check, "struct-addr");
+    EXPECT_NE(diags[0].message.find("negative buffer address"),
+              std::string::npos)
+        << diags[0].message;
+
+    // Blocks that run down but stay inside the buffer are fine.
+    mov.src_stride = -20;
+    EXPECT_TRUE(movFindings(mov, arch_).empty());
+}
+
+TEST_F(ValidatorTest, NegativeStrideMovBoundedByItsHighestBlock)
+{
+    const CimArchitecture arch = presets::puma(); // L1 = 256 elements
+    // Block 0 is L1c0[251, 261); block 1 runs down to [241, 251).
+    MetaOp mov = {};
+    mov.kind = MetaOpKind::kMov;
+    mov.src = {MemSpace::kL1, 0, 251};
+    mov.dst = {MemSpace::kL0, 0, 0};
+    mov.len = 10;
+    mov.count = 2;
+    mov.src_stride = -10;
+    mov.dst_stride = 10;
+    std::vector<MopDiagnostic> diags = movFindings(mov, arch);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].check, "struct-addr");
+    EXPECT_NE(diags[0].message.find("L1 overflow (261 > 256 elems)"),
+              std::string::npos)
+        << diags[0].message;
+
+    // As is the same overrun with the stride running up.
+    mov.src_stride = 10;
+    diags = movFindings(mov, arch);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_NE(diags[0].message.find("L1 overflow (271 > 256 elems)"),
+              std::string::npos)
+        << diags[0].message;
+}
+
+TEST_F(ValidatorTest, MovExtentPastTheElementBoundIsAnAddressFinding)
+{
+    MetaOp mov = {};
+    mov.kind = MetaOpKind::kMov;
+    mov.src = {MemSpace::kL0, 0, 0};
+    mov.dst = {MemSpace::kL0, 0, 0};
+    mov.len = 1;
+    mov.count = 3;
+    mov.src_stride = std::numeric_limits<std::int64_t>::max() / 2 + 1;
+    std::vector<MopDiagnostic> diags = movFindings(mov, arch_);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].check, "struct-addr");
+    EXPECT_NE(diags[0].message.find("past 2^59 elements"), std::string::npos)
+        << diags[0].message;
+
+    // An in-range hull whose base pushes it past int64 as well, and one
+    // that stays in int64 but ends past the element bound.
+    mov.src_stride = 1;
+    mov.src.offset = std::numeric_limits<std::int64_t>::max() - 1;
+    diags = movFindings(mov, arch_);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_NE(diags[0].message.find("past 2^59 elements"), std::string::npos)
+        << diags[0].message;
+    mov.src.offset = kMaxBufferElements - 2;
+    diags = movFindings(mov, arch_);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_NE(diags[0].message.find("past 2^59 elements"), std::string::npos)
+        << diags[0].message;
+}
+
+TEST_F(ValidatorTest, MovWithNoBlocksHasNoHull)
+{
+    // count - 1 would overflow int64 for the lowest count.
+    constexpr std::int64_t kLowest = std::numeric_limits<std::int64_t>::min();
+    EXPECT_FALSE(stridedHull(1, kLowest, 1).has_value());
+    EXPECT_FALSE(stridedHull(1, 0, 1).has_value());
+    EXPECT_FALSE(stridedHull(kLowest, 2, 1).has_value());
+
+    MetaOp mov = {};
+    mov.kind = MetaOpKind::kMov;
+    mov.src = {MemSpace::kL0, 0, 0};
+    mov.dst = {MemSpace::kL0, 0, 0};
+    mov.len = 1;
+    mov.count = kLowest;
+    mov.src_stride = -1;
+    const std::vector<MopDiagnostic> diags = movFindings(mov, arch_);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].check, "struct-mov");
+}
+
+TEST_F(ValidatorTest, CrossbarRangeChecksTakeExtremeFields)
+{
+    // Each bound would overflow int64 if computed as written in the
+    // check's message: row + len, and logical cols * len.
+    MopProgram program("p", "WLM");
+    MetaOp row = {};
+    row.kind = MetaOpKind::kReadRow;
+    row.row = 1;
+    row.len = std::numeric_limits<std::int64_t>::max();
+    program.emit(row);
+    MetaOp xb = {};
+    xb.kind = MetaOpKind::kReadXb;
+    xb.len = std::numeric_limits<std::int64_t>::min();
+    xb.cols = 1;
+    program.emit(xb);
+    const std::vector<MopDiagnostic> diags =
+        collectProgramDiagnostics(program, arch_);
+    ASSERT_EQ(diags.size(), 2u);
+    EXPECT_NE(diags[0].message.find("readrow range exceeds crossbar"),
+              std::string::npos)
+        << diags[0].message;
+    EXPECT_NE(diags[1].message.find("readxb cols exceed capacity"),
+              std::string::npos)
+        << diags[1].message;
 }
 
 } // namespace

@@ -3,13 +3,15 @@
  * Tests for "mopcheck", the meta-operator dataflow analyzer: per-check
  * fault triggers (use-before-def, races, capacity, dead stores, unused
  * programming), live-range capacity semantics, shuffle invariance of
- * parallel-block findings, repeat-body deduplication, the collect-all
+ * parallel-block findings, repeat-body deduplication (races reported
+ * once per block however often its body is replayed), the collect-all
  * structural mode, fault injection into compiled flows, and a
  * clean-on-all-presets golden over fast model/arch pairs.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -217,6 +219,50 @@ TEST(MopAnalyzerTest, UseBeforeDefCore)
     const AnalyzeResult result = analyzeProgram(program, arch, options);
     EXPECT_TRUE(hasCheck(result, "use-before-def-core"))
         << result.table();
+}
+
+TEST(MopAnalyzerTest, LowestCountsLeaveNoFootprint)
+{
+    // A parsed mov count or conv channel count at the int64 minimum
+    // has no blocks; only the structural check reports it.
+    constexpr std::int64_t kLowest = std::numeric_limits<std::int64_t>::min();
+    const CimArchitecture arch =
+        presets::tutorialTable2(ComputeMode::kWLM);
+    MopProgram program("p", "WLM");
+    MetaOp mov = movOp({MemSpace::kL0, 0, 0}, {MemSpace::kL0, 0, 64}, 4);
+    mov.count = kLowest;
+    mov.src_stride = -1;
+    mov.dst_stride = -1;
+    program.emit(mov);
+    MetaOp conv;
+    conv.kind = MetaOpKind::kReadCore;
+    conv.core = 0;
+    CoreOpParams &params = conv.mutableCoreParams();
+    params.is_conv = true;
+    params.in_channels = 1;
+    params.in_h = 4;
+    params.in_w = 4;
+    params.out_channels = kLowest;
+    params.kernel = 3;
+    params.stride = 1;
+    params.padding = 1;
+    conv.src = {MemSpace::kL0, 0, 0};
+    conv.dst = {MemSpace::kL0, 0, 64};
+    program.emit(conv);
+
+    for (const bool executable : {true, false}) {
+        AnalyzeOptions options = dataflowOnly();
+        options.executable = executable;
+        options.live_in.push_back(liveIn(MemSpace::kL0, 0, 0, 16));
+        const AnalyzeResult dataflow = analyzeProgram(program, arch, options);
+        EXPECT_FALSE(hasCheck(dataflow, "use-before-def-buffer"))
+            << dataflow.table();
+        EXPECT_EQ(dataflow.l0_peak_live_elems, 16) << dataflow.table();
+
+        options.structural = true;
+        const AnalyzeResult full = analyzeProgram(program, arch, options);
+        EXPECT_TRUE(hasCheck(full, "struct-mov")) << full.table();
+    }
 }
 
 // ----- races in parallel blocks -------------------------------------------
@@ -429,6 +475,34 @@ TEST(MopAnalyzerTest, CapacityLiveRangesEndAtLastUse)
     EXPECT_EQ(result.l1_peak_live_elems, 200);
 }
 
+TEST(MopAnalyzerTest, CapacityFindingAnchorsAtTheFirstPeak)
+{
+    CimArchitecture arch = presets::tutorialTable2(ComputeMode::kXBM);
+    arch.core.l1_size_kib = 0.0625; // 16 elements
+    // Bank 1 peaks at 20 elements twice: at statement 0, whose value is
+    // never read, and again at the last statement. Between them run
+    // `gap` L0 ops, so bank 1 sees few live-range changes over few
+    // (gap 1) or many (gap 100) timestamps.
+    for (const int gap : {1, 100}) {
+        MopProgram program("p", "XBM");
+        program.emit(zeroOp({MemSpace::kL1, 1, 0}, 20));
+        for (int i = 0; i < gap; ++i)
+            program.emit(zeroOp({MemSpace::kL0, 0, 0}, 4));
+        program.emit(zeroOp({MemSpace::kL1, 1, 0}, 20));
+
+        const AnalyzeResult result =
+            analyzeProgram(program, arch, dataflowOnly());
+        EXPECT_EQ(result.l1_peak_live_elems, 20);
+        const auto it = std::find_if(result.diagnostics.begin(),
+                                     result.diagnostics.end(),
+                                     [](const MopDiagnostic &d) {
+                                         return d.check == "capacity-l1";
+                                     });
+        ASSERT_NE(it, result.diagnostics.end()) << result.table();
+        EXPECT_EQ(it->stmt_index, 0) << "gap " << gap;
+    }
+}
+
 TEST(MopAnalyzerTest, CapacityL0FollowsEnforcementKnob)
 {
     CimArchitecture arch = presets::tutorialTable2(ComputeMode::kXBM);
@@ -489,6 +563,94 @@ TEST(MopAnalyzerTest, RepeatLoopCarriedDefUseIsClean)
                                 {MemSpace::kL0, 0, 64}, 16))}));
     EXPECT_TRUE(hasCheck(analyzeProgram(clobber, arch, dataflowOnly()),
                          "dead-store"));
+}
+
+/** A parallel block with overlapping writes (arms 0 and 1), a write vs
+ * read overlap (arms 1 and 2) and a clean arm 3, arms in @p order. */
+Stmt
+racyBlock(const std::vector<int> &order)
+{
+    const std::vector<Stmt> arms = {
+        Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 0}, 16)),
+        Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 8}, 16)),
+        Stmt::makeOp(reluOp({MemSpace::kL0, 0, 20},
+                            {MemSpace::kL0, 0, 100}, 8)),
+        Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 200}, 8))};
+    std::vector<Stmt> body;
+    body.reserve(order.size());
+    for (int arm : order)
+        body.push_back(arms[static_cast<std::size_t>(arm)]);
+    return Stmt::makeParallel(std::move(body));
+}
+
+/** "check|section|index|message" of each race finding, in order. */
+std::vector<std::string>
+raceFindings(const AnalyzeResult &result)
+{
+    std::vector<std::string> out;
+    for (const MopDiagnostic &diag : result.diagnostics) {
+        if (diag.check.rfind("race-", 0) == 0) {
+            out.push_back(diag.check + "|" + diag.section + "|" +
+                          std::to_string(diag.stmt_index) + "|" +
+                          diag.message);
+        }
+    }
+    return out;
+}
+
+TEST(MopAnalyzerTest, RepeatedRacyBlockReportsItsRacesOnce)
+{
+    const CimArchitecture arch =
+        presets::tutorialTable2(ComputeMode::kXBM);
+    AnalyzeOptions options = dataflowOnly();
+    options.live_in.push_back(liveIn(MemSpace::kL0, 0, 0, 300));
+    auto lint = [&](std::int64_t count, const std::vector<int> &order) {
+        MopProgram program("p", "XBM");
+        program.emit(zeroOp({MemSpace::kL0, 0, 300}, 4));
+        program.compute().push_back(
+            Stmt::makeRepeat(count, {racyBlock(order)}));
+        return raceFindings(analyzeProgram(program, arch, options));
+    };
+
+    const std::vector<std::string> once = lint(1, {0, 1, 2, 3});
+    ASSERT_EQ(once.size(), 2u);
+    EXPECT_EQ(once[0].rfind("race-read-write|compute|2|", 0), 0u)
+        << once[0];
+    EXPECT_EQ(once[1].rfind("race-write-write|compute|2|", 0), 0u)
+        << once[1];
+    for (const std::vector<int> &order :
+         {std::vector<int>{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1},
+          {1, 3, 0, 2}}) {
+        EXPECT_EQ(lint(1, order), once);
+        EXPECT_EQ(lint(4, order), once);
+    }
+}
+
+TEST(MopAnalyzerTest, NestedRepeatInReplayedBodyReportsItsRacesOnce)
+{
+    const CimArchitecture arch =
+        presets::tutorialTable2(ComputeMode::kXBM);
+    AnalyzeOptions options = dataflowOnly();
+    options.live_in.push_back(liveIn(MemSpace::kL0, 0, 0, 300));
+
+    // Statement 0 is the outer repeat, 1 a zero, 2 the inner repeat and
+    // 3 the racy block; the outer body is walked twice, the inner body
+    // twice per outer pass.
+    MopProgram program("p", "XBM");
+    program.compute().push_back(Stmt::makeRepeat(
+        3, {Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 300}, 4)),
+            Stmt::makeRepeat(2, {racyBlock({2, 0, 3, 1})})}));
+    const AnalyzeResult result = analyzeProgram(program, arch, options);
+
+    // The same block at the same statement index, walked once.
+    MopProgram flat("p", "XBM");
+    for (int i = 0; i < 3; ++i)
+        flat.emit(zeroOp({MemSpace::kL0, 0, 300}, 4));
+    flat.compute().push_back(racyBlock({0, 1, 2, 3}));
+    EXPECT_EQ(raceFindings(result),
+              raceFindings(analyzeProgram(flat, arch, options)))
+        << result.table();
+    EXPECT_EQ(raceFindings(result).size(), 2u) << result.table();
 }
 
 // ----- structural pass integration ----------------------------------------

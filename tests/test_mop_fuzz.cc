@@ -5,15 +5,19 @@
  * error or a valid program, never crash or hang, and whatever parses
  * must print -> parse -> print unchanged. The seeds carry every operand
  * the parser stores out of line (CoreOpParams, DcomParams, src2) and
- * DCOM names it has to intern.
+ * DCOM names it has to intern. Every mutated flow that parses also goes
+ * through mopcheck, on both its executable and its compressed subset:
+ * findings are fine, a crash, a hang or a sanitizer report is not.
  */
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "arch/presets.h"
 #include "compiler/session.h"
 #include "fuzz_mutate.h"
+#include "mop/analyzer.h"
 #include "mop/parser.h"
 #include "mop/printer.h"
 
@@ -94,6 +98,8 @@ TEST(MopFuzzTest, MutatedFlowsErrorOrRoundTrip)
     int parsed = 0;
     for (const char *arch :
          {"isaac-baseline", "jain-jssc21", "puma", "jia-isscc21"}) {
+        auto target = presets::byName(arch);
+        ASSERT_TRUE(target.isOk()) << arch;
         const std::string seed = printedLenet5(arch);
         ASSERT_FALSE(seed.empty()) << arch;
         auto program = parseProgram(seed);
@@ -108,6 +114,15 @@ TEST(MopFuzzTest, MutatedFlowsErrorOrRoundTrip)
                 continue;
             }
             ++parsed;
+            // Findings are fine; the analysis has to return.
+            for (const bool executable : {true, false}) {
+                AnalyzeOptions lint;
+                lint.executable = executable;
+                const AnalyzeResult result =
+                    analyzeProgram(first.value(), target.value(), lint);
+                EXPECT_LE(result.ops, result.statements)
+                    << arch << " case " << round;
+            }
             const std::string printed = printProgram(first.value(), options);
             auto second = parseProgram(printed);
             ASSERT_TRUE(second.isOk())
