@@ -27,8 +27,7 @@ readGrid(const ConfigValue &tier, const std::string &array_key,
     if (tier.has(count_key)) {
         // A plain count lays endpoints out in a single row.
         *rows = 1;
-        *cols = tier.getIntOr(count_key, 1);
-        return Status::ok();
+        return readIntegerKey(tier, count_key, cols);
     }
     return Status::ok(); // keep defaults
 }
@@ -73,10 +72,10 @@ archFromConfig(const ConfigValue &doc)
     CIMMLC_ASSIGN_OR_RETURN(
         arch.mode, parseComputeMode(doc.getStringOr("computing_mode",
                                                     "XBM")));
-    arch.weight_bits =
-        static_cast<int>(doc.getIntOr("weight_bits", 8));
-    arch.activation_bits =
-        static_cast<int>(doc.getIntOr("activation_bits", 8));
+    CIMMLC_RETURN_IF_ERROR(
+        readIntegerKey(doc, "weight_bits", &arch.weight_bits));
+    CIMMLC_RETURN_IF_ERROR(
+        readIntegerKey(doc, "activation_bits", &arch.activation_bits));
 
     if (doc.has("chip_tier")) {
         CIMMLC_ASSIGN_OR_RETURN(ConfigValue tier, doc.get("chip_tier"));
@@ -121,15 +120,19 @@ archFromConfig(const ConfigValue &doc)
                 !integerValue(size.asArray()[1], &arch.xbar.cols))
                 return parseError("xb_size entries must be integers");
         }
-        arch.xbar.parallel_row =
-            tier.getIntOr("parallel_row", arch.xbar.rows);
-        arch.xbar.dac_bits = static_cast<int>(tier.getIntOr("dac", 1));
-        arch.xbar.adc_bits = static_cast<int>(tier.getIntOr("adc", 8));
+        arch.xbar.parallel_row = arch.xbar.rows;
+        CIMMLC_RETURN_IF_ERROR(readIntegerKey(tier, "parallel_row",
+                                              &arch.xbar.parallel_row));
+        CIMMLC_RETURN_IF_ERROR(
+            readIntegerKey(tier, "dac", &arch.xbar.dac_bits));
+        CIMMLC_RETURN_IF_ERROR(
+            readIntegerKey(tier, "adc", &arch.xbar.adc_bits));
         CIMMLC_ASSIGN_OR_RETURN(
             arch.xbar.cell_type,
             parseCellType(tier.getStringOr("type", "ReRAM")));
-        arch.xbar.cell_bits =
-            static_cast<int>(tier.getIntOr("precision", 1));
+        arch.xbar.cell_bits = 1;
+        CIMMLC_RETURN_IF_ERROR(
+            readIntegerKey(tier, "precision", &arch.xbar.cell_bits));
     }
 
     CIMMLC_RETURN_IF_ERROR(arch.validate());

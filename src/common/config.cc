@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -150,6 +151,29 @@ integerValue(const ConfigValue &item, std::int64_t *out)
         return false;
     *out = static_cast<std::int64_t>(value);
     return true;
+}
+
+Status
+readIntegerKey(const ConfigValue &doc, const std::string &key,
+               std::int64_t *out)
+{
+    if (!doc.has(key))
+        return Status::ok();
+    if (!integerValue(doc.asObject().at(key), out))
+        return parseError(key + " must be an integer");
+    return Status::ok();
+}
+
+Status
+readIntegerKey(const ConfigValue &doc, const std::string &key, int *out)
+{
+    std::int64_t value = *out;
+    CIMMLC_RETURN_IF_ERROR(readIntegerKey(doc, key, &value));
+    if (value < std::numeric_limits<int>::min()
+        || value > std::numeric_limits<int>::max())
+        return parseError(key + " is out of range for an int");
+    *out = static_cast<int>(value);
+    return Status::ok();
 }
 
 std::string

@@ -100,6 +100,17 @@ class ConfigValue
  */
 bool integerValue(const ConfigValue &item, std::int64_t *out);
 
+/**
+ * Reads the optional integer member @p key of object @p doc into
+ * @p out through integerValue(); an absent key leaves @p out unchanged.
+ * A member that is not an integer, or for the int overload lies
+ * outside int, is a parse error naming @p key.
+ */
+Status readIntegerKey(const ConfigValue &doc, const std::string &key,
+                      std::int64_t *out);
+Status readIntegerKey(const ConfigValue &doc, const std::string &key,
+                      int *out);
+
 /** Parses a kvjson document from text. */
 StatusOr<ConfigValue> parseConfig(const std::string &text);
 

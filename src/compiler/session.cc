@@ -1,6 +1,10 @@
 #include "compiler/session.h"
 
 #include <chrono>
+#include <climits>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "arch/presets.h"
 #include "arch/serialize.h"
@@ -15,6 +19,24 @@
 #include "sched/multi_level.h"
 
 namespace cimmlc {
+
+namespace {
+
+#if defined(__GLIBC__)
+// A compile grows the heap by up to hundreds of MiB of statement
+// vectors and frees them all when its flow goes. glibc would return
+// the top of the heap above its dynamic trim threshold (at most
+// 64 MiB) to the kernel, and the next compile in this process would
+// fault the same pages back in, zero-filled. Keeping the heap makes
+// the next compile reuse it. This runs before main, so before any
+// worker thread starts; sanitizer runtimes replace malloc, which
+// leaves this a no-op there. A block of 128 KiB or more that the kept
+// heap cannot serve is still mapped afresh (DESIGN.md, "Heap reuse
+// across compiles").
+[[maybe_unused]] const int kHeapKept = mallopt(M_TRIM_THRESHOLD, INT_MAX);
+#endif
+
+} // namespace
 
 const char *
 compileStageName(CompileStage stage)
@@ -637,8 +659,11 @@ CompilerSession::stageKey(CompileStage stage,
             mix_codegen_inputs();
         break;
       case CompileStage::kVerify:
-        // Verify unrolls and executes the emitted flow, so it chains
-        // from the same inputs as codegen, plus the stimulus seed.
+        // Verify does not execute the emitted flow: it schedules the
+        // graph again under artifacts.options, calibrates requant
+        // shifts on the reference, and replays its own unrolled flow.
+        // The codegen inputs cover those options, plus the stimulus
+        // seed.
         mix_codegen_inputs();
         hash.mix(static_cast<std::int64_t>(request_.verify_seed));
         break;

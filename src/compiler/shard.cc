@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "arch/serialize.h"
 #include "cache/artifact_cache.h"
 #include "common/strutil.h"
 #include "graph/models.h"
@@ -332,7 +333,7 @@ dseSpecDigest(const DseSpec &spec)
     hash.mix(spec.model);
     hash.mix(spec.model_file);
     hash.mix(spec.model_text);
-    hash.mix(spec.base_arch.toString());
+    hash.mix(archToConfig(spec.base_arch).dump(false));
     hash.mix(spec.options.toString());
     hash.mix(spec.tune);
     hash.mix(tuneObjectiveName(spec.objective));

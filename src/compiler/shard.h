@@ -85,8 +85,9 @@ mergeBatchShards(const BatchSweep &sweep,
 
 // ----- arch-dse sharding ----------------------------------------------------
 
-/** Digest of the resolved DSE spec (workload, base arch, sweep axes,
- * options, engine, lint) a shard belongs to. */
+/** Digest of the resolved DSE spec (workload, every archToConfig()
+ * field of the base arch, sweep axes, options, engine, lint) a shard
+ * belongs to. */
 std::string dseSpecDigest(const DseSpec &spec);
 
 /** A spec must be exhaustive (no budget) and untuned to shard; the

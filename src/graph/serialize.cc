@@ -106,11 +106,17 @@ graphFromConfig(const ConfigValue &doc)
         switch (kind) {
           case OpKind::kConv2d: {
             Conv2dAttrs a;
-            a.out_channels = node.getIntOr("out_channels", 0);
-            a.kernel_h = node.getIntOr("kernel", 1);
-            a.kernel_w = node.getIntOr("kernel_w", a.kernel_h);
-            a.stride = node.getIntOr("stride", 1);
-            a.padding = node.getIntOr("padding", 0);
+            CIMMLC_RETURN_IF_ERROR(
+                readIntegerKey(node, "out_channels", &a.out_channels));
+            a.kernel_h = 1;
+            CIMMLC_RETURN_IF_ERROR(
+                readIntegerKey(node, "kernel", &a.kernel_h));
+            a.kernel_w = a.kernel_h;
+            CIMMLC_RETURN_IF_ERROR(
+                readIntegerKey(node, "kernel_w", &a.kernel_w));
+            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "stride", &a.stride));
+            CIMMLC_RETURN_IF_ERROR(
+                readIntegerKey(node, "padding", &a.padding));
             if (a.out_channels <= 0)
                 return parseError("conv2d needs positive out_channels");
             attrs = a;
@@ -118,7 +124,8 @@ graphFromConfig(const ConfigValue &doc)
           }
           case OpKind::kLinear: {
             LinearAttrs a;
-            a.out_features = node.getIntOr("out_features", 0);
+            CIMMLC_RETURN_IF_ERROR(
+                readIntegerKey(node, "out_features", &a.out_features));
             if (a.out_features <= 0)
                 return parseError("linear needs positive out_features");
             attrs = a;
@@ -127,15 +134,17 @@ graphFromConfig(const ConfigValue &doc)
           case OpKind::kMaxPool2d:
           case OpKind::kAvgPool2d: {
             Pool2dAttrs a;
-            a.kernel = node.getIntOr("kernel", 2);
-            a.stride = node.getIntOr("stride", a.kernel);
-            a.padding = node.getIntOr("padding", 0);
+            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "kernel", &a.kernel));
+            a.stride = a.kernel;
+            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "stride", &a.stride));
+            CIMMLC_RETURN_IF_ERROR(
+                readIntegerKey(node, "padding", &a.padding));
             attrs = a;
             break;
           }
           case OpKind::kMatMul: {
             MatMulAttrs a;
-            a.heads = node.getIntOr("heads", 1);
+            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "heads", &a.heads));
             a.transpose_rhs = node.getBoolOr("transpose_rhs", false);
             attrs = a;
             break;

@@ -85,7 +85,7 @@ std::int64_t metaOpActiveCrossbars(const MetaOp &op,
  * Accumulates @p op's energy into @p energy, weighted by @p multiplier
  * (the product of enclosing repeat counts). Shared by the discrete-event
  * engine (perfsim/event/event_engine.h) and the trace walk
- * (perfsim/trace_engine.h), so the two price energy identically and
+ * (tests/trace_engine.h), so the two price energy identically and
  * differ only in timing.
  */
 void accountMetaOpEnergy(const MetaOp &op, double duration,

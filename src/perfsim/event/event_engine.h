@@ -4,7 +4,7 @@
  * against per-resource ready queues with occupancy-based contention,
  * in the style of computational-memory pipeline simulators.
  *
- * Where the trace engine (perfsim/trace_engine.h) starts every arm of
+ * Where the trace walk (tests/trace_engine.h) starts every arm of
  * a `parallel { }` block at the same cycle regardless of what the arms
  * touch, this engine serializes ops that contend for the same physical
  * resource — a crossbar, a core, an L0/L1 buffer port, a NoC link, or

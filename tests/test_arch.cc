@@ -346,5 +346,46 @@ TEST(SerializeTest, GridAndSizeEntriesMustBeIntegers)
     }
 }
 
+TEST(SerializeTest, IntegerKeysMustBeIntegers)
+{
+    const struct {
+        const char *tier; // nullptr: a top-level key
+        const char *key;
+        bool is_int;      // the field is an int, not an int64
+    } slots[] = {{nullptr, "weight_bits", true},
+                 {nullptr, "activation_bits", true},
+                 {"chip_tier", "core_number", false},
+                 {"core_tier", "xb_number", false},
+                 {"xb_tier", "parallel_row", false},
+                 {"xb_tier", "dac", true},
+                 {"xb_tier", "adc", true},
+                 {"xb_tier", "precision", true}};
+    const auto document = [](const auto &slot, const char *value) {
+        const std::string member = strformat(R"("%s": %s)", slot.key, value);
+        return slot.tier == nullptr
+                   ? "{" + member + "}"
+                   : strformat(R"({"%s": {%s}})", slot.tier,
+                               member.c_str());
+    };
+    for (const auto &slot : slots) {
+        const auto good = archFromText(document(slot, "2"));
+        ASSERT_TRUE(good.isOk()) << slot.key << ": "
+                                 << good.status().toString();
+        std::vector<const char *> bad_values = {"\"2\"", "1.5", "1e300"};
+        if (slot.is_int)
+            bad_values.push_back("1e10"); // wraps in an int cast
+        for (const char *bad : bad_values) {
+            const std::string text = document(slot, bad);
+            const auto arch = archFromText(text);
+            ASSERT_FALSE(arch.isOk()) << text;
+            EXPECT_EQ(arch.status().code(), StatusCode::kParseError)
+                << text;
+            EXPECT_NE(arch.status().message().find(slot.key),
+                      std::string::npos)
+                << arch.status().toString();
+        }
+    }
+}
+
 } // namespace
 } // namespace cimmlc

@@ -143,6 +143,52 @@ TEST(GraphSerializeTest, DimsMustBeIntegers)
     }
 }
 
+TEST(GraphSerializeTest, IntegerAttributesMustBeIntegers)
+{
+    const struct {
+        const char *op;
+        const char *input_dims;
+        const char *key;
+        const char *other_attrs; // the node's other required attributes
+    } slots[] = {
+        {"conv2d", "[1, 3, 8, 8]", "out_channels", R"(, "kernel": 3)"},
+        {"conv2d", "[1, 3, 8, 8]", "kernel", R"(, "out_channels": 4)"},
+        {"conv2d", "[1, 3, 8, 8]", "kernel_w", R"(, "out_channels": 4)"},
+        {"conv2d", "[1, 3, 8, 8]", "stride", R"(, "out_channels": 4)"},
+        {"conv2d", "[1, 3, 8, 8]", "padding", R"(, "out_channels": 4)"},
+        {"linear", "[1, 16]", "out_features", ""},
+        {"maxpool2d", "[1, 3, 8, 8]", "kernel", ""},
+        {"maxpool2d", "[1, 3, 8, 8]", "stride", ""},
+        {"maxpool2d", "[1, 3, 8, 8]", "padding", ""},
+        {"matmul", "[1, 4, 4]", "heads", ""},
+    };
+    const auto document = [](const auto &slot, const char *value) {
+        const char *second_input =
+            std::string(slot.op) == "matmul" ? R"(, "x")" : "";
+        return strformat(R"({
+            "inputs": [{"name": "x", "dims": %s}],
+            "nodes": [{"op": "%s", "name": "n", "inputs": ["x"%s],
+                       "%s": %s%s}],
+            "outputs": ["n"]
+        })", slot.input_dims, slot.op, second_input, slot.key, value,
+                         slot.other_attrs);
+    };
+    for (const auto &slot : slots) {
+        const auto good = graphFromText(document(slot, "1"));
+        ASSERT_TRUE(good.isOk()) << slot.op << "." << slot.key << ": "
+                                 << good.status().toString();
+        for (const char *bad : {"\"2\"", "1.5", "1e300"}) {
+            const auto graph = graphFromText(document(slot, bad));
+            ASSERT_FALSE(graph.isOk()) << slot.op << "." << slot.key
+                                       << " = " << bad;
+            EXPECT_EQ(graph.status().code(), StatusCode::kParseError);
+            EXPECT_NE(graph.status().message().find(slot.key),
+                      std::string::npos)
+                << graph.status().toString();
+        }
+    }
+}
+
 TEST(GraphSerializeTest, FileRoundTrip)
 {
     const std::string path = testing::TempDir() + "/cimmlc_graph.json";

@@ -18,9 +18,9 @@
 #include "graph/models.h"
 #include "perfsim/event/event_engine.h"
 #include "perfsim/perf_engine.h"
-#include "perfsim/trace_engine.h"
 #include "sched/codegen.h"
 #include "sched/multi_level.h"
+#include "trace_engine.h"
 
 namespace cimmlc {
 namespace {

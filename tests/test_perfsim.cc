@@ -11,9 +11,9 @@
 #include "graph/models.h"
 #include "perfsim/energy.h"
 #include "perfsim/perf_model.h"
-#include "perfsim/trace_engine.h"
 #include "sched/codegen.h"
 #include "sched/multi_level.h"
+#include "trace_engine.h"
 
 namespace cimmlc {
 namespace {

@@ -260,6 +260,55 @@ TEST(DseShardTest, TwoShardMergeMatchesSingleProcessRun)
               single.value().toConfig().dump(true));
 }
 
+TEST(DseShardTest, SpecDigestCoversTheWholeBaseArch)
+{
+    const DseSpec spec = smokeDseSpec();
+    std::vector<std::string> paths;
+    for (int s = 0; s < 2; ++s) {
+        ArchExplorer explorer(spec);
+        ASSERT_TRUE(explorer.restrictToShard(s, 2).isOk());
+        auto partial = explorer.explore();
+        ASSERT_TRUE(partial.isOk()) << partial.status().toString();
+        const std::string path =
+            testing::TempDir() + "/cimmlc_dse_arch_shard_"
+            + std::to_string(::getpid()) + "_" + std::to_string(s)
+            + ".json";
+        ASSERT_TRUE(saveConfigFile(
+                        path, dseShardToConfig(spec, ShardSpec{s, 2},
+                                               partial.value()))
+                        .isOk());
+        paths.push_back(path);
+    }
+    ASSERT_TRUE(mergeDseShards(spec, paths).isOk());
+
+    // Each variant changes one base-arch field that the arch's
+    // toString() omits, so only a digest over archToConfig() sees it.
+    const std::size_t cores = static_cast<std::size_t>(
+        spec.base_arch.chip.coreNumber());
+    const std::size_t xbars = static_cast<std::size_t>(
+        spec.base_arch.core.xbNumber());
+    std::vector<DseSpec> variants(6, spec);
+    variants[0].base_arch.chip.core_noc_bandwidth += 1.0;
+    variants[1].base_arch.core.xb_noc_bandwidth += 1.0;
+    variants[2].base_arch.chip.core_noc_cost.assign(cores * cores, 2.0);
+    variants[3].base_arch.core.xb_noc_cost.assign(xbars * xbars, 2.0);
+    variants[4].base_arch.weight_bits = 4;
+    variants[5].base_arch.activation_bits = 4;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        const DseSpec &variant = variants[i];
+        ASSERT_EQ(variant.base_arch.toString(), spec.base_arch.toString())
+            << "variant " << i;
+        EXPECT_NE(dseSpecDigest(variant), dseSpecDigest(spec))
+            << "variant " << i;
+        auto merged = mergeDseShards(variant, paths);
+        ASSERT_FALSE(merged.isOk()) << "variant " << i;
+        EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(merged.status().message().find("different sweep spec"),
+                  std::string::npos)
+            << merged.status().toString();
+    }
+}
+
 TEST(DseShardTest, ShardSliceEvaluatesOnlyOwnedCandidates)
 {
     const DseSpec spec = smokeDseSpec();

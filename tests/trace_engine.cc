@@ -1,4 +1,4 @@
-#include "perfsim/trace_engine.h"
+#include "trace_engine.h"
 
 #include <algorithm>
 #include <vector>

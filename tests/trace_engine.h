@@ -1,10 +1,11 @@
 /**
  * @file
- * Event-driven trace engine: replays a meta-operator flow with per-op
- * timing, tracks crossbar activation intervals for peak-power analysis,
- * and accumulates energy. This is the fine-grained counterpart to the
- * analytic model in perf_model.h — the two are cross-checked in the test
- * suite on small networks.
+ * The trace walk, the discrete-event engine's test oracle: replays a
+ * meta-operator flow with per-op timing, tracks crossbar activation
+ * intervals for peak-power analysis, and accumulates energy through the
+ * same accountMetaOpEnergy() as the event engine. test_perfsim and
+ * test_perf_engine cross-check it against the analytic model and the
+ * event engine on small networks.
  *
  * Timing semantics:
  *  - sequential statements advance the time cursor by each op's duration;
@@ -13,8 +14,8 @@
  *  - repeat blocks are measured once and scaled — activation peaks inside
  *    one iteration are representative of all iterations.
  */
-#ifndef CIMMLC_PERFSIM_TRACE_ENGINE_H
-#define CIMMLC_PERFSIM_TRACE_ENGINE_H
+#ifndef CIMMLC_TESTS_TRACE_ENGINE_H
+#define CIMMLC_TESTS_TRACE_ENGINE_H
 
 #include <string>
 
@@ -43,4 +44,4 @@ StatusOr<TraceReport> traceProgram(const MopProgram &program,
 
 } // namespace cimmlc
 
-#endif // CIMMLC_PERFSIM_TRACE_ENGINE_H
+#endif // CIMMLC_TESTS_TRACE_ENGINE_H
