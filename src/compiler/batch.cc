@@ -13,30 +13,17 @@ namespace cimmlc {
 
 namespace {
 
-/** Runs one job into @p entry; never throws or aborts on bad names.
- * @p cache is the sweep's shared tune memo (read only when tuning). */
+/** Runs one job into @p entry from @p base, the request every job of
+ * the sweep shares; never throws or aborts on bad names. */
 void
-compileJob(const BatchJob &job, const BatchSweep &sweep, TuneCache &cache,
+compileJob(const BatchJob &job, const CompileRequest &base,
            BatchEntry &entry)
 {
     entry.job = job;
 
-    CompileRequest request;
+    CompileRequest request = base;
     request.model = job.model;
     request.arch = job.arch;
-    request.options = sweep.options;
-    if (sweep.tune) {
-        // Job-level parallelism already fills the pool; tune serially
-        // inside the job so nested pools do not oversubscribe.
-        request.tune = true;
-        request.objective = sweep.objective;
-        request.tune_cache = &cache;
-        request.search_budget = sweep.budget;
-        request.threads = 1;
-    }
-    request.lint = sweep.lint || sweep.lint_strict;
-    request.lint_strict = sweep.lint_strict;
-    request.perf_engine = sweep.perf_engine;
 
     CompilerSession session(std::move(request));
     // Identity facts survive in the entry even when a later stage fails
@@ -143,25 +130,33 @@ runSweep(const BatchSweep &sweep, const std::vector<BatchJob> &jobs)
     if (jobs.empty())
         return invalidArgument("batch sweep has no jobs");
 
-    BatchResult result;
-    result.entries.resize(jobs.size());
-
     // One memo for the whole sweep: jobs that repeat a model x arch
     // pair reuse every candidate evaluation. Cached values are
     // bit-identical to fresh ones, so hits cannot perturb the output.
     TuneCache cache;
+    CompileRequest base;
+    CIMMLC_RETURN_IF_ERROR(sweep.knobs.applyKnobs(base));
+    if (base.tune) {
+        // Job-level parallelism already fills the pool; tune serially
+        // inside the job so nested pools do not oversubscribe.
+        base.tune_cache = &cache;
+        base.search_budget = sweep.budget;
+        base.threads = 1;
+    }
 
+    BatchResult result;
+    result.entries.resize(jobs.size());
     if (sweep.threads == 1) {
         // Serial reference path: the determinism tests compare against it.
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            compileJob(jobs[i], sweep, cache, result.entries[i]);
+            compileJob(jobs[i], base, result.entries[i]);
         return result;
     }
 
     ThreadPool pool(sweep.threads);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool.submit([&sweep, &jobs, &cache, &result, i] {
-            compileJob(jobs[i], sweep, cache, result.entries[i]);
+        pool.submit([&base, &jobs, &result, i] {
+            compileJob(jobs[i], base, result.entries[i]);
         });
     }
     pool.wait();
@@ -205,6 +200,10 @@ sweepFromConfig(const ConfigValue &doc)
     if (!doc.isObject())
         return parseError("sweep file must be a JSON object");
 
+    BatchSweep sweep;
+    CIMMLC_RETURN_IF_ERROR(readFileKnobs(
+        doc, "sweep", {"models", "archs", "threads", "budget"}, sweep.knobs));
+
     auto readNames = [&doc](const char *key)
         -> StatusOr<std::vector<std::string>> {
         CIMMLC_ASSIGN_OR_RETURN(const ConfigValue list, doc.get(key));
@@ -225,38 +224,16 @@ sweepFromConfig(const ConfigValue &doc)
                             readNames("models"));
     CIMMLC_ASSIGN_OR_RETURN(const std::vector<std::string> arch_names,
                             readNames("archs"));
-
-    BatchSweep sweep;
     CIMMLC_ASSIGN_OR_RETURN(sweep.jobs,
                             crossProductJobs(model_names, arch_names));
-    CIMMLC_ASSIGN_OR_RETURN(
-        sweep.options,
-        scheduleOptionsByName(doc.getStringOr("opt", "full")));
-    if (doc.getBoolOr("dual_mode", false))
-        sweep.options.dual_mode = true;
-    if (doc.getBoolOr("host_offload", false))
-        sweep.options.host_offload = true;
-    sweep.threads = static_cast<int>(doc.getIntOr("threads", 0));
+    CIMMLC_RETURN_IF_ERROR(readIntegerKey(doc, "threads", &sweep.threads));
     if (sweep.threads < 0)
         return invalidArgument("sweep 'threads' must be >= 0");
-    sweep.tune = doc.getBoolOr("tune", false);
-    CIMMLC_ASSIGN_OR_RETURN(
-        sweep.objective,
-        parseTuneObjective(doc.getStringOr("objective", "latency")));
     if (doc.has("budget")) {
         auto budget = searchBudgetFromConfig(doc.get("budget").value());
         if (!budget.isOk())
             return budget.status().withContext("sweep 'budget'");
         sweep.budget = budget.value();
-    }
-    sweep.lint_strict = doc.getBoolOr("lint_strict", false);
-    sweep.lint = doc.getBoolOr("lint", false) || sweep.lint_strict;
-    if (doc.has("perf_engine")) {
-        auto engine = parsePerfEngineKind(
-            doc.getStringOr("perf_engine", "closed_form"));
-        if (!engine.isOk())
-            return engine.status().withContext("sweep 'perf_engine'");
-        sweep.perf_engine = engine.value();
     }
     return sweep;
 }

@@ -12,7 +12,7 @@
  *   BatchSweep sweep;
  *   sweep.jobs = crossProductJobs({"resnet18", "vgg16"},
  *                                 {"isaac", "puma"}).value();
- *   sweep.tune = true; // optional per-job auto-tuning
+ *   sweep.knobs.tune = true; // optional per-job auto-tuning
  *   auto result = runSweep(sweep);
  *   std::cout << result.value().table();
  * @endcode
@@ -32,10 +32,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "compiler/session.h"
+#include "compiler/knobs.h"
 #include "perfsim/perf_model.h"
-#include "sched/autotune.h"
-#include "sched/options.h"
+#include "search/search_budget.h"
 
 namespace cimmlc {
 
@@ -74,24 +73,14 @@ struct BatchResult {
 /** Every setting of one sweep; sweepFromFile parses one from kvjson. */
 struct BatchSweep {
     std::vector<BatchJob> jobs;
-    ScheduleOptions options;
-    int threads = 0; //!< 0 = one per hardware thread, 1 = serial loop
-    //! auto-tune each job ("tune": true): the job compiles with the
-    //! configuration the AutoTuner selects for its (model, arch) pair
-    //! under objective instead of the fixed options
-    bool tune = false;
-    TuneObjective objective = TuneObjective::kLatency;
+    //! the knobs every job compiles with (search_budget is not read:
+    //! budget is); a linted job's finding counts land in BatchEntry and
+    //! grow the table a "lint" column
+    RpcCompileRequest knobs;
     //! per-job tuner evaluation budget ("budget": N or object); enables
     //! dominance pruning when tuning (see search/search_budget.h)
     SearchBudget budget;
-    //! mopcheck each job's flow ("lint": true); the finding counts land
-    //! in BatchEntry and the table grows a "lint" column
-    bool lint = false;
-    //! lint errors fail the job ("lint_strict"; implies lint); the
-    //! sweep itself still completes
-    bool lint_strict = false;
-    //! perf engine every job prices with ("perf_engine": name)
-    PerfEngineKind perf_engine = PerfEngineKind::kClosedForm;
+    int threads = 0; //!< 0 = one per hardware thread, 1 = serial loop
 };
 
 /**
@@ -101,7 +90,7 @@ struct BatchSweep {
  * always in @p jobs order regardless of thread timing. A tuned sweep
  * shares one TuneCache across the run, so jobs repeating a model x arch
  * pair reuse the evaluated candidates. The call itself only fails on
- * an empty job list.
+ * an empty job list or a knob value that names nothing.
  */
 StatusOr<BatchResult> runSweep(const BatchSweep &sweep,
                                const std::vector<BatchJob> &jobs);
@@ -126,23 +115,26 @@ crossProductJobs(const std::vector<std::string> &model_names,
  * Parses a sweep file:
  * @code
  *   {
- *     "models": ["resnet18", "vgg16"],  # required, model preset keys
- *     "archs": ["isaac", "puma"],       # required, arch preset keys
- *     "opt": "full",                    # none | cg | cg+mvm | full
- *     "dual_mode": false,               # per-segment resident arrays
- *     "host_offload": false,            # price digital runs on the host
- *     "threads": 0,                     # 0 = hardware concurrency
- *     "tune": false,                    # auto-tune each job's options
- *     "objective": "latency",           # latency | energy | edp
- *     "budget": 64,                     # tuner evaluation budget
- *     "lint": false,                    # mopcheck each job's flow
- *     "lint_strict": false,             # lint errors fail the job
- *     "perf_engine": "closed_form"      # closed_form | event
+ *     "models": ["resnet18", "vgg16"],  # required strings, model presets
+ *     "archs": ["isaac", "puma"],       # required strings, arch presets
+ *     "threads": 0,                     # int; 0 = hardware concurrency
+ *     "budget": 64,                     # number or object: tuner budget
+ *     "opt": "full",                    # string: none | cg | cg+mvm | full
+ *     "dual_mode": false,               # bool: resident dual-mode arrays
+ *     "host_offload": false,            # bool: digital runs on the host
+ *     "tune": false,                    # bool: auto-tune each job
+ *     "objective": "latency",           # string: latency | energy | edp
+ *     "lint": false,                    # bool: mopcheck each job's flow
+ *     "lint_strict": false,             # bool: lint errors fail the job
+ *     "perf_engine": "closed_form"      # string: closed_form | event
  *   }
  * @endcode
  *
- * "budget" takes a bare evaluation count or the object form
- * searchBudgetFromConfig accepts; it only applies to tuned sweeps.
+ * The knob keys (from "opt" on) are read by readFileKnobs(), as a
+ * compile frame reads them. A key of another kvjson type, or any other
+ * key, is an error naming it. "budget" takes a bare evaluation count
+ * or the object form searchBudgetFromConfig accepts; it only applies
+ * to tuned sweeps.
  */
 StatusOr<BatchSweep> sweepFromFile(const std::string &path);
 

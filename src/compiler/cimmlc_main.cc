@@ -4,11 +4,12 @@
  *
  * A thin client of the staged session API (compiler/session.h). Every
  * flag is one row of cimmlcFlags(): the compile knobs come from the
- * daemon protocol's table (daemon/protocol.h) and fill one
- * RpcCompileRequest, which a single compile maps in process through the
- * daemon's own RpcCompileRequest::applyKnobs and --connect sends to a
- * running cimmlcd. The same rows print --help and reject a flag that
- * the chosen mode does not read. `cimmlc --help` lists them.
+ * knob table (compiler/knobs.h) and fill one RpcCompileRequest, which
+ * a single compile maps in process through the daemon's own
+ * RpcCompileRequest::applyKnobs, --connect sends to a running cimmlcd,
+ * and --batch and --arch-dse overlay onto their file's knob record. The
+ * same rows print --help and reject a flag that the chosen mode does
+ * not read. `cimmlc --help` lists them.
  */
 #include <algorithm>
 #include <cstdint>
@@ -17,6 +18,8 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "arch/presets.h"
@@ -25,10 +28,10 @@
 #include "common/strutil.h"
 #include "common/version.h"
 #include "compiler/batch.h"
+#include "compiler/knobs.h"
 #include "compiler/session.h"
 #include "compiler/shard.h"
 #include "daemon/client.h"
-#include "daemon/protocol.h"
 #include "dse/arch_explorer.h"
 #include "graph/models.h"
 #include "sched/autotune.h"
@@ -61,7 +64,6 @@ struct CliArgs {
     FlagParse parse; //!< which flags argv gave
 };
 
-constexpr unsigned kCompileModes = kSingleMode | kTunedMode;
 constexpr unsigned kSweepModes = kBatchMode | kDseMode;
 
 const char *const kUsage =
@@ -166,26 +168,27 @@ failed(const Status &status, const char *context = nullptr)
 }
 
 /**
- * Overrides the fields --batch and --arch-dse share with the flags
- * given. The budget flag replaces the file's evaluation cap but keeps
- * its proxy settings, so a spec can pin e.g. opt=none proxies while CI
- * varies the budget. False after reporting a bad value.
+ * Overlays the flags argv gave onto a sweep file or DSE spec: a given
+ * knob value replaces the file's, and a knob flag that is on (given or
+ * implied) turns the file's bool on. --search-budget replaces only the
+ * budget's evaluation cap. False after reporting a bad knob value.
  */
 template <typename Sweep>
 bool
-overrideSweep(const CliArgs &args, Sweep &sweep)
+overlayFlags(const CliArgs &args, Sweep &sweep)
 {
-    if (args.parse.has(&args.rpc.objective)) {
-        auto objective = parseTuneObjective(args.rpc.objective);
-        if (failed(objective.status()))
-            return false;
-        sweep.objective = objective.value();
-    }
-    if (args.parse.has(&args.rpc.perf_engine)) {
-        auto engine = parsePerfEngineKind(args.rpc.perf_engine);
-        if (failed(engine.status()))
-            return false;
-        sweep.perf_engine = engine.value();
+    for (const CompileKnob &knob : compileKnobs()) {
+        if (!knob.file_key)
+            continue;
+        std::visit(
+            [&](auto member) {
+                auto &value = sweep.knobs.*member;
+                if constexpr (std::is_same_v<decltype(value), bool &>)
+                    value = value || args.rpc.*member;
+                else if (args.parse.has(&(args.rpc.*member)))
+                    value = args.rpc.*member;
+            },
+            knob.field);
     }
     if (args.threads >= 0)
         sweep.threads = args.threads;
@@ -193,8 +196,7 @@ overrideSweep(const CliArgs &args, Sweep &sweep)
         sweep.threads = 1;
     if (args.rpc.search_budget >= 0)
         sweep.budget.max_full_evals = args.rpc.search_budget;
-    sweep.lint = sweep.lint || args.rpc.lint;
-    return true;
+    return !failed(checkKnobValues(sweep.knobs));
 }
 
 int
@@ -203,51 +205,40 @@ runBatch(const CliArgs &args)
     auto loaded = sweepFromFile(args.batch_file);
     if (failed(loaded.status(), "sweep load failed"))
         return 1;
-    // The flags override the file in place, giving the sweep every
+    // The flags overlay the file in place, giving the sweep every
     // process (shard, merge, or single) agrees on: shard files carry
     // its digest, so slices of differently-flagged invocations can
     // never be combined.
     BatchSweep resolved = std::move(loaded).value();
-    const bool opt_given = args.parse.has(&args.rpc.opt);
-    if (opt_given) {
-        auto overridden = scheduleOptionsByName(args.rpc.opt);
-        if (failed(overridden.status()))
-            return 1;
-        resolved.options = overridden.value();
-    }
-    if (args.rpc.dual_mode)
-        resolved.options.dual_mode = true;
-    if (args.rpc.host_offload)
-        resolved.options.host_offload = true;
-    resolved.tune = resolved.tune || args.rpc.tune;
-    if (resolved.tune && opt_given) {
+    if (!overlayFlags(args, resolved))
+        return 1;
+    const RpcCompileRequest &knobs = resolved.knobs;
+    if (knobs.tune && args.parse.has(&args.rpc.opt)) {
         std::fprintf(stderr,
                      "note: --opt is ignored when tuning — the tuner "
                      "searches the whole option space\n");
     }
-    if (!overrideSweep(args, resolved))
-        return 1;
-    if (resolved.budget.enabled() && !resolved.tune) {
+    if (resolved.budget.enabled() && !knobs.tune) {
         std::fprintf(stderr,
                      "--search-budget/'budget' only applies to tuned "
                      "sweeps; set \"tune\": true or pass --autotune\n");
         return 1;
     }
-    resolved.lint_strict = resolved.lint_strict || args.rpc.lint_strict;
 
     const auto render = [&](const BatchResult &result) {
-        if (resolved.tune) {
-            std::printf("batch: %zu jobs, %lld ok, tuned per job "
-                        "(objective=%s), threads=%d\n",
-                        result.entries.size(),
-                        static_cast<long long>(result.okCount()),
-                        tuneObjectiveName(resolved.objective),
-                        resolved.threads);
+        if (knobs.tune) {
+            std::printf(
+                "batch: %zu jobs, %lld ok, tuned per job "
+                "(objective=%s), threads=%d\n",
+                result.entries.size(),
+                static_cast<long long>(result.okCount()),
+                tuneObjectiveName(parseTuneObjective(knobs.objective).value()),
+                resolved.threads);
         } else {
             std::printf("batch: %zu jobs, %lld ok, opt=%s, threads=%d\n",
                         result.entries.size(),
                         static_cast<long long>(result.okCount()),
-                        resolved.options.toString().c_str(),
+                        knobs.scheduleOptions().value().toString().c_str(),
                         resolved.threads);
         }
         std::fputs(result.table().c_str(), stdout);
@@ -351,9 +342,7 @@ runDse(const CliArgs &args)
     auto spec = dseSpecFromFile(args.arch_dse_file);
     if (failed(spec.status(), "DSE spec load failed"))
         return 1;
-    // DSE lint is always strict per candidate: a flow with error
-    // findings marks that design infeasible.
-    if (!overrideSweep(args, spec.value()))
+    if (!overlayFlags(args, spec.value()))
         return 1;
 
     const auto render = [&](const DseResult &result) {
@@ -383,10 +372,6 @@ runDse(const CliArgs &args)
     if (!args.shard.empty()) {
         auto parsed = parseShardSpec(args.shard);
         if (failed(parsed.status()))
-            return 1;
-        const Status shardable =
-            validateDseSpecForSharding(spec.value());
-        if (failed(shardable))
             return 1;
         ArchExplorer explorer(std::move(spec).value());
         const Status restricted = explorer.restrictToShard(
@@ -720,11 +705,13 @@ main(int argc, char **argv)
         return *args.parse.exit;
     if (!args.check_kvjson.empty())
         return runCheckKvjson(args.check_kvjson);
-    // --lint-strict implies --lint; --autotune-verbose and --objective
-    // imply --autotune.
+    // --lint-strict implies --lint; --autotune-verbose implies
+    // --autotune, and so does --objective outside --arch-dse, whose
+    // objective ranks untuned candidates too.
     args.rpc.lint = args.rpc.lint || args.rpc.lint_strict;
     args.rpc.tune = args.rpc.tune || args.autotune_verbose
-                    || args.parse.has(&args.rpc.objective);
+                    || (args.parse.has(&args.rpc.objective)
+                        && args.arch_dse_file.empty());
 
     const unsigned mode = modeOf(args);
     const Status usable = checkFlags(table, args, mode);

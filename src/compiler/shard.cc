@@ -1,13 +1,10 @@
 #include "compiler/shard.h"
 
-#include <algorithm>
 #include <map>
 
 #include "arch/serialize.h"
 #include "cache/artifact_cache.h"
 #include "common/strutil.h"
-#include "graph/models.h"
-#include "graph/serialize.h"
 
 namespace cimmlc {
 
@@ -204,13 +201,14 @@ batchSweepDigest(const BatchSweep &sweep)
         hash.mix(job.model);
         hash.mix(job.arch);
     }
-    hash.mix(sweep.options.toString());
-    hash.mix(sweep.tune);
-    hash.mix(tuneObjectiveName(sweep.objective));
+    const RpcCompileRequest &knobs = sweep.knobs;
+    hash.mix(knobs.scheduleOptions().value().toString());
+    hash.mix(knobs.tune);
+    hash.mix(tuneObjectiveName(parseTuneObjective(knobs.objective).value()));
     hash.mix(sweep.budget.toString());
-    hash.mix(sweep.lint);
-    hash.mix(sweep.lint_strict);
-    hash.mix(perfEngineName(sweep.perf_engine));
+    hash.mix(knobs.lint || knobs.lint_strict);
+    hash.mix(knobs.lint_strict);
+    hash.mix(perfEngineName(parsePerfEngineKind(knobs.perf_engine).value()));
     return hash.digest();
 }
 
@@ -334,11 +332,12 @@ dseSpecDigest(const DseSpec &spec)
     hash.mix(spec.model_file);
     hash.mix(spec.model_text);
     hash.mix(archToConfig(spec.base_arch).dump(false));
-    hash.mix(spec.options.toString());
-    hash.mix(spec.tune);
-    hash.mix(tuneObjectiveName(spec.objective));
-    hash.mix(spec.lint);
-    hash.mix(perfEngineName(spec.perf_engine));
+    const RpcCompileRequest &knobs = spec.knobs;
+    hash.mix(knobs.scheduleOptions().value().toString());
+    hash.mix(knobs.tune);
+    hash.mix(tuneObjectiveName(parseTuneObjective(knobs.objective).value()));
+    hash.mix(knobs.lint || knobs.lint_strict);
+    hash.mix(perfEngineName(parsePerfEngineKind(knobs.perf_engine).value()));
     hash.mix(spec.budget.toString());
     hash.mix(static_cast<std::int64_t>(spec.sweep.axes.size()));
     for (const ArchAxis &axis : spec.sweep.axes) {
@@ -348,15 +347,6 @@ dseSpecDigest(const DseSpec &spec)
             hash.mix(archParamValueToString(axis.param, value));
     }
     return hash.digest();
-}
-
-Status
-validateDseSpecForSharding(const DseSpec &spec)
-{
-    // One source of truth for the reason text: the dse layer owns the
-    // adaptive-search rationale, the CLI shard path just surfaces it
-    // at spec-parse time.
-    return validateSpecForSharding(spec);
 }
 
 ConfigValue
@@ -391,34 +381,18 @@ dseShardToConfig(const DseSpec &spec, const ShardSpec &shard,
 StatusOr<DseResult>
 mergeDseShards(const DseSpec &spec, const std::vector<std::string> &paths)
 {
-    CIMMLC_RETURN_IF_ERROR(validateDseSpecForSharding(spec));
+    CIMMLC_RETURN_IF_ERROR(validateSpecForSharding(spec));
     if (paths.empty())
         return invalidArgument("merge needs at least one shard file");
 
     // Labels, params, and candidate geometry never travel in shard
     // files — the merged result re-enumerates them from the spec, the
     // same deterministic row-major order every shard used.
-    std::optional<Graph> loaded;
-    if (!spec.model.empty()) {
-        CIMMLC_ASSIGN_OR_RETURN(loaded, models::byNameChecked(spec.model));
-    } else if (!spec.model_file.empty()) {
-        CIMMLC_ASSIGN_OR_RETURN(loaded, graphFromFile(spec.model_file));
-    } else {
-        CIMMLC_ASSIGN_OR_RETURN(loaded, graphFromText(spec.model_text));
-    }
-    const Graph &graph = *loaded;
-
-    DseResult result;
-    result.objective = spec.objective;
-    result.workload = graph.name();
-    result.nodes = static_cast<std::int64_t>(graph.nodeCount());
-    result.weights = graph.totalWeights();
-    result.base_arch = spec.base_arch.name;
-    result.tuned = spec.tune;
-    result.lint = spec.lint;
-    result.perf_engine = spec.perf_engine;
-    result.budget = spec.budget;
-    result.candidates = ArchExplorer(spec).enumerate();
+    const ArchExplorer explorer(spec);
+    CIMMLC_ASSIGN_OR_RETURN(const Graph graph, explorer.loadWorkload());
+    CIMMLC_ASSIGN_OR_RETURN(DseResult result, explorer.blankResult(graph));
+    CIMMLC_ASSIGN_OR_RETURN(const ScheduleOptions options,
+                            spec.knobs.scheduleOptions());
 
     // The single-process dedup keys exactly the candidates whose
     // *enumerated* geometry validated; remember that set before shard
@@ -485,8 +459,8 @@ mergeDseShards(const DseSpec &spec, const std::vector<std::string> &paths)
             continue; // structurally invalid, never keyed
         auto [it, inserted] = first_of_key.emplace(
             evaluationKey(evaluationDigest(graph, candidate.arch),
-                          AutoTuner::encodeOptions(spec.options), {},
-                          HostModel{}, spec.lint, spec.perf_engine),
+                          AutoTuner::encodeOptions(options), {},
+                          HostModel{}, result.lint, result.perf_engine),
             candidate.index);
         if (inserted) {
             ++unique_keys;
@@ -506,21 +480,7 @@ mergeDseShards(const DseSpec &spec, const std::vector<std::string> &paths)
     result.proxy_evals = 0;
     result.rung_sizes = {unique_keys};
 
-    result.front = paretoFrontIndices(result.candidates);
-    for (std::size_t index : result.front)
-        result.candidates[index].on_front = true;
-    if (result.front.empty()) {
-        Status first = internalError("empty sweep");
-        for (const DseCandidate &candidate : result.candidates) {
-            if (!candidate.status.isOk()) {
-                first = candidate.status;
-                break;
-            }
-        }
-        return first.withContext(
-            "arch-dse merge: no feasible candidate for '" + graph.name()
-            + "' over base '" + spec.base_arch.name + "'");
-    }
+    CIMMLC_RETURN_IF_ERROR(result.markFront("arch-dse merge"));
     return result;
 }
 

@@ -57,9 +57,10 @@ StatusOr<ShardSpec> parseShardSpec(const std::string &text);
 // ----- batch sharding -------------------------------------------------------
 
 /**
- * Digest of the resolved sweep a shard belongs to (jobs, options,
- * tuning, lint, engine) — merge refuses shards whose digests disagree,
- * so slices of different sweeps can never be silently combined.
+ * Digest of the resolved sweep a shard belongs to (jobs, knobs,
+ * budget) — merge refuses shards whose digests disagree, so slices of
+ * different sweeps can never be silently combined. @pre the knobs pass
+ * checkKnobValues(), as sweepFromFile's do.
  */
 std::string batchSweepDigest(const BatchSweep &sweep);
 
@@ -86,13 +87,9 @@ mergeBatchShards(const BatchSweep &sweep,
 // ----- arch-dse sharding ----------------------------------------------------
 
 /** Digest of the resolved DSE spec (workload, every archToConfig()
- * field of the base arch, sweep axes, options, engine, lint) a shard
- * belongs to. */
+ * field of the base arch, sweep axes, knobs, budget) a shard belongs
+ * to. @pre the knobs pass checkKnobValues(), as dseSpecFromFile's do. */
 std::string dseSpecDigest(const DseSpec &spec);
-
-/** A spec must be exhaustive (no budget) and untuned to shard; the
- * error explains why otherwise. */
-Status validateDseSpecForSharding(const DseSpec &spec);
 
 /** Serializes the candidates this shard evaluated (slice of the
  * row-major enumeration). */

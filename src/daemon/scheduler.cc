@@ -14,14 +14,6 @@ FairScheduler::FairScheduler(SchedulerLimits limits) : limits_(limits)
         std::max<std::int64_t>(0, limits_.max_queue_depth);
 }
 
-void
-FairScheduler::addClient(std::uint64_t client, int weight)
-{
-    auto [it, inserted] = clients_.try_emplace(client);
-    if (inserted)
-        it->second.weight = std::clamp(weight, 1, 16);
-}
-
 Status
 FairScheduler::admit(SchedulerJob job)
 {
@@ -30,13 +22,12 @@ FairScheduler::admit(SchedulerJob job)
             "admission rejected: queue full (%lld waiting, limit %lld)",
             static_cast<long long>(queued_),
             static_cast<long long>(limits_.max_queue_depth)));
-    addClient(job.client);
-    ClientQueue &queue = clients_[job.client];
-    const bool was_idle = queue.jobs.empty();
-    queue.jobs.push_back(std::move(job));
+    std::deque<SchedulerJob> &queue = clients_[job.client];
+    const bool was_idle = queue.empty();
+    queue.push_back(std::move(job));
     ++queued_;
     if (was_idle)
-        rr_.push_back(queue.jobs.back().client);
+        rr_.push_back(queue.back().client);
     return Status::ok();
 }
 
@@ -45,29 +36,21 @@ FairScheduler::next()
 {
     if (inflight_ >= limits_.max_inflight || rr_.empty())
         return std::nullopt;
-    // The head client dispatches until its weight's worth of credit is
-    // spent or its FIFO drains, then rotates to the back.
+    // The head client dispatches one job, then rotates to the back
+    // while it still has work.
     const std::uint64_t client = rr_.front();
+    rr_.pop_front();
     auto it = clients_.find(client);
     CIMMLC_CHECK(it != clients_.end());
-    ClientQueue &queue = it->second;
-    CIMMLC_CHECK(!queue.jobs.empty());
-    if (queue.turn_credit <= 0)
-        queue.turn_credit = queue.weight;
+    std::deque<SchedulerJob> &queue = it->second;
+    CIMMLC_CHECK(!queue.empty());
 
-    SchedulerJob job = std::move(queue.jobs.front());
-    queue.jobs.pop_front();
+    SchedulerJob job = std::move(queue.front());
+    queue.pop_front();
     --queued_;
     ++inflight_;
-    --queue.turn_credit;
-
-    if (queue.jobs.empty()) {
-        queue.turn_credit = 0;
-        rr_.pop_front();
-    } else if (queue.turn_credit <= 0) {
-        rr_.pop_front();
+    if (!queue.empty())
         rr_.push_back(client);
-    }
     return job;
 }
 
@@ -85,7 +68,7 @@ FairScheduler::dropClient(std::uint64_t client)
     auto it = clients_.find(client);
     if (it == clients_.end())
         return dropped;
-    for (SchedulerJob &job : it->second.jobs)
+    for (SchedulerJob &job : it->second)
         dropped.push_back(std::move(job));
     queued_ -= static_cast<std::int64_t>(dropped.size());
     clients_.erase(it);

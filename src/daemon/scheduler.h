@@ -10,12 +10,11 @@
  *    number of waiting requests has reached max_queue_depth. In-flight
  *    requests do not count against the queue.
  *  - Dispatch: at most max_inflight requests run at once. The next
- *    request is chosen by weighted round-robin across clients with
- *    pending work — a client of weight w may dispatch up to w requests
- *    each time its turn comes — and FIFO within one client, so one
- *    chatty client cannot starve the rest (the cmb-style event-queue
- *    idiom from the related CIM simulator repos, specialized to
- *    request serving).
+ *    request is chosen by round-robin across clients with pending
+ *    work — one request per client per turn — and FIFO within one
+ *    client, so one chatty client cannot starve the rest (the
+ *    cmb-style event-queue idiom from the related CIM simulator repos,
+ *    specialized to request serving).
  */
 #ifndef CIMMLC_DAEMON_SCHEDULER_H
 #define CIMMLC_DAEMON_SCHEDULER_H
@@ -49,10 +48,6 @@ class FairScheduler
   public:
     explicit FairScheduler(SchedulerLimits limits = {});
 
-    /** Registers @p client with a fairness @p weight (clamped to
-     * [1, 16]); idempotent re-registration keeps the first weight. */
-    void addClient(std::uint64_t client, int weight = 1);
-
     /**
      * Admits @p job into @p client's FIFO or rejects it with
      * kResourceExhausted when the global queue is full.
@@ -61,7 +56,7 @@ class FairScheduler
 
     /**
      * Picks the next runnable job under the in-flight limit, advancing
-     * the weighted round-robin cursor. Returns nullopt when nothing is
+     * the round-robin cursor. Returns nullopt when nothing is
      * runnable (queue empty or in-flight at the limit). The caller owns
      * the returned job and MUST pair it with finish().
      */
@@ -87,14 +82,9 @@ class FairScheduler
     const SchedulerLimits &limits() const { return limits_; }
 
   private:
-    struct ClientQueue {
-        int weight = 1;
-        int turn_credit = 0; //!< dispatches left in the current turn
-        std::deque<SchedulerJob> jobs;
-    };
-
     SchedulerLimits limits_;
-    std::map<std::uint64_t, ClientQueue> clients_;
+    //! each client's FIFO of queued jobs
+    std::map<std::uint64_t, std::deque<SchedulerJob>> clients_;
     //! round-robin order: clients that currently have pending jobs
     std::deque<std::uint64_t> rr_;
     std::int64_t queued_ = 0;

@@ -276,7 +276,6 @@ DaemonServer::handleCompile(const std::shared_ptr<Connection> &conn,
     Status admitted;
     {
         std::lock_guard<std::mutex> lock(sched_mutex_);
-        scheduler_.addClient(conn->id);
         admitted = scheduler_.admit(std::move(job));
     }
     if (!admitted.isOk()) {

@@ -7,7 +7,7 @@
  *    each drained by an accept thread that spawns one reader thread
  *    per client connection;
  *  - a FairScheduler (daemon/scheduler.h) providing admission control
- *    (bounded queue) and weighted round-robin fairness across client
+ *    (bounded queue) and round-robin fairness across client
  *    connections, FIFO within one;
  *  - the process ThreadPool the admitted CompileRequests run on
  *    through CompilerSession;

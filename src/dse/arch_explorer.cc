@@ -40,11 +40,12 @@ text(std::string v)
 }
 
 /**
- * Prices one candidate. @p key is its evaluationKey from explore()'s
- * dedup pass — the memo key for fixed-options runs.
+ * Prices one candidate with @p full, the request of every full
+ * evaluation but its arch. @p key is its evaluationKey from explore()'s
+ * dedup pass — the memo key for runs at the fixed @p options.
  */
 void
-evaluateCandidate(const Graph &graph, const DseSpec &spec,
+evaluateCandidate(const CompileRequest &full, const ScheduleOptions &options,
                   DseCandidate &candidate, const std::string &key,
                   TuneCache *cache,
                   std::atomic<std::int64_t> &cache_hits)
@@ -55,43 +56,21 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
     // sweep points were deduplicated by explore(), so this lookup only
     // ever sees the pre-run cache state and the hit count cannot depend
     // on evaluation timing.
-    if (!spec.tune && cache != nullptr) {
+    if (!full.tune && cache != nullptr) {
         if (auto hit = cache->lookup(key)) {
             candidate.status = hit->status;
             candidate.latency_cycles = hit->latency_cycles;
             candidate.energy_pj = hit->energy_pj;
             candidate.edp = hit->edp;
-            candidate.config = spec.options.toString();
+            candidate.config = options.toString();
             cache_hits.fetch_add(1, std::memory_order_relaxed);
             return;
         }
     }
 
     auto fill = [&]() -> Status {
-        CompileRequest request;
-        request.graph = &graph;
+        CompileRequest request = full;
         request.arch_ref = &candidate.arch;
-        if (spec.tune) {
-            // Candidate-level parallelism already fills the pool; tune
-            // serially inside the candidate so nested pools do not
-            // oversubscribe (same discipline as runSweep).
-            request.tune = true;
-            request.objective = spec.objective;
-            request.tune_cache = cache;
-            request.threads = 1;
-        } else {
-            request.options = spec.options;
-        }
-        request.perf_engine = spec.perf_engine;
-        request.outputs.flow = false;
-        if (spec.lint) {
-            // Gate feasibility on mopcheck: the flow is emitted and
-            // linted, and any error finding fails this candidate.
-            request.outputs.flow = true;
-            request.lint = true;
-            request.lint_strict = true;
-        }
-        request.stop_after = CompileStage::kPerf;
         CompilerSession session(std::move(request));
         CIMMLC_ASSIGN_OR_RETURN(const CompileArtifacts artifacts,
                                 session.run());
@@ -107,9 +86,9 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
     };
     candidate.status = fill();
     if (!candidate.status.isOk())
-        candidate.config = spec.options.toString();
+        candidate.config = options.toString();
 
-    if (!spec.tune && cache != nullptr) {
+    if (!full.tune && cache != nullptr) {
         cache->insert(key,
                       TuneCache::Entry{candidate.status,
                                        candidate.latency_cycles,
@@ -120,14 +99,14 @@ evaluateCandidate(const Graph &graph, const DseSpec &spec,
 
 /**
  * Prices one candidate on the cheap proxy stage of a halving rung:
- * forced `opt=none` and/or a topological workload prefix, routed
- * through the same staged CompilerSession as a full evaluation. @p key
- * has the fidelity in it, so proxy entries in a shared TuneCache can
- * never alias full evaluations. @p session_runs counts actual
- * (non-memoized) session executions for the report.
+ * the fixed @p options or forced `opt=none`, and/or a topological
+ * workload prefix, routed through the same staged CompilerSession as a
+ * full evaluation. @p key has the fidelity in it, so proxy entries in a
+ * shared TuneCache can never alias full evaluations. @p session_runs
+ * counts actual (non-memoized) session executions for the report.
  */
 void
-evaluateProxy(const Graph &graph, const DseSpec &spec,
+evaluateProxy(const Graph &graph, const ScheduleOptions &options,
               DseCandidate &candidate, const SearchFidelity &fidelity,
               const std::string &key, TuneCache *cache,
               std::atomic<std::int64_t> &cache_hits,
@@ -148,12 +127,12 @@ evaluateProxy(const Graph &graph, const DseSpec &spec,
         CompileRequest request;
         request.graph = &graph;
         request.arch_ref = &candidate.arch;
-        // Proxies always price with the closed-form model: when the
-        // spec selects the event engine, the analytic model itself is
-        // the cheap fidelity rung below it.
-        request.options = fidelity.forced_opt_none
-                              ? ScheduleOptions::none()
-                              : spec.options;
+        // Proxies price the fixed options, untuned and unlinted, with
+        // the closed-form model: when the spec selects the event
+        // engine, the analytic model itself is the cheap fidelity rung
+        // below it.
+        request.options =
+            fidelity.forced_opt_none ? ScheduleOptions::none() : options;
         request.workload_prefix_nodes = fidelity.prefix_nodes;
         request.threads = 1;
         request.outputs.flow = false;
@@ -189,9 +168,21 @@ dseSpecFromConfig(const ConfigValue &doc)
         return parseError("DSE spec must be a kvjson object");
 
     DseSpec spec;
-    spec.model = doc.getStringOr("model", "");
-    spec.model_file = doc.getStringOr("model_file", "");
-    spec.model_text = doc.getStringOr("model_text", "");
+    std::string arch, arch_file, arch_text;
+    const std::pair<const char *, std::string *> sources[] = {
+        {"model", &spec.model},   {"model_file", &spec.model_file},
+        {"model_text", &spec.model_text}, {"arch", &arch},
+        {"arch_file", &arch_file}, {"arch_text", &arch_text}};
+    std::vector<std::string> surface_keys = {"sweep", "threads", "budget"};
+    for (const auto &[key, target] : sources) {
+        surface_keys.push_back(key);
+        if (doc.has(key))
+            CIMMLC_RETURN_IF_ERROR(readTypedKey(
+                "DSE spec", key, doc.get(key).value(), target));
+    }
+    CIMMLC_RETURN_IF_ERROR(
+        readFileKnobs(doc, "DSE spec", surface_keys, spec.knobs));
+
     int workload_sources = (spec.model.empty() ? 0 : 1)
                            + (spec.model_file.empty() ? 0 : 1)
                            + (spec.model_text.empty() ? 0 : 1);
@@ -203,9 +194,6 @@ dseSpecFromConfig(const ConfigValue &doc)
                           "set exactly one of model, model_file, "
                           "model_text");
 
-    const std::string arch = doc.getStringOr("arch", "");
-    const std::string arch_file = doc.getStringOr("arch_file", "");
-    const std::string arch_text = doc.getStringOr("arch_text", "");
     int arch_sources = (arch.empty() ? 0 : 1) + (arch_file.empty() ? 0 : 1)
                        + (arch_text.empty() ? 0 : 1);
     if (arch_sources > 1)
@@ -222,28 +210,9 @@ dseSpecFromConfig(const ConfigValue &doc)
             presets::byName(arch.empty() ? "isaac-baseline" : arch));
     }
 
-    spec.opt = doc.getStringOr("opt", "full");
-    CIMMLC_ASSIGN_OR_RETURN(spec.options, scheduleOptionsByName(spec.opt));
-    if (doc.getBoolOr("dual_mode", false))
-        spec.options.dual_mode = true;
-    if (doc.getBoolOr("host_offload", false))
-        spec.options.host_offload = true;
-    spec.tune = doc.getBoolOr("tune", false);
-    spec.lint = doc.getBoolOr("lint", false);
-    CIMMLC_ASSIGN_OR_RETURN(
-        spec.objective,
-        parseTuneObjective(doc.getStringOr("objective", "latency")));
-    spec.threads = static_cast<int>(doc.getIntOr("threads", 0));
+    CIMMLC_RETURN_IF_ERROR(readIntegerKey(doc, "threads", &spec.threads));
     if (spec.threads < 0)
         return parseError("DSE spec 'threads' must be >= 0");
-
-    if (doc.has("perf_engine")) {
-        auto engine =
-            parsePerfEngineKind(doc.getStringOr("perf_engine", ""));
-        if (!engine.isOk())
-            return engine.status().withContext("DSE spec 'perf_engine'");
-        spec.perf_engine = engine.value();
-    }
 
     if (doc.has("budget")) {
         auto budget = searchBudgetFromConfig(doc.get("budget").value());
@@ -254,7 +223,8 @@ dseSpecFromConfig(const ConfigValue &doc)
         // rather than deep inside explore(). With the event engine the
         // closed-form proxy is cheaper by construction, so degenerate
         // proxy settings are still a valid ladder there.
-        if (spec.perf_engine != PerfEngineKind::kEvent) {
+        if (parsePerfEngineKind(spec.knobs.perf_engine).value()
+            != PerfEngineKind::kEvent) {
             const Status halving = budget.value().validateForHalving();
             if (!halving.isOk())
                 return halving.withContext("DSE spec 'budget'");
@@ -392,7 +362,7 @@ validateSpecForSharding(const DseSpec &spec)
             "successive-halving promotion compares candidates across "
             "the whole sweep, which per-shard slices cannot reproduce "
             "(drop 'budget' / --search-budget)");
-    if (spec.tune)
+    if (spec.knobs.tune)
         return invalidArgument(
             "arch-dse sharding requires an untuned spec: per-candidate "
             "tuning shares one memo across the sweep, so shard-local "
@@ -414,31 +384,53 @@ ArchExplorer::restrictToShard(int shard, int count)
     return Status::ok();
 }
 
-StatusOr<DseResult>
-ArchExplorer::explore(TuneCache *cache) const
+StatusOr<Graph>
+ArchExplorer::loadWorkload() const
 {
-    std::optional<Graph> loaded;
-    if (!spec_.model.empty()) {
-        CIMMLC_ASSIGN_OR_RETURN(loaded,
-                                models::byNameChecked(spec_.model));
-    } else if (!spec_.model_file.empty()) {
-        CIMMLC_ASSIGN_OR_RETURN(loaded, graphFromFile(spec_.model_file));
-    } else {
-        CIMMLC_ASSIGN_OR_RETURN(loaded, graphFromText(spec_.model_text));
-    }
-    const Graph &graph = *loaded;
+    if (!spec_.model.empty())
+        return models::byNameChecked(spec_.model);
+    if (!spec_.model_file.empty())
+        return graphFromFile(spec_.model_file);
+    return graphFromText(spec_.model_text);
+}
 
+StatusOr<DseResult>
+ArchExplorer::blankResult(const Graph &graph) const
+{
     DseResult result;
-    result.objective = spec_.objective;
+    CIMMLC_ASSIGN_OR_RETURN(result.objective,
+                            parseTuneObjective(spec_.knobs.objective));
+    CIMMLC_ASSIGN_OR_RETURN(result.perf_engine,
+                            parsePerfEngineKind(spec_.knobs.perf_engine));
     result.workload = graph.name();
     result.nodes = static_cast<std::int64_t>(graph.nodeCount());
     result.weights = graph.totalWeights();
     result.base_arch = spec_.base_arch.name;
-    result.tuned = spec_.tune;
-    result.lint = spec_.lint;
-    result.perf_engine = spec_.perf_engine;
+    result.tuned = spec_.knobs.tune;
+    result.lint = spec_.knobs.lint || spec_.knobs.lint_strict;
     result.budget = spec_.budget;
     result.candidates = enumerate();
+    return result;
+}
+
+StatusOr<DseResult>
+ArchExplorer::explore(TuneCache *cache) const
+{
+    CIMMLC_ASSIGN_OR_RETURN(const Graph graph, loadWorkload());
+    CIMMLC_ASSIGN_OR_RETURN(DseResult result, blankResult(graph));
+    CIMMLC_ASSIGN_OR_RETURN(const ScheduleOptions options,
+                            spec_.knobs.scheduleOptions());
+    // Lint gates feasibility: the flow is emitted and linted strictly.
+    // Candidate-level parallelism already fills the pool, so a tuned
+    // candidate tunes serially (same discipline as runSweep).
+    CompileRequest full;
+    CIMMLC_RETURN_IF_ERROR(spec_.knobs.applyKnobs(full));
+    full.graph = &graph;
+    full.tune_cache = cache;
+    full.threads = 1;
+    full.outputs.flow = full.lint;
+    full.lint_strict = full.lint;
+    full.stop_after = CompileStage::kPerf;
 
     // Deduplicate sweep points that denote the same evaluation (e.g. a
     // scalar grid shorthand next to its [N, N] spelling): only the
@@ -474,8 +466,8 @@ ArchExplorer::explore(TuneCache *cache) const
         digests[candidate.index] = evaluationDigest(graph, candidate.arch);
         keys[candidate.index] = evaluationKey(
             digests[candidate.index],
-            spec_.tune ? 0u : AutoTuner::encodeOptions(spec_.options), {},
-            HostModel{}, spec_.lint, spec_.perf_engine);
+            result.tuned ? 0u : AutoTuner::encodeOptions(options), {},
+            HostModel{}, result.lint, result.perf_engine);
         auto [it, inserted] =
             first_of_key.emplace(keys[candidate.index], candidate.index);
         if (inserted)
@@ -497,7 +489,7 @@ ArchExplorer::explore(TuneCache *cache) const
     // too instead of paying every "proxy" rung at full session cost —
     // unless full fidelity means the event engine, where the
     // closed-form proxy is cheaper whatever the workload shape.
-    const bool engine_rung = spec_.perf_engine == PerfEngineKind::kEvent;
+    const bool engine_rung = result.perf_engine == PerfEngineKind::kEvent;
     const bool proxy_can_cheapen = spec_.budget.proxy_opt_none
                                    || compute_nodes > 1 || engine_rung;
     CIMMLC_ASSIGN_OR_RETURN(
@@ -546,7 +538,7 @@ ArchExplorer::explore(TuneCache *cache) const
         const std::uint32_t proxy_encoding =
             AutoTuner::encodeOptions(spec_.budget.proxy_opt_none
                                          ? ScheduleOptions::none()
-                                         : spec_.options);
+                                         : options);
         std::optional<SearchFidelity> evaluated_fidelity;
         for (std::size_t rung = 0; rung < proxy_rungs; ++rung) {
             const SearchFidelity fidelity = proxyFidelity(
@@ -564,7 +556,7 @@ ArchExplorer::explore(TuneCache *cache) const
                 run_rung(survivors, [&](std::size_t index) {
                     DseCandidate &candidate = result.candidates[index];
                     candidate.rung = static_cast<std::int64_t>(rung);
-                    evaluateProxy(graph, spec_, candidate, fidelity,
+                    evaluateProxy(graph, options, candidate, fidelity,
                                   proxy_keys[index], cache, cache_hits,
                                   proxy_runs);
                 });
@@ -583,7 +575,7 @@ ArchExplorer::explore(TuneCache *cache) const
                     MetricPoint{candidate.proxy_latency_cycles,
                                 candidate.proxy_energy_pj};
                 point.feasible = candidate.status.isOk();
-                switch (spec_.objective) {
+                switch (result.objective) {
                   case TuneObjective::kLatency:
                     point.objective = candidate.proxy_latency_cycles;
                     break;
@@ -607,7 +599,7 @@ ArchExplorer::explore(TuneCache *cache) const
         DseCandidate &candidate = result.candidates[index];
         candidate.full_eval = true;
         candidate.rung = static_cast<std::int64_t>(proxy_rungs);
-        evaluateCandidate(graph, spec_, candidate, keys[index], cache,
+        evaluateCandidate(full, options, candidate, keys[index], cache,
                           cache_hits);
     });
     result.full_evals = static_cast<std::int64_t>(survivors.size());
@@ -635,24 +627,32 @@ ArchExplorer::explore(TuneCache *cache) const
     result.cache_entries =
         cache != nullptr ? static_cast<std::int64_t>(cache->size()) : 0;
 
-    result.front = paretoFrontIndices(result.candidates);
-    for (std::size_t index : result.front)
-        result.candidates[index].on_front = true;
     // A shard slice may legitimately own no feasible candidate; only
     // the full (merged or unsharded) sweep treats that as an error.
-    if (result.front.empty() && !sharded) {
-        Status first = internalError("empty sweep");
-        for (const DseCandidate &candidate : result.candidates) {
-            if (!candidate.status.isOk()) {
-                first = candidate.status;
-                break;
-            }
-        }
-        return first.withContext("arch-dse: no feasible candidate for '"
-                                 + graph.name() + "' over base '"
-                                 + spec_.base_arch.name + "'");
-    }
+    const Status marked = result.markFront("arch-dse");
+    if (!marked.isOk() && !sharded)
+        return marked;
     return result;
+}
+
+Status
+DseResult::markFront(const std::string &context)
+{
+    front = paretoFrontIndices(candidates);
+    for (std::size_t index : front)
+        candidates[index].on_front = true;
+    if (!front.empty())
+        return Status::ok();
+    Status first = internalError("empty sweep");
+    for (const DseCandidate &candidate : candidates) {
+        if (!candidate.status.isOk()) {
+            first = candidate.status;
+            break;
+        }
+    }
+    return first.withContext(context + ": no feasible candidate for '"
+                             + workload + "' over base '" + base_arch
+                             + "'");
 }
 
 // ----- reporting ------------------------------------------------------------

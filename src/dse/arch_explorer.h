@@ -30,10 +30,9 @@
 #include "arch/serialize.h"
 #include "common/config.h"
 #include "common/status.h"
+#include "compiler/knobs.h"
 #include "perfsim/perf_model.h"
 #include "search/search_budget.h"
-#include "sched/autotune.h"
-#include "sched/options.h"
 
 namespace cimmlc {
 
@@ -43,17 +42,25 @@ namespace cimmlc {
  *
  * @code
  *   {
- *     "model": "lenet5",            # or model_file / model_text
- *     "arch": "jain",               # or arch_file / arch_text
- *     "opt": "full",                # fixed options when not tuning
- *     "dual_mode": false,           # overlay: resident dual-mode arrays
- *     "host_offload": false,        # overlay: host/CIM hybrid offload
- *     "tune": false,                # auto-tune each candidate's schedule
- *     "objective": "latency",       # ranking (and tuning) objective
- *     "threads": 0,
- *     "sweep": { ... }              # see sweepSpecFromConfig
+ *     "model": "lenet5",            # string, or model_file / model_text
+ *     "arch": "jain",               # string, or arch_file / arch_text
+ *     "sweep": { ... },             # object, see sweepSpecFromConfig
+ *     "threads": 0,                 # int; 0 = hardware concurrency
+ *     "budget": 9,                  # number or object: halving budget
+ *     "opt": "full",                # string: fixed options when untuned
+ *     "dual_mode": false,           # bool: resident dual-mode arrays
+ *     "host_offload": false,        # bool: host/CIM hybrid offload
+ *     "tune": false,                # bool: auto-tune each candidate
+ *     "objective": "latency",       # string: ranking (and tuning)
+ *     "lint": false,                # bool: gate candidates on mopcheck
+ *     "lint_strict": false,         # bool: the same as lint here
+ *     "perf_engine": "closed_form"  # string: closed_form | event
  *   }
  * @endcode
+ *
+ * The knob keys (from "opt" on) are read by readFileKnobs(), as a
+ * compile frame reads them. A key of another kvjson type, or any other
+ * key, is an error naming it.
  */
 struct DseSpec {
     // Workload (exactly one source).
@@ -64,31 +71,15 @@ struct DseSpec {
     CimArchitecture base_arch;   //!< resolved base design
     ArchSweepSpec sweep;         //!< axes mutated on top of it
 
-    ScheduleOptions options;     //!< fixed schedule when tune == false
-    std::string opt = "full";    //!< the level name options came from
-    bool tune = false;           //!< auto-tune each candidate
-    TuneObjective objective = TuneObjective::kLatency;
+    /**
+     * The knobs every full evaluation compiles with; search_budget is
+     * not read, budget is. The objective ranks candidates, tuned or
+     * not. Lint (or lint_strict) gates them: any error finding in a
+     * candidate's flow marks it infeasible. Halving proxy rungs run the
+     * fixed options closed-form, untuned and unlinted.
+     */
+    RpcCompileRequest knobs;
     int threads = 0; //!< 0 = hardware concurrency, 1 = serial
-
-    /**
-     * Gate full-fidelity evaluations on mopcheck (`"lint"` key / CLI
-     * `--lint`): each candidate's emitted flow is linted and any
-     * error-severity finding marks the candidate infeasible, so the
-     * Pareto front only contains designs whose flow passes static
-     * analysis. Proxy rungs are unaffected. Lint is part of the cache
-     * key, so linted evaluations never alias unlinted ones.
-     */
-    bool lint = false;
-
-    /**
-     * Performance engine full evaluations price candidates with
-     * (`"perf_engine"` key / CLI `--perf-engine`). Halving proxy rungs
-     * always run the closed-form model: with `event` selected, the
-     * analytic model itself is the cheap fidelity rung below the
-     * discrete-event simulation. The engine is part of the cache key,
-     * so event evaluations never alias closed-form ones.
-     */
-    PerfEngineKind perf_engine = PerfEngineKind::kClosedForm;
 
     /**
      * Full-fidelity evaluation budget (`"budget"` key / CLI
@@ -107,8 +98,7 @@ struct DseSpec {
  * alone; adaptive searches are not, and the returned error names the
  * specific adaptive mechanism (halving promotion, shared tuner memo)
  * so a spec author knows which key to drop. Checked by
- * ArchExplorer::restrictToShard and at spec-parse time by the CLI
- * shard path (compiler/shard.h).
+ * ArchExplorer::restrictToShard and mergeDseShards (compiler/shard.h).
  */
 Status validateSpecForSharding(const DseSpec &spec);
 
@@ -197,6 +187,11 @@ struct DseResult {
     /** Fully evaluated candidates whose evaluation succeeded. */
     std::int64_t feasibleCount() const;
 
+    /** Sets front (and on_front) from the candidates. An empty front
+     * is an error, after @p context, that carries the first infeasible
+     * candidate's status. */
+    Status markFront(const std::string &context);
+
     /** Front point minimizing the ranking objective (ties: EDP, then
      * index). @pre front is non-empty (explore() guarantees it). */
     const DseCandidate &bestByObjective() const;
@@ -251,6 +246,13 @@ class ArchExplorer
      * reports them instead of aborting.
      */
     std::vector<DseCandidate> enumerate() const;
+
+    /** Loads the spec's workload. */
+    StatusOr<Graph> loadWorkload() const;
+
+    /** The result explore() fills for @p graph, the spec's workload:
+     * the spec's facts and enumerate()'s unevaluated candidates. */
+    StatusOr<DseResult> blankResult(const Graph &graph) const;
 
     /**
      * Evaluates every candidate and computes the Pareto front. @p cache

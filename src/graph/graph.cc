@@ -100,8 +100,16 @@ TensorId
 Graph::addNode(OpKind kind, NodeAttrs attrs, std::vector<TensorId> inputs,
                const std::string &name)
 {
-    CIMMLC_CHECK_NE(kind, OpKind::kInput)
-        << "use addInput for graph inputs";
+    return addNodeChecked(kind, std::move(attrs), std::move(inputs), name)
+        .value();
+}
+
+StatusOr<TensorId>
+Graph::addNodeChecked(OpKind kind, NodeAttrs attrs,
+                      std::vector<TensorId> inputs, const std::string &name)
+{
+    if (kind == OpKind::kInput)
+        return invalidArgument("use addInput for graph inputs");
     Node node;
     node.id = static_cast<NodeId>(nodes_.size());
     node.name = name.empty()
@@ -111,13 +119,16 @@ Graph::addNode(OpKind kind, NodeAttrs attrs, std::vector<TensorId> inputs,
     node.attrs = std::move(attrs);
     node.inputs = std::move(inputs);
     for (TensorId in : node.inputs) {
-        CIMMLC_CHECK(in >= 0 &&
-                     in < static_cast<TensorId>(tensors_.size()))
-            << "node " << node.name << " references unknown tensor " << in;
-        tensors_[static_cast<std::size_t>(in)].consumers.push_back(node.id);
+        if (in < 0 || in >= static_cast<TensorId>(tensors_.size()))
+            return invalidArgument(strformat(
+                "node '%s' references unknown tensor %d",
+                node.name.c_str(), in));
     }
-    std::vector<std::int64_t> out_dims =
-        inferShape(kind, node.attrs, node.inputs, node.name);
+    CIMMLC_ASSIGN_OR_RETURN(
+        std::vector<std::int64_t> out_dims,
+        inferShape(kind, node.attrs, node.inputs, node.name));
+    for (TensorId in : node.inputs)
+        tensors_[static_cast<std::size_t>(in)].consumers.push_back(node.id);
     node.output = newTensor(node.name + ":out", std::move(out_dims),
                             node.id);
     const TensorId out = node.output;
@@ -133,35 +144,97 @@ Graph::markOutput(TensorId tensor)
     outputs_.push_back(tensor);
 }
 
-std::vector<std::int64_t>
+namespace {
+
+/** The product of @p dims from position @p first on, or false when it
+ * overflows int64. */
+bool
+checkedProduct(const std::vector<std::int64_t> &dims, std::size_t first,
+               std::int64_t *out)
+{
+    std::int64_t total = 1;
+    for (std::size_t i = first; i < dims.size(); ++i)
+        if (__builtin_mul_overflow(total, dims[i], &total))
+            return false;
+    *out = total;
+    return true;
+}
+
+/** convOutDim(), or false when the stride is not positive or the
+ * arithmetic overflows int64. */
+bool
+checkedOutDim(std::int64_t in, std::int64_t kernel, std::int64_t stride,
+              std::int64_t padding, std::int64_t *out)
+{
+    std::int64_t span = 0;
+    if (stride <= 0 || __builtin_mul_overflow(padding, 2, &span)
+        || __builtin_add_overflow(span, in, &span)
+        || __builtin_sub_overflow(span, kernel, &span))
+        return false;
+    *out = span / stride + 1;
+    return true;
+}
+
+} // namespace
+
+StatusOr<std::vector<std::int64_t>>
 Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
                   const std::vector<TensorId> &ins,
                   const std::string &name) const
 {
+    const auto fail = [&name, kind](const std::string &what) {
+        return invalidArgument(strformat("%s node '%s': %s",
+                                         opKindName(kind), name.c_str(),
+                                         what.c_str()));
+    };
+    const std::size_t arity =
+        kind == OpKind::kMatMul || kind == OpKind::kAdd ? 2 : 1;
+    if (ins.size() < arity)
+        return fail(strformat("needs %zu input(s), has %zu", arity,
+                              ins.size()));
     auto dims_of = [&](std::size_t i) -> const std::vector<std::int64_t> & {
-        CIMMLC_CHECK_LT(i, ins.size())
-            << "node " << name << " is missing input " << i;
         return tensors_[static_cast<std::size_t>(ins[i])].dims;
     };
 
     switch (kind) {
       case OpKind::kInput:
-        panic("inferShape on input node");
-      case OpKind::kConv2d: {
-        const auto &a = std::get<Conv2dAttrs>(attrs);
+        break;
+      case OpKind::kConv2d:
+      case OpKind::kMaxPool2d:
+      case OpKind::kAvgPool2d: {
         const auto &in = dims_of(0);
-        CIMMLC_CHECK_EQ(in.size(), 4u)
-            << "conv2d input must be NCHW in node " << name;
-        return {in[0], a.out_channels,
-                convOutDim(in[2], a.kernel_h, a.stride, a.padding),
-                convOutDim(in[3], a.kernel_w, a.stride, a.padding)};
+        if (in.size() != 4)
+            return fail("input must be NCHW");
+        std::int64_t channels = in[1];
+        std::int64_t kernel_h = 0;
+        std::int64_t kernel_w = 0;
+        std::int64_t stride = 0;
+        std::int64_t padding = 0;
+        if (kind == OpKind::kConv2d) {
+            const auto &a = std::get<Conv2dAttrs>(attrs);
+            channels = a.out_channels;
+            kernel_h = a.kernel_h;
+            kernel_w = a.kernel_w;
+            stride = a.stride;
+            padding = a.padding;
+        } else {
+            const auto &a = std::get<Pool2dAttrs>(attrs);
+            kernel_h = kernel_w = a.kernel;
+            stride = a.stride;
+            padding = a.padding;
+        }
+        std::vector<std::int64_t> out = {in[0], channels, 0, 0};
+        if (!checkedOutDim(in[2], kernel_h, stride, padding, &out[2])
+            || !checkedOutDim(in[3], kernel_w, stride, padding, &out[3]))
+            return fail("needs a positive stride and an output size "
+                        "in int64");
+        return out;
       }
       case OpKind::kLinear: {
         const auto &a = std::get<LinearAttrs>(attrs);
-        const auto &in = dims_of(0);
-        CIMMLC_CHECK_GE(in.size(), 2u)
-            << "linear input must be >= 2-d in node " << name;
-        std::vector<std::int64_t> out = in;
+        std::vector<std::int64_t> out = dims_of(0);
+        if (out.size() < 2)
+            return fail("input must be >= 2-d");
         out.back() = a.out_features;
         return out;
       }
@@ -169,68 +242,64 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
         const auto &a = std::get<MatMulAttrs>(attrs);
         const auto &lhs = dims_of(0);
         const auto &rhs = dims_of(1);
-        CIMMLC_CHECK_GE(lhs.size(), 2u);
-        CIMMLC_CHECK_GE(rhs.size(), 2u);
+        if (lhs.size() < 2 || rhs.size() < 2)
+            return fail("operands must be >= 2-d");
         const std::int64_t lhs_k = lhs.back();
         const std::int64_t rhs_k =
             a.transpose_rhs ? rhs.back() : rhs[rhs.size() - 2];
         const std::int64_t rhs_n =
             a.transpose_rhs ? rhs[rhs.size() - 2] : rhs.back();
-        CIMMLC_CHECK_EQ(lhs_k, rhs_k)
-            << "matmul inner-dim mismatch in node " << name;
+        if (lhs_k != rhs_k)
+            return fail(strformat("inner dims differ (%lld vs %lld)",
+                                  static_cast<long long>(lhs_k),
+                                  static_cast<long long>(rhs_k)));
         std::vector<std::int64_t> out = lhs;
         out.back() = rhs_n;
         return out;
       }
-      case OpKind::kMaxPool2d:
-      case OpKind::kAvgPool2d: {
-        const auto &a = std::get<Pool2dAttrs>(attrs);
-        const auto &in = dims_of(0);
-        CIMMLC_CHECK_EQ(in.size(), 4u)
-            << "pool input must be NCHW in node " << name;
-        return {in[0], in[1],
-                convOutDim(in[2], a.kernel, a.stride, a.padding),
-                convOutDim(in[3], a.kernel, a.stride, a.padding)};
-      }
       case OpKind::kGlobalAvgPool: {
         const auto &in = dims_of(0);
-        CIMMLC_CHECK_EQ(in.size(), 4u);
-        return {in[0], in[1], 1, 1};
+        if (in.size() != 4)
+            return fail("input must be NCHW");
+        return std::vector<std::int64_t>{in[0], in[1], 1, 1};
       }
       case OpKind::kAdd: {
-        const auto &a = dims_of(0);
-        const auto &b = dims_of(1);
-        CIMMLC_CHECK(a == b)
-            << "add operand shape mismatch in node " << name;
-        return a;
+        if (dims_of(0) != dims_of(1))
+            return fail("operand shapes differ");
+        return dims_of(0);
       }
       case OpKind::kConcat: {
-        CIMMLC_CHECK_GE(ins.size(), 1u);
         std::vector<std::int64_t> out = dims_of(0);
-        CIMMLC_CHECK_GE(out.size(), 2u);
+        if (out.size() < 2)
+            return fail("inputs must be >= 2-d");
         for (std::size_t i = 1; i < ins.size(); ++i) {
             const auto &d = dims_of(i);
-            CIMMLC_CHECK_EQ(d.size(), out.size());
-            out[1] += d[1]; // channel concat
+            if (d.size() != out.size())
+                return fail("inputs differ in rank");
+            if (__builtin_add_overflow(out[1], d[1], &out[1]))
+                return fail("channel count overflows int64");
         }
         return out;
       }
       case OpKind::kFlatten: {
         const auto &in = dims_of(0);
-        std::int64_t rest = 1;
-        for (std::size_t i = 1; i < in.size(); ++i)
-            rest *= in[i];
-        return {in[0], rest};
+        std::int64_t rest = 0;
+        if (in.empty() || !checkedProduct(in, 1, &rest))
+            return fail("input must be >= 1-d with an element count "
+                        "in int64");
+        return std::vector<std::int64_t>{in[0], rest};
       }
       case OpKind::kReshape: {
         const auto &a = std::get<ReshapeAttrs>(attrs);
-        std::int64_t in_total =
-            tensors_[static_cast<std::size_t>(ins[0])].numel();
-        std::int64_t out_total = 1;
-        for (std::int64_t d : a.new_dims)
-            out_total *= d;
-        CIMMLC_CHECK_EQ(in_total, out_total)
-            << "reshape element-count mismatch in node " << name;
+        std::int64_t in_total = 0;
+        std::int64_t out_total = 0;
+        if (!checkedProduct(dims_of(0), 0, &in_total)
+            || !checkedProduct(a.new_dims, 0, &out_total))
+            return fail("element count overflows int64");
+        if (in_total != out_total)
+            return fail(strformat("element count changes (%lld to %lld)",
+                                  static_cast<long long>(in_total),
+                                  static_cast<long long>(out_total)));
         return a.new_dims;
       }
       case OpKind::kRelu:

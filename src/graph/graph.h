@@ -44,10 +44,21 @@ class Graph
     TensorId addInput(const std::string &name,
                       std::vector<std::int64_t> dims);
 
-    /** Generic node append; infers and registers the output shape. */
+    /** Generic node append; infers and registers the output shape.
+     * Aborts where addNodeChecked() fails (built-in models). */
     TensorId addNode(OpKind kind, NodeAttrs attrs,
                      std::vector<TensorId> inputs,
                      const std::string &name = "");
+
+    /**
+     * addNode() for untrusted graphs (kvjson): a missing operand, an
+     * operand shape the op cannot take, or a shape whose arithmetic
+     * overflows int64 is an error naming the node, and the graph is
+     * left unchanged.
+     */
+    StatusOr<TensorId> addNodeChecked(OpKind kind, NodeAttrs attrs,
+                                      std::vector<TensorId> inputs,
+                                      const std::string &name = "");
 
     /** Marks @p tensor as a graph output. */
     void markOutput(TensorId tensor);
@@ -124,10 +135,10 @@ class Graph
                           std::int64_t hi = 8);
 
   private:
-    std::vector<std::int64_t> inferShape(OpKind kind,
-                                         const NodeAttrs &attrs,
-                                         const std::vector<TensorId> &ins,
-                                         const std::string &name) const;
+    StatusOr<std::vector<std::int64_t>>
+    inferShape(OpKind kind, const NodeAttrs &attrs,
+               const std::vector<TensorId> &ins,
+               const std::string &name) const;
     TensorId newTensor(const std::string &name,
                        std::vector<std::int64_t> dims, NodeId producer);
 

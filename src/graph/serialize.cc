@@ -170,8 +170,9 @@ graphFromConfig(const ConfigValue &doc)
                                                by_name.size()));
         if (by_name.count(name))
             return parseError("duplicate tensor name '" + name + "'");
-        by_name[name] =
-            graph.addNode(kind, std::move(attrs), input_ids, name);
+        CIMMLC_ASSIGN_OR_RETURN(
+            by_name[name],
+            graph.addNodeChecked(kind, std::move(attrs), input_ids, name));
     }
 
     CIMMLC_ASSIGN_OR_RETURN(ConfigValue outputs, doc.get("outputs"));

@@ -18,6 +18,7 @@
 
 #include "arch/presets.h"
 #include "arch/serialize.h"
+#include "common/strutil.h"
 #include "dse/arch_explorer.h"
 #include "sched/autotune.h"
 
@@ -352,8 +353,8 @@ TEST(DseSpecTest, ResolvesPresetBaseArch)
     })");
     ASSERT_TRUE(spec.isOk()) << spec.status().toString();
     EXPECT_EQ(spec.value().base_arch.name, "jain-jssc21");
-    EXPECT_FALSE(spec.value().tune);
-    EXPECT_EQ(spec.value().objective, TuneObjective::kLatency);
+    EXPECT_FALSE(spec.value().knobs.tune);
+    EXPECT_EQ(spec.value().knobs.objective, "latency");
 }
 
 TEST(DseSpecTest, RejectsBadSpecs)
@@ -391,6 +392,100 @@ TEST(DseSpecTest, RejectsBadSpecs)
         "sweep": {"xb_size": [[256, 64]]}
     })")
                      .isOk());
+}
+
+/** The load error of a lenet5 spec with @p keys added ("" = OK). */
+std::string
+dseError(const std::string &keys,
+         const char *workload = R"("model": "lenet5")")
+{
+    auto spec = dseSpecFromText(std::string("{") + workload
+                                + R"(, "sweep": {"xb_size": [[256, 64]]}, )"
+                                + keys + "}");
+    return spec.isOk() ? "" : spec.status().message();
+}
+
+TEST(DseSpecTest, MistypedKeysNameTheKey)
+{
+    // Each knob used to load at its default when mistyped.
+    const struct {
+        const char *key;
+        const char *value;
+        const char *type;
+    } cases[] = {
+        {"opt", "3", "a string"},
+        {"dual_mode", "1", "a bool"},
+        {"host_offload", "\"yes\"", "a bool"},
+        {"tune", "\"true\"", "a bool"},
+        {"objective", "true", "a string"},
+        {"lint", "1", "a bool"},
+        {"lint_strict", "null", "a bool"},
+        {"perf_engine", "[\"event\"]", "a string"},
+        {"arch", "7", "a string"},
+        {"arch_file", "false", "a string"},
+        {"arch_text", "{}", "a string"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(dseError(strformat(R"("%s": %s)", c.key, c.value)),
+                  strformat("DSE spec key '%s' must be %s", c.key, c.type));
+    }
+    for (const char *workload :
+         {R"("model": 5)", R"("model_file": ["net.json"])",
+          R"("model_text": {})"}) {
+        EXPECT_NE(dseError(R"("threads": 1)", workload)
+                      .find("' must be a string"),
+                  std::string::npos)
+            << workload;
+    }
+}
+
+TEST(DseSpecTest, ThreadsMustBeAnInt)
+{
+    for (const char *value : {"\"2\"", "2.5", "2147483648", "true"}) {
+        EXPECT_NE(dseError(strformat(R"("threads": %s)", value))
+                      .find("threads"),
+                  std::string::npos)
+            << value;
+    }
+    EXPECT_EQ(dseError(R"("threads": 2147483647)"), "");
+}
+
+TEST(DseSpecTest, UnknownKeysNameTheKey)
+{
+    EXPECT_EQ(dseError(R"("lnit": true)"),
+              "DSE spec has unknown key 'lnit'");
+    // Knobs a DSE spec does not read, and sweep-file keys, are unknown.
+    for (const char *key : {"models", "archs", "search_budget", "verify"}) {
+        EXPECT_EQ(dseError(strformat(R"("%s": 1)", key)),
+                  strformat("DSE spec has unknown key '%s'", key));
+    }
+    EXPECT_EQ(dseError(R"("arch": "jain", "tune": "true", "lint": 1,
+                          "opt": 3)"),
+              "DSE spec key 'lint' must be a bool");
+}
+
+TEST(DseSpecTest, KnobKeysFillTheKnobRecord)
+{
+    auto spec = dseSpecFromText(R"({
+        "model": "lenet5", "arch": "jain", "opt": "cg", "dual_mode": true,
+        "host_offload": true, "tune": true, "objective": "energy",
+        "lint_strict": true, "perf_engine": "event", "threads": 3,
+        "sweep": {"xb_size": [[256, 64]]}
+    })");
+    ASSERT_TRUE(spec.isOk()) << spec.status().toString();
+    const RpcCompileRequest &knobs = spec.value().knobs;
+    EXPECT_EQ(knobs.opt, "cg");
+    EXPECT_TRUE(knobs.dual_mode);
+    EXPECT_TRUE(knobs.host_offload);
+    EXPECT_TRUE(knobs.tune);
+    EXPECT_EQ(knobs.objective, "energy");
+    EXPECT_TRUE(knobs.lint_strict);
+    EXPECT_EQ(knobs.perf_engine, "event");
+    EXPECT_EQ(spec.value().threads, 3);
+    const ScheduleOptions options = knobs.scheduleOptions().value();
+    EXPECT_FALSE(options.mvm_pipeline);
+    EXPECT_TRUE(options.dual_mode);
+    EXPECT_TRUE(options.host_offload);
 }
 
 // ----- end-to-end exploration --------------------------------------------
@@ -576,6 +671,91 @@ TEST(ArchExplorerTest, TunedSweepReportsTunedConfigs)
 }
 
 // ----- report schema -----------------------------------------------------
+
+// On the lint-fault arch every emitted flow has mopcheck errors, so
+// linting decides feasibility, while the objective ranks untuned runs
+// and the halving proxies stay closed-form, untuned and unlinted.
+TEST(ArchExplorerTest, LintGatesCandidatesButNotTheProxies)
+{
+    const std::string arch_file =
+        std::string(CIMMLC_SOURCE_DIR) + "/examples/lint_fault_arch.json";
+    const auto spec_with = [&arch_file](const std::string &keys) {
+        auto spec = dseSpecFromText(
+            R"({"model": "mlp", "arch_file": ")" + arch_file
+            + R"(", "threads": 1, "objective": "energy", )" + keys
+            + R"("sweep": {"xb_size": [[32, 128], [64, 128]],
+                           "core_grid": [[2, 1], [4, 1]]}})");
+        EXPECT_TRUE(spec.isOk()) << spec.status().toString();
+        return spec.value();
+    };
+
+    auto plain = ArchExplorer(spec_with("")).explore();
+    ASSERT_TRUE(plain.isOk()) << plain.status().toString();
+    EXPECT_EQ(plain.value().feasibleCount(), 4);
+    EXPECT_FALSE(plain.value().tuned);
+    EXPECT_EQ(plain.value().objective, TuneObjective::kEnergy);
+    const DseCandidate &best = plain.value().bestByObjective();
+    for (std::size_t index : plain.value().front)
+        EXPECT_LE(best.energy_pj,
+                  plain.value().candidates[index].energy_pj);
+
+    for (const char *lint :
+         {R"("lint": true, )", R"("lint_strict": true, )"}) {
+        auto linted = ArchExplorer(spec_with(lint)).explore();
+        ASSERT_FALSE(linted.isOk()) << lint;
+        EXPECT_NE(linted.status().message().find("no feasible candidate"),
+                  std::string::npos)
+            << linted.status().toString();
+
+        // Budgeted: the proxies price cleanly, the full evaluations fail.
+        TuneCache cache;
+        EXPECT_FALSE(ArchExplorer(spec_with(std::string(lint)
+                                            + R"("budget": 2, )"))
+                         .explore(&cache)
+                         .isOk());
+        const ConfigValue entries = cache.toConfig().get("entries").value();
+        int ok = 0;
+        int failed = 0;
+        for (const ConfigValue &entry : entries.asArray())
+            ++(entry.getIntOr("code", -1) == 0 ? ok : failed);
+        EXPECT_GT(ok, 0) << lint;
+        EXPECT_EQ(failed, 2) << lint;
+    }
+}
+
+// Halving proxies price the fixed options closed-form, untuned and
+// unlinted, so the spec's tune, lint and engine knobs leave every proxy
+// metric as it is.
+TEST(ArchExplorerTest, ProxyRungsIgnoreTuneLintAndEngine)
+{
+    const auto explore_with = [](const std::string &keys) {
+        auto spec = dseSpecFromText(
+            R"({"model": "conv_relu_toy", "arch": "jain", "threads": 1,
+                "budget": 2, )"
+            + keys
+            + R"("sweep": {"xb_size": [[256, 64], [128, 128]],
+                           "core_grid": [[2, 2], [4, 4]]}})");
+        EXPECT_TRUE(spec.isOk()) << spec.status().toString();
+        auto result = ArchExplorer(spec.value()).explore();
+        EXPECT_TRUE(result.isOk()) << keys << result.status().toString();
+        return result.value();
+    };
+    const DseResult plain = explore_with("");
+    ASSERT_EQ(plain.candidates.size(), 4u);
+    for (const char *keys : {R"("tune": true, )", R"("lint": true, )",
+                             R"("perf_engine": "event", )"}) {
+        const DseResult other = explore_with(keys);
+        ASSERT_EQ(other.candidates.size(), plain.candidates.size());
+        for (std::size_t i = 0; i < plain.candidates.size(); ++i) {
+            const DseCandidate &a = plain.candidates[i];
+            const DseCandidate &b = other.candidates[i];
+            ASSERT_TRUE(a.proxied && b.proxied) << keys << i;
+            EXPECT_EQ(a.proxy_latency_cycles, b.proxy_latency_cycles)
+                << keys << i;
+            EXPECT_EQ(a.proxy_energy_pj, b.proxy_energy_pj) << keys << i;
+        }
+    }
+}
 
 TEST(DseReportTest, ConfigCarriesSchemaFrontAndEvaluatedSet)
 {

@@ -514,7 +514,8 @@ TEST(TuneCacheTest, KeysGroupTunerDseAndHostModelEvaluations)
         if (c.tuner_hits == 0)
             continue;
         const std::uint32_t encoding =
-            AutoTuner::encodeOptions(spec.value().options);
+            AutoTuner::encodeOptions(
+                spec.value().knobs.scheduleOptions().value());
         for (const TuneCandidate &candidate : tuned.value().candidates) {
             if (candidate.encoding == encoding) {
                 EXPECT_EQ(candidate.latency_cycles, point.latency_cycles);
@@ -856,8 +857,8 @@ TEST(TuneSweepTest, SweepFileParsesTuneKeys)
         "objective": "edp"
     })");
     ASSERT_TRUE(sweep.isOk()) << sweep.status().toString();
-    EXPECT_TRUE(sweep.value().tune);
-    EXPECT_EQ(sweep.value().objective, TuneObjective::kEdp);
+    EXPECT_TRUE(sweep.value().knobs.tune);
+    EXPECT_EQ(sweep.value().knobs.objective, "edp");
 }
 
 TEST(TuneSweepTest, SweepFileDefaultsToNoTuning)
@@ -867,8 +868,8 @@ TEST(TuneSweepTest, SweepFileDefaultsToNoTuning)
         "archs": ["jain"]
     })");
     ASSERT_TRUE(sweep.isOk());
-    EXPECT_FALSE(sweep.value().tune);
-    EXPECT_EQ(sweep.value().objective, TuneObjective::kLatency);
+    EXPECT_FALSE(sweep.value().knobs.tune);
+    EXPECT_EQ(sweep.value().knobs.objective, "latency");
 }
 
 TEST(TuneSweepTest, SweepFileRejectsUnknownObjective)
@@ -889,8 +890,8 @@ TEST(TuneSweepTest, TunedBatchMatchesSerialAndBeatsFixedOptions)
     BatchSweep sweep;
     sweep.jobs = jobs.value();
     sweep.threads = 1;
-    sweep.tune = true;
-    sweep.objective = TuneObjective::kLatency;
+    sweep.knobs.tune = true;
+    sweep.knobs.objective = "latency";
     auto a = runSweep(sweep);
     sweep.threads = 4;
     auto b = runSweep(sweep);
@@ -899,7 +900,7 @@ TEST(TuneSweepTest, TunedBatchMatchesSerialAndBeatsFixedOptions)
     EXPECT_EQ(a.value().table(), b.value().table());
 
     sweep.threads = 1;
-    sweep.tune = false;
+    sweep.knobs.tune = false;
     auto baseline = runSweep(sweep);
     ASSERT_TRUE(baseline.isOk());
     for (std::size_t i = 0; i < a.value().entries.size(); ++i) {

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strutil.h"
 #include "compiler/batch.h"
 
 namespace cimmlc {
@@ -26,13 +27,12 @@ smokeJobs()
 }
 
 BatchSweep
-sweepOf(std::vector<BatchJob> jobs, int threads,
-        ScheduleOptions options = ScheduleOptions::full())
+sweepOf(std::vector<BatchJob> jobs, int threads, std::string opt = "full")
 {
     BatchSweep sweep;
     sweep.jobs = std::move(jobs);
     sweep.threads = threads;
-    sweep.options = options;
+    sweep.knobs.opt = std::move(opt);
     return sweep;
 }
 
@@ -163,7 +163,7 @@ TEST(BatchCompilerTest, OptionsChangeTheSchedule)
 {
     const std::vector<BatchJob> jobs = {{"lenet5", "isaac"}};
     auto full_result = runSweep(sweepOf(jobs, 1));
-    auto none_result = runSweep(sweepOf(jobs, 1, ScheduleOptions::none()));
+    auto none_result = runSweep(sweepOf(jobs, 1, "none"));
     ASSERT_TRUE(full_result.isOk());
     ASSERT_TRUE(none_result.isOk());
     // Unoptimized latency must be strictly worse.
@@ -184,8 +184,10 @@ TEST(SweepParseTest, ParsesFullSweep)
     ASSERT_TRUE(sweep.isOk()) << sweep.status().toString();
     EXPECT_EQ(sweep.value().jobs.size(), 2u);
     EXPECT_EQ(sweep.value().threads, 3);
-    EXPECT_FALSE(sweep.value().options.mvm_pipeline);
-    EXPECT_TRUE(sweep.value().options.cg_pipeline);
+    const ScheduleOptions options =
+        sweep.value().knobs.scheduleOptions().value();
+    EXPECT_FALSE(options.mvm_pipeline);
+    EXPECT_TRUE(options.cg_pipeline);
 }
 
 TEST(SweepParseTest, DefaultsToFullOptAndAutoThreads)
@@ -194,7 +196,8 @@ TEST(SweepParseTest, DefaultsToFullOptAndAutoThreads)
         R"({"models": ["mlp"], "archs": ["puma"]})");
     ASSERT_TRUE(sweep.isOk());
     EXPECT_EQ(sweep.value().threads, 0);
-    EXPECT_TRUE(sweep.value().options.vvm_remap);
+    EXPECT_TRUE(
+        sweep.value().knobs.scheduleOptions().value().vvm_remap);
 }
 
 TEST(SweepParseTest, RejectsMissingOrEmptyAxes)
@@ -258,6 +261,91 @@ TEST(SweepParseTest, RejectsNegativeThreads)
         R"({"models": ["mlp"], "archs": ["isaac"], "threads": -1})");
     ASSERT_FALSE(sweep.isOk());
     EXPECT_EQ(sweep.status().code(), StatusCode::kInvalidArgument);
+}
+
+/** The load error of a one-model sweep with @p keys added ("" = OK). */
+std::string
+sweepError(const std::string &keys)
+{
+    auto sweep = sweepFromText(R"({"models": ["mlp"], "archs": ["isaac"], )"
+                               + keys + "}");
+    return sweep.isOk() ? "" : sweep.status().message();
+}
+
+TEST(SweepParseTest, MistypedKnobKeysNameTheKey)
+{
+    // Each of these used to load with the knob at its default.
+    const struct {
+        const char *key;
+        const char *value;
+        const char *type;
+    } cases[] = {
+        {"opt", "3", "a string"},          {"dual_mode", "1", "a bool"},
+        {"host_offload", "\"yes\"", "a bool"}, {"tune", "1", "a bool"},
+        {"tune", "\"true\"", "a bool"},     {"objective", "true", "a string"},
+        {"lint", "\"yes\"", "a bool"},       {"lint_strict", "null", "a bool"},
+        {"perf_engine", "[\"event\"]", "a string"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(sweepError(strformat(R"("%s": %s)", c.key, c.value)),
+                  strformat("sweep key '%s' must be %s", c.key, c.type));
+    }
+}
+
+TEST(SweepParseTest, ThreadsMustBeAnInt)
+{
+    for (const char *value : {"\"2\"", "2.5", "2147483648", "true"}) {
+        EXPECT_NE(sweepError(strformat(R"("threads": %s)", value))
+                      .find("threads"),
+                  std::string::npos)
+            << value;
+    }
+    EXPECT_EQ(sweepError(R"("threads": 2147483647)"), "");
+}
+
+TEST(SweepParseTest, UnknownKeysNameTheKey)
+{
+    EXPECT_EQ(sweepError(R"("lnit": true)"), "sweep has unknown key 'lnit'");
+    // Knobs a sweep file does not read, and DSE keys, are unknown too.
+    for (const char *key : {"model", "arch_text", "search_budget", "verify",
+                            "sweep"}) {
+        EXPECT_EQ(sweepError(strformat(R"("%s": 1)", key)),
+                  strformat("sweep has unknown key '%s'", key));
+    }
+    // One document with every fault fails on the first key, in key order.
+    EXPECT_EQ(sweepError(R"("tune": 1, "lint": "yes", "threads": "2",
+                            "lnit": true)"),
+              "sweep key 'lint' must be a bool");
+}
+
+TEST(SweepParseTest, KnobKeysFillTheKnobRecord)
+{
+    auto sweep = sweepFromText(R"({
+        "models": ["mlp"], "archs": ["isaac"], "opt": "cg",
+        "dual_mode": true, "host_offload": true, "tune": true,
+        "objective": "edp", "lint_strict": true, "perf_engine": "event",
+        "budget": {"evals": 5, "proxy_opt_none": true}, "threads": 2
+    })");
+    ASSERT_TRUE(sweep.isOk()) << sweep.status().toString();
+    const RpcCompileRequest &knobs = sweep.value().knobs;
+    EXPECT_EQ(knobs.opt, "cg");
+    EXPECT_TRUE(knobs.dual_mode);
+    EXPECT_TRUE(knobs.host_offload);
+    EXPECT_TRUE(knobs.tune);
+    EXPECT_EQ(knobs.objective, "edp");
+    EXPECT_FALSE(knobs.lint);
+    EXPECT_TRUE(knobs.lint_strict);
+    EXPECT_EQ(knobs.perf_engine, "event");
+    EXPECT_EQ(sweep.value().budget.max_full_evals, 5);
+    EXPECT_TRUE(sweep.value().budget.proxy_opt_none);
+    EXPECT_EQ(sweep.value().threads, 2);
+    // A job's request comes from the record through applyKnobs, so the
+    // sweep's lint_strict lints as the frame's and the flag's do.
+    CompileRequest request;
+    ASSERT_TRUE(knobs.applyKnobs(request).isOk());
+    EXPECT_TRUE(request.lint);
+    EXPECT_TRUE(request.tune);
+    EXPECT_EQ(request.objective, TuneObjective::kEdp);
 }
 
 TEST(SweepParseTest, NonObjectDocumentIsAParseError)

@@ -419,6 +419,38 @@ TEST(DaemonServerTest, MalformedArchTextGetsAnErrorReply)
     server.stop();
 }
 
+TEST(DaemonServerTest, MisshapedModelTextGetsAnErrorReply)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("badgraph");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+
+    auto client = DaemonClient::connectUnixSocket(server.config().unix_path);
+    ASSERT_TRUE(client.isOk());
+    // The matmul's inner dims disagree (3 vs 4): shape inference used
+    // to abort the daemon for every client.
+    RpcCompileRequest request = toyRequest();
+    request.model.clear();
+    request.model_text =
+        R"({"inputs": [{"name": "x", "dims": [1, 4, 3]}],
+            "nodes": [{"op": "matmul", "name": "n", "inputs": ["x", "x"]}],
+            "outputs": ["n"]})";
+    auto response = client.value().compile(request);
+    ASSERT_FALSE(response.isOk());
+    EXPECT_NE(response.status().message().find("matmul node 'n'"),
+              std::string::npos)
+        << response.status().toString();
+    // The daemon still serves the next request.
+    const RpcCompileRequest next = toyRequest();
+    auto served = client.value().compile(next);
+    ASSERT_TRUE(served.isOk()) << served.status().toString();
+    EXPECT_EQ(normalizeWallMs(served.value().report_json),
+              normalizeWallMs(localReport(next)));
+    server.stop();
+}
+
 TEST(DaemonServerTest, StatsSnapshotCountsTraffic)
 {
     DaemonConfig config;

@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the daemon's policy layer, isolated from sockets and
- * threads: FairScheduler admission control and weighted round-robin
- * fairness, LatencyHistogram quantiles, and the `cimmlc.rpc.v1` frame
- * vocabulary (pinned dumps, parse round-trips, unknown- and mistyped-
- * key rejection, and a mutation fuzz).
+ * threads: FairScheduler admission control and round-robin fairness,
+ * LatencyHistogram quantiles, and the `cimmlc.rpc.v1` frame vocabulary
+ * (pinned dumps, parse round-trips, unknown- and mistyped-key
+ * rejection, and a mutation fuzz).
  */
 #include <gtest/gtest.h>
 
@@ -53,7 +53,6 @@ TEST(FairSchedulerTest, RejectsWhenQueueFull)
     SchedulerLimits limits;
     limits.max_queue_depth = 2;
     FairScheduler sched(limits);
-    sched.addClient(1);
     EXPECT_TRUE(sched.admit(job(1, 1)).isOk());
     EXPECT_TRUE(sched.admit(job(1, 2)).isOk());
     const Status rejected = sched.admit(job(1, 3));
@@ -70,7 +69,6 @@ TEST(FairSchedulerTest, InflightLimitGatesDispatch)
     SchedulerLimits limits;
     limits.max_inflight = 1;
     FairScheduler sched(limits);
-    sched.addClient(1);
     ASSERT_TRUE(sched.admit(job(1, 1)).isOk());
     ASSERT_TRUE(sched.admit(job(1, 2)).isOk());
 
@@ -84,7 +82,6 @@ TEST(FairSchedulerTest, InflightLimitGatesDispatch)
 TEST(FairSchedulerTest, FifoWithinOneClient)
 {
     FairScheduler sched({/*max_inflight=*/4, /*max_queue_depth=*/32});
-    sched.addClient(7);
     for (std::int64_t id = 1; id <= 5; ++id)
         ASSERT_TRUE(sched.admit(job(7, id)).isOk());
     EXPECT_EQ(drain(sched),
@@ -97,8 +94,6 @@ TEST(FairSchedulerTest, RoundRobinAcrossClients)
     // Client 1 queues three jobs before client 2's arrive; round-robin
     // still alternates instead of draining client 1 first.
     FairScheduler sched({/*max_inflight=*/1, /*max_queue_depth=*/32});
-    sched.addClient(1);
-    sched.addClient(2);
     for (std::int64_t id = 1; id <= 3; ++id)
         ASSERT_TRUE(sched.admit(job(1, id)).isOk());
     for (std::int64_t id = 1; id <= 3; ++id)
@@ -108,32 +103,15 @@ TEST(FairSchedulerTest, RoundRobinAcrossClients)
                                         "1:3", "2:3"}));
 }
 
-TEST(FairSchedulerTest, WeightedClientGetsProportionalTurns)
-{
-    // Weight 2 means two dispatches per turn.
-    FairScheduler sched({/*max_inflight=*/1, /*max_queue_depth=*/32});
-    sched.addClient(1, /*weight=*/2);
-    sched.addClient(2, /*weight=*/1);
-    for (std::int64_t id = 1; id <= 4; ++id)
-        ASSERT_TRUE(sched.admit(job(1, id)).isOk());
-    for (std::int64_t id = 1; id <= 2; ++id)
-        ASSERT_TRUE(sched.admit(job(2, id)).isOk());
-    EXPECT_EQ(drain(sched),
-              (std::vector<std::string>{"1:1", "1:2", "2:1", "1:3",
-                                        "1:4", "2:2"}));
-}
-
 TEST(FairSchedulerTest, LateJoinerIsNotStarved)
 {
     FairScheduler sched({/*max_inflight=*/1, /*max_queue_depth=*/32});
-    sched.addClient(1);
     for (std::int64_t id = 1; id <= 8; ++id)
         ASSERT_TRUE(sched.admit(job(1, id)).isOk());
     // One of client 1's jobs dispatches, then client 2 shows up.
     auto first = sched.next();
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->client, 1u);
-    sched.addClient(2);
     ASSERT_TRUE(sched.admit(job(2, 1)).isOk());
     sched.finish();
     // Client 1's new turn runs one job, then client 2's — the joiner
@@ -147,8 +125,6 @@ TEST(FairSchedulerTest, LateJoinerIsNotStarved)
 TEST(FairSchedulerTest, DropClientDiscardsOnlyItsQueuedJobs)
 {
     FairScheduler sched({/*max_inflight=*/1, /*max_queue_depth=*/32});
-    sched.addClient(1);
-    sched.addClient(2);
     for (std::int64_t id = 1; id <= 3; ++id)
         ASSERT_TRUE(sched.admit(job(1, id)).isOk());
     ASSERT_TRUE(sched.admit(job(2, 1)).isOk());
@@ -163,14 +139,6 @@ TEST(FairSchedulerTest, DropClientDiscardsOnlyItsQueuedJobs)
     EXPECT_EQ(sched.clientCount(), 1);
     sched.finish();
     EXPECT_EQ(drain(sched), (std::vector<std::string>{"2:1"}));
-}
-
-TEST(FairSchedulerTest, ReRegistrationKeepsFirstWeight)
-{
-    FairScheduler sched;
-    sched.addClient(1, 3);
-    sched.addClient(1, 9); // ignored
-    EXPECT_EQ(sched.clientCount(), 1);
 }
 
 // ----- LatencyHistogram -----------------------------------------------------

@@ -389,8 +389,8 @@ TEST(DeterminismTest, KnobbedBatchIsByteIdenticalAcrossThreads)
 
     BatchSweep sweep;
     sweep.jobs = jobs;
-    sweep.options.dual_mode = true;
-    sweep.options.host_offload = true;
+    sweep.knobs.dual_mode = true;
+    sweep.knobs.host_offload = true;
 
     std::string reference;
     for (int threads : {1, 2, 8}) {

@@ -189,6 +189,77 @@ TEST(GraphSerializeTest, IntegerAttributesMustBeIntegers)
     }
 }
 
+// Shape inference on a kvjson graph returns a Status naming the node;
+// each of these used to abort the process (and a daemon serving it).
+TEST(GraphSerializeTest, ShapeErrorsNameTheNode)
+{
+    const struct {
+        const char *input_dims;
+        const char *node; // the op and attributes of node "n"
+    } cases[] = {
+        {"[1, 4, 3]", R"("op": "matmul", "inputs": ["x", "x"])"},
+        {"[1, 4, 3]", R"("op": "matmul", "inputs": ["x"])"},
+        {"[4]", R"("op": "matmul", "inputs": ["x", "x"])"},
+        {"[1, 4]", R"("op": "add", "inputs": ["x", "c"])"},
+        {"[1, 4]", R"("op": "add", "inputs": ["x"])"},
+        {"[1, 4]", R"("op": "relu", "inputs": [])"},
+        {"[1, 3, 8]",
+         R"("op": "conv2d", "inputs": ["x"], "out_channels": 4)"},
+        {"[1, 3, 8, 8]", R"("op": "conv2d", "inputs": ["x"],
+                            "out_channels": 4, "stride": 0)"},
+        {"[1, 3, 8]", R"("op": "maxpool2d", "inputs": ["x"], "kernel": 2)"},
+        {"[1, 3, 8, 8]", R"("op": "avgpool2d", "inputs": ["x"],
+                            "kernel": 2, "stride": 0)"},
+        {"[1, 3, 8]", R"("op": "globalavgpool", "inputs": ["x"])"},
+        {"[4]", R"("op": "linear", "inputs": ["x"], "out_features": 2)"},
+        {"[1, 4]", R"("op": "concat", "inputs": ["x", "c"])"},
+        {"[4]", R"("op": "concat", "inputs": ["x"])"},
+        {"[1, 4]", R"("op": "reshape", "inputs": ["x"], "dims": [1, 5])"},
+        {"[1, 4]", R"("op": "reshape", "inputs": [], "dims": [1, 4])"},
+        {"[1, 1000000000000000000, 1000000000000000000]",
+         R"("op": "flatten", "inputs": ["x"])"},
+        {"[1, 1000000000000000000, 1000000000000000000]",
+         R"("op": "reshape", "inputs": ["x"], "dims": [1, 1])"},
+        {"[1, 4]", R"("op": "reshape", "inputs": ["x"],
+                      "dims": [1000000000000000000, 1000000000000000000])"},
+        {"[1, 1000000000000000000]",
+         R"("op": "concat", "inputs": ["x", "x", "x", "x", "x", "x",
+                                       "x", "x", "x", "x"])"},
+    };
+    for (const auto &c : cases) {
+        // "c" is a second input of another shape, for the two-operand ops.
+        const std::string text = strformat(R"({
+            "inputs": [{"name": "x", "dims": %s},
+                       {"name": "c", "dims": [1, 2, 3]}],
+            "nodes": [{"name": "n", %s}],
+            "outputs": ["n"]
+        })", c.input_dims, c.node);
+        const auto graph = graphFromText(text);
+        ASSERT_FALSE(graph.isOk()) << text;
+        EXPECT_NE(graph.status().message().find("node 'n'"),
+                  std::string::npos)
+            << graph.status().toString();
+    }
+}
+
+TEST(GraphSerializeTest, RejectedNodeLeavesTheGraphUnchanged)
+{
+    Graph graph("g");
+    const TensorId x = graph.addInput("x", {1, 4, 3});
+    auto bad = graph.addNodeChecked(OpKind::kMatMul, MatMulAttrs{}, {x, x},
+                                    "n");
+    ASSERT_FALSE(bad.isOk());
+    EXPECT_EQ(bad.status().message(),
+              "matmul node 'n': inner dims differ (3 vs 4)");
+    EXPECT_EQ(graph.nodeCount(), 1u);
+    EXPECT_EQ(graph.tensorCount(), 1u);
+    EXPECT_TRUE(graph.tensor(x).consumers.empty());
+    auto good = graph.addNodeChecked(OpKind::kRelu, std::monostate{}, {x});
+    ASSERT_TRUE(good.isOk()) << good.status().toString();
+    EXPECT_EQ(graph.tensor(good.value()).dims,
+              (std::vector<std::int64_t>{1, 4, 3}));
+}
+
 TEST(GraphSerializeTest, FileRoundTrip)
 {
     const std::string path = testing::TempDir() + "/cimmlc_graph.json";

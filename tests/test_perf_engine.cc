@@ -369,7 +369,7 @@ TEST(EventEngineTest, BatchTableByteIdenticalAcrossThreadCounts)
     BatchSweep sweep;
     sweep.jobs = jobs;
     sweep.threads = 1;
-    sweep.perf_engine = PerfEngineKind::kEvent;
+    sweep.knobs.perf_engine = "event";
     std::string serial_table;
     {
         auto result = runSweep(sweep);
@@ -452,7 +452,7 @@ TEST(DsePerfEngineTest, SpecParsesEngineAndRejectsUnknown)
         "\"perf_engine\": \"event\", "
         "\"sweep\": {\"xb_size\": [[256, 64], [128, 128]]}}");
     ASSERT_TRUE(spec.isOk()) << spec.status().toString();
-    EXPECT_EQ(spec.value().perf_engine, PerfEngineKind::kEvent);
+    EXPECT_EQ(spec.value().knobs.perf_engine, "event");
 
     auto bad = dseSpecFromText(
         "{\"model\": \"lenet5\", \"arch\": \"jain\", "

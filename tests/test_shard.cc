@@ -131,7 +131,7 @@ TEST(BatchShardTest, MergeRejectsDigestMismatch)
                                             runBatchShard(sweep, 1, 2)};
 
     BatchSweep other = sweep;
-    other.options = ScheduleOptions::none();
+    other.knobs.opt = "none";
     auto merged = mergeBatchShards(other, paths);
     ASSERT_FALSE(merged.isOk());
     EXPECT_EQ(merged.status().code(), StatusCode::kInvalidArgument);
@@ -173,13 +173,13 @@ TEST(DseShardTest, ShardingRequiresExhaustiveUntunedSpecs)
 {
     DseSpec budgeted = smokeDseSpec();
     budgeted.budget.max_full_evals = 2;
-    EXPECT_FALSE(validateDseSpecForSharding(budgeted).isOk());
+    EXPECT_FALSE(validateSpecForSharding(budgeted).isOk());
 
     DseSpec tuned = smokeDseSpec();
-    tuned.tune = true;
-    EXPECT_FALSE(validateDseSpecForSharding(tuned).isOk());
+    tuned.knobs.tune = true;
+    EXPECT_FALSE(validateSpecForSharding(tuned).isOk());
 
-    EXPECT_TRUE(validateDseSpecForSharding(smokeDseSpec()).isOk());
+    EXPECT_TRUE(validateSpecForSharding(smokeDseSpec()).isOk());
 }
 
 // Pins the exact diagnostic texts: the rejection must name the
@@ -190,7 +190,7 @@ TEST(DseShardTest, ShardingRejectionNamesTheAdaptiveMechanism)
 {
     DseSpec budgeted = smokeDseSpec();
     budgeted.budget.max_full_evals = 2;
-    const Status budget_status = validateDseSpecForSharding(budgeted);
+    const Status budget_status = validateSpecForSharding(budgeted);
     ASSERT_FALSE(budget_status.isOk());
     EXPECT_EQ(budget_status.message(),
               "arch-dse sharding requires an exhaustive spec: "
@@ -199,8 +199,8 @@ TEST(DseShardTest, ShardingRejectionNamesTheAdaptiveMechanism)
               "(drop 'budget' / --search-budget)");
 
     DseSpec tuned = smokeDseSpec();
-    tuned.tune = true;
-    const Status tune_status = validateDseSpecForSharding(tuned);
+    tuned.knobs.tune = true;
+    const Status tune_status = validateSpecForSharding(tuned);
     ASSERT_FALSE(tune_status.isOk());
     EXPECT_EQ(tune_status.message(),
               "arch-dse sharding requires an untuned spec: "
