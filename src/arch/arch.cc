@@ -107,6 +107,17 @@ CimArchitecture::validate() const
         return invalidArgument(name + ": crossbar grid must be positive");
     if (xbar.rows <= 0 || xbar.cols <= 0)
         return invalidArgument(name + ": crossbar shape must be positive");
+    // Core, crossbar and cell counts are products of these sizes; one
+    // that wraps int64 would reach the scheduler as 0 (a division by
+    // zero) or a negative count.
+    std::int64_t cells = 1;
+    for (const std::int64_t size : {chip.core_rows, chip.core_cols,
+                                    core.xb_rows, core.xb_cols, xbar.rows,
+                                    xbar.cols})
+        if (__builtin_mul_overflow(cells, size, &cells))
+            return invalidArgument(
+                name + ": the core grid x crossbar grid x crossbar size "
+                       "cell count overflows int64");
     if (xbar.parallel_row <= 0 || xbar.parallel_row > xbar.rows) {
         return invalidArgument(strformat(
             "%s: parallel_row %lld must be in [1, %lld]", name.c_str(),

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/mathutil.h"
 #include "common/status.h"
 
 namespace cimmlc {
@@ -121,7 +122,7 @@ struct CimArchitecture {
     std::int64_t
     cellsPerWeight() const
     {
-        return (weight_bits + xbar.cell_bits - 1) / xbar.cell_bits;
+        return ceilDiv(weight_bits, xbar.cell_bits);
     }
 
     /** Logical weight columns one crossbar holds. */
@@ -135,7 +136,7 @@ struct CimArchitecture {
     std::int64_t
     dacCyclesPerActivation() const
     {
-        return (activation_bits + xbar.dac_bits - 1) / xbar.dac_bits;
+        return ceilDiv(activation_bits, xbar.dac_bits);
     }
 
     /** Row groups that must be activated serially in WLM terms. */

@@ -8,46 +8,50 @@ namespace cimmlc {
 
 namespace {
 
-/** Reads "[rows, cols]" grid arrays with a scalar-count fallback. */
+/** Reads member @p key of @p tier, a [rows, cols] array, when present. */
 Status
-readGrid(const ConfigValue &tier, const std::string &array_key,
-         const std::string &count_key, std::int64_t *rows,
-         std::int64_t *cols)
-{
-    if (tier.has(array_key)) {
-        CIMMLC_ASSIGN_OR_RETURN(ConfigValue arr, tier.get(array_key));
-        if (!arr.isArray() || arr.asArray().size() != 2) {
-            return parseError(array_key + " must be a [rows, cols] array");
-        }
-        if (!integerValue(arr.asArray()[0], rows) ||
-            !integerValue(arr.asArray()[1], cols))
-            return parseError(array_key + " entries must be integers");
-        return Status::ok();
-    }
-    if (tier.has(count_key)) {
-        // A plain count lays endpoints out in a single row.
-        *rows = 1;
-        return readIntegerKey(tier, count_key, cols);
-    }
-    return Status::ok(); // keep defaults
-}
-
-Status
-readNocCost(const ConfigValue &tier, const std::string &key,
-            std::vector<double> *out)
+readPair(const std::string &surface, const ConfigValue &tier,
+         const std::string &key, std::int64_t *rows, std::int64_t *cols)
 {
     if (!tier.has(key))
         return Status::ok();
-    CIMMLC_ASSIGN_OR_RETURN(ConfigValue arr, tier.get(key));
-    if (!arr.isArray())
-        return parseError(key + " must be an array (row-major matrix)");
-    out->clear();
-    for (const ConfigValue &v : arr.asArray()) {
-        if (!v.isNumber())
-            return parseError(key + " entries must be numbers");
-        out->push_back(v.asNumber());
-    }
+    std::vector<std::int64_t> pair;
+    CIMMLC_RETURN_IF_ERROR(readTypedMember(surface, tier, key, &pair));
+    if (pair.size() != 2)
+        return parseError(surface + " key '" + key
+                          + "' must be a [rows, cols] array");
+    *rows = pair[0];
+    *cols = pair[1];
     return Status::ok();
+}
+
+/** Reads a [rows, cols] grid, or else a scalar count that lays the
+ * endpoints out in one row; with neither, the defaults stay. */
+Status
+readGrid(const std::string &surface, const ConfigValue &tier,
+         const std::string &grid_key, const std::string &count_key,
+         std::int64_t *rows, std::int64_t *cols)
+{
+    if (tier.has(grid_key))
+        return readPair(surface, tier, grid_key, rows, cols);
+    if (tier.has(count_key))
+        *rows = 1;
+    return readTypedMember(surface, tier, count_key, cols);
+}
+
+/** The tier object @p key of @p doc, or null when absent; a member that
+ * is not an object, or has a key @p known does not list, is an error. */
+StatusOr<const ConfigValue *>
+findTier(const ConfigValue &doc, const std::string &key,
+         const std::vector<std::string> &known)
+{
+    if (!doc.has(key))
+        return nullptr;
+    const ConfigValue &tier = doc.asObject().at(key);
+    if (!tier.isObject())
+        return parseError("arch key '" + key + "' must be an object");
+    CIMMLC_RETURN_IF_ERROR(rejectUnknownKeys("arch " + key, tier, known));
+    return &tier;
 }
 
 ConfigValue
@@ -66,73 +70,97 @@ archFromConfig(const ConfigValue &doc)
 {
     if (!doc.isObject())
         return parseError("architecture config must be an object");
+    CIMMLC_RETURN_IF_ERROR(rejectUnknownKeys(
+        "arch", doc,
+        {"name", "computing_mode", "weight_bits", "activation_bits",
+         "chip_tier", "core_tier", "xb_tier"}));
 
     CimArchitecture arch;
-    arch.name = doc.getStringOr("name", "unnamed");
-    CIMMLC_ASSIGN_OR_RETURN(
-        arch.mode, parseComputeMode(doc.getStringOr("computing_mode",
-                                                    "XBM")));
+    std::string mode = "XBM";
+    CIMMLC_RETURN_IF_ERROR(readTypedMember("arch", doc, "name", &arch.name));
     CIMMLC_RETURN_IF_ERROR(
-        readIntegerKey(doc, "weight_bits", &arch.weight_bits));
+        readTypedMember("arch", doc, "computing_mode", &mode));
+    CIMMLC_ASSIGN_OR_RETURN(arch.mode, parseComputeMode(mode));
     CIMMLC_RETURN_IF_ERROR(
-        readIntegerKey(doc, "activation_bits", &arch.activation_bits));
+        readTypedMember("arch", doc, "weight_bits", &arch.weight_bits));
+    CIMMLC_RETURN_IF_ERROR(readTypedMember("arch", doc, "activation_bits",
+                                           &arch.activation_bits));
 
-    if (doc.has("chip_tier")) {
-        CIMMLC_ASSIGN_OR_RETURN(ConfigValue tier, doc.get("chip_tier"));
-        CIMMLC_RETURN_IF_ERROR(readGrid(tier, "core_grid", "core_number",
-                                        &arch.chip.core_rows,
+    CIMMLC_ASSIGN_OR_RETURN(
+        const ConfigValue *chip,
+        findTier(doc, "chip_tier",
+                 {"core_grid", "core_number", "core_noc",
+                  "core_noc_bandwidth", "core_noc_cost", "alu",
+                  "l0_size_kib", "l0_bandwidth"}));
+    if (chip != nullptr) {
+        const std::string surface = "arch chip_tier";
+        std::string noc = "ideal";
+        CIMMLC_RETURN_IF_ERROR(readGrid(surface, *chip, "core_grid",
+                                        "core_number", &arch.chip.core_rows,
                                         &arch.chip.core_cols));
-        CIMMLC_ASSIGN_OR_RETURN(
-            arch.chip.core_noc,
-            parseNocType(tier.getStringOr("core_noc", "ideal")));
-        arch.chip.core_noc_bandwidth =
-            tier.getNumberOr("core_noc_bandwidth", 0.0);
         CIMMLC_RETURN_IF_ERROR(
-            readNocCost(tier, "core_noc_cost", &arch.chip.core_noc_cost));
-        arch.chip.alu_ops_per_cycle = tier.getNumberOr("alu", 0.0);
-        arch.chip.l0_size_kib = tier.getNumberOr("l0_size_kib", 0.0);
-        arch.chip.l0_bandwidth = tier.getNumberOr("l0_bandwidth", 0.0);
+            readTypedMember(surface, *chip, "core_noc", &noc));
+        CIMMLC_ASSIGN_OR_RETURN(arch.chip.core_noc, parseNocType(noc));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *chip, "core_noc_bandwidth",
+            &arch.chip.core_noc_bandwidth));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *chip, "core_noc_cost", &arch.chip.core_noc_cost));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *chip, "alu", &arch.chip.alu_ops_per_cycle));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *chip, "l0_size_kib", &arch.chip.l0_size_kib));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *chip, "l0_bandwidth", &arch.chip.l0_bandwidth));
     }
-    if (doc.has("core_tier")) {
-        CIMMLC_ASSIGN_OR_RETURN(ConfigValue tier, doc.get("core_tier"));
-        CIMMLC_RETURN_IF_ERROR(readGrid(tier, "xb_grid", "xb_number",
-                                        &arch.core.xb_rows,
+    CIMMLC_ASSIGN_OR_RETURN(
+        const ConfigValue *core,
+        findTier(doc, "core_tier",
+                 {"xb_grid", "xb_number", "xb_noc", "xb_noc_bandwidth",
+                  "xb_noc_cost", "alu", "l1_size_kib", "l1_bandwidth"}));
+    if (core != nullptr) {
+        const std::string surface = "arch core_tier";
+        std::string noc = "ideal";
+        CIMMLC_RETURN_IF_ERROR(readGrid(surface, *core, "xb_grid",
+                                        "xb_number", &arch.core.xb_rows,
                                         &arch.core.xb_cols));
-        CIMMLC_ASSIGN_OR_RETURN(
-            arch.core.xb_noc,
-            parseNocType(tier.getStringOr("xb_noc", "ideal")));
-        arch.core.xb_noc_bandwidth =
-            tier.getNumberOr("xb_noc_bandwidth", 0.0);
         CIMMLC_RETURN_IF_ERROR(
-            readNocCost(tier, "xb_noc_cost", &arch.core.xb_noc_cost));
-        arch.core.alu_ops_per_cycle = tier.getNumberOr("alu", 0.0);
-        arch.core.l1_size_kib = tier.getNumberOr("l1_size_kib", 0.0);
-        arch.core.l1_bandwidth = tier.getNumberOr("l1_bandwidth", 0.0);
+            readTypedMember(surface, *core, "xb_noc", &noc));
+        CIMMLC_ASSIGN_OR_RETURN(arch.core.xb_noc, parseNocType(noc));
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedMember(surface, *core, "xb_noc_bandwidth",
+                            &arch.core.xb_noc_bandwidth));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *core, "xb_noc_cost", &arch.core.xb_noc_cost));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *core, "alu", &arch.core.alu_ops_per_cycle));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *core, "l1_size_kib", &arch.core.l1_size_kib));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, *core, "l1_bandwidth", &arch.core.l1_bandwidth));
     }
-    if (doc.has("xb_tier")) {
-        CIMMLC_ASSIGN_OR_RETURN(ConfigValue tier, doc.get("xb_tier"));
-        if (tier.has("xb_size")) {
-            CIMMLC_ASSIGN_OR_RETURN(ConfigValue size,
-                                    tier.get("xb_size"));
-            if (!size.isArray() || size.asArray().size() != 2)
-                return parseError("xb_size must be [rows, cols]");
-            if (!integerValue(size.asArray()[0], &arch.xbar.rows) ||
-                !integerValue(size.asArray()[1], &arch.xbar.cols))
-                return parseError("xb_size entries must be integers");
-        }
+    CIMMLC_ASSIGN_OR_RETURN(
+        const ConfigValue *xb,
+        findTier(doc, "xb_tier",
+                 {"xb_size", "parallel_row", "dac", "adc", "type",
+                  "precision"}));
+    if (xb != nullptr) {
+        const std::string surface = "arch xb_tier";
+        std::string cell = "ReRAM";
+        CIMMLC_RETURN_IF_ERROR(readPair(surface, *xb, "xb_size",
+                                        &arch.xbar.rows, &arch.xbar.cols));
         arch.xbar.parallel_row = arch.xbar.rows;
-        CIMMLC_RETURN_IF_ERROR(readIntegerKey(tier, "parallel_row",
-                                              &arch.xbar.parallel_row));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(surface, *xb, "parallel_row",
+                                               &arch.xbar.parallel_row));
         CIMMLC_RETURN_IF_ERROR(
-            readIntegerKey(tier, "dac", &arch.xbar.dac_bits));
+            readTypedMember(surface, *xb, "dac", &arch.xbar.dac_bits));
         CIMMLC_RETURN_IF_ERROR(
-            readIntegerKey(tier, "adc", &arch.xbar.adc_bits));
-        CIMMLC_ASSIGN_OR_RETURN(
-            arch.xbar.cell_type,
-            parseCellType(tier.getStringOr("type", "ReRAM")));
+            readTypedMember(surface, *xb, "adc", &arch.xbar.adc_bits));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(surface, *xb, "type", &cell));
+        CIMMLC_ASSIGN_OR_RETURN(arch.xbar.cell_type, parseCellType(cell));
         arch.xbar.cell_bits = 1;
-        CIMMLC_RETURN_IF_ERROR(
-            readIntegerKey(tier, "precision", &arch.xbar.cell_bits));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(surface, *xb, "precision",
+                                               &arch.xbar.cell_bits));
     }
 
     CIMMLC_RETURN_IF_ERROR(arch.validate());
@@ -273,6 +301,22 @@ canonicalParamName(ArchParam param, const std::string &text)
     return std::string(computeModeName(mode));
 }
 
+constexpr const char *kSweepSurface = "DSE sweep";
+
+/** Reads one integer of a @p param axis: an int on the bit-width axes,
+ * whose values set int fields, and an int64 on the others. */
+Status
+readAxisInteger(ArchParam param, const ConfigValue &item, std::int64_t *out)
+{
+    const std::string key = archParamName(param);
+    if (paramKind(param) != ParamKind::kCount)
+        return readTypedKey(kSweepSurface, key, item, out);
+    int bits = 0;
+    CIMMLC_RETURN_IF_ERROR(readTypedKey(kSweepSurface, key, item, &bits));
+    *out = bits;
+    return Status::ok();
+}
+
 StatusOr<ArchParamValue>
 paramValueFromConfig(ArchParam param, const ConfigValue &item)
 {
@@ -280,17 +324,17 @@ paramValueFromConfig(ArchParam param, const ConfigValue &item)
     ArchParamValue value;
     switch (paramKind(param)) {
       case ParamKind::kGrid: {
-        bool well_formed = false;
-        if (item.isNumber()) {
+        if (item.isArray() && item.asArray().size() == 2) {
+            CIMMLC_RETURN_IF_ERROR(
+                readAxisInteger(param, item.asArray()[0], &value.rows));
+            CIMMLC_RETURN_IF_ERROR(
+                readAxisInteger(param, item.asArray()[1], &value.cols));
+        } else if (item.isNumber()) {
             // A scalar N is shorthand for a square NxN grid.
-            well_formed = integerValue(item, &value.rows);
+            CIMMLC_RETURN_IF_ERROR(
+                readAxisInteger(param, item, &value.rows));
             value.cols = value.rows;
-        } else if (item.isArray() && item.asArray().size() == 2) {
-            well_formed =
-                integerValue(item.asArray()[0], &value.rows)
-                && integerValue(item.asArray()[1], &value.cols);
-        }
-        if (!well_formed) {
+        } else {
             return parseError("sweep '" + key
                               + "' entries must be [rows, cols] integer "
                                 "arrays or square-size integers");
@@ -301,23 +345,21 @@ paramValueFromConfig(ArchParam param, const ConfigValue &item)
         return value;
       }
       case ParamKind::kBandwidth:
-        if (!item.isNumber())
-            return parseError("sweep '" + key
-                              + "' entries must be numbers");
-        value.number = item.asNumber();
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedKey(kSweepSurface, key, item, &value.number));
         if (value.number < 0.0)
             return parseError("sweep '" + key + "' values must be >= 0");
         return value;
       case ParamKind::kCount:
-        if (!integerValue(item, &value.rows) || value.rows <= 0)
+        CIMMLC_RETURN_IF_ERROR(readAxisInteger(param, item, &value.rows));
+        if (value.rows <= 0)
             return parseError("sweep '" + key
                               + "' entries must be positive integers");
         return value;
       case ParamKind::kName: {
-        if (!item.isString())
-            return parseError("sweep '" + key
-                              + "' entries must be strings");
-        auto canonical = canonicalParamName(param, item.asString());
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedKey(kSweepSurface, key, item, &value.name));
+        auto canonical = canonicalParamName(param, value.name);
         if (!canonical.isOk())
             return canonical.status().withContext("sweep '" + key + "'");
         value.name = canonical.value();
@@ -336,14 +378,14 @@ expandLog2Range(ArchParam param, const ConfigValue &range)
         return parseError("sweep '" + key
                           + "' is an enumeration; list its values "
                             "explicitly instead of a log2 range");
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    if (!range.isArray() || range.asArray().size() != 2
-        || !integerValue(range.asArray()[0], &lo)
-        || !integerValue(range.asArray()[1], &hi))
+    if (!range.isArray() || range.asArray().size() != 2)
         return parseError("sweep '" + key
                           + "' log2 range must be a [lo, hi] integer "
                             "pair");
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    CIMMLC_RETURN_IF_ERROR(readAxisInteger(param, range.asArray()[0], &lo));
+    CIMMLC_RETURN_IF_ERROR(readAxisInteger(param, range.asArray()[1], &hi));
     if (lo <= 0 || hi < lo)
         return parseError(
             strformat("sweep '%s' log2 range needs 0 < lo <= hi, got "
@@ -366,10 +408,9 @@ expandLog2Range(ArchParam param, const ConfigValue &range)
             break;
         }
         values.push_back(value);
-        // Termination guard before doubling: integerValue caps hi at
-        // 1e18, so n never approaches the signed-overflow edge, but a
-        // plain `n * 2 <= hi` condition would be one refactor away
-        // from an infinite loop.
+        // Stop before doubling past hi: hi is at most 2^63 - 1, so
+        // n <= hi / 2 keeps n * 2 in int64, where a plain
+        // `n * 2 <= hi` condition would overflow near the top.
         if (n > hi / 2)
             break;
     }
@@ -461,9 +502,12 @@ sweepSpecFromConfig(const ConfigValue &doc)
                 axis.values.push_back(value);
             }
         } else if (item.isObject() && item.has("log2")) {
+            CIMMLC_RETURN_IF_ERROR(rejectUnknownKeys(
+                std::string(kSweepSurface) + " range '" + key + "'", item,
+                {"log2"}));
             CIMMLC_ASSIGN_OR_RETURN(
                 axis.values,
-                expandLog2Range(axis.param, item.get("log2").value()));
+                expandLog2Range(axis.param, item.asObject().at("log2")));
         } else {
             return parseError("sweep '" + key
                               + "' must be a value array or a "

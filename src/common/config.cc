@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -140,42 +141,6 @@ ConfigValue::getIntOr(const std::string &key, std::int64_t fallback) const
     return number >= -0x1p63 && number < 0x1p63 ? v.asInt() : fallback;
 }
 
-bool
-integerValue(const ConfigValue &item, std::int64_t *out)
-{
-    if (!item.isNumber())
-        return false;
-    const double value = item.asNumber();
-    if (!(value == std::floor(value)) || value < -1.0e18
-        || value > 1.0e18)
-        return false;
-    *out = static_cast<std::int64_t>(value);
-    return true;
-}
-
-Status
-readIntegerKey(const ConfigValue &doc, const std::string &key,
-               std::int64_t *out)
-{
-    if (!doc.has(key))
-        return Status::ok();
-    if (!integerValue(doc.asObject().at(key), out))
-        return parseError(key + " must be an integer");
-    return Status::ok();
-}
-
-Status
-readIntegerKey(const ConfigValue &doc, const std::string &key, int *out)
-{
-    std::int64_t value = *out;
-    CIMMLC_RETURN_IF_ERROR(readIntegerKey(doc, key, &value));
-    if (value < std::numeric_limits<int>::min()
-        || value > std::numeric_limits<int>::max())
-        return parseError(key + " is out of range for an int");
-    *out = static_cast<int>(value);
-    return Status::ok();
-}
-
 std::string
 ConfigValue::getStringOr(const std::string &key, std::string fallback) const
 {
@@ -192,6 +157,108 @@ ConfigValue::getBoolOr(const std::string &key, bool fallback) const
         return fallback;
     const ConfigValue &v = object_value_.at(key);
     return v.isBool() ? v.asBool() : fallback;
+}
+
+namespace {
+
+Status
+wrongType(const std::string &surface, const std::string &key,
+          const char *type)
+{
+    return parseError(surface + " key '" + key + "' must be " + type);
+}
+
+/** Whether @p v is an integral number in [lo, hi_exclusive). Casting a
+ * double outside the target type is undefined, so callers check this
+ * first; 2^63 is exact as a double, so int64's upper edge is too. */
+bool
+integralIn(const ConfigValue &v, double lo, double hi_exclusive)
+{
+    return v.isNumber() && v.asNumber() == std::trunc(v.asNumber())
+           && v.asNumber() >= lo && v.asNumber() < hi_exclusive;
+}
+
+} // namespace
+
+Status
+readTypedKey(const std::string &surface, const std::string &key,
+             const ConfigValue &v, std::string *out)
+{
+    if (!v.isString())
+        return wrongType(surface, key, "a string");
+    *out = v.asString();
+    return Status::ok();
+}
+
+Status
+readTypedKey(const std::string &surface, const std::string &key,
+             const ConfigValue &v, bool *out)
+{
+    if (!v.isBool())
+        return wrongType(surface, key, "a bool");
+    *out = v.asBool();
+    return Status::ok();
+}
+
+Status
+readTypedKey(const std::string &surface, const std::string &key,
+             const ConfigValue &v, double *out)
+{
+    if (!v.isNumber())
+        return wrongType(surface, key, "a number");
+    *out = v.asNumber();
+    return Status::ok();
+}
+
+Status
+readTypedKey(const std::string &surface, const std::string &key,
+             const ConfigValue &v, std::int64_t *out)
+{
+    if (!integralIn(v, -0x1p63, 0x1p63))
+        return wrongType(surface, key, "an integer in int64 range");
+    *out = static_cast<std::int64_t>(v.asNumber());
+    return Status::ok();
+}
+
+Status
+readTypedKey(const std::string &surface, const std::string &key,
+             const ConfigValue &v, int *out)
+{
+    if (!integralIn(v, std::numeric_limits<int>::min(),
+                    std::numeric_limits<int>::max() + 1.0))
+        return wrongType(surface, key, "an integer in int range");
+    *out = static_cast<int>(v.asNumber());
+    return Status::ok();
+}
+
+Status
+rejectUnknownKeys(const std::string &surface, const ConfigValue &doc,
+                  const std::vector<std::string> &known)
+{
+    for (const auto &[key, value] : doc.asObject()) {
+        (void)value;
+        if (std::find(known.begin(), known.end(), key) == known.end())
+            return parseError(surface + " has unknown key '" + key + "'");
+    }
+    return Status::ok();
+}
+
+Status
+readStatusMembers(const std::string &surface, const ConfigValue &doc,
+                  Status *out)
+{
+    std::int64_t code = -1;
+    std::string message;
+    CIMMLC_RETURN_IF_ERROR(readTypedMember(surface, doc, "code", &code));
+    CIMMLC_RETURN_IF_ERROR(
+        readTypedMember(surface, doc, "message", &message));
+    if (code < 0 || code > static_cast<std::int64_t>(StatusCode::kParseError))
+        return parseError(strformat("%s has unknown status code %lld",
+                                    surface.c_str(),
+                                    static_cast<long long>(code)));
+    *out = code == 0 ? Status::ok()
+                     : Status(static_cast<StatusCode>(code), message);
+    return Status::ok();
 }
 
 namespace {

@@ -71,7 +71,14 @@ class ConfigValue
     /** Member lookup; error status when absent or not an object. */
     StatusOr<ConfigValue> get(const std::string &key) const;
 
-    /** Typed member lookups with defaults for optional fields. */
+    /**
+     * Lenient member lookups: an absent or mistyped member reads as
+     * @p fallback. Only for documents this program wrote and reads
+     * back: reports and stats, DaemonClient's replies and what
+     * `cimmlc --connect` prints of them, and the daemon's dispatch of
+     * frames other than compile frames. A document from outside goes
+     * through readTypedKey() instead.
+     */
     double getNumberOr(const std::string &key, double fallback) const;
     std::int64_t getIntOr(const std::string &key,
                           std::int64_t fallback) const;
@@ -92,24 +99,77 @@ class ConfigValue
 };
 
 /**
- * Reads @p item into @p out when it is an integer-valued number in
- * [-1e18, 1e18]. Non-numbers, fractional values and larger magnitudes
- * return false instead of being truncated or cast out of range (a
- * "core_grid": [2.5, 2] must not silently become a 2x2 grid); the cap
- * also leaves callers room to double a value without overflow.
+ * The typed reader for every kvjson document from outside the program:
+ * Abs-arch and graph files, sweep files, DSE specs, search budgets,
+ * tune-cache and shard files, and compile frames. Reads @p v, the value
+ * of key @p key in a @p surface document, into @p out: a string, a
+ * bool, a number, or for the integer targets a number that is integral
+ * and fits the target type. Any other value leaves @p out unchanged and
+ * is the parse error "<surface> key '<key>' must be <type>".
  */
-bool integerValue(const ConfigValue &item, std::int64_t *out);
+Status readTypedKey(const std::string &surface, const std::string &key,
+                    const ConfigValue &v, std::string *out);
+Status readTypedKey(const std::string &surface, const std::string &key,
+                    const ConfigValue &v, bool *out);
+Status readTypedKey(const std::string &surface, const std::string &key,
+                    const ConfigValue &v, double *out);
+Status readTypedKey(const std::string &surface, const std::string &key,
+                    const ConfigValue &v, std::int64_t *out);
+Status readTypedKey(const std::string &surface, const std::string &key,
+                    const ConfigValue &v, int *out);
 
-/**
- * Reads the optional integer member @p key of object @p doc into
- * @p out through integerValue(); an absent key leaves @p out unchanged.
- * A member that is not an integer, or for the int overload lies
- * outside int, is a parse error naming @p key.
- */
-Status readIntegerKey(const ConfigValue &doc, const std::string &key,
-                      std::int64_t *out);
-Status readIntegerKey(const ConfigValue &doc, const std::string &key,
-                      int *out);
+/** readTypedKey() on each element of @p v, which must be an array (a
+ * grid, dims, a NoC cost matrix, a list of names); on success the
+ * elements replace @p out. */
+template <typename T>
+Status
+readTypedKey(const std::string &surface, const std::string &key,
+             const ConfigValue &v, std::vector<T> *out)
+{
+    if (!v.isArray())
+        return parseError(surface + " key '" + key + "' must be an array");
+    std::vector<T> items(v.asArray().size());
+    for (std::size_t i = 0; i < items.size(); ++i)
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedKey(surface, key, v.asArray()[i], &items[i]));
+    *out = std::move(items);
+    return Status::ok();
+}
+
+/** readTypedKey() on member @p key of object @p doc; an absent member
+ * keeps the caller's default in @p out. */
+template <typename T>
+Status
+readTypedMember(const std::string &surface, const ConfigValue &doc,
+                const std::string &key, T *out)
+{
+    if (!doc.has(key))
+        return Status::ok();
+    return readTypedKey(surface, key, doc.asObject().at(key), out);
+}
+
+/** readTypedMember() for a member @p doc must have: an absent one is
+ * the parse error "<surface> is missing '<key>'". */
+template <typename T>
+Status
+readRequiredMember(const std::string &surface, const ConfigValue &doc,
+                   const std::string &key, T *out)
+{
+    if (!doc.has(key))
+        return parseError(surface + " is missing '" + key + "'");
+    return readTypedKey(surface, key, doc.asObject().at(key), out);
+}
+
+/** The parse error "<surface> has unknown key '<key>'" for the first
+ * member of object @p doc that @p known does not list. */
+Status rejectUnknownKeys(const std::string &surface, const ConfigValue &doc,
+                         const std::vector<std::string> &known);
+
+/** Reads a Status stored as members "code" (a StatusCode number) and
+ * "message" of object @p doc, as shard and tune-cache files store one.
+ * An absent or unknown code is a parse error. */
+Status readStatusMembers(const std::string &surface, const ConfigValue &doc,
+                         Status *out);
 
 /** Parses a kvjson document from text. */
 StatusOr<ConfigValue> parseConfig(const std::string &text);

@@ -206,17 +206,11 @@ sweepFromConfig(const ConfigValue &doc)
 
     auto readNames = [&doc](const char *key)
         -> StatusOr<std::vector<std::string>> {
-        CIMMLC_ASSIGN_OR_RETURN(const ConfigValue list, doc.get(key));
-        if (!list.isArray() || list.asArray().empty())
+        std::vector<std::string> names;
+        CIMMLC_RETURN_IF_ERROR(readRequiredMember("sweep", doc, key, &names));
+        if (names.empty())
             return parseError(std::string("sweep '") + key
                               + "' must be a non-empty array of strings");
-        std::vector<std::string> names;
-        for (const ConfigValue &item : list.asArray()) {
-            if (!item.isString())
-                return parseError(std::string("sweep '") + key
-                                  + "' entries must be strings");
-            names.push_back(item.asString());
-        }
         return names;
     };
 
@@ -226,7 +220,8 @@ sweepFromConfig(const ConfigValue &doc)
                             readNames("archs"));
     CIMMLC_ASSIGN_OR_RETURN(sweep.jobs,
                             crossProductJobs(model_names, arch_names));
-    CIMMLC_RETURN_IF_ERROR(readIntegerKey(doc, "threads", &sweep.threads));
+    CIMMLC_RETURN_IF_ERROR(
+        readTypedMember("sweep", doc, "threads", &sweep.threads));
     if (sweep.threads < 0)
         return invalidArgument("sweep 'threads' must be >= 0");
     if (doc.has("budget")) {

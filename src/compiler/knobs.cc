@@ -1,7 +1,6 @@
 #include "compiler/knobs.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace cimmlc {
 
@@ -25,50 +24,10 @@ kvjson(std::int64_t v)
     return ConfigValue::makeNumber(static_cast<double>(v));
 }
 
-Status
-mistyped(const char *surface, const std::string &key, const char *type)
-{
-    return invalidArgument(std::string(surface) + " key '" + key
-                           + "' must be " + type);
-}
-
 constexpr unsigned kAllModes =
     kSingleMode | kTunedMode | kBatchMode | kDseMode | kConnectMode;
 
 } // namespace
-
-Status
-readTypedKey(const char *surface, const std::string &key,
-             const ConfigValue &v, std::string *out)
-{
-    if (!v.isString())
-        return mistyped(surface, key, "a string");
-    *out = v.asString();
-    return Status::ok();
-}
-
-Status
-readTypedKey(const char *surface, const std::string &key,
-             const ConfigValue &v, bool *out)
-{
-    if (!v.isBool())
-        return mistyped(surface, key, "a bool");
-    *out = v.asBool();
-    return Status::ok();
-}
-
-Status
-readTypedKey(const char *surface, const std::string &key,
-             const ConfigValue &v, std::int64_t *out)
-{
-    // ConfigValue::asInt would truncate a fraction, and its cast is
-    // undefined outside int64.
-    if (!v.isNumber() || v.asNumber() != std::trunc(v.asNumber())
-        || !(v.asNumber() >= -0x1p63 && v.asNumber() < 0x1p63))
-        return mistyped(surface, key, "an integer in int64 range");
-    *out = static_cast<std::int64_t>(v.asNumber());
-    return Status::ok();
-}
 
 // ----- the knob table -------------------------------------------------------
 

@@ -110,16 +110,6 @@ const std::vector<CompileKnob> &compileKnobs();
 /** The knob whose key is @p key, or nullptr. */
 const CompileKnob *findCompileKnob(const std::string &key);
 
-/** Reads @p v, the value of document key @p key, into @p out: a
- * string, a bool, or an integral number in int64 range. Another kvjson
- * type is the error "<surface> key '<key>' must be a bool". */
-Status readTypedKey(const char *surface, const std::string &key,
-                    const ConfigValue &v, std::string *out);
-Status readTypedKey(const char *surface, const std::string &key,
-                    const ConfigValue &v, bool *out);
-Status readTypedKey(const char *surface, const std::string &key,
-                    const ConfigValue &v, std::int64_t *out);
-
 /** Fails unless @p knobs names a known opt level, objective and perf
  * engine, tuned or not. */
 Status checkKnobValues(const RpcCompileRequest &knobs);

@@ -508,8 +508,6 @@ CompilerSession::stageSchedule(CompileArtifacts &artifacts,
         artifacts.schedule,
         scheduleGraph(*graph_, *arch_, artifacts.options,
                       request_.host_model));
-    if (request_.outputs.schedule_report)
-        artifacts.schedule_report = artifacts.schedule->summary(*graph_);
     detail = strformat("%zu segments, latency %.6g cycles, config %s",
                        artifacts.schedule->segments.size(),
                        artifacts.schedule->total_latency_cycles,
@@ -525,11 +523,6 @@ CompilerSession::stageCodegen(CompileArtifacts &artifacts,
                             generateProgram(*graph_, *arch_,
                                             *artifacts.schedule,
                                             request_.codegen));
-    if (request_.outputs.flow_text) {
-        PrintOptions print;
-        print.max_statements = request_.outputs.flow_limit;
-        artifacts.flow_text = printProgram(artifacts.code->program, print);
-    }
     detail = artifacts.code->program.summary();
     return Status::ok();
 }
@@ -564,15 +557,6 @@ CompilerSession::stageLint(CompileArtifacts &artifacts, std::string &detail)
     artifacts.lint =
         analyzeProgram(artifacts.code->program, *arch_, options);
     detail = artifacts.lint->summary();
-    if (request_.lint_strict && artifacts.lint->errors() > 0) {
-        const Status first = firstError(artifacts.lint->diagnostics);
-        return Status(StatusCode::kFailedPrecondition,
-                      strformat("mopcheck found %lld error findings "
-                                "(first: %s)",
-                                static_cast<long long>(
-                                    artifacts.lint->errors()),
-                                first.message().c_str()));
-    }
     return Status::ok();
 }
 
@@ -648,7 +632,8 @@ CompilerSession::stageKey(CompileStage stage,
       case CompileStage::kCodegen:
       case CompileStage::kLint:
         // lint_strict stays out of the key: the strict verdict is
-        // re-applied to the replayed findings (see replayStage).
+        // derived from the findings on a run and a replay alike
+        // (see deriveOutputs).
         mix_codegen_inputs();
         break;
       case CompileStage::kPerf:
@@ -671,7 +656,7 @@ CompilerSession::stageKey(CompileStage stage,
     return hash.digest();
 }
 
-Status
+void
 CompilerSession::replayStage(CompileStage stage,
                              const ArtifactCache::Entry &entry,
                              CompileArtifacts &artifacts)
@@ -679,36 +664,55 @@ CompilerSession::replayStage(CompileStage stage,
     switch (stage) {
       case CompileStage::kLoad:
       case CompileStage::kValidate:
-        return Status::ok();
-      case CompileStage::kTune: {
+        return;
+      case CompileStage::kTune:
         artifacts.tune =
             *std::static_pointer_cast<const TuneResult>(entry.value);
         artifacts.tuned = true;
         artifacts.options = artifacts.tune->best().options;
-        return Status::ok();
-      }
-      case CompileStage::kSchedule: {
+        return;
+      case CompileStage::kSchedule:
         artifacts.schedule =
             *std::static_pointer_cast<const Schedule>(entry.value);
+        return;
+      case CompileStage::kCodegen:
+        artifacts.code =
+            *std::static_pointer_cast<const CodegenResult>(entry.value);
+        return;
+      case CompileStage::kLint:
+        artifacts.lint =
+            *std::static_pointer_cast<const AnalyzeResult>(entry.value);
+        return;
+      case CompileStage::kPerf:
+        artifacts.perf =
+            *std::static_pointer_cast<const PerfReport>(entry.value);
+        return;
+      case CompileStage::kVerify:
+        artifacts.verify =
+            *std::static_pointer_cast<const VerifyReport>(entry.value);
+        return;
+    }
+}
+
+Status
+CompilerSession::deriveOutputs(CompileStage stage,
+                               CompileArtifacts &artifacts) const
+{
+    switch (stage) {
+      case CompileStage::kSchedule:
         if (request_.outputs.schedule_report)
             artifacts.schedule_report =
                 artifacts.schedule->summary(*graph_);
-        return Status::ok();
-      }
-      case CompileStage::kCodegen: {
-        artifacts.code =
-            *std::static_pointer_cast<const CodegenResult>(entry.value);
+        break;
+      case CompileStage::kCodegen:
         if (request_.outputs.flow_text) {
             PrintOptions print;
             print.max_statements = request_.outputs.flow_limit;
             artifacts.flow_text =
                 printProgram(artifacts.code->program, print);
         }
-        return Status::ok();
-      }
-      case CompileStage::kLint: {
-        artifacts.lint =
-            *std::static_pointer_cast<const AnalyzeResult>(entry.value);
+        break;
+      case CompileStage::kLint:
         if (request_.lint_strict && artifacts.lint->errors() > 0) {
             const Status first = firstError(artifacts.lint->diagnostics);
             return Status(StatusCode::kFailedPrecondition,
@@ -718,16 +722,9 @@ CompilerSession::replayStage(CompileStage stage,
                                         artifacts.lint->errors()),
                                     first.message().c_str()));
         }
-        return Status::ok();
-      }
-      case CompileStage::kPerf:
-        artifacts.perf =
-            *std::static_pointer_cast<const PerfReport>(entry.value);
-        return Status::ok();
-      case CompileStage::kVerify:
-        artifacts.verify =
-            *std::static_pointer_cast<const VerifyReport>(entry.value);
-        return Status::ok();
+        break;
+      default:
+        break;
     }
     return Status::ok();
 }
@@ -796,7 +793,7 @@ CompilerSession::runStage(CompileStage stage, CompileArtifacts &artifacts)
         if (!key.empty()) {
             if (auto entry = request_.artifact_cache->lookup(
                     compileStageName(stage), key)) {
-                trace.status = replayStage(stage, *entry, artifacts);
+                replayStage(stage, *entry, artifacts);
                 trace.detail = entry->detail;
                 trace.cached = true;
             }
@@ -830,13 +827,15 @@ CompilerSession::runStage(CompileStage stage, CompileArtifacts &artifacts)
             trace.status = stageVerify(artifacts, trace.detail);
             break;
         }
-        if (!key.empty() && trace.status.isOk()) {
-            const double compute_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            storeStage(stage, key, compute_ms, artifacts, trace.detail);
-        }
+    }
+    if (trace.status.isOk())
+        trace.status = deriveOutputs(stage, artifacts);
+    if (!trace.cached && !key.empty() && trace.status.isOk()) {
+        const double compute_ms =
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        storeStage(stage, key, compute_ms, artifacts, trace.detail);
     }
 
     trace.wall_ms = std::chrono::duration<double, std::milli>(

@@ -309,12 +309,14 @@ class CompilerSession
     /** Cache key for @p stage from its own inputs; "" = not cacheable. */
     std::string stageKey(CompileStage stage,
                          const CompileArtifacts &artifacts) const;
-    /** Copies a cached stage artifact back into @p artifacts and
-     * re-renders any requested derived text (schedule report, flow
-     * text) deterministically. Returns the replayed stage status. */
-    Status replayStage(CompileStage stage,
-                       const ArtifactCache::Entry &entry,
-                       CompileArtifacts &artifacts);
+    /** Copies a cached stage artifact back into @p artifacts. */
+    void replayStage(CompileStage stage, const ArtifactCache::Entry &entry,
+                     CompileArtifacts &artifacts);
+    /** Derives what a stage's artifact implies, after a run and a
+     * replay alike: the schedule report, the flow text, and the
+     * lint-strict verdict, which is this call's status. */
+    Status deriveOutputs(CompileStage stage,
+                         CompileArtifacts &artifacts) const;
     /** Stores a successful stage result under @p key. */
     void storeStage(CompileStage stage, const std::string &key,
                     double compute_ms, const CompileArtifacts &artifacts,

@@ -37,22 +37,15 @@ statusToConfig(const Status &status)
     return ConfigValue::makeObject(std::move(doc));
 }
 
+/** Reads the "status" object of shard entry @p row. */
 Status
-statusFromConfig(const ConfigValue &doc, Status *out)
+statusFromConfig(const std::string &surface, const ConfigValue &row,
+                 Status *out)
 {
-    if (!doc.isObject())
-        return parseError("shard entry 'status' must be an object");
-    const std::int64_t code = doc.getIntOr("code", -1);
-    if (code < 0 || code > static_cast<std::int64_t>(StatusCode::kParseError))
-        return parseError(
-            strformat("shard entry has unknown status code %lld",
-                      static_cast<long long>(code)));
-    if (code == 0)
-        *out = Status::ok();
-    else
-        *out = Status(static_cast<StatusCode>(code),
-                      doc.getStringOr("message", ""));
-    return Status::ok();
+    if (!row.has("status") || !row.asObject().at("status").isObject())
+        return parseError(surface + " key 'status' must be an object");
+    return readStatusMembers(surface + " status",
+                             row.asObject().at("status"), out);
 }
 
 ConfigValue
@@ -76,30 +69,54 @@ perfToConfig(const PerfReport &perf)
     return ConfigValue::makeObject(std::move(doc));
 }
 
+/** Reads the "perf" object of shard entry @p row. */
 StatusOr<PerfReport>
-perfFromConfig(const ConfigValue &doc)
+perfFromConfig(const std::string &entry, const ConfigValue &row)
 {
-    if (!doc.isObject())
-        return parseError("shard entry 'perf' must be an object");
+    if (!row.has("perf") || !row.asObject().at("perf").isObject())
+        return parseError(entry + " key 'perf' must be an object");
+    const ConfigValue &doc = row.asObject().at("perf");
+    const std::string surface = entry + " perf";
     PerfReport perf;
-    CIMMLC_ASSIGN_OR_RETURN(
-        perf.engine,
-        parsePerfEngineKind(doc.getStringOr("engine", "closed_form")));
-    perf.latency_cycles = doc.getNumberOr("latency_cycles", 0.0);
-    perf.reload_cycles = doc.getNumberOr("reload_cycles", 0.0);
-    perf.energy.xbar_pj = doc.getNumberOr("xbar_pj", 0.0);
-    perf.energy.adc_dac_pj = doc.getNumberOr("adc_dac_pj", 0.0);
-    perf.energy.movement_pj = doc.getNumberOr("movement_pj", 0.0);
-    perf.energy.alu_pj = doc.getNumberOr("alu_pj", 0.0);
-    perf.energy.write_pj = doc.getNumberOr("write_pj", 0.0);
-    perf.peak_power_mw = doc.getNumberOr("peak_power_mw", 0.0);
-    perf.avg_power_mw = doc.getNumberOr("avg_power_mw", 0.0);
-    perf.peak_active_xbs = doc.getIntOr("peak_active_xbs", 0);
-    perf.crossbars_mapped = doc.getIntOr("crossbars_mapped", 0);
-    perf.crossbar_utilization =
-        doc.getNumberOr("crossbar_utilization", 0.0);
-    perf.stall_cycles = doc.getNumberOr("stall_cycles", 0.0);
+    std::string engine;
+    CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, doc, "engine", &engine));
+    CIMMLC_ASSIGN_OR_RETURN(perf.engine, parsePerfEngineKind(engine));
+    const std::pair<const char *, double *> numbers[] = {
+        {"latency_cycles", &perf.latency_cycles},
+        {"reload_cycles", &perf.reload_cycles},
+        {"xbar_pj", &perf.energy.xbar_pj},
+        {"adc_dac_pj", &perf.energy.adc_dac_pj},
+        {"movement_pj", &perf.energy.movement_pj},
+        {"alu_pj", &perf.energy.alu_pj},
+        {"write_pj", &perf.energy.write_pj},
+        {"peak_power_mw", &perf.peak_power_mw},
+        {"avg_power_mw", &perf.avg_power_mw},
+        {"crossbar_utilization", &perf.crossbar_utilization},
+        {"stall_cycles", &perf.stall_cycles}};
+    for (const auto &[key, out] : numbers)
+        CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, doc, key, out));
+    CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, doc, "peak_active_xbs",
+                                              &perf.peak_active_xbs));
+    CIMMLC_RETURN_IF_ERROR(readRequiredMember(
+        surface, doc, "crossbars_mapped", &perf.crossbars_mapped));
     return perf;
+}
+
+/** Reads the "index" of shard entry @p row, checked against @p units. */
+StatusOr<std::size_t>
+entryIndex(const std::string &path, const ConfigValue &row,
+           std::size_t units)
+{
+    const std::string surface = "shard file '" + path + "' entry";
+    if (!row.isObject())
+        return parseError(surface + " must be an object");
+    std::int64_t index = -1;
+    CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, row, "index", &index));
+    if (index < 0 || index >= static_cast<std::int64_t>(units))
+        return parseError(strformat("'%s' entry index %lld out of range",
+                                    path.c_str(),
+                                    static_cast<long long>(index)));
+    return static_cast<std::size_t>(index);
 }
 
 /** Shared shard-file envelope checks; returns the entries array. */
@@ -109,22 +126,33 @@ openShardFile(const std::string &path, const char *schema,
               std::vector<bool> &shard_seen)
 {
     CIMMLC_ASSIGN_OR_RETURN(const ConfigValue doc, loadConfigFile(path));
-    if (!doc.isObject()
-        || doc.getStringOr("schema", "") != std::string(schema))
+    const std::string surface = "shard file '" + path + "'";
+    std::string file_schema;
+    if (doc.isObject())
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedMember(surface, doc, "schema", &file_schema));
+    if (file_schema != schema)
         return parseError("'" + path + "' is not a " + schema
                           + " shard file");
-    if (doc.getStringOr("spec_digest", "") != digest)
+    std::string file_digest;
+    std::int64_t shards = 0;
+    std::int64_t shard = 0;
+    std::int64_t units = 0;
+    CIMMLC_RETURN_IF_ERROR(
+        readRequiredMember(surface, doc, "spec_digest", &file_digest));
+    CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, doc, "shards", &shards));
+    CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, doc, "shard", &shard));
+    CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, doc, "units", &units));
+    if (file_digest != digest)
         return invalidArgument(
             "'" + path
             + "' was produced from a different sweep spec (digest "
               "mismatch); all shards must run the same spec");
-    const std::int64_t shards = doc.getIntOr("shards", 0);
     if (shards != static_cast<std::int64_t>(shard_seen.size()))
         return invalidArgument(strformat(
             "'%s' says %lld shards, but %zu shard files were given",
             path.c_str(), static_cast<long long>(shards),
             shard_seen.size()));
-    const std::int64_t shard = doc.getIntOr("shard", -1);
     if (shard < 0 || shard >= shards)
         return parseError(
             strformat("'%s' has bad shard index %lld/%lld", path.c_str(),
@@ -135,8 +163,7 @@ openShardFile(const std::string &path, const char *schema,
             strformat("shard %lld appears twice in the merge set",
                       static_cast<long long>(shard)));
     shard_seen[static_cast<std::size_t>(shard)] = true;
-    if (doc.getIntOr("units", -1)
-        != static_cast<std::int64_t>(expected_units))
+    if (units != static_cast<std::int64_t>(expected_units))
         return invalidArgument(
             "'" + path + "' disagrees on the sweep's work-unit count");
     CIMMLC_ASSIGN_OR_RETURN(const ConfigValue entries,
@@ -264,50 +291,47 @@ mergeBatchShards(const BatchSweep &sweep,
             openShardFile(path, kBatchShardSchema, digest,
                           sweep.jobs.size(), shard_seen));
         for (const ConfigValue &row : entries.asArray()) {
-            if (!row.isObject())
-                return parseError("'" + path
-                                  + "' has a non-object entry");
-            const std::int64_t index = row.getIntOr("index", -1);
-            if (index < 0
-                || index >= static_cast<std::int64_t>(sweep.jobs.size()))
-                return parseError(strformat(
-                    "'%s' entry index %lld out of range", path.c_str(),
-                    static_cast<long long>(index)));
-            const auto at = static_cast<std::size_t>(index);
+            CIMMLC_ASSIGN_OR_RETURN(
+                const std::size_t at,
+                entryIndex(path, row, sweep.jobs.size()));
             if (filled[at])
                 return invalidArgument(strformat(
-                    "job %lld appears in more than one shard",
-                    static_cast<long long>(index)));
+                    "job %zu appears in more than one shard", at));
             filled[at] = true;
 
+            const std::string surface =
+                strformat("shard file '%s' entry %zu", path.c_str(), at);
             BatchEntry &entry = result.entries[at];
-            entry.job.model = row.getStringOr("model", "");
-            entry.job.arch = row.getStringOr("arch", "");
+            CIMMLC_RETURN_IF_ERROR(readRequiredMember(surface, row, "model",
+                                                      &entry.job.model));
+            CIMMLC_RETURN_IF_ERROR(
+                readRequiredMember(surface, row, "arch", &entry.job.arch));
             if (entry.job.model != sweep.jobs[at].model
                 || entry.job.arch != sweep.jobs[at].arch)
                 return invalidArgument(strformat(
-                    "'%s' entry %lld names job '%s x %s', spec says "
+                    "'%s' entry %zu names job '%s x %s', spec says "
                     "'%s x %s'",
-                    path.c_str(), static_cast<long long>(index),
-                    entry.job.model.c_str(), entry.job.arch.c_str(),
-                    sweep.jobs[at].model.c_str(),
+                    path.c_str(), at, entry.job.model.c_str(),
+                    entry.job.arch.c_str(), sweep.jobs[at].model.c_str(),
                     sweep.jobs[at].arch.c_str()));
-            CIMMLC_RETURN_IF_ERROR(statusFromConfig(
-                row.has("status") ? row.get("status").value()
-                                  : ConfigValue(),
-                &entry.status));
-            entry.nodes = row.getIntOr("nodes", 0);
-            entry.weights = row.getIntOr("weights", 0);
-            entry.flow_statements = row.getIntOr("flow_statements", 0);
-            entry.config = row.getStringOr("config", "");
-            entry.tuned = row.getBoolOr("tuned", false);
-            entry.lint_errors = row.getIntOr("lint_errors", -1);
-            entry.lint_warnings = row.getIntOr("lint_warnings", -1);
+            CIMMLC_RETURN_IF_ERROR(
+                statusFromConfig(surface, row, &entry.status));
+            const std::pair<const char *, std::int64_t *> counts[] = {
+                {"nodes", &entry.nodes},
+                {"weights", &entry.weights},
+                {"flow_statements", &entry.flow_statements},
+                {"lint_errors", &entry.lint_errors},
+                {"lint_warnings", &entry.lint_warnings}};
+            for (const auto &[key, out] : counts)
+                CIMMLC_RETURN_IF_ERROR(
+                    readRequiredMember(surface, row, key, out));
+            CIMMLC_RETURN_IF_ERROR(
+                readRequiredMember(surface, row, "config", &entry.config));
+            CIMMLC_RETURN_IF_ERROR(
+                readRequiredMember(surface, row, "tuned", &entry.tuned));
             if (entry.status.isOk()) {
-                CIMMLC_ASSIGN_OR_RETURN(const ConfigValue perf,
-                                        row.get("perf"));
                 CIMMLC_ASSIGN_OR_RETURN(entry.perf,
-                                        perfFromConfig(perf));
+                                        perfFromConfig(surface, row));
             }
         }
     }
@@ -410,33 +434,26 @@ mergeDseShards(const DseSpec &spec, const std::vector<std::string> &paths)
             openShardFile(path, kDseShardSchema, digest,
                           result.candidates.size(), shard_seen));
         for (const ConfigValue &row : entries.asArray()) {
-            if (!row.isObject())
-                return parseError("'" + path
-                                  + "' has a non-object entry");
-            const std::int64_t index = row.getIntOr("index", -1);
-            if (index < 0
-                || index
-                       >= static_cast<std::int64_t>(
-                           result.candidates.size()))
-                return parseError(strformat(
-                    "'%s' entry index %lld out of range", path.c_str(),
-                    static_cast<long long>(index)));
-            const auto at = static_cast<std::size_t>(index);
+            CIMMLC_ASSIGN_OR_RETURN(
+                const std::size_t at,
+                entryIndex(path, row, result.candidates.size()));
             if (filled[at])
                 return invalidArgument(strformat(
-                    "candidate %lld appears in more than one shard",
-                    static_cast<long long>(index)));
+                    "candidate %zu appears in more than one shard", at));
             filled[at] = true;
+            const std::string surface =
+                strformat("shard file '%s' entry %zu", path.c_str(), at);
             DseCandidate &candidate = result.candidates[at];
-            CIMMLC_RETURN_IF_ERROR(statusFromConfig(
-                row.has("status") ? row.get("status").value()
-                                  : ConfigValue(),
-                &candidate.status));
-            candidate.latency_cycles =
-                row.getNumberOr("latency_cycles", 0.0);
-            candidate.energy_pj = row.getNumberOr("energy_pj", 0.0);
-            candidate.edp = row.getNumberOr("edp", 0.0);
-            candidate.config = row.getStringOr("config", "");
+            CIMMLC_RETURN_IF_ERROR(
+                statusFromConfig(surface, row, &candidate.status));
+            CIMMLC_RETURN_IF_ERROR(readRequiredMember(
+                surface, row, "latency_cycles", &candidate.latency_cycles));
+            CIMMLC_RETURN_IF_ERROR(readRequiredMember(
+                surface, row, "energy_pj", &candidate.energy_pj));
+            CIMMLC_RETURN_IF_ERROR(
+                readRequiredMember(surface, row, "edp", &candidate.edp));
+            CIMMLC_RETURN_IF_ERROR(readRequiredMember(
+                surface, row, "config", &candidate.config));
         }
     }
     for (std::size_t i = 0; i < filled.size(); ++i) {

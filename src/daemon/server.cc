@@ -263,8 +263,11 @@ DaemonServer::handleCompile(const std::shared_ptr<Connection> &conn,
 {
     auto parsed = parseCompileFrame(doc);
     if (!parsed.isOk()) {
-        sendToClient(conn, errorFrame(doc.getIntOr("id", -1),
-                                      parsed.status()));
+        // Echo the id when it reads as one, so the client can match
+        // the error to its request; it stays -1 when absent or mistyped.
+        std::int64_t id = -1;
+        (void)readTypedMember("compile frame", doc, "id", &id);
+        sendToClient(conn, errorFrame(id, parsed.status()));
         return;
     }
     const RpcCompileRequest request = std::move(parsed).value();

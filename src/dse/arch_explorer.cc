@@ -176,9 +176,7 @@ dseSpecFromConfig(const ConfigValue &doc)
     std::vector<std::string> surface_keys = {"sweep", "threads", "budget"};
     for (const auto &[key, target] : sources) {
         surface_keys.push_back(key);
-        if (doc.has(key))
-            CIMMLC_RETURN_IF_ERROR(readTypedKey(
-                "DSE spec", key, doc.get(key).value(), target));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember("DSE spec", doc, key, target));
     }
     CIMMLC_RETURN_IF_ERROR(
         readFileKnobs(doc, "DSE spec", surface_keys, spec.knobs));
@@ -210,7 +208,8 @@ dseSpecFromConfig(const ConfigValue &doc)
             presets::byName(arch.empty() ? "isaac-baseline" : arch));
     }
 
-    CIMMLC_RETURN_IF_ERROR(readIntegerKey(doc, "threads", &spec.threads));
+    CIMMLC_RETURN_IF_ERROR(
+        readTypedMember("DSE spec", doc, "threads", &spec.threads));
     if (spec.threads < 0)
         return parseError("DSE spec 'threads' must be >= 0");
 

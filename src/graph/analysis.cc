@@ -61,35 +61,59 @@ macCount(const Graph &graph, NodeId node_id)
     return 0;
 }
 
-std::int64_t
-aluOpCount(const Graph &graph, NodeId node_id)
+std::optional<std::int64_t>
+checkedAluOpCount(const Graph &graph, NodeId node_id)
 {
     const Node &n = graph.node(node_id);
+    // The element, pool-window and MAC counts fit int64 (see
+    // Graph::addNodeChecked); only the per-element multiples can wrap.
+    std::int64_t per_item = 1;
+    std::int64_t items = 0;
     switch (n.kind) {
       case OpKind::kRelu:
       case OpKind::kAdd:
       case OpKind::kConcat:
       case OpKind::kIdentity:
-        return outputElements(graph, node_id);
+        items = outputElements(graph, node_id);
+        break;
       case OpKind::kGelu:
       case OpKind::kSoftmax:
       case OpKind::kLayerNorm:
         // Transcendental-heavy ops count several ALU ops per element.
-        return 4 * outputElements(graph, node_id);
+        per_item = 4;
+        items = outputElements(graph, node_id);
+        break;
       case OpKind::kMaxPool2d:
       case OpKind::kAvgPool2d: {
         const auto &a = n.pool();
-        return outputElements(graph, node_id) * a.kernel * a.kernel;
+        items = outputElements(graph, node_id) * a.kernel * a.kernel;
+        break;
       }
       case OpKind::kGlobalAvgPool: {
         const auto &in = graph.tensor(n.inputs[0]).dims;
-        return in[0] * in[1] * in[2] * in[3];
+        items = in[0] * in[1] * in[2] * in[3];
+        break;
       }
       case OpKind::kMatMul:
-        return 2 * macCount(graph, node_id);
+        per_item = 2;
+        items = macCount(graph, node_id);
+        break;
       default:
-        return 0;
+        break;
     }
+    std::int64_t ops = 0;
+    if (__builtin_mul_overflow(items, per_item, &ops))
+        return std::nullopt;
+    return ops;
+}
+
+std::int64_t
+aluOpCount(const Graph &graph, NodeId node_id)
+{
+    const std::optional<std::int64_t> ops =
+        checkedAluOpCount(graph, node_id);
+    CIMMLC_CHECK(ops.has_value()) << "ALU op count overflows int64";
+    return *ops;
 }
 
 std::int64_t

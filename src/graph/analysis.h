@@ -43,8 +43,13 @@ std::int64_t mvmCount(const Graph &graph, NodeId node);
 /** Multiply-accumulate count of @p node (CIM or dynamic matmul). */
 std::int64_t macCount(const Graph &graph, NodeId node);
 
-/** Elementwise op count for digital (ALU) operators; 0 otherwise. */
+/** Elementwise op count for digital (ALU) operators; 0 otherwise.
+ * @pre the count fits int64, as Graph::validate() checks. */
 std::int64_t aluOpCount(const Graph &graph, NodeId node);
+
+/** aluOpCount(), or nullopt when it overflows int64. */
+std::optional<std::int64_t> checkedAluOpCount(const Graph &graph,
+                                              NodeId node);
 
 /** Output activation element count of @p node. */
 std::int64_t outputElements(const Graph &graph, NodeId node);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "common/logging.h"
@@ -69,9 +70,36 @@ isShapeOnly(OpKind kind)
            kind == OpKind::kIdentity || kind == OpKind::kInput;
 }
 
+namespace {
+
+/** The product of @p factors, or false when it overflows int64. */
+bool
+checkedProduct(std::span<const std::int64_t> factors, std::int64_t *out)
+{
+    std::int64_t total = 1;
+    for (const std::int64_t factor : factors)
+        if (__builtin_mul_overflow(total, factor, &total))
+            return false;
+    *out = total;
+    return true;
+}
+
+} // namespace
+
 TensorId
 Graph::addInput(const std::string &name, std::vector<std::int64_t> dims)
 {
+    return addInputChecked(name, std::move(dims)).value();
+}
+
+StatusOr<TensorId>
+Graph::addInputChecked(const std::string &name,
+                       std::vector<std::int64_t> dims)
+{
+    std::int64_t elements = 0;
+    if (!checkedProduct(dims, &elements))
+        return invalidArgument("input '" + name
+                               + "': element count overflows int64");
     Node node;
     node.id = static_cast<NodeId>(nodes_.size());
     node.name = name.empty() ? strformat("input%d", node.id) : name;
@@ -127,6 +155,11 @@ Graph::addNodeChecked(OpKind kind, NodeAttrs attrs,
     CIMMLC_ASSIGN_OR_RETURN(
         std::vector<std::int64_t> out_dims,
         inferShape(kind, node.attrs, node.inputs, node.name));
+    std::int64_t elements = 0;
+    if (!checkedProduct(out_dims, &elements))
+        return invalidArgument(strformat(
+            "%s node '%s': output element count overflows int64",
+            opKindName(kind), node.name.c_str()));
     for (TensorId in : node.inputs)
         tensors_[static_cast<std::size_t>(in)].consumers.push_back(node.id);
     node.output = newTensor(node.name + ":out", std::move(out_dims),
@@ -146,22 +179,8 @@ Graph::markOutput(TensorId tensor)
 
 namespace {
 
-/** The product of @p dims from position @p first on, or false when it
- * overflows int64. */
-bool
-checkedProduct(const std::vector<std::int64_t> &dims, std::size_t first,
-               std::int64_t *out)
-{
-    std::int64_t total = 1;
-    for (std::size_t i = first; i < dims.size(); ++i)
-        if (__builtin_mul_overflow(total, dims[i], &total))
-            return false;
-    *out = total;
-    return true;
-}
-
-/** convOutDim(), or false when the stride is not positive or the
- * arithmetic overflows int64. */
+/** convOutDim(), or false when the stride is not positive, the window
+ * is larger than the padded input, or the arithmetic overflows int64. */
 bool
 checkedOutDim(std::int64_t in, std::int64_t kernel, std::int64_t stride,
               std::int64_t padding, std::int64_t *out)
@@ -169,7 +188,7 @@ checkedOutDim(std::int64_t in, std::int64_t kernel, std::int64_t stride,
     std::int64_t span = 0;
     if (stride <= 0 || __builtin_mul_overflow(padding, 2, &span)
         || __builtin_add_overflow(span, in, &span)
-        || __builtin_sub_overflow(span, kernel, &span))
+        || __builtin_sub_overflow(span, kernel, &span) || span < 0)
         return false;
     *out = span / stride + 1;
     return true;
@@ -223,11 +242,24 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
             stride = a.stride;
             padding = a.padding;
         }
+        if (kernel_h <= 0 || kernel_w <= 0 || padding < 0)
+            return fail("needs a positive kernel and a non-negative "
+                        "padding");
         std::vector<std::int64_t> out = {in[0], channels, 0, 0};
         if (!checkedOutDim(in[2], kernel_h, stride, padding, &out[2])
             || !checkedOutDim(in[3], kernel_w, stride, padding, &out[3]))
-            return fail("needs a positive stride and an output size "
-                        "in int64");
+            return fail("needs a positive stride, a window within the "
+                        "padded input and an output size in int64");
+        // The scheduler's counts must fit int64: this product is a
+        // conv's MAC count, led by its weight rows (in channels x
+        // kernel) so that they are checked too, and a pool's ALU ops.
+        const std::int64_t in_channels =
+            kind == OpKind::kConv2d ? in[1] : 1;
+        const std::int64_t factors[] = {in_channels, kernel_h, kernel_w,
+                                        channels, out[0], out[2], out[3]};
+        std::int64_t ops = 0;
+        if (!checkedProduct(factors, &ops))
+            return fail("weight, MAC or ALU op count overflows int64");
         return out;
       }
       case OpKind::kLinear: {
@@ -235,6 +267,10 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
         std::vector<std::int64_t> out = dims_of(0);
         if (out.size() < 2)
             return fail("input must be >= 2-d");
+        std::int64_t macs = 0;
+        if (!checkedProduct(out, &macs)
+            || __builtin_mul_overflow(macs, a.out_features, &macs))
+            return fail("weight and MAC counts overflow int64");
         out.back() = a.out_features;
         return out;
       }
@@ -253,6 +289,10 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
             return fail(strformat("inner dims differ (%lld vs %lld)",
                                   static_cast<long long>(lhs_k),
                                   static_cast<long long>(rhs_k)));
+        std::int64_t macs = 0;
+        if (!checkedProduct(lhs, &macs)
+            || __builtin_mul_overflow(macs, rhs_n, &macs))
+            return fail("MAC count overflows int64");
         std::vector<std::int64_t> out = lhs;
         out.back() = rhs_n;
         return out;
@@ -284,7 +324,7 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
       case OpKind::kFlatten: {
         const auto &in = dims_of(0);
         std::int64_t rest = 0;
-        if (in.empty() || !checkedProduct(in, 1, &rest))
+        if (in.empty() || !checkedProduct(std::span(in).subspan(1), &rest))
             return fail("input must be >= 1-d with an element count "
                         "in int64");
         return std::vector<std::int64_t>{in[0], rest};
@@ -293,8 +333,8 @@ Graph::inferShape(OpKind kind, const NodeAttrs &attrs,
         const auto &a = std::get<ReshapeAttrs>(attrs);
         std::int64_t in_total = 0;
         std::int64_t out_total = 0;
-        if (!checkedProduct(dims_of(0), 0, &in_total)
-            || !checkedProduct(a.new_dims, 0, &out_total))
+        if (!checkedProduct(dims_of(0), &in_total)
+            || !checkedProduct(a.new_dims, &out_total))
             return fail("element count overflows int64");
         if (in_total != out_total)
             return fail(strformat("element count changes (%lld to %lld)",

@@ -40,9 +40,16 @@ class Graph
 
     // ----- construction -------------------------------------------------
 
-    /** Declares a graph input with the given shape. */
+    /** Declares a graph input with the given shape. Aborts where
+     * addInputChecked() fails (built-in models). */
     TensorId addInput(const std::string &name,
                       std::vector<std::int64_t> dims);
+
+    /** addInput() for untrusted graphs (kvjson): a shape whose element
+     * count overflows int64 is an error naming the input, and the
+     * graph is left unchanged. */
+    StatusOr<TensorId> addInputChecked(const std::string &name,
+                                       std::vector<std::int64_t> dims);
 
     /** Generic node append; infers and registers the output shape.
      * Aborts where addNodeChecked() fails (built-in models). */
@@ -52,9 +59,9 @@ class Graph
 
     /**
      * addNode() for untrusted graphs (kvjson): a missing operand, an
-     * operand shape the op cannot take, or a shape whose arithmetic
-     * overflows int64 is an error naming the node, and the graph is
-     * left unchanged.
+     * operand shape the op cannot take, or a shape whose arithmetic or
+     * element count overflows int64 is an error naming the node, and
+     * the graph is left unchanged.
      */
     StatusOr<TensorId> addNodeChecked(OpKind kind, NodeAttrs attrs,
                                       std::vector<TensorId> inputs,

@@ -3,25 +3,11 @@
 #include <map>
 
 #include "common/strutil.h"
+#include "graph/analysis.h"
 
 namespace cimmlc {
 
 namespace {
-
-StatusOr<std::vector<std::int64_t>>
-dimsFromConfig(const ConfigValue &value, const std::string &what)
-{
-    if (!value.isArray())
-        return parseError(what + " must be an array of dims");
-    std::vector<std::int64_t> dims;
-    for (const ConfigValue &d : value.asArray()) {
-        std::int64_t dim = 0;
-        if (!integerValue(d, &dim))
-            return parseError(what + " dims must be integers");
-        dims.push_back(dim);
-    }
-    return dims;
-}
 
 /** Maps the serialized op name to an OpKind. */
 StatusOr<OpKind>
@@ -50,6 +36,31 @@ opKindFromName(const std::string &name)
     return it->second;
 }
 
+/** Fails unless the counts the compiler derives from @p graph fit int64.
+ * addNodeChecked() bounds each node's elements, weights and MACs; this
+ * bounds their graph-wide sums, which the reports and the evaluation
+ * digest carry, and each node's ALU op count. */
+Status
+checkCounts(const Graph &graph)
+{
+    std::int64_t weights = 0;
+    std::int64_t macs = 0;
+    for (NodeId id = 0; id < static_cast<NodeId>(graph.nodeCount()); ++id) {
+        if (!checkedAluOpCount(graph, id).has_value())
+            return parseError("graph node '" + graph.node(id).name
+                              + "': ALU op count overflows int64");
+        const auto wm = weightMatrixShape(graph, id);
+        if (wm.has_value()
+            && (__builtin_add_overflow(weights, wm->rows * wm->cols,
+                                       &weights)
+                || __builtin_add_overflow(macs, macCount(graph, id),
+                                          &macs)))
+            return parseError("graph's total weight or MAC count "
+                              "overflows int64");
+    }
+    return Status::ok();
+}
+
 } // namespace
 
 StatusOr<Graph>
@@ -57,7 +68,11 @@ graphFromConfig(const ConfigValue &doc)
 {
     if (!doc.isObject())
         return parseError("graph document must be an object");
-    Graph graph(doc.getStringOr("name", "unnamed"));
+    CIMMLC_RETURN_IF_ERROR(rejectUnknownKeys(
+        "graph", doc, {"name", "inputs", "nodes", "outputs"}));
+    std::string graph_name = "unnamed";
+    CIMMLC_RETURN_IF_ERROR(readTypedMember("graph", doc, "name", &graph_name));
+    Graph graph(graph_name);
     std::map<std::string, TensorId> by_name;
 
     CIMMLC_ASSIGN_OR_RETURN(ConfigValue inputs, doc.get("inputs"));
@@ -68,13 +83,18 @@ graphFromConfig(const ConfigValue &doc)
             !input.has("dims")) {
             return parseError("each input needs 'name' and 'dims'");
         }
-        const std::string name = input.getStringOr("name", "");
-        CIMMLC_ASSIGN_OR_RETURN(
-            std::vector<std::int64_t> dims,
-            dimsFromConfig(input.get("dims").value(), "input"));
+        CIMMLC_RETURN_IF_ERROR(
+            rejectUnknownKeys("graph input", input, {"name", "dims"}));
+        std::string name;
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedMember("graph input", input, "name", &name));
+        std::vector<std::int64_t> dims;
+        CIMMLC_RETURN_IF_ERROR(readTypedMember("graph input '" + name + "'",
+                                               input, "dims", &dims));
         if (by_name.count(name))
             return parseError("duplicate tensor name '" + name + "'");
-        by_name[name] = graph.addInput(name, std::move(dims));
+        CIMMLC_ASSIGN_OR_RETURN(by_name[name],
+                                graph.addInputChecked(name, std::move(dims)));
     }
 
     CIMMLC_ASSIGN_OR_RETURN(ConfigValue nodes, doc.get("nodes"));
@@ -83,49 +103,56 @@ graphFromConfig(const ConfigValue &doc)
     for (const ConfigValue &node : nodes.asArray()) {
         if (!node.isObject() || !node.has("op") || !node.has("inputs"))
             return parseError("each node needs 'op' and 'inputs'");
-        CIMMLC_ASSIGN_OR_RETURN(OpKind kind,
-                                opKindFromName(node.getStringOr("op",
-                                                                "")));
-        CIMMLC_ASSIGN_OR_RETURN(ConfigValue node_inputs,
-                                node.get("inputs"));
-        if (!node_inputs.isArray())
-            return parseError("node 'inputs' must be an array of names");
+        std::string op;
+        CIMMLC_RETURN_IF_ERROR(readTypedMember("graph node", node, "op", &op));
+        CIMMLC_ASSIGN_OR_RETURN(OpKind kind, opKindFromName(op));
+        std::string name = strformat("%s_%zu", op.c_str(), by_name.size());
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedMember("graph node", node, "name", &name));
+        const std::string surface = "graph node '" + name + "'";
+        std::vector<std::string> node_inputs;
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedMember(surface, node, "inputs", &node_inputs));
         std::vector<TensorId> input_ids;
-        for (const ConfigValue &ref : node_inputs.asArray()) {
-            if (!ref.isString())
-                return parseError("node input references must be names");
-            auto it = by_name.find(ref.asString());
+        for (const std::string &input : node_inputs) {
+            auto it = by_name.find(input);
             if (it == by_name.end()) {
                 return parseError("node references unknown tensor '" +
-                                  ref.asString() + "'");
+                                  input + "'");
             }
             input_ids.push_back(it->second);
         }
 
+        // The keys every node has, plus the attributes its op reads.
+        std::vector<std::string> known = {"op", "name", "inputs"};
         NodeAttrs attrs = std::monostate{};
         switch (kind) {
           case OpKind::kConv2d: {
+            known.insert(known.end(), {"out_channels", "kernel", "kernel_w",
+                                       "stride", "padding"});
             Conv2dAttrs a;
-            CIMMLC_RETURN_IF_ERROR(
-                readIntegerKey(node, "out_channels", &a.out_channels));
+            CIMMLC_RETURN_IF_ERROR(readTypedMember(
+                surface, node, "out_channels", &a.out_channels));
             a.kernel_h = 1;
             CIMMLC_RETURN_IF_ERROR(
-                readIntegerKey(node, "kernel", &a.kernel_h));
+                readTypedMember(surface, node, "kernel", &a.kernel_h));
             a.kernel_w = a.kernel_h;
             CIMMLC_RETURN_IF_ERROR(
-                readIntegerKey(node, "kernel_w", &a.kernel_w));
-            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "stride", &a.stride));
+                readTypedMember(surface, node, "kernel_w", &a.kernel_w));
             CIMMLC_RETURN_IF_ERROR(
-                readIntegerKey(node, "padding", &a.padding));
+                readTypedMember(surface, node, "stride", &a.stride));
+            CIMMLC_RETURN_IF_ERROR(
+                readTypedMember(surface, node, "padding", &a.padding));
             if (a.out_channels <= 0)
                 return parseError("conv2d needs positive out_channels");
             attrs = a;
             break;
           }
           case OpKind::kLinear: {
+            known.push_back("out_features");
             LinearAttrs a;
-            CIMMLC_RETURN_IF_ERROR(
-                readIntegerKey(node, "out_features", &a.out_features));
+            CIMMLC_RETURN_IF_ERROR(readTypedMember(
+                surface, node, "out_features", &a.out_features));
             if (a.out_features <= 0)
                 return parseError("linear needs positive out_features");
             attrs = a;
@@ -133,41 +160,43 @@ graphFromConfig(const ConfigValue &doc)
           }
           case OpKind::kMaxPool2d:
           case OpKind::kAvgPool2d: {
+            known.insert(known.end(), {"kernel", "stride", "padding"});
             Pool2dAttrs a;
-            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "kernel", &a.kernel));
-            a.stride = a.kernel;
-            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "stride", &a.stride));
             CIMMLC_RETURN_IF_ERROR(
-                readIntegerKey(node, "padding", &a.padding));
+                readTypedMember(surface, node, "kernel", &a.kernel));
+            a.stride = a.kernel;
+            CIMMLC_RETURN_IF_ERROR(
+                readTypedMember(surface, node, "stride", &a.stride));
+            CIMMLC_RETURN_IF_ERROR(
+                readTypedMember(surface, node, "padding", &a.padding));
             attrs = a;
             break;
           }
           case OpKind::kMatMul: {
+            known.insert(known.end(), {"heads", "transpose_rhs"});
             MatMulAttrs a;
-            CIMMLC_RETURN_IF_ERROR(readIntegerKey(node, "heads", &a.heads));
-            a.transpose_rhs = node.getBoolOr("transpose_rhs", false);
+            CIMMLC_RETURN_IF_ERROR(
+                readTypedMember(surface, node, "heads", &a.heads));
+            CIMMLC_RETURN_IF_ERROR(readTypedMember(
+                surface, node, "transpose_rhs", &a.transpose_rhs));
             attrs = a;
             break;
           }
           case OpKind::kReshape: {
+            known.push_back("dims");
             ReshapeAttrs a;
             if (!node.has("dims"))
                 return parseError("reshape needs 'dims'");
-            CIMMLC_ASSIGN_OR_RETURN(
-                a.new_dims,
-                dimsFromConfig(node.get("dims").value(), "reshape"));
+            CIMMLC_RETURN_IF_ERROR(
+                readTypedMember(surface, node, "dims", &a.new_dims));
             attrs = a;
             break;
           }
           default:
             break;
         }
+        CIMMLC_RETURN_IF_ERROR(rejectUnknownKeys(surface, node, known));
 
-        const std::string name =
-            node.getStringOr("name", strformat("%s_%zu",
-                                               node.getStringOr("op", "")
-                                                   .c_str(),
-                                               by_name.size()));
         if (by_name.count(name))
             return parseError("duplicate tensor name '" + name + "'");
         CIMMLC_ASSIGN_OR_RETURN(
@@ -175,21 +204,21 @@ graphFromConfig(const ConfigValue &doc)
             graph.addNodeChecked(kind, std::move(attrs), input_ids, name));
     }
 
-    CIMMLC_ASSIGN_OR_RETURN(ConfigValue outputs, doc.get("outputs"));
-    if (!outputs.isArray() || outputs.asArray().empty())
+    std::vector<std::string> outputs;
+    CIMMLC_RETURN_IF_ERROR(readTypedMember("graph", doc, "outputs", &outputs));
+    if (outputs.empty())
         return parseError("graph needs a non-empty 'outputs' array");
-    for (const ConfigValue &ref : outputs.asArray()) {
-        if (!ref.isString())
-            return parseError("output references must be names");
-        auto it = by_name.find(ref.asString());
+    for (const std::string &output : outputs) {
+        auto it = by_name.find(output);
         if (it == by_name.end()) {
             return parseError("output references unknown tensor '" +
-                              ref.asString() + "'");
+                              output + "'");
         }
         graph.markOutput(it->second);
     }
 
     CIMMLC_RETURN_IF_ERROR(graph.validate());
+    CIMMLC_RETURN_IF_ERROR(checkCounts(graph));
     return graph;
 }
 

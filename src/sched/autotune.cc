@@ -374,67 +374,62 @@ TuneCache::toConfig() const
     return ConfigValue::makeObject(std::move(doc));
 }
 
+namespace {
+
+/** The entries of a tune-cache document, or the first fault in it. */
+StatusOr<std::map<std::string, TuneCache::Entry>>
+tuneEntriesFromConfig(const ConfigValue &doc)
+{
+    if (!doc.isObject())
+        return parseError("tune cache must be a kvjson object");
+    std::string schema;
+    CIMMLC_RETURN_IF_ERROR(
+        readTypedMember("tune cache", doc, "schema", &schema));
+    if (schema != kTuneCacheSchema)
+        return parseError("tune cache has schema '" + schema
+                          + "', expected '" + kTuneCacheSchema
+                          + "' (stale file?)");
+    auto rows = doc.get("entries");
+    if (!rows.isOk() || !rows.value().isArray())
+        return parseError("tune cache 'entries' must be an array");
+    std::map<std::string, TuneCache::Entry> entries;
+    for (const ConfigValue &row : rows.value().asArray()) {
+        if (!row.isObject())
+            return parseError("tune cache entry must be an object");
+        std::string key;
+        CIMMLC_RETURN_IF_ERROR(
+            readRequiredMember("tune cache entry", row, "key", &key));
+        const std::string surface = "tune cache entry '" + key + "'";
+        TuneCache::Entry entry;
+        CIMMLC_RETURN_IF_ERROR(
+            readStatusMembers(surface, row, &entry.status));
+        // Every metric must be present: a missing one would load as
+        // 0.0 and poison every warm run with a zero-latency "best".
+        CIMMLC_RETURN_IF_ERROR(readRequiredMember(
+            surface, row, "latency_cycles", &entry.latency_cycles));
+        CIMMLC_RETURN_IF_ERROR(
+            readRequiredMember(surface, row, "energy_pj", &entry.energy_pj));
+        CIMMLC_RETURN_IF_ERROR(
+            readRequiredMember(surface, row, "edp", &entry.edp));
+        entries[key] = entry;
+    }
+    return entries;
+}
+
+} // namespace
+
 Status
 TuneCache::loadFromConfig(const ConfigValue &doc)
 {
     // Parse into a scratch map first: a document that fails halfway
     // must leave the cache cold, not half-populated with stale entries.
-    std::map<std::string, Entry> loaded;
-    auto fail = [this](Status status) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            entries_.clear();
-        }
-        return status;
-    };
-    if (!doc.isObject())
-        return fail(parseError("tune cache must be a kvjson object"));
-    const std::string schema = doc.getStringOr("schema", "");
-    if (schema != kTuneCacheSchema)
-        return fail(parseError("tune cache has schema '" + schema
-                               + "', expected '" + kTuneCacheSchema
-                               + "' (stale file?)"));
-    auto rows = doc.get("entries");
-    if (!rows.isOk() || !rows.value().isArray())
-        return fail(parseError("tune cache 'entries' must be an array"));
-    for (const ConfigValue &row : rows.value().asArray()) {
-        if (!row.isObject() || !row.has("key")
-            || !row.get("key").value().isString())
-            return fail(
-                parseError("tune cache entry is missing its key"));
-        const std::string key = row.get("key").value().asString();
-        const std::int64_t code = row.getIntOr("code", -1);
-        if (code < 0
-            || code > static_cast<std::int64_t>(StatusCode::kParseError))
-            return fail(parseError(strformat(
-                "tune cache entry has unknown status code %lld",
-                static_cast<long long>(code))));
-        Entry entry;
-        if (code != 0) {
-            entry.status = Status(static_cast<StatusCode>(code),
-                                  row.getStringOr("message", ""));
-        }
-        // Presence alone is not enough: a wrong-typed metric would
-        // silently load as 0.0 and poison every warm run with a
-        // zero-latency "best" point.
-        auto metric = [&row](const char *field, double *out) {
-            if (!row.has(field))
-                return false;
-            const ConfigValue value = row.get(field).value();
-            if (!value.isNumber())
-                return false;
-            *out = value.asNumber();
-            return true;
-        };
-        if (!metric("latency_cycles", &entry.latency_cycles)
-            || !metric("energy_pj", &entry.energy_pj)
-            || !metric("edp", &entry.edp))
-            return fail(parseError("tune cache entry for '" + key
-                                   + "' is truncated or mistyped"));
-        loaded[key] = entry;
-    }
+    auto loaded = tuneEntriesFromConfig(doc);
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_ = std::move(loaded);
+    if (!loaded.isOk()) {
+        entries_.clear();
+        return loaded.status();
+    }
+    entries_ = std::move(loaded).value();
     return Status::ok();
 }
 

@@ -101,10 +101,13 @@ computeNodeCost(const Graph &graph, NodeId node_id,
         // directly into the consumer's pipeline stage.
         if (node.kind == OpKind::kConv2d) {
             const auto &in = graph.tensor(node.inputs[0]).dims;
+            // In double: a stride past the input is legal, and its
+            // int64 product can overflow.
             cost.transfer_bits_per_window =
-                static_cast<double>(in[1] * node.conv().kernel_h *
-                                    node.conv().stride) *
-                arch.activation_bits;
+                static_cast<double>(in[1])
+                * static_cast<double>(node.conv().kernel_h)
+                * static_cast<double>(node.conv().stride)
+                * arch.activation_bits;
         } else {
             cost.transfer_bits_per_window =
                 static_cast<double>(matrix->rows) * arch.activation_bits;

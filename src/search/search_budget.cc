@@ -1,7 +1,5 @@
 #include "search/search_budget.h"
 
-#include <cmath>
-
 #include "common/strutil.h"
 
 namespace cimmlc {
@@ -50,54 +48,25 @@ SearchBudget::toString() const
 StatusOr<SearchBudget>
 searchBudgetFromConfig(const ConfigValue &doc)
 {
+    const std::string surface = "search budget";
     SearchBudget budget;
     if (doc.isNumber()) {
-        // Range-check before the int64 cast: casting an
-        // unrepresentable double is undefined behavior, and fuzzed
-        // documents do produce 1e300-class values. 2^63 is exactly
-        // representable, so `< 2^63` admits every valid int64.
-        const double raw = doc.asNumber();
-        if (!(raw >= 0.0) || raw >= 9223372036854775808.0
-            || raw != std::floor(raw))
-            return parseError("search budget must be a non-negative "
-                              "integer evaluation count");
-        budget.max_full_evals = static_cast<std::int64_t>(raw);
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedKey(surface, "evals", doc, &budget.max_full_evals));
     } else if (doc.isObject()) {
-        for (const auto &[key, value] : doc.asObject()) {
-            (void)value;
-            if (key != "evals" && key != "proxy_opt_none"
-                && key != "proxy_prefix_fraction")
-                return parseError("search budget has unknown key '" + key
-                                  + "' (expected evals, proxy_opt_none, "
-                                    "proxy_prefix_fraction)");
-        }
-        if (doc.has("evals")) {
-            const ConfigValue evals = doc.get("evals").value();
-            if (!evals.isNumber())
-                return parseError(
-                    "search budget 'evals' must be a number");
-            CIMMLC_ASSIGN_OR_RETURN(const SearchBudget from_number,
-                                    searchBudgetFromConfig(evals));
-            budget.max_full_evals = from_number.max_full_evals;
-        } else {
+        CIMMLC_RETURN_IF_ERROR(rejectUnknownKeys(
+            surface, doc,
+            {"evals", "proxy_opt_none", "proxy_prefix_fraction"}));
+        if (!doc.has("evals"))
             return parseError("search budget object needs an 'evals' "
                               "count");
-        }
-        if (doc.has("proxy_opt_none")) {
-            const ConfigValue flag = doc.get("proxy_opt_none").value();
-            if (!flag.isBool())
-                return parseError(
-                    "search budget 'proxy_opt_none' must be a bool");
-            budget.proxy_opt_none = flag.asBool();
-        }
-        if (doc.has("proxy_prefix_fraction")) {
-            const ConfigValue fraction =
-                doc.get("proxy_prefix_fraction").value();
-            if (!fraction.isNumber())
-                return parseError("search budget 'proxy_prefix_fraction' "
-                                  "must be a number");
-            budget.proxy_prefix_fraction = fraction.asNumber();
-        }
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(surface, doc, "evals",
+                                               &budget.max_full_evals));
+        CIMMLC_RETURN_IF_ERROR(readTypedMember(
+            surface, doc, "proxy_opt_none", &budget.proxy_opt_none));
+        CIMMLC_RETURN_IF_ERROR(
+            readTypedMember(surface, doc, "proxy_prefix_fraction",
+                            &budget.proxy_prefix_fraction));
     } else {
         return parseError("search budget must be a number (the full-"
                           "evaluation cap) or an object with an 'evals' "

@@ -7,7 +7,9 @@
 #ifndef CIMMLC_TESTS_FUZZ_MUTATE_H
 #define CIMMLC_TESTS_FUZZ_MUTATE_H
 
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -59,6 +61,44 @@ mutate(const std::string &seed, Rng &rng)
     if (text.empty())
         text = "x";
     return text;
+}
+
+/**
+ * One deterministic value mutation: replaces the number (or name) that
+ * holds a random digit of @p seed with an edge value — a sign flip, a
+ * fraction, the edges of int and int64, or past them — so the document
+ * stays well-formed kvjson but holds a value its reader must check.
+ * Returns @p seed unchanged when it holds no digit.
+ */
+inline std::string
+mutateNumber(const std::string &seed, Rng &rng)
+{
+    static const char *const kEdges[] = {
+        "0", "-1", "1", "3", "0.5", "2.5", "255", "-2147483648",
+        "2147483647", "2147483648", "-2147483649", "4294967296",
+        "4294967297", "4611686018427387904", "9223372036854774784",
+        "9223372036854775808", "-9223372036854775808", "1e300"};
+    std::vector<std::size_t> digits;
+    for (std::size_t i = 0; i < seed.size(); ++i)
+        if (seed[i] >= '0' && seed[i] <= '9')
+            digits.push_back(i);
+    if (digits.empty())
+        return seed;
+    const auto in_number = [&seed](std::size_t i) {
+        const char c = seed[i];
+        return (c >= '0' && c <= '9') || c == '.' || c == '-' || c == '+'
+               || c == 'e' || c == 'E';
+    };
+    std::size_t begin = digits[static_cast<std::size_t>(rng.uniformInt(
+        0, static_cast<std::int64_t>(digits.size()) - 1))];
+    std::size_t end = begin;
+    while (begin > 0 && in_number(begin - 1))
+        --begin;
+    while (end < seed.size() && in_number(end))
+        ++end;
+    const char *edge = kEdges[rng.uniformInt(
+        0, static_cast<std::int64_t>(std::size(kEdges)) - 1)];
+    return seed.substr(0, begin) + edge + seed.substr(end);
 }
 
 } // namespace cimmlc

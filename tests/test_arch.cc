@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <fstream>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -16,6 +19,10 @@
 #include "arch/presets.h"
 #include "arch/serialize.h"
 #include "common/strutil.h"
+
+#ifndef CIMMLC_SOURCE_DIR
+#error "CIMMLC_SOURCE_DIR must name the repository root"
+#endif
 
 namespace cimmlc {
 namespace {
@@ -385,6 +392,228 @@ TEST(SerializeTest, IntegerKeysMustBeIntegers)
                 << arch.status().toString();
         }
     }
+}
+
+/** The text of repository file @p path. */
+std::string
+repoText(const std::string &path)
+{
+    std::ifstream in(std::string(CIMMLC_SOURCE_DIR) + "/" + path);
+    EXPECT_TRUE(in.good()) << path;
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** @p text with its one occurrence of @p from replaced by @p to. */
+std::string
+replaceOnce(std::string text, const std::string &from, const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text
+                                   : text.replace(at, from.size(), to);
+}
+
+// Each of these documents used to load with the member at its default
+// (or narrowed), so lenet5 compiled against another chip with exit 0.
+TEST(SerializeTest, MistypedMembersAreErrors)
+{
+    const std::string weak_alu = repoText("examples/arch_weak_alu.json");
+    ASSERT_TRUE(archFromText(weak_alu).isOk());
+    auto quoted_alu = archFromText(
+        replaceOnce(weak_alu, R"("alu": 0.25)", R"("alu": "0.25")"));
+    ASSERT_FALSE(quoted_alu.isOk());
+    EXPECT_EQ(quoted_alu.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(quoted_alu.status().message(),
+              "arch chip_tier key 'alu' must be a number");
+
+    const struct {
+        const char *tier; // nullptr: a top-level key
+        const char *key;
+        const char *value;
+        const char *type;
+    } slots[] = {
+        {nullptr, "name", "7", "a string"},
+        {nullptr, "computing_mode", "1", "a string"},
+        {"chip_tier", "core_noc", "true", "a string"},
+        {"chip_tier", "core_noc_bandwidth", "\"256\"", "a number"},
+        {"chip_tier", "l0_size_kib", "null", "a number"},
+        {"chip_tier", "l0_bandwidth", "[1]", "a number"},
+        {"chip_tier", "core_noc_cost", "[\"1\"]", "a number"},
+        {"core_tier", "xb_noc", "{}", "a string"},
+        {"core_tier", "xb_noc_bandwidth", "false", "a number"},
+        {"core_tier", "alu", "\"0\"", "a number"},
+        {"core_tier", "l1_size_kib", "\"64\"", "a number"},
+        {"core_tier", "l1_bandwidth", "true", "a number"},
+        {"core_tier", "xb_noc_cost", "[null]", "a number"},
+        {"xb_tier", "type", "2", "a string"},
+    };
+    for (const auto &slot : slots) {
+        const std::string member =
+            strformat(R"("%s": %s)", slot.key, slot.value);
+        const std::string text =
+            slot.tier == nullptr
+                ? "{" + member + "}"
+                : strformat(R"({"%s": {%s}})", slot.tier, member.c_str());
+        const auto arch = archFromText(text);
+        ASSERT_FALSE(arch.isOk()) << text;
+        EXPECT_EQ(arch.status().code(), StatusCode::kParseError) << text;
+        EXPECT_EQ(arch.status().message(),
+                  strformat("arch%s%s key '%s' must be %s",
+                            slot.tier == nullptr ? "" : " ",
+                            slot.tier == nullptr ? "" : slot.tier, slot.key,
+                            slot.type));
+    }
+    // A tier must be an object, not ignored.
+    const auto tier = archFromText(R"({"chip_tier": [3, 3]})");
+    ASSERT_FALSE(tier.isOk());
+    EXPECT_EQ(tier.status().message(),
+              "arch key 'chip_tier' must be an object");
+}
+
+TEST(SerializeTest, UnknownKeysAreErrors)
+{
+    const std::string weak_alu = repoText("examples/arch_weak_alu.json");
+    auto misspelled = archFromText(
+        replaceOnce(weak_alu, R"("alu": 0.25)", R"("alu_ops": 0.25)"));
+    ASSERT_FALSE(misspelled.isOk());
+    EXPECT_EQ(misspelled.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(misspelled.status().message(),
+              "arch chip_tier has unknown key 'alu_ops'");
+    EXPECT_EQ(archFromText(R"({"nmae": "x"})").status().message(),
+              "arch has unknown key 'nmae'");
+    EXPECT_EQ(
+        archFromText(R"({"core_tier": {"l0_size_kib": 8}})").status().message(),
+        "arch core_tier has unknown key 'l0_size_kib'");
+    EXPECT_EQ(archFromText(R"({"xb_tier": {"xb_grid": [2, 2]}})")
+                  .status()
+                  .message(),
+              "arch xb_tier has unknown key 'xb_grid'");
+}
+
+// Every Abs-arch document the repository ships, and every preset's
+// dump, still loads with the typed reader and unknown-key check.
+TEST(SerializeTest, EveryShippedArchDocumentLoads)
+{
+    for (const std::string &preset : presets::availablePresets()) {
+        const CimArchitecture arch = presets::byName(preset).value();
+        auto loaded = archFromConfig(archToConfig(arch));
+        ASSERT_TRUE(loaded.isOk())
+            << preset << ": " << loaded.status().toString();
+        EXPECT_EQ(archToConfig(loaded.value()).dump(false),
+                  archToConfig(arch).dump(false));
+    }
+    for (const char *file :
+         {"examples/arch_dual_win.json", "examples/arch_weak_alu.json",
+          "examples/lint_fault_arch.json"}) {
+        auto loaded = archFromText(repoText(file));
+        EXPECT_TRUE(loaded.isOk()) << file << ": "
+                                   << loaded.status().toString();
+    }
+}
+
+// A grid whose cell count wraps int64 used to pass validate() and then
+// divide by zero in the scheduler (SIGFPE, in cimmlcd too).
+TEST(SerializeTest, CellCountsMustFitInt64)
+{
+    const std::string weak_alu = repoText("examples/arch_weak_alu.json");
+    const auto wrapped = archFromText(
+        replaceOnce(weak_alu, R"("core_grid": [3, 3])",
+                    R"("core_grid": [4294967296, 4294967296])"));
+    ASSERT_FALSE(wrapped.isOk());
+    EXPECT_NE(wrapped.status().message().find("overflows int64"),
+              std::string::npos)
+        << wrapped.status().toString();
+
+    CimArchitecture arch = presets::byName("jain").value();
+    ASSERT_TRUE(arch.validate().isOk());
+    arch.xbar.rows = std::int64_t{1} << 40;
+    arch.xbar.parallel_row = arch.xbar.rows;
+    arch.xbar.cols = std::int64_t{1} << 23;
+    EXPECT_FALSE(arch.validate().isOk()); // 2^63 cells in one crossbar
+    arch.xbar.cols = std::int64_t{1} << 10;
+    arch.chip.core_rows = std::int64_t{1} << 20;
+    EXPECT_FALSE(arch.validate().isOk());
+}
+
+// The integer rule is "integral and fits the target type": int64 keys
+// admit values up to 2^63 - 1024 (the largest double below 2^63), int
+// keys the edges of int. Each document loads or is a Status.
+TEST(SerializeTest, IntegerKeysReadToTheEdgesOfTheirType)
+{
+    const struct {
+        const char *tier; // nullptr: a top-level key
+        const char *key;
+        bool is_int;
+        const char *grid_key; // the key holds a [rows, cols] pair
+    } slots[] = {{nullptr, "weight_bits", true, nullptr},
+                 {nullptr, "activation_bits", true, nullptr},
+                 {"chip_tier", "core_number", false, nullptr},
+                 {"chip_tier", "core_grid", false, "core_grid"},
+                 {"core_tier", "xb_number", false, nullptr},
+                 {"core_tier", "xb_grid", false, "xb_grid"},
+                 {"xb_tier", "xb_size", false, "xb_size"},
+                 {"xb_tier", "parallel_row", false, nullptr},
+                 {"xb_tier", "dac", true, nullptr},
+                 {"xb_tier", "adc", true, nullptr},
+                 {"xb_tier", "precision", true, nullptr}};
+    const struct {
+        const char *text;
+        bool fits_int;
+        bool fits_int64;
+    } values[] = {{"4611686018427387904", false, true},
+                  {"9223372036854774784", false, true},
+                  {"9223372036854775808", false, false},
+                  {"-9223372036854775808", false, true},
+                  {"2147483647", true, true},
+                  {"-2147483648", true, true},
+                  {"2147483648", false, true},
+                  {"-2147483649", false, true}};
+    for (const auto &slot : slots) {
+        for (const auto &value : values) {
+            const std::string member =
+                slot.grid_key != nullptr
+                    ? strformat(R"("%s": [%s, 1])", slot.key, value.text)
+                    : strformat(R"("%s": %s)", slot.key, value.text);
+            const std::string text =
+                slot.tier == nullptr
+                    ? "{" + member + "}"
+                    : strformat(R"({"%s": {%s}})", slot.tier,
+                                member.c_str());
+            const auto arch = archFromText(text);
+            const bool fits = slot.is_int ? value.fits_int : value.fits_int64;
+            if (!fits) {
+                ASSERT_FALSE(arch.isOk()) << text;
+                EXPECT_EQ(arch.status().code(), StatusCode::kParseError)
+                    << text;
+                EXPECT_EQ(arch.status().message(),
+                          strformat("arch%s%s key '%s' must be an integer "
+                                    "in %s range",
+                                    slot.tier == nullptr ? "" : " ",
+                                    slot.tier == nullptr ? "" : slot.tier,
+                                    slot.key, slot.is_int ? "int" : "int64"));
+            } else if (arch.isOk()) {
+                EXPECT_TRUE(arch.value().validate().isOk()) << text;
+                EXPECT_GT(arch.value().cellsPerWeight(), 0) << text;
+                EXPECT_GT(arch.value().dacCyclesPerActivation(), 0) << text;
+            } else {
+                EXPECT_FALSE(arch.status().message().empty()) << text;
+            }
+        }
+    }
+    // An int key holds INT_MAX exactly, and the bit-slice counts do
+    // not overflow int on it.
+    const auto widest = archFromText(
+        R"({"weight_bits": 2147483647, "xb_tier": {"precision": 2}})");
+    ASSERT_FALSE(widest.isOk());
+    EXPECT_NE(widest.status().message().find("needs 1073741824 cells"),
+              std::string::npos)
+        << widest.status().toString();
+    const auto exact = archFromText(R"({"xb_tier": {"dac": 2147483647}})");
+    ASSERT_TRUE(exact.isOk()) << exact.status().toString();
+    EXPECT_EQ(exact.value().xbar.dac_bits, INT_MAX);
+    EXPECT_EQ(exact.value().dacCyclesPerActivation(), 1);
 }
 
 } // namespace

@@ -74,6 +74,16 @@ TEST(SweepSpecTest, ExpandsLog2Ranges)
     const ArchAxis &bandwidth = spec.value().axes[1];
     ASSERT_EQ(bandwidth.values.size(), 3u); // 64, 128, 256
     EXPECT_DOUBLE_EQ(bandwidth.values[2].number, 256.0);
+
+    // Bounds near the top of int64 end the doubling without overflow.
+    for (const char *hi : {"4611686018427387904", "9223372036854774784"}) {
+        auto wide = sweepFromJson(
+            strformat(R"({"core_grid": {"log2": [1, %s]}})", hi));
+        ASSERT_TRUE(wide.isOk()) << hi << ": " << wide.status().toString();
+        ASSERT_EQ(wide.value().axes[0].values.size(), 63u); // 2^0 .. 2^62
+        EXPECT_EQ(wide.value().axes[0].values[62].rows,
+                  std::int64_t{1} << 62);
+    }
 }
 
 TEST(SweepSpecTest, RejectsMalformedAxes)
@@ -102,10 +112,10 @@ TEST(SweepSpecTest, RejectsMalformedAxes)
     EXPECT_FALSE(sweepFromJson(R"({"xb_size": [[2.5, 64]]})").isOk());
     EXPECT_FALSE(
         sweepFromJson(R"({"xb_size": {"log2": [1.9, 4]}})").isOk());
-    // A huge hi bound must fail fast, not hang the doubling loop.
+    // A log2 bound past int64 is rejected, not cast.
     EXPECT_FALSE(sweepFromJson(
                      R"({"l1_bandwidth":
-                         {"log2": [1, 4611686018427387904]}})")
+                         {"log2": [1, 9223372036854775808]}})")
                      .isOk());
     // Bit-width axes take positive integers, not fractions or zeros.
     EXPECT_FALSE(sweepFromJson(R"({"adc_bits": [6.5]})").isOk());
@@ -115,6 +125,76 @@ TEST(SweepSpecTest, RejectsMalformedAxes)
     EXPECT_FALSE(sweepFromJson(R"({"cell_type": ["FeFET"]})").isOk());
     EXPECT_FALSE(
         sweepFromJson(R"({"cell_type": {"log2": [1, 4]}})").isOk());
+}
+
+// A bit width past int used to narrow in applyArchParam: 4294967297
+// became a 1-bit DAC, and the duplicate point counted as a cache hit.
+TEST(SweepSpecTest, BitWidthAxesMustFitInt)
+{
+    for (const char *axis :
+         {R"({"dac_bits": [4294967297]})", R"({"adc_bits": [2147483648]})",
+          R"({"cell_bits": {"log2": [1, 4294967296]}})"}) {
+        auto spec = sweepFromJson(axis);
+        ASSERT_FALSE(spec.isOk()) << axis;
+        EXPECT_EQ(spec.status().code(), StatusCode::kParseError);
+        EXPECT_NE(spec.status().message().find("must be an integer in int "
+                                               "range"),
+                  std::string::npos)
+            << spec.status().toString();
+    }
+    EXPECT_EQ(sweepFromJson(R"({"dac_bits": [4294967297]})")
+                  .status()
+                  .message(),
+              "DSE sweep key 'dac_bits' must be an integer in int range");
+    auto widest = sweepFromJson(R"({"dac_bits": [2147483647]})");
+    ASSERT_TRUE(widest.isOk()) << widest.status().toString();
+    CimArchitecture arch = presets::byName("jain").value();
+    ASSERT_TRUE(applyArchParam(&arch, ArchParam::kDacBits,
+                               widest.value().axes[0].values[0])
+                    .isOk());
+    EXPECT_EQ(arch.xbar.dac_bits, 2147483647);
+    // A range object takes only its log2 key.
+    EXPECT_EQ(sweepFromJson(R"({"core_grid": {"log2": [1, 4], "step": 2}})")
+                  .status()
+                  .message(),
+              "DSE sweep range 'core_grid' has unknown key 'step'");
+}
+
+// Grid axes take int64 values up to the largest double below 2^63; a
+// candidate whose cell count then overflows fails validate() instead of
+// wrapping.
+TEST(SweepSpecTest, GridAxesReadToTheEdgesOfInt64)
+{
+    for (const char *axis : {"xb_size", "xb_grid", "core_grid"}) {
+        for (const char *value :
+             {"4611686018427387904", "9223372036854774784", "2147483647",
+              "2147483648"}) {
+            const std::string text =
+                strformat(R"({"%s": [%s, [%s, 1]]})", axis, value, value);
+            auto spec = sweepFromJson(text);
+            ASSERT_TRUE(spec.isOk()) << text << ": "
+                                     << spec.status().toString();
+            for (const ArchParamValue &point : spec.value().axes[0].values) {
+                CimArchitecture arch = presets::byName("jain").value();
+                ASSERT_TRUE(applyArchParam(&arch, spec.value().axes[0].param,
+                                           point)
+                                .isOk());
+                const Status valid = arch.validate();
+                EXPECT_TRUE(valid.isOk() || !valid.message().empty());
+            }
+        }
+        EXPECT_FALSE(
+            sweepFromJson(strformat(R"({"%s": [9223372036854775808]})", axis))
+                .isOk());
+    }
+    auto square = sweepFromJson(R"({"core_grid": [4611686018427387904]})");
+    ASSERT_TRUE(square.isOk());
+    CimArchitecture arch = presets::byName("jain").value();
+    ASSERT_TRUE(applyArchParam(&arch, ArchParam::kCoreGrid,
+                               square.value().axes[0].values[0])
+                    .isOk());
+    EXPECT_NE(arch.validate().message().find("overflows int64"),
+              std::string::npos);
 }
 
 TEST(SweepSpecTest, ParsesConverterAndCellAxes)

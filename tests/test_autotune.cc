@@ -691,6 +691,22 @@ TEST(TuneCachePersistTest, StaleSchemaOrTruncatedEntriesAreRejected)
     EXPECT_FALSE(cache.loadFromConfig(mistyped.value()).isOk());
     EXPECT_EQ(cache.size(), 0u);
 
+    // A fractional code used to truncate to 0 and load a failed
+    // evaluation as a success.
+    cache.insert("sentinel", TuneCache::Entry{Status::ok(), 1, 2, 2});
+    auto fractional_code = parseConfig(R"({
+        "schema": "cimmlc.tunecache.v2",
+        "entries": [{"key": "k", "code": 0.5, "latency_cycles": 1,
+                     "energy_pj": 1, "edp": 1}]
+    })");
+    ASSERT_TRUE(fractional_code.isOk());
+    const Status fractional = cache.loadFromConfig(fractional_code.value());
+    EXPECT_EQ(fractional.code(), StatusCode::kParseError);
+    EXPECT_EQ(fractional.message(),
+              "tune cache entry 'k' key 'code' must be an integer in int64 "
+              "range");
+    EXPECT_EQ(cache.size(), 0u);
+
     EXPECT_FALSE(cache.loadFromFile("no_such_cache_file.json").isOk());
     EXPECT_EQ(cache.size(), 0u);
 }

@@ -451,6 +451,52 @@ TEST(DaemonServerTest, MisshapedModelTextGetsAnErrorReply)
     server.stop();
 }
 
+// Counts that wrap int64 used to pass load and validate: the core grid
+// then divided by zero in the scheduler and killed the daemon (SIGFPE)
+// for every client, and the graph compiled to a 0 pJ report.
+TEST(DaemonServerTest, OverflowingCountsGetAnErrorReply)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("overflow");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+
+    auto client = DaemonClient::connectUnixSocket(server.config().unix_path);
+    ASSERT_TRUE(client.isOk());
+    RpcCompileRequest grid = toyRequest("lenet5");
+    grid.arch.clear();
+    grid.arch_text = R"({"name": "weak-alu",
+        "chip_tier": {"core_grid": [4294967296, 4294967296], "alu": 0.25},
+        "core_tier": {"xb_grid": [2, 2]},
+        "xb_tier": {"xb_size": [128, 128], "dac": 1, "adc": 8}})";
+    auto wrapped = client.value().compile(grid);
+    ASSERT_FALSE(wrapped.isOk());
+    EXPECT_NE(wrapped.status().message().find("overflows int64"),
+              std::string::npos)
+        << wrapped.status().toString();
+
+    RpcCompileRequest input = toyRequest();
+    input.model.clear();
+    input.model_text =
+        R"({"inputs": [{"name": "x", "dims": [65536, 65536, 65536, 65536]}],
+            "nodes": [{"op": "relu", "name": "n", "inputs": ["x"]}],
+            "outputs": ["n"]})";
+    auto huge = client.value().compile(input);
+    ASSERT_FALSE(huge.isOk());
+    EXPECT_NE(huge.status().message().find("element count overflows int64"),
+              std::string::npos)
+        << huge.status().toString();
+
+    // The daemon still serves the next request, byte-identical.
+    const RpcCompileRequest next = toyRequest();
+    auto served = client.value().compile(next);
+    ASSERT_TRUE(served.isOk()) << served.status().toString();
+    EXPECT_EQ(normalizeWallMs(served.value().report_json),
+              normalizeWallMs(localReport(next)));
+    server.stop();
+}
+
 TEST(DaemonServerTest, StatsSnapshotCountsTraffic)
 {
     DaemonConfig config;

@@ -336,6 +336,12 @@ TEST(RpcProtocolTest, MistypedKeysAreRejectedNotDefaulted)
     }
     EXPECT_EQ(frameError(R"({"id":1,"lint":"true"})"),
               "compile frame key 'lint' must be a bool");
+    // The one typed reader's code, as for every other document.
+    EXPECT_EQ(parseCompileFrame(
+                  parseConfig(R"({"id":1,"lint":"true"})").value())
+                  .status()
+                  .code(),
+              StatusCode::kParseError);
     EXPECT_EQ(frameError(R"({"id":1,"opt":3})"),
               "compile frame key 'opt' must be a string");
 }

@@ -9,6 +9,9 @@
 
 #include <unistd.h>
 
+#include <fstream>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -167,6 +170,66 @@ TEST(BatchShardTest, MergeRejectsNonShardFiles)
     EXPECT_EQ(merged.status().code(), StatusCode::kParseError);
 }
 
+/** Copies shard file @p path with the first match of @p pattern
+ * replaced by @p replacement; returns the copy's path. */
+std::string
+editedShard(const std::string &path, const std::string &pattern,
+            const std::string &replacement)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string edited =
+        std::regex_replace(text.str(), std::regex(pattern), replacement,
+                           std::regex_constants::format_first_only);
+    EXPECT_NE(edited, text.str()) << pattern;
+    const std::string out = path + ".edited.json";
+    std::ofstream(out) << edited;
+    return out;
+}
+
+// Each of these edits used to merge into a table that printed 0 (or
+// the wrong job) with exit 0.
+TEST(BatchShardTest, MistypedMembersFailTheMerge)
+{
+    const BatchSweep sweep = smokeSweep();
+    const std::string shard0 = runBatchShard(sweep, 0, 2);
+    const std::string shard1 = runBatchShard(sweep, 1, 2);
+    const struct {
+        const char *pattern;
+        const char *replacement;
+        const char *key;
+    } cases[] = {
+        {R"("latency_cycles": ([0-9.e+-]+))", R"("latency_cycles": "$1")",
+         "latency_cycles"},
+        {R"("index": 0)", R"("index": 0.7)", "index"},
+        {R"("nodes": ([0-9]+))", R"("nodes": "$1")", "nodes"},
+        {R"("tuned": false)", R"("tuned": 0)", "tuned"},
+        {R"("code": 0)", R"("code": 0.5)", "code"},
+        {R"("shards": 2)", R"("shards": "2")", "shards"},
+    };
+    for (const auto &c : cases) {
+        const std::string edited = editedShard(shard0, c.pattern,
+                                               c.replacement);
+        auto merged = mergeBatchShards(sweep, {edited, shard1});
+        ASSERT_FALSE(merged.isOk()) << c.replacement;
+        EXPECT_EQ(merged.status().code(), StatusCode::kParseError)
+            << merged.status().toString();
+        EXPECT_NE(merged.status().message().find(
+                      std::string("key '") + c.key + "' must be"),
+                  std::string::npos)
+            << merged.status().toString();
+    }
+    // A member the writer always writes may not go missing either.
+    auto dropped = mergeBatchShards(
+        sweep, {editedShard(shard0, R"("stall_cycles": [0-9.e+-]+,?)", ""),
+                shard1});
+    ASSERT_FALSE(dropped.isOk());
+    EXPECT_NE(dropped.status().message().find("is missing 'stall_cycles'"),
+              std::string::npos)
+        << dropped.status().toString();
+}
+
 // ----- arch-dse sharding -------------------------------------------------
 
 TEST(DseShardTest, ShardingRequiresExhaustiveUntunedSpecs)
@@ -258,6 +321,39 @@ TEST(DseShardTest, TwoShardMergeMatchesSingleProcessRun)
     EXPECT_EQ(merged.value().cache_hits, single.value().cache_hits);
     EXPECT_EQ(merged.value().toConfig().dump(true),
               single.value().toConfig().dump(true));
+}
+
+TEST(DseShardTest, MistypedMembersFailTheMerge)
+{
+    const DseSpec spec = smokeDseSpec();
+    std::vector<std::string> paths;
+    for (int s = 0; s < 2; ++s) {
+        ArchExplorer explorer(spec);
+        ASSERT_TRUE(explorer.restrictToShard(s, 2).isOk());
+        auto partial = explorer.explore();
+        ASSERT_TRUE(partial.isOk()) << partial.status().toString();
+        const std::string path =
+            testing::TempDir() + "/cimmlc_dse_typed_shard_"
+            + std::to_string(::getpid()) + "_" + std::to_string(s)
+            + ".json";
+        ASSERT_TRUE(saveConfigFile(
+                        path, dseShardToConfig(spec, ShardSpec{s, 2},
+                                               partial.value()))
+                        .isOk());
+        paths.push_back(path);
+    }
+    ASSERT_TRUE(mergeDseShards(spec, paths).isOk());
+    for (const auto &[pattern, replacement] :
+         {std::pair{R"("latency_cycles": ([0-9.e+-]+))",
+                    R"("latency_cycles": "$1")"},
+          std::pair{R"("index": 0)", R"("index": 0.7)"},
+          std::pair{R"("edp": ([0-9.e+-]+))", R"("edp": null)"}}) {
+        auto merged = mergeDseShards(
+            spec, {editedShard(paths[0], pattern, replacement), paths[1]});
+        ASSERT_FALSE(merged.isOk()) << replacement;
+        EXPECT_EQ(merged.status().code(), StatusCode::kParseError)
+            << merged.status().toString();
+    }
 }
 
 TEST(DseShardTest, SpecDigestCoversTheWholeBaseArch)
