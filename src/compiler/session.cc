@@ -357,6 +357,8 @@ CompileArtifacts::toConfig() const
         if (!verify->first_mismatch.empty())
             verify_obj["first_mismatch"] = text(verify->first_mismatch);
         verify_obj["flow_ops"] = number(verify->flow_ops);
+        if (verify->host_ops > 0)
+            verify_obj["host_ops"] = number(verify->host_ops);
         doc["verify"] = ConfigValue::makeObject(std::move(verify_obj));
     }
 
@@ -388,12 +390,10 @@ CompilerSession::stageEnabled(CompileStage stage) const
         // runs for it even when the caller did not ask for the flow
         // artifact (e.g. DSE evaluations with outputs.flow = false).
         return request_.outputs.flow ||
-               (request_.outputs.perf &&
-                request_.perf_engine == PerfEngineKind::kEvent &&
+               (request_.perf_engine == PerfEngineKind::kEvent &&
                 static_cast<int>(request_.stop_after) >=
                     static_cast<int>(CompileStage::kPerf));
       case CompileStage::kLint: return request_.lint;
-      case CompileStage::kPerf: return request_.outputs.perf;
       case CompileStage::kVerify: return request_.outputs.verify;
       default: return true;
     }
@@ -582,7 +582,7 @@ CompilerSession::stageVerify(CompileArtifacts &artifacts,
 {
     CIMMLC_ASSIGN_OR_RETURN(
         artifacts.verify,
-        verifyWithRandomStimulus(*graph_, *arch_, artifacts.options,
+        verifyWithRandomStimulus(*graph_, *arch_, *artifacts.schedule,
                                  request_.verify_seed));
     detail = strformat(
         "%s (%lld elements, %lld flow ops)",
@@ -644,11 +644,11 @@ CompilerSession::stageKey(CompileStage stage,
             mix_codegen_inputs();
         break;
       case CompileStage::kVerify:
-        // Verify does not execute the emitted flow: it schedules the
-        // graph again under artifacts.options, calibrates requant
-        // shifts on the reference, and replays its own unrolled flow.
-        // The codegen inputs cover those options, plus the stimulus
-        // seed.
+        // Verify does not execute the emitted flow: it calibrates
+        // requant shifts on the reference and replays its own unrolled
+        // flow of the session's schedule. The codegen inputs cover the
+        // schedule's options (the base digest its host model), plus
+        // the stimulus seed.
         mix_codegen_inputs();
         hash.mix(static_cast<std::int64_t>(request_.verify_seed));
         break;

@@ -63,7 +63,7 @@ enum class CompileStage {
     kSchedule, //!< multi-level scheduling
     kCodegen,  //!< meta-operator flow generation (outputs.flow)
     kLint,     //!< mopcheck dataflow analysis of the flow (request.lint)
-    kPerf,     //!< analytic performance evaluation (outputs.perf)
+    kPerf,     //!< performance evaluation (request.perf_engine)
     kVerify,   //!< bit-exact functional verification (outputs.verify)
 };
 
@@ -92,7 +92,6 @@ struct CompileOutputs {
     bool flow = true;             //!< run codegen (meta-operator flow)
     bool flow_text = false;       //!< render the flow as printable text
     std::int64_t flow_limit = 40; //!< statement cap for flow_text (0 = all)
-    bool perf = true;             //!< run the performance model
     bool verify = false;          //!< run bit-exact functional verification
 };
 

@@ -142,7 +142,7 @@ DaemonServer::stop()
 
     // Shut every connection down (readers unblock from recv and run
     // their normal cleanup: drop queued work, cancel running sessions).
-    std::vector<std::thread> readers;
+    std::map<std::uint64_t, std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(conn_mutex_);
         for (auto &[id, conn] : connections_) {
@@ -151,8 +151,15 @@ DaemonServer::stop()
         }
         readers.swap(reader_threads_);
     }
-    for (std::thread &thread : readers)
+    for (auto &[id, thread] : readers)
         thread.join();
+    std::thread last;
+    {
+        std::lock_guard<std::mutex> lock(conn_mutex_);
+        last.swap(finished_reader_);
+    }
+    if (last.joinable())
+        last.join();
 
     // Drain in-flight compiles (canceled ones abort at the next stage
     // boundary) before the pool is torn down.
@@ -207,8 +214,8 @@ DaemonServer::acceptLoop(Listener *listener)
         std::lock_guard<std::mutex> lock(conn_mutex_);
         conn->id = next_client_id_++;
         connections_[conn->id] = conn;
-        reader_threads_.emplace_back(
-            [this, conn] { readerLoop(conn); });
+        reader_threads_.emplace(
+            conn->id, std::thread([this, conn] { readerLoop(conn); }));
     }
 }
 
@@ -219,8 +226,16 @@ DaemonServer::readerLoop(std::shared_ptr<Connection> conn)
                                   config_.max_queue_depth));
     while (conn->alive.load(std::memory_order_acquire)) {
         auto frame = recvFrame(conn->socket);
-        if (!frame.isOk())
-            break; // clean close, peer reset, or shutdown from stop()
+        if (!frame.isOk()) {
+            // A frame that arrived whole but does not decode gets its
+            // status back before the close; a clean close, a peer that
+            // hangs up mid-frame, or stop() just frees the slot.
+            const StatusCode code = frame.status().code();
+            if (code == StatusCode::kParseError ||
+                code == StatusCode::kOutOfRange)
+                sendToClient(conn, errorFrame(-1, frame.status()));
+            break;
+        }
         const ConfigValue &doc = frame.value();
         const std::string type =
             doc.isObject() ? doc.getStringOr("type", "") : "";
@@ -251,10 +266,23 @@ DaemonServer::readerLoop(std::shared_ptr<Connection> conn)
     }
     if (!dropped.empty())
         stats_.recordCanceled(static_cast<std::int64_t>(dropped.size()));
+    // Hand this thread over to be joined, and join the reader that
+    // finished before it, so a long-lived daemon keeps no thread (and
+    // no stack) per past connection. A reader stop() already took is
+    // joined there.
+    std::thread previous;
     {
         std::lock_guard<std::mutex> lock(conn_mutex_);
         connections_.erase(conn->id);
+        const auto self = reader_threads_.find(conn->id);
+        if (self != reader_threads_.end()) {
+            previous.swap(finished_reader_);
+            finished_reader_ = std::move(self->second);
+            reader_threads_.erase(self);
+        }
     }
+    if (previous.joinable())
+        previous.join();
 }
 
 void

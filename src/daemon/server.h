@@ -5,7 +5,7 @@
  * A DaemonServer owns:
  *  - one or two Listeners (Unix-domain socket and/or localhost TCP),
  *    each drained by an accept thread that spawns one reader thread
- *    per client connection;
+ *    per client connection, joined once the connection is cleaned up;
  *  - a FairScheduler (daemon/scheduler.h) providing admission control
  *    (bounded queue) and round-robin fairness across client
  *    connections, FIFO within one;
@@ -107,7 +107,6 @@ class DaemonServer
 
     const DaemonConfig &config() const { return config_; }
     TuneCache &tuneCache() { return tune_cache_; }
-    ArtifactCache &artifactCache() { return artifact_cache_; }
 
     /**
      * Test-only hook, called at the start of every admitted compile
@@ -139,9 +138,11 @@ class DaemonServer
 
     std::mutex conn_mutex_;
     std::map<std::uint64_t, std::shared_ptr<Connection>> connections_;
-    //! joined at stop(); a finished reader's thread object stays here
-    //! (a few hundred bytes per past connection) until then
-    std::vector<std::thread> reader_threads_;
+    //! the live readers, by connection id; stop() joins them
+    std::map<std::uint64_t, std::thread> reader_threads_;
+    //! the reader that finished last: it cannot join itself, so the
+    //! next reader to finish (or stop()) joins it
+    std::thread finished_reader_;
     std::uint64_t next_client_id_ = 1;
 
     mutable std::mutex sched_mutex_;

@@ -31,7 +31,6 @@ class LatencyHistogram
     void record(double ms);
 
     std::int64_t count() const { return count_; }
-    double totalMs() const { return total_ms_; }
     double maxMs() const { return max_ms_; }
 
     /** Conservative quantile in ms for @p q in [0, 1]; 0 when empty. */

@@ -14,10 +14,18 @@ verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
                    const ScheduleOptions &options,
                    const std::map<TensorId, Int8Tensor> &inputs)
 {
-    // 1. Schedule, and give up before the reference run when the
-    // unrolled flow would be over the op budget.
     CIMMLC_ASSIGN_OR_RETURN(Schedule schedule,
                             scheduleGraph(graph, arch, options));
+    return verifyCompiledFlow(graph, arch, schedule, inputs);
+}
+
+StatusOr<VerifyReport>
+verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
+                   const Schedule &schedule,
+                   const std::map<TensorId, Int8Tensor> &inputs)
+{
+    // 1. Give up before the reference run when the unrolled flow would
+    // be over the op budget.
     CodegenOptions codegen_options;
     codegen_options.unroll = true;
     CIMMLC_RETURN_IF_ERROR(
@@ -41,6 +49,9 @@ verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
     // 4. Compare marked outputs.
     VerifyReport report;
     report.flow_ops = code.program.counts().total();
+    code.program.forEachOp([&report](const MetaOp &op) {
+        report.host_ops += op.host ? 1 : 0;
+    });
     for (TensorId out : graph.outputs()) {
         CIMMLC_ASSIGN_OR_RETURN(Int8Tensor actual,
                                 simulator.readTensor(graph, out));
@@ -71,8 +82,7 @@ verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
 
 StatusOr<VerifyReport>
 verifyWithRandomStimulus(const Graph &graph, const CimArchitecture &arch,
-                         const ScheduleOptions &options,
-                         std::uint64_t seed)
+                         const Schedule &schedule, std::uint64_t seed)
 {
     Graph stimulated = graph;
     Rng rng(seed);
@@ -83,7 +93,18 @@ verifyWithRandomStimulus(const Graph &graph, const CimArchitecture &arch,
         tensor.fillRandom(rng, -16, 16);
         inputs.emplace(in, std::move(tensor));
     }
-    return verifyCompiledFlow(stimulated, arch, options, inputs);
+    return verifyCompiledFlow(stimulated, arch, schedule, inputs);
+}
+
+StatusOr<VerifyReport>
+verifyWithRandomStimulus(const Graph &graph, const CimArchitecture &arch,
+                         const ScheduleOptions &options,
+                         std::uint64_t seed)
+{
+    // A schedule depends on the graph's shapes, not its weight values.
+    CIMMLC_ASSIGN_OR_RETURN(Schedule schedule,
+                            scheduleGraph(graph, arch, options));
+    return verifyWithRandomStimulus(graph, arch, schedule, seed);
 }
 
 } // namespace cimmlc

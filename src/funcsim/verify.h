@@ -1,9 +1,9 @@
 /**
  * @file
- * End-to-end functional verification: compile a graph with the
- * multi-level scheduler, execute the generated meta-operator flow on the
- * functional simulator, and compare every marked output bit-for-bit
- * against the reference executor (the paper's PyTorch check).
+ * End-to-end functional verification: generate the meta-operator flow
+ * of a multi-level schedule, execute it on the functional simulator,
+ * and compare every marked output bit-for-bit against the reference
+ * executor (the paper's PyTorch check).
  */
 #ifndef CIMMLC_FUNCSIM_VERIFY_H
 #define CIMMLC_FUNCSIM_VERIFY_H
@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "graph/graph.h"
 #include "sched/options.h"
+#include "sched/schedule.h"
 #include "tensor/tensor.h"
 
 namespace cimmlc {
@@ -28,10 +29,12 @@ struct VerifyReport {
     std::int64_t mismatches = 0;
     std::string first_mismatch; //!< description of the first divergence
     std::int64_t flow_ops = 0;  //!< size of the executed flow
+    std::int64_t host_ops = 0;  //!< of those, ops the host CPU runs
 };
 
 /**
- * Compiles and verifies @p graph on @p arch.
+ * Verifies @p schedule of @p graph on @p arch: generates its unrolled
+ * flow and replays it.
  *
  * Weights must be installed; inputs map graph input tensors to values.
  * The reference run calibrates per-node requantization shifts which the
@@ -41,6 +44,13 @@ struct VerifyReport {
  */
 StatusOr<VerifyReport>
 verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
+                   const Schedule &schedule,
+                   const std::map<TensorId, Int8Tensor> &inputs);
+
+/** Schedules @p graph under @p options (default host model) once, then
+ * verifies that schedule. */
+StatusOr<VerifyReport>
+verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
                    const ScheduleOptions &options,
                    const std::map<TensorId, Int8Tensor> &inputs);
 
@@ -48,8 +58,14 @@ verifyCompiledFlow(const Graph &graph, const CimArchitecture &arch,
  * Convenience entry for the session pipeline's verify stage: copies
  * @p graph, installs seeded random weights (in [-8, 8]) and graph
  * inputs (in [-16, 16]) drawn from one SplitMix64 stream, and runs
- * verifyCompiledFlow. The same seed always produces the same stimulus.
+ * verifyCompiledFlow on @p schedule. The same seed always produces the
+ * same stimulus.
  */
+StatusOr<VerifyReport>
+verifyWithRandomStimulus(const Graph &graph, const CimArchitecture &arch,
+                         const Schedule &schedule, std::uint64_t seed = 1234);
+
+/** As above, on the schedule of @p options (default host model). */
 StatusOr<VerifyReport>
 verifyWithRandomStimulus(const Graph &graph, const CimArchitecture &arch,
                          const ScheduleOptions &options,

@@ -544,20 +544,6 @@ struct ArmSummary {
     std::vector<std::pair<std::int64_t, const MetaOp *>> core_writes;
 };
 
-/** Statement and op-statement counts of a statement list. */
-void
-countStmts(const std::vector<Stmt> &stmts, std::int64_t *statements,
-           std::int64_t *ops)
-{
-    for (const Stmt &stmt : stmts) {
-        ++*statements;
-        if (stmt.kind == Stmt::Kind::kOp)
-            ++*ops;
-        else
-            countStmts(stmt.body, statements, ops);
-    }
-}
-
 class Analyzer
 {
   public:
@@ -569,9 +555,6 @@ class Analyzer
     void
     run(const MopProgram &program, AnalyzeResult *result)
     {
-        countStmts(program.init(), &result->statements, &result->ops);
-        countStmts(program.compute(), &result->statements, &result->ops);
-
         for (const LiveInRegion &region : options_.live_in) {
             if (region.begin < 0 || region.end > kMaxBufferElements)
                 continue;
@@ -586,11 +569,13 @@ class Analyzer
         }
 
         // Statements are numbered in pre-order per section; the walk
-        // carries the index instead of looking it up.
+        // carries the index instead of looking it up, and the index
+        // past a section is its statement count.
         section_ = "init";
-        walkStmts(program.init(), 0);
+        result->statements = walkStmts(program.init(), 0);
         section_ = "compute";
-        walkStmts(program.compute(), 0);
+        result->statements += walkStmts(program.compute(), 0);
+        result->ops = ops_;
 
         finish(result);
     }
@@ -661,11 +646,12 @@ class Analyzer
         XbState *xb = nullptr; //!< the crossbar's state (kXb)
     };
 
-    /** The arm being walked: its anchor and where its staged defs
-     * start in staged_. */
+    /** The arm being walked: its anchor, where its staged defs start
+     * in staged_, and its position in the block. */
     struct ArmCtx {
         std::int64_t anchor = -1;
         std::size_t first_staged = 0;
+        int arm = 0;
     };
 
     /** Walks @p stmts whose first statement has pre-order index
@@ -677,6 +663,8 @@ class Analyzer
             const std::int64_t own = index++;
             switch (stmt.kind) {
               case Stmt::Kind::kOp:
+                if (!replaying_)
+                    ++ops_;
                 processOp(stmt.op, own, nullptr);
                 ++time_;
                 break;
@@ -711,6 +699,8 @@ class Analyzer
     walkArm(const Stmt &stmt, const ArmCtx &ctx)
     {
         if (stmt.kind == Stmt::Kind::kOp) {
+            if (!replaying_)
+                ++ops_;
             processOp(stmt.op, ctx.anchor, &ctx);
             return 1;
         }
@@ -719,55 +709,6 @@ class Analyzer
         for (const Stmt &sub : stmt.body)
             count += walkArm(sub, ctx);
         return count;
-    }
-
-    void
-    summarizeArm(const Stmt &stmt, ArmSummary *out)
-    {
-        if (stmt.kind != Stmt::Kind::kOp) {
-            for (const Stmt &sub : stmt.body)
-                summarizeArm(sub, out);
-            return;
-        }
-        const MetaOp *op = &stmt.op;
-        computeEffects(*op, &fx_);
-        auto addAccesses = [&](const std::vector<RegionRef> &refs,
-                               std::vector<ArmSummary::Access> *dst) {
-            for (const RegionRef &r : refs) {
-                // Merge consecutive accesses of the same op text + key
-                // so a strided mov stays one record.
-                if (!dst->empty() && dst->back().key == r.key &&
-                    sameOpText(dst->back().op, op)) {
-                    dst->back().set.add(r.begin, r.end);
-                    continue;
-                }
-                ArmSummary::Access access;
-                access.key = r.key;
-                access.set.add(r.begin, r.end);
-                access.op = op;
-                dst->push_back(std::move(access));
-            }
-        };
-        addAccesses(fx_.reads, &out->reads);
-        addAccesses(fx_.writes, &out->writes);
-        addAccesses(fx_.accums, &out->accums);
-        auto addXb = [&](const std::vector<XbRef> &refs,
-                         std::vector<ArmSummary::XbAccess> *dst) {
-            for (const XbRef &x : refs) {
-                ArmSummary::XbAccess access;
-                access.core = x.core;
-                access.xb = x.xb;
-                access.set.add(x.begin, x.end);
-                access.op = op;
-                dst->push_back(std::move(access));
-            }
-        };
-        addXb(fx_.xb_reads, &out->xb_reads);
-        addXb(fx_.xb_writes, &out->xb_writes);
-        for (std::int64_t core : fx_.core_reads)
-            out->core_reads.emplace_back(core, op);
-        for (std::int64_t core : fx_.core_writes)
-            out->core_writes.emplace_back(core, op);
     }
 
     // ----- diagnostics plumbing ---------------------------------------
@@ -853,6 +794,8 @@ class Analyzer
         computeEffects(op, &fx_);
         const OpEffects &fx = fx_;
         const bool executable = options_.executable;
+        if (ctx != nullptr && !replaying_)
+            recordAccesses(op, ctx->arm);
 
         // 1. use-before-def on buffer regions (executable flows only:
         //    compressed templates only show window 0, so cross-window
@@ -1163,14 +1106,19 @@ class Analyzer
     /** Access category for the conflict sweep. */
     enum Cat { kWrite = 0, kAccum = 1, kRead = 2 };
 
-    /** One interval access of an arm in the conflict check. Buffer
-     * regions and crossbar rows are told apart by @c tag. */
+    /** What an arm access touches: a buffer region, crossbar rows, or
+     * a core's state (the one-element range [0, 1) of its core). */
+    enum Res { kBufRes = 0, kXbRes = 1, kCoreRes = 2 };
+
+    /** One interval access of a parallel arm, as its op's dataflow
+     * walk records it. */
     struct ArmAccess {
-        int tag = 0;               //!< 0 buffer, 1 crossbar
-        std::int64_t a = 0, b = 0; //!< (space, core) or (core, xb)
+        std::int64_t a = 0, b = 0; //!< (space, core), (core, xb), (core, 0)
         std::int64_t begin = 0, end = 0;
-        int arm = 0;
+        const MetaOp *op = nullptr;
+        Res res = kBufRes;
         Cat cat = kRead;
+        int arm = 0;
     };
 
     /** One interval endpoint in the conflict sweep. */
@@ -1181,47 +1129,37 @@ class Analyzer
         Cat cat = kRead;
     };
 
-    /** One core-state access in the conflict check. */
-    struct CoreAcc {
-        std::int64_t core = 0;
-        bool write = false;
-        int arm = 0;
-    };
-
     void
-    addAccess(int tag, std::int64_t a, std::int64_t b, std::int64_t begin,
-              std::int64_t end, int arm, Cat cat)
+    addAccess(Res res, std::int64_t a, std::int64_t b, std::int64_t begin,
+              std::int64_t end, int arm, Cat cat, const MetaOp &op)
     {
-        if (begin < end)
-            accesses_.push_back(ArmAccess{tag, a, b, begin, end, arm, cat});
+        if (begin < end) {
+            accesses_.push_back(
+                ArmAccess{a, b, begin, end, &op, res, cat, arm});
+        }
     }
 
-    /** Gathers one arm's raw accesses for mayConflict. */
+    /** Records the accesses of one arm op (fx_ holds its effects) for
+     * its block's race check. */
     void
-    collectArm(const Stmt &stmt, int arm)
+    recordAccesses(const MetaOp &op, int arm)
     {
-        if (stmt.kind != Stmt::Kind::kOp) {
-            for (const Stmt &sub : stmt.body)
-                collectArm(sub, arm);
-            return;
-        }
-        computeEffects(stmt.op, &fx_);
         const std::pair<const std::vector<RegionRef> *, Cat> regions[] = {
             {&fx_.writes, kWrite}, {&fx_.accums, kAccum},
             {&fx_.reads, kRead}};
         for (const auto &[refs, cat] : regions) {
             for (const RegionRef &r : *refs)
-                addAccess(0, static_cast<std::int64_t>(r.key.space),
-                          r.key.core, r.begin, r.end, arm, cat);
+                addAccess(kBufRes, static_cast<std::int64_t>(r.key.space),
+                          r.key.core, r.begin, r.end, arm, cat, op);
         }
         for (const XbRef &x : fx_.xb_writes)
-            addAccess(1, x.core, x.xb, x.begin, x.end, arm, kWrite);
+            addAccess(kXbRes, x.core, x.xb, x.begin, x.end, arm, kWrite, op);
         for (const XbRef &x : fx_.xb_reads)
-            addAccess(1, x.core, x.xb, x.begin, x.end, arm, kRead);
+            addAccess(kXbRes, x.core, x.xb, x.begin, x.end, arm, kRead, op);
         for (std::int64_t core : fx_.core_writes)
-            core_acc_.push_back(CoreAcc{core, true, arm});
+            addAccess(kCoreRes, core, 0, 0, 1, arm, kWrite, op);
         for (std::int64_t core : fx_.core_reads)
-            core_acc_.push_back(CoreAcc{core, false, arm});
+            addAccess(kCoreRes, core, 0, 0, 1, arm, kRead, op);
     }
 
     /**
@@ -1230,63 +1168,39 @@ class Analyzer
      * pairwise pass renders the actual diagnostics.
      *
      * Racy combinations: write/write, write/accum, write/read,
-     * accum/read (accum/accum commutes, read/read is harmless). The
-     * accesses are grouped per buffer / crossbar; a group can only race
+     * accum/read (accum/accum commutes, read/read is harmless); core
+     * state has only installs (writes) and uses (reads). The accesses
+     * are grouped per buffer / crossbar / core; a group can only race
      * when it spans two arms and holds a write, or an accumulate and a
      * read. Only such groups get the endpoint sweep.
      */
     bool
-    mayConflict(const Stmt &block)
+    mayConflict(int arms)
     {
-        accesses_.clear();
-        core_acc_.clear();
-        const int arms = static_cast<int>(block.body.size());
-        for (int i = 0; i < arms; ++i)
-            collectArm(block.body[static_cast<std::size_t>(i)], i);
-
-        // Core state: two installers, or an installer plus a user from
-        // another arm.
-        std::sort(core_acc_.begin(), core_acc_.end(),
-                  [](const CoreAcc &x, const CoreAcc &y) {
-                      return std::tie(x.core, x.write, x.arm) <
-                             std::tie(y.core, y.write, y.arm);
+        // Sorted by resource through an index, so the list stays in op
+        // order for summarizeArms.
+        by_res_.resize(accesses_.size());
+        for (std::size_t i = 0; i < by_res_.size(); ++i)
+            by_res_[i] = i;
+        std::sort(by_res_.begin(), by_res_.end(),
+                  [this](std::size_t i, std::size_t j) {
+                      const ArmAccess &x = accesses_[i];
+                      const ArmAccess &y = accesses_[j];
+                      return std::tie(x.res, x.a, x.b) <
+                             std::tie(y.res, y.a, y.b);
                   });
-        for (std::size_t i = 0; i < core_acc_.size();) {
-            std::size_t j = i;
-            int readers = 0, writers = 0, reader = -1, writer = -1;
-            for (; j < core_acc_.size() && core_acc_[j].core ==
-                                              core_acc_[i].core;
-                 ++j) {
-                const CoreAcc &acc = core_acc_[j];
-                int &count = acc.write ? writers : readers;
-                int &last = acc.write ? writer : reader;
-                if (acc.arm != last) {
-                    ++count;
-                    last = acc.arm;
-                }
-            }
-            if (writers >= 2 ||
-                (writers == 1 && readers >= 1 &&
-                 (readers >= 2 || reader != writer)))
-                return true;
-            i = j;
-        }
-
-        std::sort(accesses_.begin(), accesses_.end(),
-                  [](const ArmAccess &x, const ArmAccess &y) {
-                      return std::tie(x.tag, x.a, x.b) <
-                             std::tie(y.tag, y.a, y.b);
-                  });
-        for (std::size_t i = 0; i < accesses_.size();) {
-            const ArmAccess &first = accesses_[i];
+        for (std::size_t i = 0; i < by_res_.size();) {
+            const ArmAccess &first = accesses_[by_res_[i]];
             std::size_t j = i;
             bool cats[3] = {false, false, false};
             bool two_arms = false;
-            for (; j < accesses_.size() && accesses_[j].tag == first.tag &&
-                   accesses_[j].a == first.a && accesses_[j].b == first.b;
-                 ++j) {
-                cats[accesses_[j].cat] = true;
-                two_arms = two_arms || accesses_[j].arm != first.arm;
+            for (; j < by_res_.size(); ++j) {
+                const ArmAccess &acc = accesses_[by_res_[j]];
+                if (acc.res != first.res || acc.a != first.a ||
+                    acc.b != first.b)
+                    break;
+                cats[acc.cat] = true;
+                two_arms = two_arms || acc.arm != first.arm;
             }
             if (two_arms && (cats[kWrite] || (cats[kAccum] && cats[kRead])) &&
                 sweepConflict(i, j, arms))
@@ -1296,19 +1210,60 @@ class Analyzer
         return false;
     }
 
+    /** Every arm's accesses, aggregated in op order for rendering. */
+    std::vector<ArmSummary>
+    summarizeArms(std::size_t arms) const
+    {
+        std::vector<ArmSummary> summaries(arms);
+        for (const ArmAccess &acc : accesses_) {
+            ArmSummary &out = summaries[static_cast<std::size_t>(acc.arm)];
+            if (acc.res == kCoreRes) {
+                (acc.cat == kWrite ? out.core_writes : out.core_reads)
+                    .emplace_back(acc.a, acc.op);
+            } else if (acc.res == kXbRes) {
+                ArmSummary::XbAccess access;
+                access.core = acc.a;
+                access.xb = acc.b;
+                access.set.add(acc.begin, acc.end);
+                access.op = acc.op;
+                (acc.cat == kWrite ? out.xb_writes : out.xb_reads)
+                    .push_back(std::move(access));
+            } else {
+                std::vector<ArmSummary::Access> &dst =
+                    acc.cat == kWrite   ? out.writes
+                    : acc.cat == kAccum ? out.accums
+                                        : out.reads;
+                const BufKey key{static_cast<MemSpace>(acc.a), acc.b};
+                // Merge consecutive accesses of the same op text + key
+                // so a strided mov stays one record.
+                if (!dst.empty() && dst.back().key == key &&
+                    sameOpText(dst.back().op, acc.op)) {
+                    dst.back().set.add(acc.begin, acc.end);
+                    continue;
+                }
+                ArmSummary::Access access;
+                access.key = key;
+                access.set.add(acc.begin, acc.end);
+                access.op = acc.op;
+                dst.push_back(std::move(access));
+            }
+        }
+        return summaries;
+    }
+
     /**
-     * Endpoint sweep over accesses_[first, last), all on one buffer or
-     * crossbar. Closes are ordered before opens so half-open adjacency
-     * does not count as overlap; per category it tracks how many arms
-     * are open and the sum of their ids (the id itself when exactly one
-     * is).
+     * Endpoint sweep over the accesses by_res_[first, last) names, all
+     * on one buffer, crossbar or core. Closes are ordered before opens
+     * so half-open adjacency does not count as overlap; per category it
+     * tracks how many arms are open and the sum of their ids (the id
+     * itself when exactly one is).
      */
     bool
     sweepConflict(std::size_t first, std::size_t last, int arms)
     {
         sweep_.clear();
         for (std::size_t i = first; i < last; ++i) {
-            const ArmAccess &acc = accesses_[i];
+            const ArmAccess &acc = accesses_[by_res_[i]];
             sweep_.push_back(SweepEv{acc.begin, 1, acc.arm, acc.cat});
             sweep_.push_back(SweepEv{acc.end, -1, acc.arm, acc.cat});
         }
@@ -1358,30 +1313,34 @@ class Analyzer
         std::vector<MopDiagnostic> *saved = block_diags_;
         block_diags_ = &local;
 
-        // Race detection over the arms' footprints, once per block: a
+        // Dataflow per arm against the pre-block state: arms may
+        // execute in any order, so no arm may depend on a sibling.
+        // Defs are staged and merged only after every arm has run.
+        // Outside a replay the walk also records the arms' accesses.
+        staged_.clear();
+        accesses_.clear();
+        const int arms = static_cast<int>(block.body.size());
+        std::int64_t index = anchor + 1;
+        for (int i = 0; i < arms; ++i)
+            index += walkArm(block.body[static_cast<std::size_t>(i)],
+                             ArmCtx{anchor, staged_.size(), i});
+
+        // Race detection over the recorded accesses, once per block: a
         // replayed repeat body would only repeat the findings. A
         // linear endpoint sweep decides whether any conflicting
         // overlap exists at all; only then does the quadratic pairwise
         // pass run to produce the canonical (arm-order-invariant)
         // report. Clean blocks — the overwhelming majority — stay
         // O(E log E).
-        if (!replaying_ && mayConflict(block)) {
-            std::vector<ArmSummary> summaries(block.body.size());
-            for (std::size_t i = 0; i < block.body.size(); ++i)
-                summarizeArm(block.body[i], &summaries[i]);
+        if (!replaying_ && mayConflict(arms)) {
+            const std::vector<ArmSummary> summaries =
+                summarizeArms(block.body.size());
             for (std::size_t i = 0; i < summaries.size(); ++i) {
                 for (std::size_t j = i + 1; j < summaries.size(); ++j)
                     checkArmPair(summaries[i], summaries[j], anchor);
             }
         }
 
-        // Dataflow per arm against the pre-block state: arms may
-        // execute in any order, so no arm may depend on a sibling.
-        // Defs are staged and merged only after every arm has run.
-        staged_.clear();
-        std::int64_t index = anchor + 1;
-        for (const Stmt &arm : block.body)
-            index += walkArm(arm, ArmCtx{anchor, staged_.size()});
         for (const StagedDef &def : staged_) {
             switch (def.kind) {
               case StagedDef::Kind::kBuf:
@@ -1800,6 +1759,7 @@ class Analyzer
     const char *section_ = "";
     std::int64_t time_ = 0;
     bool replaying_ = false; //!< in a repeat body's second pass
+    std::int64_t ops_ = 0;   //!< op statements walked outside replays
 
     std::vector<MopDiagnostic> diags_;
     std::vector<MopDiagnostic> *block_diags_ = nullptr;
@@ -1820,9 +1780,9 @@ class Analyzer
     std::vector<RegionRef> written_;
     IntervalSet own_;
     std::vector<StagedDef> staged_;
-    std::vector<ArmAccess> accesses_;
+    std::vector<ArmAccess> accesses_; //!< the current block's, op order
+    std::vector<std::size_t> by_res_; //!< accesses_ sorted by resource
     std::vector<SweepEv> sweep_;
-    std::vector<CoreAcc> core_acc_;
     std::vector<int> open_[3]; //!< per category: open intervals per arm
 
     // Capacity sweep scratch (see peakLive).

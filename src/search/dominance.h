@@ -108,9 +108,6 @@ class DominancePruner
     std::optional<std::uint32_t>
     shouldPrune(std::uint32_t encoding) const;
 
-    std::size_t recordedCount() const { return evaluated_.size(); }
-    std::size_t condemnedCount() const { return condemned_.size(); }
-
   private:
     KnobSubsetOrder order_;
     std::map<std::uint32_t, MetricPoint> evaluated_; //!< feasible only

@@ -4,10 +4,11 @@
  * byte-identity against an in-process session, the warm artifact memo,
  * admission rejection under a full queue, cancel-on-disconnect, stats,
  * shutdown (including a stop racing idle accept threads), tune-cache
- * snapshotting, and TCP_NODELAY on both ends of a TCP connection. Each test runs its own
- * DaemonServer on a unique /tmp Unix socket (or ephemeral TCP port);
- * deterministic in-flight blocking uses the server's test-only
- * compile hook.
+ * snapshotting, TCP_NODELAY on both ends of a TCP connection, error
+ * frames for undecodable frames, and reader threads joined per closed
+ * connection. Each test runs its own DaemonServer on a unique /tmp
+ * Unix socket (or ephemeral TCP port); deterministic in-flight
+ * blocking uses the server's test-only compile hook.
  */
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -566,6 +567,146 @@ TEST(DaemonServerTest, StopWhileAcceptThreadsIdle)
         server.stop();
         EXPECT_EQ(server.boundTcpPort(), -1);
     }
+}
+
+/** This process's virtual memory size (VmSize) in KiB; 0 when
+ * /proc/self/status cannot be read. */
+std::int64_t
+vmSizeKib()
+{
+    std::FILE *status = std::fopen("/proc/self/status", "r");
+    if (status == nullptr)
+        return 0;
+    char line[256];
+    long long kib = 0;
+    while (std::fgets(line, sizeof(line), status) != nullptr) {
+        if (std::sscanf(line, "VmSize: %lld kB", &kib) == 1)
+            break;
+    }
+    std::fclose(status);
+    return kib;
+}
+
+TEST(DaemonServerTest, ClosedConnectionsKeepNoReaderThread)
+{
+    // Each reader thread reserves a stack (8 MiB by default); a daemon
+    // that joined readers only at stop() grew by one per connection it
+    // had ever served.
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("readers");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+    // One stats exchange, then a half-close; the daemon closes its end
+    // once the reader has cleaned up, so connections do not overlap.
+    const auto serveOne = [&server] {
+        auto socket = connectUnix(server.config().unix_path);
+        ASSERT_TRUE(socket.isOk());
+        ASSERT_TRUE(recvFrame(socket.value()).isOk()); // hello
+        ASSERT_TRUE(sendFrame(socket.value(), statsRequestFrame(1)).isOk());
+        ASSERT_TRUE(recvFrame(socket.value()).isOk());
+        ASSERT_EQ(::shutdown(socket.value().fd(), SHUT_WR), 0);
+        EXPECT_EQ(recvFrame(socket.value()).status().code(),
+                  StatusCode::kNotFound);
+    };
+    for (int i = 0; i < 10; ++i) // warm up the allocator's arenas
+        serveOne();
+    const std::int64_t before = vmSizeKib();
+    if (before == 0)
+        GTEST_SKIP() << "/proc/self/status is not readable";
+    for (int i = 0; i < 100; ++i)
+        serveOne();
+    const std::int64_t grown_kib = vmSizeKib() - before;
+    EXPECT_LT(grown_kib, 200 * 1024)
+        << "VmSize grew by " << grown_kib << " KiB over 100 connections";
+    server.stop();
+}
+
+/** Sends @p bytes on a raw connection and expects, after the hello, one
+ * error frame with id -1 and @p code, then end-of-stream; then a new
+ * connection is served. */
+void
+expectErrorFrameThenClose(const std::string &bytes, StatusCode code)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("badframe");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+    {
+        auto socket = connectUnix(server.config().unix_path);
+        ASSERT_TRUE(socket.isOk());
+        ASSERT_TRUE(recvFrame(socket.value()).isOk()); // hello
+        ASSERT_TRUE(socket.value().sendAll(bytes.data(), bytes.size()).isOk());
+        auto reply = recvFrame(socket.value());
+        ASSERT_TRUE(reply.isOk()) << reply.status().toString();
+        EXPECT_EQ(reply.value().getStringOr("type", ""), "error");
+        EXPECT_EQ(reply.value().getIntOr("id", 0), -1);
+        EXPECT_EQ(statusFromErrorFrame(reply.value()).code(), code)
+            << reply.value().dump(false);
+        EXPECT_EQ(recvFrame(socket.value()).status().code(),
+                  StatusCode::kNotFound); // closed after the reply
+    }
+    auto client = DaemonClient::connectUnixSocket(server.config().unix_path);
+    ASSERT_TRUE(client.isOk()) << client.status().toString();
+    EXPECT_TRUE(client.value().stats().isOk());
+    server.stop();
+}
+
+TEST(DaemonServerTest, BadMagicGetsAParseErrorFrame)
+{
+    expectErrorFrameThenClose("garbage\n", StatusCode::kParseError);
+}
+
+TEST(DaemonServerTest, BadLengthGetsAParseErrorFrame)
+{
+    expectErrorFrameThenClose("cimmlc-rpc twelve\n",
+                              StatusCode::kParseError);
+}
+
+TEST(DaemonServerTest, NonJsonPayloadGetsAParseErrorFrame)
+{
+    expectErrorFrameThenClose("cimmlc-rpc 3\nabc\n",
+                              StatusCode::kParseError);
+}
+
+TEST(DaemonServerTest, MissingTrailerGetsAParseErrorFrame)
+{
+    expectErrorFrameThenClose("cimmlc-rpc 2\n{}X", StatusCode::kParseError);
+}
+
+TEST(DaemonServerTest, OversizedFrameGetsAnOutOfRangeFrame)
+{
+    // Past the 64 MiB ceiling: refused before any payload is read.
+    expectErrorFrameThenClose("cimmlc-rpc 99999999999\n",
+                              StatusCode::kOutOfRange);
+}
+
+TEST(DaemonServerTest, HangupMidFrameJustFreesTheSlot)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("hangup");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+    {
+        auto socket = connectUnix(server.config().unix_path);
+        ASSERT_TRUE(socket.isOk());
+        ASSERT_TRUE(recvFrame(socket.value()).isOk()); // hello
+        const std::string partial = "cimmlc-rpc 40\n{\"type\":";
+        ASSERT_TRUE(
+            socket.value().sendAll(partial.data(), partial.size()).isOk());
+        ASSERT_EQ(::shutdown(socket.value().fd(), SHUT_WR), 0);
+        // No error frame: the stream just ends.
+        EXPECT_EQ(recvFrame(socket.value()).status().code(),
+                  StatusCode::kNotFound);
+    }
+    auto client = DaemonClient::connectUnixSocket(server.config().unix_path);
+    ASSERT_TRUE(client.isOk()) << client.status().toString();
+    auto stats = client.value().stats();
+    ASSERT_TRUE(stats.isOk());
+    EXPECT_EQ(stats.value().getIntOr("clients", -1), 1);
+    server.stop();
 }
 
 /** TCP_NODELAY as read back from a connected socket. */

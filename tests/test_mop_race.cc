@@ -1,0 +1,613 @@
+/**
+ * @file
+ * Property test of mopcheck's race check: seeded random `parallel`
+ * blocks checked against a brute-force, per-element oracle of the race
+ * rule in DESIGN.md ("Race check"). A block has 2-12 arms of one to
+ * three ops (an arm of several ops is a `repeat`) and sometimes sits in
+ * a `repeat` itself. Its ops are readxb, readrow, writexb, writerow,
+ * readcore (conv and linear), writecore, DCOM zero/relu/add and strided
+ * movs with strides of either sign, over L0, two L1 banks, two
+ * crossbars of two cores, and both cores' state, with ranges that
+ * overlap, touch or miss.
+ */
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "arch/presets.h"
+#include "common/rng.h"
+#include "common/strutil.h"
+#include "mop/analyzer.h"
+
+namespace cimmlc {
+namespace {
+
+constexpr std::int64_t kMovBlockLimit = 1024; // the analyzer's kMaxMovBlocks
+
+// ----- generator ----------------------------------------------------------
+
+class BlockGen
+{
+  public:
+    explicit BlockGen(std::uint64_t seed) : rng_(seed) {}
+
+    /** The arms of one block: a single op, or a repeat of 2-3 ops. In a
+     * sparse block each arm keeps to its own address window and rarely
+     * writes crossbars or core state, so many blocks are clean. */
+    std::vector<Stmt>
+    arms()
+    {
+        sparse_ = rng_.uniformInt(0, 2) == 0;
+        std::vector<Stmt> arms;
+        const int count = static_cast<int>(rng_.uniformInt(2, 12));
+        for (arm_ = 0; arm_ < count; ++arm_) {
+            const int ops = static_cast<int>(rng_.uniformInt(1, 3));
+            if (ops == 1) {
+                arms.push_back(Stmt::makeOp(op()));
+                continue;
+            }
+            std::vector<Stmt> body;
+            for (int i = ops; i > 0; --i)
+                body.push_back(Stmt::makeOp(op()));
+            arms.push_back(
+                Stmt::makeRepeat(rng_.uniformInt(1, 3), std::move(body)));
+        }
+        return arms;
+    }
+
+    MetaOp op() { return pick(rng_.uniformInt(0, 11)); }
+
+    Rng &rng() { return rng_; }
+
+  private:
+    BufAddr
+    addr()
+    {
+        BufAddr at;
+        const std::int64_t bank = rng_.uniformInt(-1, 1);
+        at.space = bank < 0 ? MemSpace::kL0 : MemSpace::kL1;
+        at.core = bank < 0 ? 0 : bank;
+        // A sparse arm keeps to its own 32-element window, except now
+        // and then, when it reaches into its neighbour's.
+        const std::int64_t window =
+            sparse_ && rng_.uniformInt(0, 7) != 0 ? 32 * arm_ : 0;
+        at.offset = rng_.uniformInt(0, 19) == 0 ? rng_.uniformInt(-3, -1)
+                                                : window +
+                                                      rng_.uniformInt(0, 20);
+        return at;
+    }
+
+    std::int64_t len() { return rng_.uniformInt(1, 8); }
+    std::int64_t unit() { return rng_.uniformInt(0, 1); }
+
+    MetaOp
+    pick(std::int64_t kind)
+    {
+        MetaOp op;
+        // Sparse arms mostly read crossbars and cores.
+        if (sparse_ && (kind == 2 || kind == 3 || kind == 5) &&
+            rng_.uniformInt(0, 3) != 0)
+            kind = 0;
+        switch (kind) {
+          case 0:
+            op.kind = MetaOpKind::kReadXb;
+            op.core = unit();
+            op.xb = unit();
+            op.rows = rng_.uniformInt(0, 8);
+            op.cols = len();
+            op.src = addr();
+            op.dst = addr();
+            break;
+          case 1:
+            op.kind = MetaOpKind::kReadRow;
+            op.core = unit();
+            op.xb = unit();
+            op.row = rng_.uniformInt(0, 8);
+            op.len = len();
+            op.cols = len();
+            op.src = addr();
+            op.dst = addr();
+            break;
+          case 2:
+            op.kind = MetaOpKind::kWriteXb;
+            op.core = unit();
+            op.xb = unit();
+            op.len = len();
+            break;
+          case 3:
+            op.kind = MetaOpKind::kWriteRow;
+            op.core = unit();
+            op.xb = unit();
+            op.row = rng_.uniformInt(0, 8);
+            op.len = len();
+            break;
+          case 4: {
+            op.kind = MetaOpKind::kReadCore;
+            op.core = unit();
+            op.src = addr();
+            op.dst = addr();
+            CoreOpParams &p = op.mutableCoreParams();
+            p.is_conv = rng_.uniformInt(0, 1) == 0;
+            if (p.is_conv) {
+                p.in_channels = rng_.uniformInt(1, 2);
+                p.in_h = rng_.uniformInt(2, 4);
+                p.in_w = rng_.uniformInt(2, 4);
+                p.out_channels = rng_.uniformInt(1, 3);
+                p.kernel = rng_.uniformInt(1, 3);
+                p.stride = rng_.uniformInt(1, 2);
+                p.padding = rng_.uniformInt(0, 1);
+            } else {
+                p.in_features = rng_.uniformInt(1, 4);
+                p.out_features = rng_.uniformInt(1, 4);
+            }
+            p.win_begin = rng_.uniformInt(0, 2);
+            p.win_end = rng_.uniformInt(0, 1) == 0
+                            ? 0
+                            : p.win_begin + rng_.uniformInt(1, 2);
+            break;
+          }
+          case 5:
+            op.kind = MetaOpKind::kWriteCore;
+            op.core = unit();
+            break;
+          case 6:
+            op.kind = MetaOpKind::kDcom;
+            op.func = dcomfunc::kZero;
+            op.dst = addr();
+            op.len = len();
+            break;
+          case 7:
+            op.kind = MetaOpKind::kDcom;
+            op.func = dcomfunc::kRelu;
+            op.src = addr();
+            op.dst = rng_.uniformInt(0, 3) == 0 ? op.src : addr();
+            op.len = len();
+            break;
+          case 8:
+            op.kind = MetaOpKind::kDcom;
+            op.func = dcomfunc::kAdd;
+            op.src = addr();
+            op.mutableSrc2() = addr();
+            op.dst = addr();
+            op.len = len();
+            break;
+          default:
+            op.kind = MetaOpKind::kMov;
+            op.src = addr();
+            op.dst = addr();
+            op.count = rng_.uniformInt(1, 4);
+            op.len = rng_.uniformInt(1, 6);
+            op.src_stride = rng_.uniformInt(-8, 8);
+            op.dst_stride = rng_.uniformInt(-8, 8);
+            break;
+        }
+        return op;
+    }
+
+    Rng rng_;
+    bool sparse_ = false;
+    std::int64_t arm_ = 0;
+};
+
+/** The ops of @p stmt in walk order. */
+void
+flatten(const Stmt &stmt, std::vector<const MetaOp *> *out)
+{
+    if (stmt.kind == Stmt::Kind::kOp) {
+        out->push_back(&stmt.op);
+        return;
+    }
+    for (const Stmt &sub : stmt.body)
+        flatten(sub, out);
+}
+
+/** @p arms as one block after the @p lead ops, itself inside a
+ * `repeat 2` when @p in_repeat. */
+MopProgram
+makeProgram(const std::vector<MetaOp> &lead, std::vector<Stmt> arms,
+            bool in_repeat)
+{
+    MopProgram program("p", "XBM");
+    std::vector<Stmt> &compute = program.compute();
+    for (const MetaOp &op : lead)
+        compute.push_back(Stmt::makeOp(op));
+    Stmt block = Stmt::makeParallel(std::move(arms));
+    if (in_repeat)
+        compute.push_back(Stmt::makeRepeat(2, {std::move(block)}));
+    else
+        compute.push_back(std::move(block));
+    return program;
+}
+
+// ----- oracle -------------------------------------------------------------
+
+enum Cat { kWrite, kAccum, kRead };
+
+/** A buffer (space, core, 0), a crossbar (2, core, xb) or a core's
+ * state (3, core, 0). */
+using Res = std::tuple<int, std::int64_t, std::int64_t>;
+constexpr int kBufferRes = -1; //!< either buffer space
+constexpr int kXbarRes = 2;
+constexpr int kCoreRes = 3;
+
+/** The elements (buffer elements, crossbar rows, or element 0 of a
+ * core's state) one op touches, per category and resource. */
+using Footprint = std::map<std::pair<Cat, Res>, std::set<std::int64_t>>;
+
+/** The footprint of @p op, as DESIGN.md's footprint rules have it. */
+Footprint
+footprintOf(const MetaOp &op)
+{
+    Footprint fp;
+    // [offset + begin, offset + end), or nothing from a negative base or
+    // below element 0 (left to the structural check).
+    const auto region = [&fp](Cat cat, const BufAddr &addr,
+                              std::int64_t begin, std::int64_t end) {
+        if (addr.offset < 0 || addr.offset + begin < 0)
+            return;
+        const Res res{static_cast<int>(addr.space),
+                      addr.space == MemSpace::kL1 ? addr.core : 0, 0};
+        for (std::int64_t e = begin; e < end; ++e)
+            fp[{cat, res}].insert(addr.offset + e);
+    };
+    // Every block of a mov of at most 1,024 blocks with a non-negative
+    // stride, else the hull of all blocks.
+    const auto strided = [&region](Cat cat, const BufAddr &addr,
+                                   std::int64_t len, std::int64_t count,
+                                   std::int64_t stride) {
+        if (len < 1 || count < 1)
+            return;
+        if (count <= kMovBlockLimit && stride >= 0) {
+            for (std::int64_t b = 0; b < count; ++b) {
+                BufAddr block = addr;
+                block.offset += b * stride;
+                region(cat, block, 0, len);
+            }
+            return;
+        }
+        const std::int64_t span = stride * (count - 1);
+        region(cat, addr, std::min<std::int64_t>(0, span),
+               std::max<std::int64_t>(0, span) + len);
+    };
+    const auto rows = [&fp, &op](Cat cat, std::int64_t begin,
+                                 std::int64_t end) {
+        for (std::int64_t r = begin; r < end; ++r)
+            fp[{cat, Res{kXbarRes, op.core, op.xb}}].insert(r);
+    };
+    switch (op.kind) {
+      case MetaOpKind::kReadXb:
+        rows(kRead, 0, op.rows);
+        region(kRead, op.src, 0, op.rows);
+        region(kAccum, op.dst, 0, op.cols);
+        break;
+      case MetaOpKind::kReadRow:
+        rows(kRead, op.row, op.row + op.len);
+        region(kRead, op.src, 0, op.len);
+        region(kAccum, op.dst, 0, op.cols);
+        break;
+      case MetaOpKind::kWriteXb:
+        rows(kWrite, 0, op.len);
+        break;
+      case MetaOpKind::kWriteRow:
+        rows(kWrite, op.row, op.row + op.len);
+        break;
+      case MetaOpKind::kWriteCore:
+        fp[{kWrite, Res{kCoreRes, op.core, 0}}].insert(0);
+        break;
+      case MetaOpKind::kReadCore: {
+        fp[{kRead, Res{kCoreRes, op.core, 0}}].insert(0);
+        const CoreOpParams &p = op.coreParams();
+        const std::int64_t w0 = p.win_begin;
+        if (!p.is_conv) {
+            const std::int64_t w1 = p.win_end > 0 ? p.win_end : 1;
+            region(kRead, op.src, w0 * p.in_features, w1 * p.in_features);
+            region(kWrite, op.dst, w0 * p.out_features, w1 * p.out_features);
+            break;
+        }
+        const std::int64_t oh =
+            (p.in_h + 2 * p.padding - p.kernel) / p.stride + 1;
+        const std::int64_t ow =
+            (p.in_w + 2 * p.padding - p.kernel) / p.stride + 1;
+        if (oh <= 0 || ow <= 0)
+            break;
+        region(kRead, op.src, 0, p.in_channels * p.in_h * p.in_w);
+        // Each output channel's window rows [w0, w1) of its plane.
+        const std::int64_t w1 = p.win_end > 0 ? p.win_end : oh;
+        if (op.dst.offset < 0)
+            break;
+        for (std::int64_t c = 0; c < p.out_channels; ++c)
+            region(kWrite, op.dst, c * oh * ow + w0 * ow,
+                   c * oh * ow + w1 * ow);
+        break;
+      }
+      case MetaOpKind::kDcom:
+        if (op.func != dcomfunc::kZero)
+            region(kRead, op.src, 0, op.len);
+        if (op.func == dcomfunc::kAdd)
+            region(kRead, op.src2(), 0, op.len);
+        region(kWrite, op.dst, 0, op.len);
+        break;
+      case MetaOpKind::kMov:
+        strided(kRead, op.src, op.len, op.count, op.src_stride);
+        strided(kWrite, op.dst, op.len, op.count, op.dst_stride);
+        break;
+    }
+    return fp;
+}
+
+/** One way two ops of different arms race: a check id, the message's
+ * wording, the two categories (first op's, second op's), and the
+ * resources it covers. */
+struct RaceKind {
+    const char *check;
+    const char *what;
+    Cat x, y;
+    int res; //!< kBufferRes, kXbarRes or kCoreRes
+};
+
+/**
+ * DESIGN.md's race rule: two arms race on an element one of them
+ * writes and the other writes, accumulates or reads, or one of them
+ * accumulates and the other reads. Crossbar rows and core state have
+ * only writes (programming, installs) and reads (activations, uses).
+ */
+const RaceKind kKinds[] = {
+    {"race-write-write", "overlapping writes", kWrite, kWrite, kBufferRes},
+    {"race-write-write", "write vs accumulate", kWrite, kAccum, kBufferRes},
+    {"race-write-write", "write vs accumulate", kAccum, kWrite, kBufferRes},
+    {"race-read-write", "write vs read", kWrite, kRead, kBufferRes},
+    {"race-read-write", "write vs read", kRead, kWrite, kBufferRes},
+    {"race-read-write", "accumulate vs read", kAccum, kRead, kBufferRes},
+    {"race-read-write", "accumulate vs read", kRead, kAccum, kBufferRes},
+    {"race-xbar", "both program", kWrite, kWrite, kXbarRes},
+    {"race-xbar", "program vs activate", kWrite, kRead, kXbarRes},
+    {"race-xbar", "program vs activate", kRead, kWrite, kXbarRes},
+    {"race-core", "both install", kWrite, kWrite, kCoreRes},
+    {"race-core", "install vs use of", kWrite, kRead, kCoreRes},
+    {"race-core", "install vs use of", kRead, kWrite, kCoreRes},
+};
+
+/** Whether @p kind covers resource @p res. */
+bool
+covers(const RaceKind &kind, const Res &res)
+{
+    const int cls = std::get<0>(res);
+    return (cls < kXbarRes ? kBufferRes : cls) == kind.res;
+}
+
+/** A race finding taken apart: its wording, where, and its two ops. */
+struct Parsed {
+    std::string what;
+    Res res{-1, 0, 0};
+    std::int64_t begin = 0, end = 0; //!< the named range ([0, 1) for core)
+    std::string lo, hi;              //!< op texts, as printed
+};
+
+bool
+parseRace(const MopDiagnostic &diag, Parsed *out)
+{
+    const std::string &m = diag.message;
+    const std::size_t colon = m.find(": ");
+    const std::size_t vs = m.find(" vs ", colon);
+    if (colon == std::string::npos || vs == std::string::npos)
+        return false;
+    out->lo = m.substr(colon + 2, vs - colon - 2);
+    out->hi = m.substr(vs + 4);
+    const std::string head = m.substr(0, colon);
+    for (const RaceKind &kind : kKinds) {
+        const std::string prefix =
+            std::string("parallel arms ") + kind.what + " ";
+        if (diag.check != kind.check || head.rfind(prefix, 0) != 0)
+            continue;
+        out->what = kind.what;
+        const std::string where = head.substr(prefix.size());
+        long long a = 0, b = 0, lo = 0, hi = 0;
+        if (std::sscanf(where.c_str(), "on L0[%lld, %lld)", &lo, &hi) == 2) {
+            out->res = Res{static_cast<int>(MemSpace::kL0), 0, 0};
+        } else if (std::sscanf(where.c_str(), "on L1c%lld[%lld, %lld)", &a,
+                               &lo, &hi) == 3) {
+            out->res = Res{static_cast<int>(MemSpace::kL1), a, 0};
+        } else if (std::sscanf(where.c_str(),
+                               "on crossbar c%lld.x%lld rows [%lld, %lld)",
+                               &a, &b, &lo, &hi) == 4) {
+            out->res = Res{kXbarRes, a, b};
+        } else if (std::sscanf(where.c_str(), "core %lld state", &a) == 1) {
+            out->res = Res{kCoreRes, a, 0};
+            lo = 0;
+            hi = 1;
+        } else {
+            return false;
+        }
+        out->begin = lo;
+        out->end = hi;
+        return true;
+    }
+    return false;
+}
+
+std::vector<const MopDiagnostic *>
+raceFindings(const AnalyzeResult &result)
+{
+    std::vector<const MopDiagnostic *> out;
+    for (const MopDiagnostic &diag : result.diagnostics) {
+        if (diag.check.rfind("race-", 0) == 0)
+            out.push_back(&diag);
+    }
+    return out;
+}
+
+/** The race findings as comparable lines. */
+std::vector<std::string>
+raceLines(const AnalyzeResult &result)
+{
+    std::vector<std::string> out;
+    for (const MopDiagnostic *diag : raceFindings(result))
+        out.push_back(strformat("%s|%s|%lld|%s", diag->check.c_str(),
+                                diag->section.c_str(),
+                                static_cast<long long>(diag->stmt_index),
+                                diag->message.c_str()));
+    return out;
+}
+
+// ----- the property -------------------------------------------------------
+
+TEST(MopRacePropertyTest, FindingsMatchPerElementOracle)
+{
+    const CimArchitecture arch = presets::tutorialTable2(ComputeMode::kXBM);
+    std::map<std::string, int> found;
+    int racing = 0, clean = 0;
+    for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+        BlockGen gen(seed);
+        std::vector<Stmt> arms = gen.arms();
+        std::vector<Stmt> shuffled = arms;
+        for (std::size_t i = shuffled.size(); i > 1; --i) {
+            std::swap(shuffled[i - 1],
+                      shuffled[static_cast<std::size_t>(gen.rng().uniformInt(
+                          0, static_cast<std::int64_t>(i) - 1))]);
+        }
+        std::vector<MetaOp> lead;
+        for (int i = static_cast<int>(gen.rng().uniformInt(0, 2)); i > 0; --i)
+            lead.push_back(gen.op());
+        const bool in_repeat = gen.rng().uniformInt(0, 3) == 0;
+        const MopProgram program =
+            makeProgram(lead, std::move(arms), in_repeat);
+        const MopProgram permuted =
+            makeProgram(lead, std::move(shuffled), in_repeat);
+        const std::int64_t anchor =
+            static_cast<std::int64_t>(lead.size()) + (in_repeat ? 1 : 0);
+        const Stmt &block = in_repeat ? program.compute().back().body.front()
+                                      : program.compute().back();
+
+        AnalyzeOptions options;
+        options.structural = false;
+        options.executable = seed % 2 == 0;
+        const AnalyzeResult result = analyzeProgram(program, arch, options);
+
+        // Per arm, its ops in walk order and their footprints.
+        std::vector<std::vector<const MetaOp *>> ops(block.body.size());
+        std::vector<std::vector<Footprint>> fps(block.body.size());
+        std::vector<std::vector<std::string>> texts(block.body.size());
+        for (std::size_t i = 0; i < block.body.size(); ++i) {
+            flatten(block.body[i], &ops[i]);
+            for (const MetaOp *op : ops[i]) {
+                fps[i].push_back(footprintOf(*op));
+                texts[i].push_back(op->toString());
+            }
+        }
+        const std::vector<const MopDiagnostic *> findings =
+            raceFindings(result);
+        std::vector<Parsed> parsed(findings.size());
+        for (std::size_t f = 0; f < findings.size(); ++f) {
+            ASSERT_TRUE(parseRace(*findings[f], &parsed[f]))
+                << "seed " << seed << ": " << findings[f]->message;
+            EXPECT_EQ(findings[f]->section, "compute") << "seed " << seed;
+            EXPECT_EQ(findings[f]->stmt_index, anchor) << "seed " << seed;
+            EXPECT_EQ(findings[f]->severity, DiagSeverity::kError);
+        }
+        std::vector<bool> explained(findings.size(), false);
+        // The findings by what they name: check, wording, resource and
+        // the two op texts.
+        std::multimap<std::tuple<std::string, std::string, Res, std::string,
+                                 std::string>,
+                      std::size_t>
+            named;
+        for (std::size_t f = 0; f < findings.size(); ++f) {
+            const Parsed &got = parsed[f];
+            named.emplace(std::make_tuple(findings[f]->check, got.what,
+                                          got.res, got.lo, got.hi),
+                          f);
+        }
+
+        // Every racing (arm pair, kind) has a finding of that kind
+        // naming one racing op of each arm; a finding is explained by
+        // such a pair when the range it names races for them.
+        bool any = false;
+        constexpr std::size_t kKindCount = std::size(kKinds);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            for (std::size_t j = i + 1; j < ops.size(); ++j) {
+                bool races[kKindCount] = {};
+                bool reported[kKindCount] = {};
+                for (std::size_t p = 0; p < ops[i].size(); ++p) {
+                    for (std::size_t q = 0; q < ops[j].size(); ++q) {
+                        const Footprint &a = fps[i][p];
+                        const Footprint &b = fps[j][q];
+                        std::string lo = texts[i][p], hi = texts[j][q];
+                        if (hi < lo)
+                            std::swap(lo, hi);
+                        for (std::size_t k = 0; k < kKindCount; ++k) {
+                            const RaceKind &kind = kKinds[k];
+                            for (const auto &[key, mine] : a) {
+                                const Res &res = key.second;
+                                const auto theirs = b.find({kind.y, res});
+                                if (key.first != kind.x ||
+                                    !covers(kind, res) || theirs == b.end())
+                                    continue;
+                                std::set<std::int64_t> elems;
+                                std::set_intersection(
+                                    mine.begin(), mine.end(),
+                                    theirs->second.begin(),
+                                    theirs->second.end(),
+                                    std::inserter(elems, elems.end()));
+                                if (elems.empty())
+                                    continue;
+                                races[k] = true;
+                                const auto [first, last] = named.equal_range(
+                                    std::make_tuple(std::string(kind.check),
+                                                    std::string(kind.what),
+                                                    res, lo, hi));
+                                for (auto it = first; it != last; ++it) {
+                                    const Parsed &got = parsed[it->second];
+                                    reported[k] = true;
+                                    bool inside = got.begin < got.end;
+                                    for (std::int64_t e = got.begin;
+                                         inside && e < got.end; ++e)
+                                        inside = elems.count(e) > 0;
+                                    if (inside)
+                                        explained[it->second] = true;
+                                }
+                            }
+                        }
+                    }
+                }
+                for (std::size_t k = 0; k < kKindCount; ++k) {
+                    any = any || races[k];
+                    EXPECT_TRUE(!races[k] || reported[k])
+                        << "seed " << seed << ": arms " << i << " and " << j
+                        << " race (" << kKinds[k].check << ", "
+                        << kKinds[k].what
+                        << ") but no finding names a racing pair of ops";
+                }
+            }
+        }
+        for (std::size_t f = 0; f < findings.size(); ++f) {
+            EXPECT_TRUE(explained[f])
+                << "seed " << seed << ": no two arms race as "
+                << findings[f]->message;
+            ++found[findings[f]->check];
+        }
+        ++(any ? racing : clean);
+
+        // Arm order does not change the race findings.
+        const AnalyzeResult again =
+            analyzeProgram(permuted, arch, options);
+        EXPECT_EQ(raceLines(again), raceLines(result)) << "seed " << seed;
+    }
+    // The generator reaches every kind, and clean blocks too.
+    for (const char *check :
+         {"race-write-write", "race-read-write", "race-xbar", "race-core"})
+        EXPECT_GT(found[check], 100) << check;
+    EXPECT_GT(racing, 300);
+    EXPECT_GT(clean, 50);
+}
+
+} // namespace
+} // namespace cimmlc

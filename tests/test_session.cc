@@ -328,6 +328,39 @@ TEST(CompilerSessionTest, VerifyStageReportsBitExactMatch)
     EXPECT_EQ(result.value().stages.back().stage, CompileStage::kVerify);
 }
 
+TEST(CompilerSessionTest, VerifyReplaysTheScheduleTheSessionPriced)
+{
+    // On a chip with a weak vector ALU the default host model offloads
+    // lenet5's digital regions, and one with a prohibitive launch cost
+    // offloads none. The verified flow must run ops on the host exactly
+    // when the session's own schedule offloads.
+    HostModel never;
+    never.launch_overhead_cycles = 1e12;
+    for (const bool offload : {true, false}) {
+        CompileRequest request;
+        request.model = "lenet5";
+        request.arch_file =
+            std::string(CIMMLC_SOURCE_DIR) + "/examples/arch_weak_alu.json";
+        ScheduleOptions options = ScheduleOptions::full();
+        options.host_offload = true;
+        request.options = options;
+        request.host_model = offload ? HostModel{} : never;
+        request.threads = 1;
+        request.outputs.verify = true;
+        auto result = CompilerSession(std::move(request)).run();
+        ASSERT_TRUE(result.isOk()) << result.status().toString();
+        const CompileArtifacts &artifacts = result.value();
+        ASSERT_TRUE(artifacts.schedule.has_value());
+        EXPECT_EQ(!artifacts.schedule->host_regions.empty(), offload);
+        const ConfigValue report = artifacts.toConfig();
+        ASSERT_TRUE(report.has("verify"));
+        const ConfigValue verify = report.get("verify").value();
+        EXPECT_TRUE(verify.getBoolOr("match", false));
+        EXPECT_EQ(verify.getIntOr("host_ops", 0) > 0, offload)
+            << report.dump(false);
+    }
+}
+
 // ----- kvjson report -------------------------------------------------------
 
 TEST(CompilerSessionTest, ReportRoundTripsThroughKvjsonReader)
