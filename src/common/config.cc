@@ -3,9 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -594,36 +596,40 @@ loadConfigFile(const std::string &path)
 Status
 saveConfigFile(const std::string &path, const ConfigValue &value)
 {
-    std::ofstream out(path);
-    if (!out)
-        return invalidArgument("cannot open '" + path + "' for writing");
-    out << value.dump(/*pretty=*/true) << "\n";
-    if (!out)
-        return internalError("write to '" + path + "' failed");
-    return Status::ok();
-}
-
-Status
-saveConfigFileAtomic(const std::string &path, const ConfigValue &value)
-{
+    // The rename replaces the file a symlink names, not the link, and
+    // never a device, FIFO or directory (as root it would replace
+    // /dev/null).
+    std::error_code error;
+    const std::filesystem::path target =
+        std::filesystem::weakly_canonical(path, error);
+    if (error)
+        return invalidArgument("cannot resolve '" + path
+                               + "': " + error.message());
+    if (std::filesystem::exists(target, error) &&
+        !std::filesystem::is_regular_file(target, error))
+        return invalidArgument("cannot save to '" + path
+                               + "': not a regular file");
     // Same-directory temp file: rename(2) is only atomic within one
-    // filesystem. The pid suffix keeps two processes snapshotting the
-    // same path from clobbering each other's temp files.
-    const std::string temp =
-        path + ".tmp." + std::to_string(::getpid());
+    // filesystem. The pid and a per-process count make each call's
+    // temp name its own, so saves of one path from two threads or two
+    // processes never write or rename each other's temp file.
+    static std::atomic<std::uint64_t> saves{0};
+    const std::string temp = target.string() + ".tmp." +
+                             std::to_string(::getpid()) + "." +
+                             std::to_string(saves.fetch_add(1));
     {
         std::ofstream out(temp);
         if (!out)
-            return invalidArgument("cannot open '" + temp
+            return invalidArgument("cannot open '" + path
                                    + "' for writing");
         out << value.dump(/*pretty=*/true) << "\n";
         out.flush();
         if (!out) {
             std::remove(temp.c_str());
-            return internalError("write to '" + temp + "' failed");
+            return internalError("write to '" + path + "' failed");
         }
     }
-    if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    if (std::rename(temp.c_str(), target.c_str()) != 0) {
         std::remove(temp.c_str());
         return internalError("rename '" + temp + "' -> '" + path
                              + "' failed");

@@ -177,17 +177,17 @@ StatusOr<ConfigValue> parseConfig(const std::string &text);
 /** Reads and parses a kvjson file from disk. */
 StatusOr<ConfigValue> loadConfigFile(const std::string &path);
 
-/** Writes @p value as pretty JSON to @p path. */
-Status saveConfigFile(const std::string &path, const ConfigValue &value);
-
 /**
- * Atomically replaces @p path with @p value: the document is written
- * to a same-directory temp file and rename(2)d over the target, so a
- * concurrent reader sees either the old or the new document, never a
- * torn one. The daemon's periodic TuneCache snapshots rely on this.
+ * Replaces @p path with @p value as pretty JSON, atomically: the
+ * document is written to a same-directory temp file of the call's own
+ * and rename(2)d over the target, so a concurrent reader sees the old
+ * or a new document, never a torn one, and concurrent saves of one
+ * path each land whole (the last rename wins). Through a symlink the
+ * file it names is replaced; a target that exists and is not a regular
+ * file (a device, a FIFO, a directory) is an error. The daemon's
+ * periodic TuneCache snapshots and shard files rely on this.
  */
-Status saveConfigFileAtomic(const std::string &path,
-                            const ConfigValue &value);
+Status saveConfigFile(const std::string &path, const ConfigValue &value);
 
 } // namespace cimmlc
 

@@ -26,13 +26,13 @@ parseNonNegative(const char *text, std::int64_t max, std::int64_t *out)
     return true;
 }
 
-/** Stores @p value (nullptr: an optional value left out) into @p target;
- * false when an integer is malformed or out of range. */
+/** Stores @p value (nullptr: an optional value left out) into @p flag's
+ * target; false when an integer is malformed or out of range. */
 bool
-store(const FlagTarget &target, const char *value)
+store(const Flag &flag, const char *value)
 {
     return std::visit(
-        [value](const auto &dest) {
+        [&flag, value](const auto &dest) {
             using T = std::decay_t<decltype(dest)>;
             if constexpr (std::is_same_v<T, bool *>) {
                 *dest = true;
@@ -46,14 +46,16 @@ store(const FlagTarget &target, const char *value)
                 if (value == nullptr)
                     return true;
                 if (!parseNonNegative(value,
-                                      std::numeric_limits<Int>::max(),
+                                      flag.max > 0
+                                          ? flag.max
+                                          : std::numeric_limits<Int>::max(),
                                       &parsed))
                     return false;
                 *dest = static_cast<Int>(parsed);
             }
             return true;
         },
-        target);
+        flag.target);
 }
 
 } // namespace
@@ -121,9 +123,12 @@ parseFlags(const FlagTable &table, int argc, const char *const *argv)
             parse.exit = 0;
             return parse;
         }
-        if (!store(flag.target, value))
-            return fail(arg + " expects a non-negative integer, got '"
-                        + value + "'");
+        if (!store(flag, value))
+            return fail(arg
+                        + (flag.max > 0 ? " expects an integer from 0 to "
+                                              + std::to_string(flag.max)
+                                        : " expects a non-negative integer")
+                        + ", got '" + value + "'");
     }
     return parse;
 }

@@ -30,8 +30,8 @@ struct FlagHelp {};
 /**
  * Where a flag lands when it appears. A bool is set and takes no
  * value; a string takes the next argument, whatever it is; an int or
- * std::int64_t takes a non-negative integer no larger than its type
- * holds. An action (--version) and FlagHelp print to stdout and end
+ * std::int64_t takes a non-negative integer no larger than its row's
+ * `max`, or than its type holds. An action (--version) and FlagHelp print to stdout and end
  * the run with exit 0 where they appear.
  */
 using FlagTarget = std::variant<bool *, std::string *, int *, std::int64_t *,
@@ -50,6 +50,8 @@ struct Flag {
     //! any value but one of the '|'-separated words of `value` is a
     //! usage error
     bool closed = false;
+    //! the largest value an integer target takes (0: its type's)
+    std::int64_t max = 0;
 };
 
 /** A mode of a binary, as --help shows it and a rejection names it. */

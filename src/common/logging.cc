@@ -11,7 +11,7 @@ namespace cimmlc {
 
 namespace {
 
-std::atomic<LogLevel> g_threshold{LogLevel::kInfo};
+constexpr LogLevel kThreshold = LogLevel::kInfo;
 std::atomic<long> g_warning_count{0};
 std::mutex g_log_mutex;
 
@@ -84,13 +84,7 @@ checkFailed(const char *file, int line, const char *expr,
 LogLevel
 Logger::threshold()
 {
-    return g_threshold.load(std::memory_order_relaxed);
-}
-
-void
-Logger::setThreshold(LogLevel level)
-{
-    g_threshold.store(level, std::memory_order_relaxed);
+    return kThreshold;
 }
 
 void

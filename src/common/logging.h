@@ -19,16 +19,14 @@ namespace cimmlc {
 enum class LogLevel { kDebug = 0, kInfo, kWarn, kError };
 
 /**
- * Process-wide logging configuration.
+ * Process-wide logging.
  *
- * Messages below the threshold are dropped. Tests lower the threshold to
- * kDebug; benches raise it to kWarn to keep tables clean.
+ * Messages below the threshold, kInfo, are dropped.
  */
 class Logger
 {
   public:
     static LogLevel threshold();
-    static void setThreshold(LogLevel level);
 
     /** Emits @p message at @p level if it passes the threshold. */
     static void log(LogLevel level, const std::string &message);

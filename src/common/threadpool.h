@@ -27,6 +27,12 @@
 
 namespace cimmlc {
 
+/** The most workers a thread count read from outside the program (a
+ * --threads flag, a sweep file, a DSE spec, a compile request or a
+ * daemon config) may ask for; 0 still asks for one per hardware
+ * thread. */
+inline constexpr int kMaxThreads = 1024;
+
 /** Fixed-size work-stealing pool; tasks are void() callables. */
 class ThreadPool
 {

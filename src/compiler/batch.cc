@@ -222,8 +222,9 @@ sweepFromConfig(const ConfigValue &doc)
                             crossProductJobs(model_names, arch_names));
     CIMMLC_RETURN_IF_ERROR(
         readTypedMember("sweep", doc, "threads", &sweep.threads));
-    if (sweep.threads < 0)
-        return invalidArgument("sweep 'threads' must be >= 0");
+    if (sweep.threads < 0 || sweep.threads > kMaxThreads)
+        return invalidArgument(
+            strformat("sweep 'threads' must be in [0, %d]", kMaxThreads));
     if (doc.has("budget")) {
         auto budget = searchBudgetFromConfig(doc.get("budget").value());
         if (!budget.isOk())

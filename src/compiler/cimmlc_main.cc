@@ -26,6 +26,7 @@
 #include "common/config.h"
 #include "common/flags.h"
 #include "common/strutil.h"
+#include "common/threadpool.h"
 #include "common/version.h"
 #include "compiler/batch.h"
 #include "compiler/knobs.h"
@@ -132,8 +133,8 @@ cimmlcFlags(CliArgs &args)
              "persist evaluated candidates across runs",
              kTunedMode | kDseMode},
             {"--threads", "N", &args.threads,
-             "worker threads (0 = hardware concurrency)",
-             kTunedMode | kSweepModes},
+             "worker threads (0 = hardware concurrency; at most 1024)",
+             kTunedMode | kSweepModes, false, kMaxThreads},
             {"--serial", nullptr, &args.serial,
              "one worker thread (reference/debug)",
              kTunedMode | kSweepModes},

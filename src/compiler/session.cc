@@ -10,6 +10,7 @@
 #include "arch/serialize.h"
 #include "common/logging.h"
 #include "common/strutil.h"
+#include "common/threadpool.h"
 #include "common/version.h"
 #include "graph/analysis.h"
 #include "graph/models.h"
@@ -52,24 +53,6 @@ compileStageName(CompileStage stage)
       case CompileStage::kVerify: return "verify";
     }
     return "?";
-}
-
-StatusOr<CompileStage>
-parseCompileStage(const std::string &text)
-{
-    const std::string key = toLower(trim(text));
-    for (CompileStage stage :
-         {CompileStage::kLoad, CompileStage::kValidate, CompileStage::kTune,
-          CompileStage::kSchedule, CompileStage::kCodegen,
-          CompileStage::kLint, CompileStage::kPerf,
-          CompileStage::kVerify}) {
-        if (key == compileStageName(stage))
-            return stage;
-    }
-    return invalidArgument(
-        "unknown compile stage '" + text
-        + "' (expected load | validate | tune | schedule | codegen | "
-          "lint | perf | verify)");
 }
 
 StatusOr<ScheduleOptions>
@@ -128,9 +111,11 @@ CompileRequest::validate() const
         if (!parsed.isOk())
             return parsed.status();
     }
-    if (threads < 0)
-        return invalidArgument("threads must be >= 0 (0 = hardware "
-                               "concurrency)");
+    if (threads < 0 || threads > kMaxThreads)
+        return invalidArgument(
+            strformat("threads must be in [0, %d] (0 = hardware "
+                      "concurrency)",
+                      kMaxThreads));
     if (outputs.flow_limit < 0)
         return invalidArgument("outputs.flow_limit must be >= 0");
     if (workload_prefix_nodes < 0)

@@ -70,9 +70,6 @@ enum class CompileStage {
 /** Stable stage name ("load", "validate", ...). */
 const char *compileStageName(CompileStage stage);
 
-/** Parses a stage name back into the enum (for config surfaces). */
-StatusOr<CompileStage> parseCompileStage(const std::string &text);
-
 /** Maps an --opt level name (none|cg|cg+mvm|full) to ScheduleOptions. */
 StatusOr<ScheduleOptions> scheduleOptionsByName(const std::string &level);
 

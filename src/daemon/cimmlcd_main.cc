@@ -18,6 +18,7 @@
 #include <string>
 
 #include "common/flags.h"
+#include "common/threadpool.h"
 #include "common/version.h"
 #include "daemon/server.h"
 
@@ -56,7 +57,9 @@ cimmlcdFlags(DaemonConfig &config)
             {"--tcp", "PORT", &config.tcp_port,
              "also listen on 127.0.0.1:PORT (0 = ephemeral)"},
             {"--threads", "N", &config.threads,
-             "compile worker threads (0 = hardware concurrency)"},
+             "compile worker threads (0 = hardware concurrency; at most "
+             "1024)",
+             ~0U, false, kMaxThreads},
             {"--max-inflight", "N", &config.max_inflight,
              "concurrent compiles (default 2)"},
             {"--max-queue", "N", &config.max_queue_depth,

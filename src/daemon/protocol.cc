@@ -18,34 +18,63 @@ number(std::int64_t v)
     return ConfigValue::makeNumber(static_cast<double>(v));
 }
 
+/** Reads a request frame by the rule every one follows: an object with
+ * a non-negative integer "id" (read into @p id) whose other keys are
+ * "type" and the compile knobs @p request reads (none when it is
+ * null). */
+Status
+readFrame(const std::string &surface, const ConfigValue &doc,
+          std::int64_t *id, RpcCompileRequest *request)
+{
+    if (!doc.isObject())
+        return parseError(surface + " is not an object");
+    *id = -1;
+    for (const auto &[key, v] : doc.asObject()) {
+        if (key == "type")
+            continue;
+        if (key == "id") {
+            CIMMLC_RETURN_IF_ERROR(readTypedKey(surface, key, v, id));
+            continue;
+        }
+        const CompileKnob *knob =
+            request != nullptr ? findCompileKnob(key) : nullptr;
+        if (knob == nullptr)
+            return invalidArgument(surface + " has unknown key '" + key
+                                   + "' (daemon/client version skew?)");
+        CIMMLC_RETURN_IF_ERROR(knob->read(surface.c_str(), v, *request));
+    }
+    if (*id < 0)
+        return invalidArgument(surface
+                               + " needs a non-negative integer 'id'");
+    return Status::ok();
+}
+
 } // namespace
 
 StatusOr<RpcCompileRequest>
 parseCompileFrame(const ConfigValue &doc)
 {
-    if (!doc.isObject())
-        return parseError("compile frame is not an object");
     RpcCompileRequest request;
-    request.id = -1;
-    for (const auto &[key, v] : doc.asObject()) {
-        if (key == "type")
-            continue;
-        if (key == "id") {
-            CIMMLC_RETURN_IF_ERROR(
-                readTypedKey("compile frame", key, v, &request.id));
-            continue;
-        }
-        const CompileKnob *knob = findCompileKnob(key);
-        if (knob == nullptr)
-            return invalidArgument(
-                "compile frame has unknown key '" + key
-                + "' (daemon/client version skew?)");
-        CIMMLC_RETURN_IF_ERROR(knob->read("compile frame", v, request));
-    }
-    if (request.id < 0)
-        return invalidArgument(
-            "compile frame needs a non-negative integer 'id'");
+    CIMMLC_RETURN_IF_ERROR(
+        readFrame("compile frame", doc, &request.id, &request));
     return request;
+}
+
+StatusOr<std::int64_t>
+parseControlFrame(const ConfigValue &doc)
+{
+    std::int64_t id = -1;
+    CIMMLC_RETURN_IF_ERROR(readFrame(doc.getStringOr("type", "") + " frame",
+                                     doc, &id, nullptr));
+    return id;
+}
+
+std::int64_t
+echoedFrameId(const ConfigValue &doc)
+{
+    std::int64_t id = -1;
+    (void)readTypedMember("frame", doc, "id", &id);
+    return id;
 }
 
 // ----- frame builders -------------------------------------------------------

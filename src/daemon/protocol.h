@@ -45,6 +45,15 @@ constexpr const char *kRpcSchema = "cimmlc.rpc.v1";
  * daemon/client version skew, which should be loud. */
 StatusOr<RpcCompileRequest> parseCompileFrame(const ConfigValue &doc);
 
+/** Parses a stats or shutdown frame into its id, by the compile
+ * frame's rules: a non-negative integer "id", and no key but "type"
+ * and "id". */
+StatusOr<std::int64_t> parseControlFrame(const ConfigValue &doc);
+
+/** The id an error frame about @p doc echoes: its "id" when that reads
+ * as an integer, else -1. */
+std::int64_t echoedFrameId(const ConfigValue &doc);
+
 // ----- frame builders -------------------------------------------------------
 
 /** Server handshake: schema + compiler_version (+ the daemon's limits,

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/strutil.h"
+#include "common/threadpool.h"
 #include "compiler/session.h"
 
 namespace cimmlc {
@@ -19,8 +20,9 @@ DaemonConfig::validate() const
     if (tcp_port > 65535)
         return invalidArgument(
             strformat("bad tcp_port %d (expected 0..65535)", tcp_port));
-    if (threads < 0)
-        return invalidArgument("threads must be >= 0");
+    if (threads < 0 || threads > kMaxThreads)
+        return invalidArgument(
+            strformat("threads must be in [0, %d]", kMaxThreads));
     if (max_inflight < 1)
         return invalidArgument("max_inflight must be >= 1");
     if (max_queue_depth < 0)
@@ -237,23 +239,25 @@ DaemonServer::readerLoop(std::shared_ptr<Connection> conn)
             break;
         }
         const ConfigValue &doc = frame.value();
-        const std::string type =
-            doc.isObject() ? doc.getStringOr("type", "") : "";
-        const std::int64_t id =
-            doc.isObject() ? doc.getIntOr("id", -1) : -1;
+        const std::string type = doc.getStringOr("type", "");
         if (type == "compile") {
             handleCompile(conn, doc);
+            continue;
+        }
+        // Stats and shutdown frames follow the compile frame's rules;
+        // a bad one gets an error frame and changes nothing.
+        const StatusOr<std::int64_t> id =
+            type == "stats" || type == "shutdown"
+                ? parseControlFrame(doc)
+                : invalidArgument("unknown rpc frame type '" + type
+                                  + "' (daemon/client version skew?)");
+        if (!id.isOk()) {
+            sendToClient(conn, errorFrame(echoedFrameId(doc), id.status()));
         } else if (type == "stats") {
-            sendToClient(conn, statsReportFrame(id, statsSnapshot()));
-        } else if (type == "shutdown") {
-            sendToClient(conn, byeFrame(id));
-            requestStop();
+            sendToClient(conn, statsReportFrame(id.value(), statsSnapshot()));
         } else {
-            sendToClient(
-                conn,
-                errorFrame(id, invalidArgument(
-                                   "unknown rpc frame type '" + type
-                                   + "' (daemon/client version skew?)")));
+            sendToClient(conn, byeFrame(id.value()));
+            requestStop();
         }
     }
     // Disconnect cleanup: no more writes, queued work dropped, running
@@ -292,10 +296,8 @@ DaemonServer::handleCompile(const std::shared_ptr<Connection> &conn,
     auto parsed = parseCompileFrame(doc);
     if (!parsed.isOk()) {
         // Echo the id when it reads as one, so the client can match
-        // the error to its request; it stays -1 when absent or mistyped.
-        std::int64_t id = -1;
-        (void)readTypedMember("compile frame", doc, "id", &id);
-        sendToClient(conn, errorFrame(id, parsed.status()));
+        // the error to its request.
+        sendToClient(conn, errorFrame(echoedFrameId(doc), parsed.status()));
         return;
     }
     const RpcCompileRequest request = std::move(parsed).value();

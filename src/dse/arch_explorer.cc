@@ -210,8 +210,9 @@ dseSpecFromConfig(const ConfigValue &doc)
 
     CIMMLC_RETURN_IF_ERROR(
         readTypedMember("DSE spec", doc, "threads", &spec.threads));
-    if (spec.threads < 0)
-        return parseError("DSE spec 'threads' must be >= 0");
+    if (spec.threads < 0 || spec.threads > kMaxThreads)
+        return parseError(strformat("DSE spec 'threads' must be in [0, %d]",
+                                    kMaxThreads));
 
     if (doc.has("budget")) {
         auto budget = searchBudgetFromConfig(doc.get("budget").value());

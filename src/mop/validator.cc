@@ -181,8 +181,7 @@ class Validator
     void
     checkOp(const MetaOp &op, bool in_init, std::int64_t index)
     {
-        if (options_.enforce_mode &&
-            !opAllowedInMode(op.kind, arch_.mode)) {
+        if (!opAllowedInMode(op.kind, arch_.mode)) {
             add(index, check::kMode, StatusCode::kFailedPrecondition,
                 strformat(
                     "%s is not exposed by the %s programming interface",

@@ -29,8 +29,6 @@ namespace cimmlc {
 struct ValidateOptions {
     //! reject runtime crossbar writes on weights-stationary devices
     bool enforce_write_policy = true;
-    //! reject ops below the architecture's computing-mode granularity
-    bool enforce_mode = true;
     /**
      * Treat l0_size_kib as a hard address bound. Hand-built flows
      * address physical L0; codegen, however, assigns tensor offsets in

@@ -439,7 +439,7 @@ TuneCache::saveToFile(const std::string &path) const
     // Atomic temp-file + rename: the daemon snapshots a live cache
     // while other processes may be loading the same path, and a torn
     // file would degrade every reader to a cold cache.
-    return saveConfigFileAtomic(path, toConfig());
+    return saveConfigFile(path, toConfig());
 }
 
 Status

@@ -115,21 +115,6 @@ class Emitter
                         std::max<std::int64_t>(mapping.windows, 1));
     }
 
-    /** Placement of tile t, spread lane j, replica rep. */
-    XbSlot
-    slotOf(const OperatorMapping &mapping, std::int64_t rep,
-           std::int64_t tile, std::int64_t lane) const
-    {
-        const std::int64_t spread = mapping.vvm_spread;
-        const std::int64_t per_replica =
-            mapping.grid.vxbCount() * spread;
-        const std::int64_t slot = rep * per_replica + tile * spread + lane;
-        XbSlot out;
-        out.core = mapping.core_base + slot / arch_.core.xbNumber();
-        out.xb = slot % arch_.core.xbNumber();
-        return out;
-    }
-
     const Graph &graph_;
     const CimArchitecture &arch_;
     const Schedule &schedule_;
@@ -142,7 +127,6 @@ class Emitter
     std::int64_t acc_base_ = 0;   //!< L0 int32 accumulator scratch
     std::int64_t quant_base_ = 0; //!< L0 post-requant staging
     std::int64_t l1_elements_ = 0;
-    std::int64_t emitted_ops_ = 0;
 };
 
 Status
@@ -286,7 +270,6 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
         op.mutableCoreParams() = params;
         op.payload = payload;
         op.origin = node.id;
-        ++emitted_ops_;
     }
 
     // compute: replicas split the window space, then requant.
@@ -307,7 +290,6 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
         op.src = {MemSpace::kL0, 0, offsetOf(in)};
         op.dst = {MemSpace::kL0, 0, acc_base_};
         op.origin = node.id;
-        ++emitted_ops_;
     }
     program_.compute().push_back(Stmt::makeParallel(std::move(block)));
 
@@ -319,7 +301,6 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
     requant.len = graph_.tensor(out).numel();
     requant.mutableDcomParams().shift = shiftFor(node.id).shift;
     requant.origin = node.id;
-    ++emitted_ops_;
     return Status::ok();
 }
 
@@ -400,7 +381,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         sliceMatrix(matrix, r0, r1, c0, c1));
                 }
                 op.origin = node.id;
-                ++emitted_ops_;
                 continue;
             }
             // WLM remap: row group g of this tile goes to spread lane
@@ -424,7 +404,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         sliceMatrix(matrix, gr0, gr1, c0, c1));
                 }
                 op.origin = node.id;
-                ++emitted_ops_;
             }
         }
     };
@@ -520,7 +499,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                 zero.dst = {MemSpace::kL0, 0, patch_base_};
                 zero.len = R;
                 zero.origin = node.id;
-                ++emitted_ops_;
                 for (std::int64_t c = 0; c < Cin; ++c) {
                     for (std::int64_t kh = 0; kh < KH; ++kh) {
                         const std::int64_t ih = ih0 + kh;
@@ -541,7 +519,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                                        kw_lo};
                         mov.len = kw_hi - kw_lo;
                         mov.origin = node.id;
-                        ++emitted_ops_;
                     }
                 }
             } else {
@@ -557,7 +534,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                     mov.src_stride = W;
                     mov.dst_stride = KW;
                     mov.origin = node.id;
-                    ++emitted_ops_;
                 }
             }
         } else {
@@ -571,7 +547,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         zero_acc.dst = {MemSpace::kL0, 0, acc_base_};
         zero_acc.len = C;
         zero_acc.origin = node.id;
-        ++emitted_ops_;
 
         // 3. Chunk loop: program (when chunked), feed the cores' L1
         //    buffers, and activate — Figure 16(d)/(e): mov to L1 then
@@ -595,7 +570,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                     feed.dst = {MemSpace::kL1, slot.core, l1_off};
                     feed.len = r1 - r0;
                     feed.origin = node.id;
-                    ++emitted_ops_;
 
                     if (!wlm) {
                         MetaOp &read = appendOp(&reads);
@@ -608,7 +582,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         read.src = {MemSpace::kL1, slot.core, l1_off};
                         read.dst = {MemSpace::kL0, 0, acc_base_ + c0};
                         read.origin = node.id;
-                        ++emitted_ops_;
                         break; // spread == 1 in XBM
                     }
                     // WLM: one readrow per row group on this lane.
@@ -631,7 +604,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                                     l1_off + gr0};
                         read.dst = {MemSpace::kL0, 0, acc_base_ + c0};
                         read.origin = node.id;
-                        ++emitted_ops_;
                     }
                 }
             }
@@ -647,7 +619,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         requant.len = C;
         requant.mutableDcomParams().shift = shift.shift;
         requant.origin = node.id;
-        ++emitted_ops_;
 
         MetaOp &scatter = appendOp(&block);
         scatter.kind = MetaOpKind::kMov;
@@ -664,7 +635,6 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             scatter.len = C;
         }
         scatter.origin = node.id;
-        ++emitted_ops_;
 
         if (options_.unroll) {
             program_.compute().push_back(
@@ -767,7 +737,6 @@ Emitter::emitDigital(const Node &node)
         // Channel-wise concatenation: one mov per input.
         std::int64_t channel_base = 0;
         for (std::size_t i = 0; i < node.inputs.size(); ++i) {
-            const auto &dims = graph_.tensor(node.inputs[i]).dims;
             const std::int64_t piece = graph_.tensor(node.inputs[i])
                                            .numel();
             MetaOp &mov = appendOp(&program_.compute());
@@ -778,9 +747,7 @@ Emitter::emitDigital(const Node &node)
                        offsetOf(out) + channel_base};
             mov.len = piece;
             mov.origin = node.id;
-            ++emitted_ops_;
             channel_base += piece;
-            (void)dims;
         }
         return;
       }
@@ -788,7 +755,6 @@ Emitter::emitDigital(const Node &node)
         return; // shape-only handled by layout aliasing
     }
     program_.emit(std::move(op));
-    ++emitted_ops_;
 }
 
 } // namespace

@@ -521,13 +521,20 @@ TEST(DseSpecTest, MistypedKeysNameTheKey)
 
 TEST(DseSpecTest, ThreadsMustBeAnInt)
 {
-    for (const char *value : {"\"2\"", "2.5", "2147483648", "true"}) {
+    // Above the 1,024-thread ceiling is an error too; nothing starts a
+    // pool here, the spec is only parsed.
+    for (const char *value :
+         {"\"2\"", "2.5", "2147483648", "true", "-1", "1025", "100000",
+          "2147483647"}) {
         EXPECT_NE(dseError(strformat(R"("threads": %s)", value))
                       .find("threads"),
                   std::string::npos)
             << value;
     }
-    EXPECT_EQ(dseError(R"("threads": 2147483647)"), "");
+    EXPECT_EQ(dseError(R"("threads": 1025)"),
+              "DSE spec 'threads' must be in [0, 1024]");
+    EXPECT_EQ(dseError(R"("threads": 1024)"), "");
+    EXPECT_EQ(dseError(R"("threads": 0)"), "");
 }
 
 TEST(DseSpecTest, UnknownKeysNameTheKey)

@@ -294,13 +294,20 @@ TEST(SweepParseTest, MistypedKnobKeysNameTheKey)
 
 TEST(SweepParseTest, ThreadsMustBeAnInt)
 {
-    for (const char *value : {"\"2\"", "2.5", "2147483648", "true"}) {
+    // Above the 1,024-thread ceiling is an error too; nothing starts a
+    // pool here, the sweep is only parsed.
+    for (const char *value :
+         {"\"2\"", "2.5", "2147483648", "true", "-1", "1025", "100000",
+          "2147483647"}) {
         EXPECT_NE(sweepError(strformat(R"("threads": %s)", value))
                       .find("threads"),
                   std::string::npos)
             << value;
     }
-    EXPECT_EQ(sweepError(R"("threads": 2147483647)"), "");
+    EXPECT_EQ(sweepError(R"("threads": 1025)"),
+              "sweep 'threads' must be in [0, 1024]");
+    EXPECT_EQ(sweepError(R"("threads": 1024)"), "");
+    EXPECT_EQ(sweepError(R"("threads": 0)"), "");
 }
 
 TEST(SweepParseTest, UnknownKeysNameTheKey)

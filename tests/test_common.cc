@@ -1,10 +1,17 @@
 /**
  * @file
  * Unit tests for the support substrate: Status/StatusOr, string
- * utilities, the kvjson config parser, the table renderer, RNG, and
- * integer math helpers.
+ * utilities, the kvjson config parser and its file saves (from two
+ * threads at once too), the table renderer, RNG, and integer math
+ * helpers.
  */
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <latch>
+#include <string>
+#include <thread>
 
 #include "common/config.h"
 #include "common/logging.h"
@@ -263,6 +270,90 @@ TEST(ConfigTest, FileRoundTrip)
     ASSERT_TRUE(loaded.isOk());
     EXPECT_EQ(loaded.value().getIntOr("k", 0), 3);
     EXPECT_FALSE(loadConfigFile("/no/such/file").isOk());
+}
+
+TEST(ConfigTest, ConcurrentSavesOfOnePathEachLandWhole)
+{
+    // Two threads save different documents to one path, round after
+    // round: every save succeeds, the file always loads as one of the
+    // two, and no temp file is left behind.
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) /
+        ("cimmlc_saves_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "doc.json").string();
+    // The same keys with values of different widths, so pieces of the
+    // two interleaved in one file match neither.
+    ConfigValue::Object objects[2];
+    for (int i = 0; i < 1000; ++i) {
+        objects[0]["k" + std::to_string(i)] = ConfigValue::makeNumber(i);
+        objects[1]["k" + std::to_string(i)] =
+            ConfigValue::makeNumber(1000000 + 7 * i);
+    }
+    const ConfigValue docs[2] = {ConfigValue::makeObject(objects[0]),
+                                 ConfigValue::makeObject(objects[1])};
+    const std::string texts[2] = {docs[0].dump(), docs[1].dump()};
+    for (int round = 0; round < 200; ++round) {
+        Status saved[2];
+        std::latch start(2);
+        std::thread writers[2];
+        for (int t = 0; t < 2; ++t) {
+            writers[t] = std::thread([&, t] {
+                start.arrive_and_wait();
+                saved[t] = saveConfigFile(path, docs[t]);
+            });
+        }
+        for (std::thread &writer : writers)
+            writer.join();
+        for (const Status &status : saved)
+            ASSERT_TRUE(status.isOk())
+                << "round " << round << ": " << status.toString();
+        auto loaded = loadConfigFile(path);
+        ASSERT_TRUE(loaded.isOk())
+            << "round " << round << ": " << loaded.status().toString();
+        const std::string text = loaded.value().dump();
+        ASSERT_TRUE(text == texts[0] || text == texts[1])
+            << "round " << round;
+    }
+    int files = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator(dir))
+        ++files;
+    EXPECT_EQ(files, 1);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ConfigTest, SavesReplaceOnlyRegularFiles)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) /
+        ("cimmlc_targets_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir / "sub");
+    ConfigValue::Object obj;
+    obj["k"] = ConfigValue::makeNumber(3);
+    const ConfigValue doc = ConfigValue::makeObject(obj);
+    // Through a symlink, the file it names is replaced; the link stays.
+    ASSERT_TRUE(saveConfigFile((dir / "file.json").string(), doc).isOk());
+    std::filesystem::create_symlink(dir / "file.json", dir / "link.json");
+    obj["k"] = ConfigValue::makeNumber(4);
+    ASSERT_TRUE(saveConfigFile((dir / "link.json").string(),
+                               ConfigValue::makeObject(obj))
+                    .isOk());
+    EXPECT_TRUE(std::filesystem::is_symlink(dir / "link.json"));
+    EXPECT_EQ(loadConfigFile((dir / "file.json").string())
+                  .value()
+                  .getIntOr("k", 0),
+              4);
+    // Anything else is refused, not replaced.
+    const Status refused = saveConfigFile((dir / "sub").string(), doc);
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.message().find("not a regular file"),
+              std::string::npos)
+        << refused.toString();
+    EXPECT_TRUE(std::filesystem::is_directory(dir / "sub"));
+    std::filesystem::remove_all(dir);
 }
 
 // ----- table ---------------------------------------------------------

@@ -5,8 +5,9 @@
  * admission rejection under a full queue, cancel-on-disconnect, stats,
  * shutdown (including a stop racing idle accept threads), tune-cache
  * snapshotting, TCP_NODELAY on both ends of a TCP connection, error
- * frames for undecodable frames, and reader threads joined per closed
- * connection. Each test runs its own DaemonServer on a unique /tmp
+ * frames for undecodable frames and for stats and shutdown frames that
+ * break the compile frame's rules, and reader threads joined per
+ * closed connection. Each test runs its own DaemonServer on a unique /tmp
  * Unix socket (or ephemeral TCP port); deterministic in-flight
  * blocking uses the server's test-only compile hook.
  */
@@ -103,6 +104,19 @@ TEST(DaemonServerTest, RejectsConfigWithoutTransport)
     DaemonConfig config; // neither unix_path nor tcp_port
     DaemonServer server(std::move(config));
     EXPECT_FALSE(server.start().isOk());
+}
+
+TEST(DaemonServerTest, ThreadsAboveTheCeilingFailValidation)
+{
+    // validate() only: start() would build the pool.
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("ceiling");
+    config.threads = 1025;
+    const Status status = config.validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "threads must be in [0, 1024]");
+    config.threads = 1024;
+    EXPECT_TRUE(config.validate().isOk());
 }
 
 TEST(DaemonServerTest, HandshakeCarriesSchemaAndVersion)
@@ -382,7 +396,7 @@ TEST(DaemonServerTest, IdsOutsideInt64AnswerWithMinusOne)
         return reply.isOk() ? reply.value() : ConfigValue();
     };
     const ConfigValue stats = exchange(R"({"type":"stats","id":1e300})");
-    EXPECT_EQ(stats.getStringOr("type", ""), "stats_report");
+    EXPECT_EQ(stats.getStringOr("type", ""), "error");
     EXPECT_EQ(stats.getIntOr("id", 0), -1);
     const ConfigValue error = exchange(
         R"({"type":"compile","id":1e300,"model":"mlp","arch":"jain"})");
@@ -707,6 +721,75 @@ TEST(DaemonServerTest, HangupMidFrameJustFreesTheSlot)
     ASSERT_TRUE(stats.isOk());
     EXPECT_EQ(stats.value().getIntOr("clients", -1), 1);
     server.stop();
+}
+
+/** Sends the stats or shutdown frame @p frame on a raw connection and
+ * expects one error frame echoing @p id with @p code; then a stats
+ * frame on the same connection is served. */
+void
+expectControlErrorThenServed(const std::string &frame, std::int64_t id,
+                             StatusCode code)
+{
+    DaemonConfig config;
+    config.unix_path = uniqueSocketPath("badctl");
+    config.threads = 1;
+    DaemonServer server(std::move(config));
+    ASSERT_TRUE(server.start().isOk());
+    auto socket = connectUnix(server.config().unix_path);
+    ASSERT_TRUE(socket.isOk());
+    ASSERT_TRUE(recvFrame(socket.value()).isOk()); // hello
+    ASSERT_TRUE(
+        sendFrame(socket.value(), parseConfig(frame).value()).isOk());
+    auto reply = recvFrame(socket.value());
+    ASSERT_TRUE(reply.isOk()) << reply.status().toString();
+    EXPECT_EQ(reply.value().getStringOr("type", ""), "error") << frame;
+    EXPECT_EQ(reply.value().getIntOr("id", 0), id) << frame;
+    EXPECT_EQ(statusFromErrorFrame(reply.value()).code(), code)
+        << reply.value().dump(false);
+    ASSERT_TRUE(sendFrame(socket.value(), statsRequestFrame(9)).isOk());
+    auto served = recvFrame(socket.value());
+    ASSERT_TRUE(served.isOk()) << served.status().toString();
+    EXPECT_EQ(served.value().getStringOr("type", ""), "stats_report");
+    EXPECT_EQ(served.value().getIntOr("id", 0), 9);
+    server.stop();
+}
+
+TEST(DaemonServerTest, StatsFrameWithNegativeIdGetsAnErrorFrame)
+{
+    expectControlErrorThenServed(R"({"type": "stats", "id": -3})", -3,
+                                 StatusCode::kInvalidArgument);
+}
+
+TEST(DaemonServerTest, StatsFrameWithStringIdGetsAnErrorFrame)
+{
+    expectControlErrorThenServed(R"({"type": "stats", "id": "7"})", -1,
+                                 StatusCode::kParseError);
+}
+
+TEST(DaemonServerTest, StatsFrameWithFractionalIdGetsAnErrorFrame)
+{
+    expectControlErrorThenServed(R"({"type": "stats", "id": 2.5})", -1,
+                                 StatusCode::kParseError);
+}
+
+TEST(DaemonServerTest, StatsFrameWithoutIdGetsAnErrorFrame)
+{
+    expectControlErrorThenServed(R"({"type": "stats"})", -1,
+                                 StatusCode::kInvalidArgument);
+}
+
+TEST(DaemonServerTest, StatsFrameWithUnknownKeyGetsAnErrorFrame)
+{
+    expectControlErrorThenServed(R"({"type": "stats", "id": 4, "all": 1})",
+                                 4, StatusCode::kInvalidArgument);
+}
+
+TEST(DaemonServerTest, ShutdownFrameWithUnknownKeyGetsAnErrorFrame)
+{
+    // The daemon does not shut down: the next stats frame is served.
+    expectControlErrorThenServed(
+        R"({"type": "shutdown", "id": 1, "force": true})", 1,
+        StatusCode::kInvalidArgument);
 }
 
 /** TCP_NODELAY as read back from a connected socket. */

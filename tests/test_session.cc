@@ -105,6 +105,21 @@ TEST(CompileRequestTest, RejectsNegativeThreadsAndFlowLimit)
     EXPECT_FALSE(request.validate().isOk());
 }
 
+TEST(CompileRequestTest, RejectsThreadsAboveTheCeiling)
+{
+    // Only validated: no tune stage starts a pool here.
+    CompileRequest request;
+    request.model = "lenet5";
+    request.threads = 1025;
+    const Status status = request.validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("threads must be in [0, 1024]"),
+              std::string::npos)
+        << status.toString();
+    request.threads = 1024;
+    EXPECT_TRUE(request.validate().isOk());
+}
+
 TEST(CompileRequestTest, DefaultRequestWithModelIsValid)
 {
     CompileRequest request;
@@ -536,21 +551,6 @@ TEST(CompilerSessionTest, LintStrictFailsOnUncompilableScratchpad)
     ASSERT_TRUE(soft.isOk()) << soft.status().toString();
     ASSERT_TRUE(soft.value().lint.has_value());
     EXPECT_GT(soft.value().lint->errors(), 0);
-}
-
-// ----- stage naming --------------------------------------------------------
-
-TEST(CompileStageTest, NamesRoundTrip)
-{
-    for (CompileStage stage :
-         {CompileStage::kLoad, CompileStage::kValidate, CompileStage::kTune,
-          CompileStage::kSchedule, CompileStage::kCodegen,
-          CompileStage::kPerf, CompileStage::kVerify}) {
-        auto parsed = parseCompileStage(compileStageName(stage));
-        ASSERT_TRUE(parsed.isOk());
-        EXPECT_EQ(parsed.value(), stage);
-    }
-    EXPECT_FALSE(parseCompileStage("link").isOk());
 }
 
 } // namespace
