@@ -10,6 +10,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -1204,8 +1205,9 @@ class Analyzer
      * per buffer, crossbar or core: groupRaces sweeps a group that spans
      * two arms and holds two categories a rule pairs, and findRaces
      * lists a racing group's pairs. Each (arm pair, rule, direction)
-     * reports the smallest message of its pairs. Clean blocks cost
-     * O(E log E) in their E accesses; racing ones also their pairs.
+     * takes the smallest message of its pairs, and the block reports
+     * each message once. Clean blocks cost O(E log E) in their E
+     * accesses; racing ones also their pairs.
      */
     void
     checkRaces(int arms, std::int64_t anchor)
@@ -1259,6 +1261,10 @@ class Analyzer
                   [&key](const RaceHit &x, const RaceHit &y) {
                       return key(x) < key(y);
                   });
+        // The block's findings share severity, section and anchor, and a
+        // message names its rule and so its check: of equal messages,
+        // finalize() would keep only the first.
+        race_messages_.clear();
         std::string best, message;
         for (std::size_t i = 0; i < hits_.size();) {
             renderHit(hits_[i], &best);
@@ -1268,10 +1274,12 @@ class Analyzer
                 if (message < best)
                     best.swap(message);
             }
-            record(makeDiag(DiagSeverity::kError,
-                            kRaceRules[hits_[i].kind / 2].check,
-                            StatusCode::kInvalidArgument, section_, anchor,
-                            best));
+            if (race_messages_.insert(best).second) {
+                record(makeDiag(DiagSeverity::kError,
+                                kRaceRules[hits_[i].kind / 2].check,
+                                StatusCode::kInvalidArgument, section_,
+                                anchor, best));
+            }
             i = j;
         }
     }
@@ -1781,6 +1789,7 @@ class Analyzer
     std::vector<RecordIv> open_ivs_[3]; //!< per category
     std::vector<RaceHit> hits_;
     std::unordered_map<const MetaOp *, std::string> texts_;
+    std::unordered_set<std::string> race_messages_; //!< the block's so far
 
     // Capacity sweep scratch (see peakLive).
     static constexpr std::int64_t kNoChain =

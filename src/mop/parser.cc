@@ -316,33 +316,33 @@ struct LineCursor {
     void advance() { ++pos; }
 };
 
-StatusOr<Stmt> parseStmt(LineCursor *cursor);
+Status parseStmt(LineCursor *cursor, StmtBuilder *out);
 
-StatusOr<std::vector<Stmt>>
+StatusOr<StmtBuilder>
 parseBlockBody(LineCursor *cursor)
 {
-    std::vector<Stmt> body;
+    StmtBuilder body;
     while (!cursor->done()) {
         const std::string line(trim(cursor->peek()));
         if (line == "}") {
             cursor->advance();
             return body;
         }
-        CIMMLC_ASSIGN_OR_RETURN(Stmt stmt, parseStmt(cursor));
-        body.push_back(std::move(stmt));
+        CIMMLC_RETURN_IF_ERROR(parseStmt(cursor, &body));
     }
     return parseError("unterminated block (missing '}')");
 }
 
-StatusOr<Stmt>
-parseStmt(LineCursor *cursor)
+/** Parses the statement at @p cursor and appends it to @p out. */
+Status
+parseStmt(LineCursor *cursor, StmtBuilder *out)
 {
     const std::string line(trim(cursor->peek()));
     cursor->advance();
     if (line == "parallel {") {
-        CIMMLC_ASSIGN_OR_RETURN(std::vector<Stmt> body,
-                                parseBlockBody(cursor));
-        return Stmt::makeParallel(std::move(body));
+        CIMMLC_ASSIGN_OR_RETURN(StmtBuilder body, parseBlockBody(cursor));
+        out->appendParallel(std::move(body));
+        return Status::ok();
     }
     if (startsWith(line, "repeat ")) {
         std::string_view rest = std::string_view(line).substr(7);
@@ -352,12 +352,13 @@ parseStmt(LineCursor *cursor)
         std::int64_t count = 0;
         if (!parseInt64(rest.substr(0, brace), &count))
             return parseError("malformed repeat count: " + line);
-        CIMMLC_ASSIGN_OR_RETURN(std::vector<Stmt> body,
-                                parseBlockBody(cursor));
-        return Stmt::makeRepeat(count, std::move(body));
+        CIMMLC_ASSIGN_OR_RETURN(StmtBuilder body, parseBlockBody(cursor));
+        out->appendRepeat(count, std::move(body));
+        return Status::ok();
     }
     CIMMLC_ASSIGN_OR_RETURN(MetaOp op, parseOpLine(line));
-    return Stmt::makeOp(std::move(op));
+    out->append(std::move(op));
+    return Status::ok();
 }
 
 } // namespace
@@ -376,21 +377,20 @@ parseProgram(const std::string &text)
     }
 
     MopProgram program("parsed", "unknown");
-    std::vector<Stmt> *section = &program.compute();
+    StmtBuilder *section = &program.computeBuilder();
     while (!cursor.done()) {
         const std::string &line = cursor.peek();
         if (line == "init:") {
-            section = &program.init();
+            section = &program.initBuilder();
             cursor.advance();
             continue;
         }
         if (line == "compute:") {
-            section = &program.compute();
+            section = &program.computeBuilder();
             cursor.advance();
             continue;
         }
-        CIMMLC_ASSIGN_OR_RETURN(Stmt stmt, parseStmt(&cursor));
-        section->push_back(std::move(stmt));
+        CIMMLC_RETURN_IF_ERROR(parseStmt(&cursor, section));
     }
     return program;
 }

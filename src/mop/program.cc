@@ -1,5 +1,6 @@
 #include "mop/program.h"
 
+#include <limits>
 #include <map>
 #include <mutex>
 
@@ -216,42 +217,44 @@ MetaOp::toString() const
 
 namespace {
 
-void
-countStmt(const Stmt &stmt, std::int64_t multiplier, MopCounts *counts)
+constexpr std::int64_t kCountMax = std::numeric_limits<std::int64_t>::max();
+
+std::int64_t
+saturatingAdd(std::int64_t a, std::int64_t b)
 {
+    std::int64_t out = 0;
+    return __builtin_add_overflow(a, b, &out) ? kCountMax : out;
+}
+
+std::int64_t
+saturatingMul(std::int64_t a, std::int64_t b)
+{
+    std::int64_t out = 0;
+    return __builtin_mul_overflow(a, b, &out) ? kCountMax : out;
+}
+
+/** The counts of @p stmt's subtree, composed as the builder composes
+ * them. */
+MopCounts
+countOf(const Stmt &stmt)
+{
+    MopCounts out;
     switch (stmt.kind) {
-      case Stmt::Kind::kOp: {
-        const MetaOp &op = stmt.op;
-        switch (op.kind) {
-          case MetaOpKind::kReadCore:
-          case MetaOpKind::kReadXb:
-          case MetaOpKind::kReadRow:
-            counts->cim_reads += multiplier;
-            break;
-          case MetaOpKind::kWriteCore:
-          case MetaOpKind::kWriteXb:
-          case MetaOpKind::kWriteRow:
-            counts->cim_writes += multiplier;
-            break;
-          case MetaOpKind::kDcom:
-            counts->dcom += multiplier;
-            break;
-          case MetaOpKind::kMov:
-            counts->mov += multiplier;
-            break;
-        }
+      case Stmt::Kind::kOp:
+        out.addOp(stmt.op.kind);
         break;
-      }
       case Stmt::Kind::kParallel:
-        counts->parallel_blocks += multiplier;
+        out.parallel_blocks = 1;
         for (const Stmt &child : stmt.body)
-            countStmt(child, multiplier, counts);
+            out += countOf(child);
         break;
       case Stmt::Kind::kRepeat:
         for (const Stmt &child : stmt.body)
-            countStmt(child, multiplier * stmt.repeat, counts);
+            out += countOf(child);
+        out = out.repeated(stmt.repeat);
         break;
     }
+    return out;
 }
 
 void
@@ -276,23 +279,91 @@ visitStmt(const Stmt &stmt, const std::function<void(const MetaOp &)> &fn)
 
 } // namespace
 
+std::int64_t
+MopCounts::total() const
+{
+    return saturatingAdd(saturatingAdd(cim_reads, cim_writes),
+                         saturatingAdd(dcom, mov));
+}
+
+MopCounts &
+MopCounts::operator+=(const MopCounts &other)
+{
+    cim_reads = saturatingAdd(cim_reads, other.cim_reads);
+    cim_writes = saturatingAdd(cim_writes, other.cim_writes);
+    dcom = saturatingAdd(dcom, other.dcom);
+    mov = saturatingAdd(mov, other.mov);
+    parallel_blocks = saturatingAdd(parallel_blocks, other.parallel_blocks);
+    return *this;
+}
+
+MopCounts
+MopCounts::repeated(std::int64_t times) const
+{
+    if (times <= 0)
+        return MopCounts{};
+    MopCounts out;
+    out.cim_reads = saturatingMul(cim_reads, times);
+    out.cim_writes = saturatingMul(cim_writes, times);
+    out.dcom = saturatingMul(dcom, times);
+    out.mov = saturatingMul(mov, times);
+    out.parallel_blocks = saturatingMul(parallel_blocks, times);
+    return out;
+}
+
+void
+StmtBuilder::append(Stmt stmt)
+{
+    counts_ += countOf(stmt);
+    stmts_.push_back(std::move(stmt));
+}
+
+void
+StmtBuilder::appendParallel(StmtBuilder arms)
+{
+    counts_ += arms.counts_;
+    counts_ += MopCounts{.parallel_blocks = 1};
+    stmts_.push_back(Stmt::makeParallel(std::move(arms.stmts_)));
+}
+
+void
+StmtBuilder::appendRepeat(std::int64_t count, StmtBuilder body)
+{
+    counts_ += body.counts_.repeated(count);
+    stmts_.push_back(Stmt::makeRepeat(count, std::move(body.stmts_)));
+}
+
+void
+StmtBuilder::recount()
+{
+    counts_ = MopCounts{};
+    for (const Stmt &stmt : stmts_)
+        counts_ += countOf(stmt);
+}
+
 MopCounts
 MopProgram::counts() const
 {
-    MopCounts out;
-    for (const Stmt &stmt : init_)
-        countStmt(stmt, 1, &out);
-    for (const Stmt &stmt : compute_)
-        countStmt(stmt, 1, &out);
+    MopCounts out = init_.counts();
+    out += compute_.counts();
     return out;
+}
+
+void
+MopProgram::edit(const std::function<void(std::vector<Stmt> &init,
+                                          std::vector<Stmt> &compute)> &fn)
+{
+    fn(init_.stmts_, compute_.stmts_);
+    init_.recount();
+    compute_.recount();
 }
 
 void
 MopProgram::forEachOp(const std::function<void(const MetaOp &)> &fn) const
 {
-    for (const Stmt &stmt : init_)
+    for (const Stmt &stmt : init())
         visitStmt(stmt, fn);
-    for (const Stmt &stmt : compute_)
+    for (const Stmt &stmt : compute())
         visitStmt(stmt, fn);
 }
 

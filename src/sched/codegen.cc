@@ -260,12 +260,11 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
     // other later segments reprogram inline — they time-multiplex the
     // same cores (the reload of Figure 9(b)). Resident segments own
     // their cores exclusively, so their one-time init write is safe.
-    std::vector<Stmt> *install = (mapping.segment == 0 || mapping.resident)
-                                     ? &program_.init()
-                                     : &program_.compute();
+    StmtBuilder &install = (mapping.segment == 0 || mapping.resident)
+                               ? program_.initBuilder()
+                               : program_.computeBuilder();
     for (std::int64_t rep = 0; rep < replicas; ++rep) {
-        MetaOp &op = appendOp(install);
-        op.kind = MetaOpKind::kWriteCore;
+        MetaOp &op = install.appendOp(MetaOpKind::kWriteCore);
         op.core = mapping.core_base + rep * mapping.cores_per_replica;
         op.mutableCoreParams() = params;
         op.payload = payload;
@@ -274,14 +273,13 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
 
     // compute: replicas split the window space, then requant.
     const std::int64_t chunk = ceilDiv(total_windows, replicas);
-    std::vector<Stmt> block;
+    StmtBuilder block;
     for (std::int64_t rep = 0; rep < replicas; ++rep) {
         const std::int64_t w0 = rep * chunk;
         const std::int64_t w1 = std::min(total_windows, w0 + chunk);
         if (w0 >= w1)
             break;
-        MetaOp &op = appendOp(&block);
-        op.kind = MetaOpKind::kReadCore;
+        MetaOp &op = block.appendOp(MetaOpKind::kReadCore);
         op.core = mapping.core_base + rep * mapping.cores_per_replica;
         CoreOpParams &window = op.mutableCoreParams();
         window = params;
@@ -291,10 +289,10 @@ Emitter::emitCoreMode(const Node &node, const OperatorMapping &mapping)
         op.dst = {MemSpace::kL0, 0, acc_base_};
         op.origin = node.id;
     }
-    program_.compute().push_back(Stmt::makeParallel(std::move(block)));
+    program_.computeBuilder().appendParallel(std::move(block));
 
-    MetaOp &requant = appendOp(&program_.compute());
-    requant.kind = MetaOpKind::kDcom;
+    MetaOp &requant =
+        program_.computeBuilder().appendOp(MetaOpKind::kDcom);
     requant.func = dcomfunc::kRequant;
     requant.src = {MemSpace::kL0, 0, acc_base_};
     requant.dst = {MemSpace::kL0, 0, offsetOf(out)};
@@ -362,16 +360,15 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
 
     // Emits the programming ops for tiles [t0, t1) of one replica.
     auto emit_writes = [&](std::int64_t rep, std::int64_t t0,
-                           std::int64_t t1, std::vector<Stmt> *target) {
+                           std::int64_t t1, StmtBuilder &target) {
         for (std::int64_t tile = t0; tile < t1; ++tile) {
             std::int64_t r0, r1, c0, c1;
             tile_geometry(tile, &r0, &r1, &c0, &c1);
             const std::int64_t local = tile - t0;
             if (!wlm || spread == 1) {
                 const XbSlot slot = slot_of(rep, local, 0);
-                MetaOp &op = appendOp(target);
-                op.kind = wlm ? MetaOpKind::kWriteRow
-                              : MetaOpKind::kWriteXb;
+                MetaOp &op = target.appendOp(
+                    wlm ? MetaOpKind::kWriteRow : MetaOpKind::kWriteXb);
                 op.core = slot.core;
                 op.xb = slot.xb;
                 op.row = 0;
@@ -393,8 +390,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                 const std::int64_t gr0 = r0 + g * parallel_row;
                 const std::int64_t gr1 = std::min(r1, gr0 + parallel_row);
                 const XbSlot slot = slot_of(rep, local, lane);
-                MetaOp &op = appendOp(target);
-                op.kind = MetaOpKind::kWriteRow;
+                MetaOp &op = target.appendOp(MetaOpKind::kWriteRow);
                 op.core = slot.core;
                 op.xb = slot.xb;
                 op.row = local_row;
@@ -433,9 +429,9 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         // Segment 0 and dual-mode resident segments program at init
         // time; other later segments reprogram inline — they
         // time-multiplex the same cores (the reload of Figure 9(b)).
-        std::vector<Stmt> *section =
-            (mapping.segment == 0 || mapping.resident) ? &program_.init()
-                                                       : &program_.compute();
+        StmtBuilder &section = (mapping.segment == 0 || mapping.resident)
+                                   ? program_.initBuilder()
+                                   : program_.computeBuilder();
         for (std::int64_t rep = 0; rep < replicas; ++rep)
             emit_writes(rep, 0, tiles, section);
     }
@@ -475,9 +471,9 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             (chunked ? writes_in(t0, t1) : 0) + (t1 - t0) * spread + 1;
     }
 
-    std::vector<Stmt> window_block_template;
+    StmtBuilder window_block_template;
     for (std::int64_t w = 0; w < emit_windows; ++w) {
-        std::vector<Stmt> block;
+        StmtBuilder block;
         block.reserve(static_cast<std::size_t>(window_stmts));
         const std::int64_t rep = w % replicas;
 
@@ -493,8 +489,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             const bool clipped = ih0 < 0 || iw0 < 0 || ih0 + KH > H ||
                                  iw0 + KW > W;
             if (clipped) {
-                MetaOp &zero = appendOp(&block);
-                zero.kind = MetaOpKind::kDcom;
+                MetaOp &zero = block.appendOp(MetaOpKind::kDcom);
                 zero.func = dcomfunc::kZero;
                 zero.dst = {MemSpace::kL0, 0, patch_base_};
                 zero.len = R;
@@ -509,8 +504,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         const std::int64_t kw_hi = std::min(KW, W - iw0);
                         if (kw_lo >= kw_hi)
                             continue;
-                        MetaOp &mov = appendOp(&block);
-                        mov.kind = MetaOpKind::kMov;
+                        MetaOp &mov = block.appendOp(MetaOpKind::kMov);
                         mov.src = {MemSpace::kL0, 0,
                                    offsetOf(in) + (c * H + ih) * W + iw0 +
                                        kw_lo};
@@ -524,8 +518,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
             } else {
                 // Interior window: one strided mov per channel.
                 for (std::int64_t c = 0; c < Cin; ++c) {
-                    MetaOp &mov = appendOp(&block);
-                    mov.kind = MetaOpKind::kMov;
+                    MetaOp &mov = block.appendOp(MetaOpKind::kMov);
                     mov.src = {MemSpace::kL0, 0,
                                offsetOf(in) + (c * H + ih0) * W + iw0};
                     mov.dst = {MemSpace::kL0, 0, patch_base_ + c * KH * KW};
@@ -541,8 +534,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         }
 
         // 2. Zero the output accumulator columns.
-        MetaOp &zero_acc = appendOp(&block);
-        zero_acc.kind = MetaOpKind::kDcom;
+        MetaOp &zero_acc = block.appendOp(MetaOpKind::kDcom);
         zero_acc.func = dcomfunc::kZero;
         zero_acc.dst = {MemSpace::kL0, 0, acc_base_};
         zero_acc.len = C;
@@ -554,8 +546,8 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         for (std::int64_t t0 = 0; t0 < tiles; t0 += chunk_tiles) {
             const std::int64_t t1 = std::min(tiles, t0 + chunk_tiles);
             if (chunked)
-                emit_writes(rep, t0, t1, &block);
-            std::vector<Stmt> reads;
+                emit_writes(rep, t0, t1, block);
+            StmtBuilder reads;
             reads.reserve(static_cast<std::size_t>(reads_in(t0, t1)));
             for (std::int64_t tile = t0; tile < t1; ++tile) {
                 std::int64_t r0, r1, c0, c1;
@@ -564,16 +556,14 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                 for (std::int64_t lane = 0; lane < spread; ++lane) {
                     const XbSlot slot = slot_of(rep, local, lane);
                     const std::int64_t l1_off = slot.xb * arch_.xbar.rows;
-                    MetaOp &feed = appendOp(&block);
-                    feed.kind = MetaOpKind::kMov;
+                    MetaOp &feed = block.appendOp(MetaOpKind::kMov);
                     feed.src = {MemSpace::kL0, 0, patch_off + r0};
                     feed.dst = {MemSpace::kL1, slot.core, l1_off};
                     feed.len = r1 - r0;
                     feed.origin = node.id;
 
                     if (!wlm) {
-                        MetaOp &read = appendOp(&reads);
-                        read.kind = MetaOpKind::kReadXb;
+                        MetaOp &read = reads.appendOp(MetaOpKind::kReadXb);
                         read.core = slot.core;
                         read.xb = slot.xb;
                         read.len = 1;
@@ -593,8 +583,8 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                         const std::int64_t gr0 = g * parallel_row;
                         const std::int64_t gr1 =
                             std::min(r1 - r0, gr0 + parallel_row);
-                        MetaOp &read = appendOp(&reads);
-                        read.kind = MetaOpKind::kReadRow;
+                        MetaOp &read =
+                            reads.appendOp(MetaOpKind::kReadRow);
                         read.core = slot.core;
                         read.xb = slot.xb;
                         read.row = local_row;
@@ -607,12 +597,11 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
                     }
                 }
             }
-            block.push_back(Stmt::makeParallel(std::move(reads)));
+            block.appendParallel(std::move(reads));
         }
 
         // 4. Requantize and scatter into the output tensor layout.
-        MetaOp &requant = appendOp(&block);
-        requant.kind = MetaOpKind::kDcom;
+        MetaOp &requant = block.appendOp(MetaOpKind::kDcom);
         requant.func = dcomfunc::kRequant;
         requant.src = {MemSpace::kL0, 0, acc_base_};
         requant.dst = {MemSpace::kL0, 0, quant_base_};
@@ -620,8 +609,7 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         requant.mutableDcomParams().shift = shift.shift;
         requant.origin = node.id;
 
-        MetaOp &scatter = appendOp(&block);
-        scatter.kind = MetaOpKind::kMov;
+        MetaOp &scatter = block.appendOp(MetaOpKind::kMov);
         scatter.src = {MemSpace::kL0, 0, quant_base_};
         if (node.kind == OpKind::kConv2d) {
             // Output element (c, oh, ow): stride OH*OW between channels.
@@ -637,16 +625,15 @@ Emitter::emitCrossbarMode(const Node &node, const OperatorMapping &mapping)
         scatter.origin = node.id;
 
         if (options_.unroll) {
-            program_.compute().push_back(
-                Stmt::makeRepeat(1, std::move(block)));
+            program_.computeBuilder().appendRepeat(1, std::move(block));
         } else {
             window_block_template = std::move(block);
         }
     }
 
     if (!options_.unroll) {
-        program_.compute().push_back(Stmt::makeRepeat(
-            total_windows, std::move(window_block_template)));
+        program_.computeBuilder().appendRepeat(
+            total_windows, std::move(window_block_template));
     }
     return Status::ok();
 }
@@ -739,8 +726,8 @@ Emitter::emitDigital(const Node &node)
         for (std::size_t i = 0; i < node.inputs.size(); ++i) {
             const std::int64_t piece = graph_.tensor(node.inputs[i])
                                            .numel();
-            MetaOp &mov = appendOp(&program_.compute());
-            mov.kind = MetaOpKind::kMov;
+            MetaOp &mov =
+                program_.computeBuilder().appendOp(MetaOpKind::kMov);
             mov.host = on_host;
             mov.src = in_addr(i);
             mov.dst = {MemSpace::kL0, 0,

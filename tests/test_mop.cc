@@ -144,10 +144,10 @@ TEST(MetaOpTest, MovedFromOpsDestroyAndReassignSafely)
     EXPECT_EQ(source.toString(), text);
 
     std::vector<Stmt> stmts;
-    appendOp(&stmts) = makeReadCore();
+    stmts.emplace_back().op = makeReadCore();
     std::vector<Stmt> taken = std::move(stmts);
     stmts.clear();
-    appendOp(&stmts) = std::move(taken.front().op);
+    stmts.emplace_back().op = std::move(taken.front().op);
     taken.clear(); // destroys the moved-from op
     EXPECT_EQ(stmts.front().op.toString(), text);
 }
@@ -314,10 +314,44 @@ TEST(ProgramTest, CountsAndSummary)
     EXPECT_NE(program.summary().find("p [XBM]"), std::string::npos);
 }
 
+TEST(ProgramTest, NonPositiveRepeatsCountNothing)
+{
+    // Funcsim and the event engine run such a repeat zero times.
+    auto program =
+        parseProgram("repeat -3 {\n mov(src=L0[0], dst=L0[8], len=4)\n}\n");
+    ASSERT_TRUE(program.isOk()) << program.status().toString();
+    EXPECT_EQ(program.value().counts(), MopCounts{});
+    EXPECT_NE(program.value().summary().find(": 0 ops ("), std::string::npos)
+        << program.value().summary();
+}
+
+TEST(ProgramTest, HugeRepeatCountsSaturate)
+{
+    // 2^62 x 4 movs overflow int64: the count stops at INT64_MAX, and
+    // so does an op appended after it.
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    auto program = parseProgram(
+        "repeat 4611686018427387904 {\n repeat 4 {\n"
+        "  mov(src=L0[0], dst=L0[8], len=4)\n }\n}\n"
+        "relu(src=L0[0], dst=L0[8], len=4)\n");
+    ASSERT_TRUE(program.isOk()) << program.status().toString();
+    MopProgram flow = program.value();
+    EXPECT_EQ(flow.counts().mov, kMax);
+    EXPECT_EQ(flow.counts().dcom, 1);
+    EXPECT_EQ(flow.counts().total(), kMax);
+    MetaOp mov;
+    mov.kind = MetaOpKind::kMov;
+    flow.emit(mov);
+    EXPECT_EQ(flow.counts().mov, kMax);
+    EXPECT_NE(flow.summary().find(": 9223372036854775807 ops ("),
+              std::string::npos)
+        << flow.summary();
+}
+
 TEST(ProgramTest, ForEachOpExpandsRepeats)
 {
     MopProgram program("p", "XBM");
-    program.compute().push_back(
+    program.computeBuilder().append(
         Stmt::makeRepeat(3, {Stmt::makeOp(makeReadXb())}));
     int visits = 0;
     program.forEachOp([&](const MetaOp &) { ++visits; });
@@ -328,7 +362,7 @@ TEST(PrinterTest, SectionsAndIndentation)
 {
     MopProgram program("p", "XBM");
     program.emitInit(makeReadXb());
-    program.compute().push_back(
+    program.computeBuilder().append(
         Stmt::makeParallel({Stmt::makeOp(makeReadXb())}));
     const std::string text = printProgram(program);
     EXPECT_NE(text.find("init:\n"), std::string::npos);
@@ -488,7 +522,7 @@ TEST_F(ValidatorTest, RejectsNestedParallel)
     MetaOp mov = {};
     mov.kind = MetaOpKind::kMov;
     mov.len = 1;
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeParallel({Stmt::makeOp(mov)})}));
     EXPECT_FALSE(validateProgram(program, arch_).isOk());
 }

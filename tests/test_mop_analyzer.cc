@@ -272,7 +272,7 @@ TEST(MopAnalyzerTest, RaceWriteWriteAndShuffleInvariance)
     const CimArchitecture arch =
         presets::tutorialTable2(ComputeMode::kXBM);
     MopProgram program("p", "XBM");
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 0}, 16)),
          Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 8}, 16))}));
 
@@ -282,7 +282,7 @@ TEST(MopAnalyzerTest, RaceWriteWriteAndShuffleInvariance)
 
     // Permuting the arms must reproduce the identical report.
     MopProgram shuffled("p", "XBM");
-    shuffled.compute().push_back(Stmt::makeParallel(
+    shuffled.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 8}, 16)),
          Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 0}, 16))}));
     const AnalyzeResult again =
@@ -302,7 +302,7 @@ TEST(MopAnalyzerTest, RaceReadWrite)
     const CimArchitecture arch =
         presets::tutorialTable2(ComputeMode::kXBM);
     MopProgram program("p", "XBM");
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 0}, 16)),
          Stmt::makeOp(reluOp({MemSpace::kL0, 0, 8},
                              {MemSpace::kL0, 0, 100}, 16))}));
@@ -323,7 +323,7 @@ TEST(MopAnalyzerTest, OverlappingAccumulatesAreLegal)
     program.emit(zeroOp({MemSpace::kL0, 0, 64}, 32));
     // CIM reads accumulate commutatively, so two arms adding into the
     // same destination region do not race.
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(readXbOp(0, 0, 27, 32, {MemSpace::kL1, 0, 0},
                                {MemSpace::kL0, 0, 64})),
          Stmt::makeOp(readXbOp(0, 1, 27, 32, {MemSpace::kL1, 0, 0},
@@ -342,7 +342,7 @@ TEST(MopAnalyzerTest, RaceXbarOnConflictingProgramming)
     const CimArchitecture arch =
         presets::tutorialTable2(ComputeMode::kXBM);
     MopProgram program("p", "XBM");
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(writeXbOp(0, 0, 27)),
          Stmt::makeOp(writeXbOp(0, 0, 27))}));
 
@@ -369,7 +369,7 @@ TEST(MopAnalyzerTest, RaceCoreOnInstallVsUse)
     use.dst = {MemSpace::kL0, 0, 32};
 
     MopProgram program("p", "CM");
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(install), Stmt::makeOp(use)}));
 
     AnalyzeOptions options = dataflowOnly();
@@ -529,7 +529,7 @@ TEST(MopAnalyzerTest, RepeatFindingsDeduplicate)
     const CimArchitecture arch =
         presets::tutorialTable2(ComputeMode::kXBM);
     MopProgram program("p", "XBM");
-    program.compute().push_back(Stmt::makeRepeat(
+    program.computeBuilder().append(Stmt::makeRepeat(
         3, {Stmt::makeOp(reluOp({MemSpace::kL0, 0, 0},
                                 {MemSpace::kL0, 0, 64}, 16))}));
 
@@ -547,7 +547,7 @@ TEST(MopAnalyzerTest, RepeatLoopCarriedDefUseIsClean)
     // replacing it, so no iteration kills an unread value.
     MopProgram program("p", "XBM");
     program.emit(zeroOp({MemSpace::kL0, 0, 0}, 16));
-    program.compute().push_back(Stmt::makeRepeat(
+    program.computeBuilder().append(Stmt::makeRepeat(
         4, {Stmt::makeOp(reluOp({MemSpace::kL0, 0, 0},
                                 {MemSpace::kL0, 0, 0}, 16))}));
     const AnalyzeResult result =
@@ -557,7 +557,7 @@ TEST(MopAnalyzerTest, RepeatLoopCarriedDefUseIsClean)
     // Whereas a body whose output is clobbered by the next iteration
     // without a read is a loop-carried dead store.
     MopProgram clobber("p", "XBM");
-    clobber.compute().push_back(Stmt::makeRepeat(
+    clobber.computeBuilder().append(Stmt::makeRepeat(
         4, {Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 0}, 16)),
             Stmt::makeOp(reluOp({MemSpace::kL0, 0, 0},
                                 {MemSpace::kL0, 0, 64}, 16))}));
@@ -607,7 +607,7 @@ TEST(MopAnalyzerTest, RepeatedRacyBlockReportsItsRacesOnce)
     auto lint = [&](std::int64_t count, const std::vector<int> &order) {
         MopProgram program("p", "XBM");
         program.emit(zeroOp({MemSpace::kL0, 0, 300}, 4));
-        program.compute().push_back(
+        program.computeBuilder().append(
             Stmt::makeRepeat(count, {racyBlock(order)}));
         return raceFindings(analyzeProgram(program, arch, options));
     };
@@ -637,7 +637,7 @@ TEST(MopAnalyzerTest, NestedRepeatInReplayedBodyReportsItsRacesOnce)
     // 3 the racy block; the outer body is walked twice, the inner body
     // twice per outer pass.
     MopProgram program("p", "XBM");
-    program.compute().push_back(Stmt::makeRepeat(
+    program.computeBuilder().append(Stmt::makeRepeat(
         3, {Stmt::makeOp(zeroOp({MemSpace::kL0, 0, 300}, 4)),
             Stmt::makeRepeat(2, {racyBlock({2, 0, 3, 1})})}));
     const AnalyzeResult result = analyzeProgram(program, arch, options);
@@ -646,7 +646,7 @@ TEST(MopAnalyzerTest, NestedRepeatInReplayedBodyReportsItsRacesOnce)
     MopProgram flat("p", "XBM");
     for (int i = 0; i < 3; ++i)
         flat.emit(zeroOp({MemSpace::kL0, 0, 300}, 4));
-    flat.compute().push_back(racyBlock({0, 1, 2, 3}));
+    flat.computeBuilder().append(racyBlock({0, 1, 2, 3}));
     EXPECT_EQ(raceFindings(result),
               raceFindings(analyzeProgram(flat, arch, options)))
         << result.table();
@@ -754,7 +754,9 @@ TEST_F(CompiledFlowFaultTest, DroppedWeightLoadIsCaught)
     MopProgram faulty = artifacts_.code->program;
     ASSERT_FALSE(faulty.init().empty());
     ASSERT_EQ(faulty.init().front().kind, Stmt::Kind::kOp);
-    faulty.init().erase(faulty.init().begin());
+    faulty.edit([](std::vector<Stmt> &init, std::vector<Stmt> &) {
+        init.erase(init.begin());
+    });
 
     const AnalyzeResult result =
         analyzeProgram(faulty, arch_, lintLikeOptions());
@@ -766,22 +768,24 @@ TEST_F(CompiledFlowFaultTest, DroppedWeightLoadIsCaught)
 TEST_F(CompiledFlowFaultTest, ParallelArmsSharingDstBufferRace)
 {
     MopProgram faulty = artifacts_.code->program;
-    Stmt *block = findCimParallel(faulty.compute());
-    ASSERT_NE(block, nullptr);
-    const MetaOp *victim = nullptr;
-    for (const Stmt &arm : block->body) {
-        if (arm.kind == Stmt::Kind::kOp &&
-            (arm.op.kind == MetaOpKind::kReadXb ||
-             arm.op.kind == MetaOpKind::kReadRow)) {
-            victim = &arm.op;
-            break;
+    faulty.edit([](std::vector<Stmt> &, std::vector<Stmt> &compute) {
+        Stmt *block = findCimParallel(compute);
+        ASSERT_NE(block, nullptr);
+        const MetaOp *victim = nullptr;
+        for (const Stmt &arm : block->body) {
+            if (arm.kind == Stmt::Kind::kOp &&
+                (arm.op.kind == MetaOpKind::kReadXb ||
+                 arm.op.kind == MetaOpKind::kReadRow)) {
+                victim = &arm.op;
+                break;
+            }
         }
-    }
-    ASSERT_NE(victim, nullptr);
-    // A sibling arm plain-writing the victim's accumulation target is
-    // order-dependent: the block is no longer commutative.
-    block->body.push_back(
-        Stmt::makeOp(zeroOp(victim->dst, victim->cols)));
+        ASSERT_NE(victim, nullptr);
+        // A sibling arm plain-writing the victim's accumulation target
+        // is order-dependent: the block is no longer commutative.
+        block->body.push_back(
+            Stmt::makeOp(zeroOp(victim->dst, victim->cols)));
+    });
 
     const AnalyzeResult result =
         analyzeProgram(faulty, arch_, lintLikeOptions());

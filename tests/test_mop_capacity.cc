@@ -21,165 +21,10 @@
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "mop/analyzer.h"
+#include "mop_gen.h"
 
 namespace cimmlc {
 namespace {
-
-constexpr std::int64_t kMovBlockLimit = 1024; // the analyzer's kMaxMovBlocks
-constexpr std::int64_t kHigh = std::int64_t{1} << 32;
-
-// ----- generator ----------------------------------------------------------
-
-class ProgramGen
-{
-  public:
-    explicit ProgramGen(std::uint64_t seed) : rng_(seed) {}
-
-    MopProgram
-    program()
-    {
-        MopProgram program("p", "XBM");
-        for (int i = static_cast<int>(rng_.uniformInt(0, 2)); i > 0; --i)
-            program.init().push_back(stmt(0));
-        // A long program leaves the banks it rarely touches with few
-        // live-range changes over many timestamps.
-        const bool long_program = rng_.uniformInt(0, 3) == 0;
-        for (int i = static_cast<int>(long_program ? rng_.uniformInt(16, 32)
-                                                   : rng_.uniformInt(2, 7));
-             i > 0; --i)
-            program.compute().push_back(stmt(0));
-        return program;
-    }
-
-    std::vector<LiveInRegion>
-    liveIn()
-    {
-        std::vector<LiveInRegion> regions;
-        for (int i = static_cast<int>(rng_.uniformInt(0, 2)); i > 0; --i) {
-            const BufAddr at = addr();
-            LiveInRegion region;
-            region.space = at.space;
-            region.core = at.core;
-            region.begin = at.offset;
-            region.end = at.offset + rng_.uniformInt(0, 40);
-            regions.push_back(region);
-        }
-        return regions;
-    }
-
-  private:
-    BufAddr
-    addr()
-    {
-        // L0 and bank 0 take most accesses, bank 2 few: a bank with few
-        // live-range changes sums them by sorting, the others densely.
-        BufAddr at;
-        const std::int64_t pick_bank = rng_.uniformInt(0, 19);
-        const std::int64_t bank = pick_bank < 8    ? -1
-                                  : pick_bank < 16 ? 0
-                                  : pick_bank < 19 ? 1
-                                                   : 2;
-        at.space = bank < 0 ? MemSpace::kL0 : MemSpace::kL1;
-        at.core = bank < 0 ? 0 : bank;
-        const std::int64_t pick = rng_.uniformInt(0, 19);
-        if (pick < 2)
-            at.offset = rng_.uniformInt(-8, -1);
-        else if (pick < 5)
-            at.offset = 0;
-        else if (pick < 15)
-            at.offset = rng_.uniformInt(1, 48);
-        else
-            at.offset = kHigh + rng_.uniformInt(0, 48);
-        return at;
-    }
-
-    std::int64_t len() { return rng_.uniformInt(1, 40); }
-
-    MetaOp
-    op()
-    {
-        MetaOp op;
-        switch (rng_.uniformInt(0, 4)) {
-          case 0:
-            op.kind = MetaOpKind::kDcom;
-            op.func = dcomfunc::kZero;
-            op.dst = addr();
-            op.len = len();
-            break;
-          case 1:
-            op.kind = MetaOpKind::kDcom;
-            op.func = dcomfunc::kRelu;
-            op.src = addr();
-            op.dst = rng_.uniformInt(0, 3) == 0 ? op.src : addr();
-            op.len = len();
-            break;
-          case 2:
-            op.kind = MetaOpKind::kDcom;
-            op.func = dcomfunc::kAdd;
-            op.src = addr();
-            op.mutableSrc2() = addr();
-            op.dst = addr();
-            op.len = len();
-            break;
-          case 3:
-            op.kind = MetaOpKind::kReadXb;
-            op.core = rng_.uniformInt(0, 2);
-            op.rows = len();
-            op.cols = len();
-            op.src = addr();
-            op.dst = addr();
-            break;
-          default:
-            op.kind = MetaOpKind::kMov;
-            op.src = addr();
-            op.dst = addr();
-            if (rng_.uniformInt(0, 9) == 0) {
-                // Around the block limit: one-element blocks, so the
-                // per-block events do not merge.
-                op.count = kMovBlockLimit + rng_.uniformInt(-2, 2);
-                op.len = 1;
-                op.src_stride = rng_.uniformInt(-2, 2);
-                op.dst_stride = rng_.uniformInt(-2, 2);
-            } else {
-                op.count = rng_.uniformInt(1, 4);
-                op.len = rng_.uniformInt(1, 12);
-                op.src_stride = rng_.uniformInt(-16, 16);
-                op.dst_stride = rng_.uniformInt(-16, 16);
-            }
-            break;
-        }
-        return op;
-    }
-
-    Stmt
-    stmt(int depth)
-    {
-        const std::int64_t pick = depth < 2 ? rng_.uniformInt(0, 9) : 0;
-        if (pick < 6)
-            return Stmt::makeOp(op());
-        std::vector<Stmt> body;
-        if (pick < 8) {
-            // Arms: single ops, or a short sequence or repeat (walked
-            // once, at the block's timestamp).
-            for (int i = static_cast<int>(rng_.uniformInt(2, 3)); i > 0;
-                 --i) {
-                if (rng_.uniformInt(0, 3) == 0) {
-                    body.push_back(Stmt::makeRepeat(
-                        rng_.uniformInt(1, 3),
-                        {Stmt::makeOp(op()), Stmt::makeOp(op())}));
-                } else {
-                    body.push_back(Stmt::makeOp(op()));
-                }
-            }
-            return Stmt::makeParallel(std::move(body));
-        }
-        for (int i = static_cast<int>(rng_.uniformInt(1, 4)); i > 0; --i)
-            body.push_back(stmt(depth + 1));
-        return Stmt::makeRepeat(rng_.uniformInt(1, 3), std::move(body));
-    }
-
-    Rng rng_;
-};
 
 // ----- oracle -------------------------------------------------------------
 

@@ -143,8 +143,10 @@ expectFlowGolden(const std::string &name, const MopProgram &program,
     if (!round_trip)
         return;
     MopProgram bare = program;
-    dropPayloads(bare.init());
-    dropPayloads(bare.compute());
+    bare.edit([](std::vector<Stmt> &init, std::vector<Stmt> &compute) {
+        dropPayloads(init);
+        dropPayloads(compute);
+    });
     PrintOptions options;
     options.header = false;
     const std::string text = printProgram(bare, options);
@@ -341,23 +343,27 @@ TEST_F(FaultGoldenTest, DroppedWeightLoad)
 {
     compile("lenet5", "isaac-baseline", /*unroll=*/false);
     ASSERT_FALSE(code_.program.init().empty());
-    code_.program.init().erase(code_.program.init().begin());
+    code_.program.edit([](std::vector<Stmt> &init, std::vector<Stmt> &) {
+        init.erase(init.begin());
+    });
     expectGolden("fault_dropped_weight_load", analyze());
 }
 
 TEST_F(FaultGoldenTest, RacyArm)
 {
     compile("lenet5", "isaac-baseline", /*unroll=*/false);
-    Stmt *block = findCimParallel(code_.program.compute());
-    ASSERT_NE(block, nullptr);
-    for (const Stmt &arm : block->body) {
-        if (isCimRead(arm)) {
-            const MetaOp victim = arm.op;
-            block->body.push_back(
-                Stmt::makeOp(zeroOp(victim.dst, victim.cols)));
-            break;
+    code_.program.edit([](std::vector<Stmt> &, std::vector<Stmt> &compute) {
+        Stmt *block = findCimParallel(compute);
+        ASSERT_NE(block, nullptr);
+        for (const Stmt &arm : block->body) {
+            if (isCimRead(arm)) {
+                const MetaOp victim = arm.op;
+                block->body.push_back(
+                    Stmt::makeOp(zeroOp(victim.dst, victim.cols)));
+                break;
+            }
         }
-    }
+    });
     expectGolden("fault_racy_arm", analyze());
 }
 
@@ -368,42 +374,46 @@ TEST_F(FaultGoldenTest, MultiArmRace)
     // conflicting accesses, and its report is the lexicographically
     // smallest message.
     compile("lenet5", "isaac-baseline", /*unroll=*/false);
-    Stmt *block = findCimParallel(code_.program.compute());
-    ASSERT_NE(block, nullptr);
-    std::vector<MetaOp> victims;
-    for (const Stmt &arm : block->body)
-        if (isCimRead(arm))
-            victims.push_back(arm.op);
-    ASSERT_FALSE(victims.empty());
-    for (std::int64_t k = 1; k <= 3; ++k) {
-        const MetaOp &victim = victims[static_cast<std::size_t>(k - 1) %
-                                       victims.size()];
-        BufAddr dst = victim.dst;
-        dst.offset += k - 1;
-        block->body.push_back(Stmt::makeOp(zeroOp(dst, victim.cols / k)));
-        MetaOp relu = zeroOp(victim.dst, victim.cols);
-        relu.func = dcomfunc::kRelu;
-        relu.src = victim.dst;
-        relu.src.offset += k;
-        relu.dst.offset += 4096 * k;
-        block->body.push_back(Stmt::makeOp(relu));
-    }
-    // One multi-op arm: its pairings pick among several messages.
-    BufAddr tail = victims.front().dst;
-    tail.offset += victims.front().cols - 1;
-    block->body.push_back(Stmt::makeRepeat(
-        1, {Stmt::makeOp(zeroOp(tail, 1)),
-            Stmt::makeOp(zeroOp(victims.front().dst, 2))}));
+    code_.program.edit([](std::vector<Stmt> &, std::vector<Stmt> &compute) {
+        Stmt *block = findCimParallel(compute);
+        ASSERT_NE(block, nullptr);
+        std::vector<MetaOp> victims;
+        for (const Stmt &arm : block->body)
+            if (isCimRead(arm))
+                victims.push_back(arm.op);
+        ASSERT_FALSE(victims.empty());
+        for (std::int64_t k = 1; k <= 3; ++k) {
+            const MetaOp &victim =
+                victims[static_cast<std::size_t>(k - 1) % victims.size()];
+            BufAddr dst = victim.dst;
+            dst.offset += k - 1;
+            block->body.push_back(
+                Stmt::makeOp(zeroOp(dst, victim.cols / k)));
+            MetaOp relu = zeroOp(victim.dst, victim.cols);
+            relu.func = dcomfunc::kRelu;
+            relu.src = victim.dst;
+            relu.src.offset += k;
+            relu.dst.offset += 4096 * k;
+            block->body.push_back(Stmt::makeOp(relu));
+        }
+        // One multi-op arm: its pairings pick among several messages.
+        BufAddr tail = victims.front().dst;
+        tail.offset += victims.front().cols - 1;
+        block->body.push_back(Stmt::makeRepeat(
+            1, {Stmt::makeOp(zeroOp(tail, 1)),
+                Stmt::makeOp(zeroOp(victims.front().dst, 2))}));
+    });
     expectGolden("fault_multi_arm_race", analyze());
 }
 
 TEST_F(FaultGoldenTest, OverwrittenCrossbar)
 {
     compile("lenet5", "puma", /*unroll=*/true);
-    std::vector<Stmt> &init = code_.program.init();
-    ASSERT_FALSE(init.empty());
-    const Stmt first = init.front();
-    init.insert(init.begin(), first);
+    ASSERT_FALSE(code_.program.init().empty());
+    code_.program.edit([](std::vector<Stmt> &init, std::vector<Stmt> &) {
+        const Stmt first = init.front();
+        init.insert(init.begin(), first);
+    });
     expectGolden("fault_overwritten_xbar", analyze());
 }
 
@@ -411,33 +421,44 @@ TEST_F(FaultGoldenTest, UnusedCrossbarProgramming)
 {
     compile("lenet5", "puma", /*unroll=*/true);
     ASSERT_FALSE(code_.program.init().empty());
-    code_.program.compute().push_back(code_.program.init().front());
+    code_.program.edit(
+        [](std::vector<Stmt> &init, std::vector<Stmt> &compute) {
+            compute.push_back(init.front());
+        });
     expectGolden("fault_unused_xbar", analyze());
 }
 
 TEST_F(FaultGoldenTest, OverwrittenCore)
 {
     compile("mlp", "jia-isscc21", /*unroll=*/true);
-    std::vector<Stmt> *body = nullptr;
-    std::size_t pos = 0;
-    ASSERT_TRUE(findSequentialOp(code_.program.init(),
-                                 MetaOpKind::kWriteCore, &body, &pos) ||
-                findSequentialOp(code_.program.compute(),
-                                 MetaOpKind::kWriteCore, &body, &pos));
-    const Stmt install = (*body)[pos];
-    body->insert(body->begin() + static_cast<std::ptrdiff_t>(pos), install);
+    code_.program.edit(
+        [](std::vector<Stmt> &init, std::vector<Stmt> &compute) {
+            std::vector<Stmt> *body = nullptr;
+            std::size_t pos = 0;
+            ASSERT_TRUE(
+                findSequentialOp(init, MetaOpKind::kWriteCore, &body,
+                                 &pos) ||
+                findSequentialOp(compute, MetaOpKind::kWriteCore, &body,
+                                 &pos));
+            const Stmt install = (*body)[pos];
+            body->insert(body->begin() + static_cast<std::ptrdiff_t>(pos),
+                         install);
+        });
     expectGolden("fault_overwritten_core", analyze());
 }
 
 TEST_F(FaultGoldenTest, DeadStore)
 {
     compile("lenet5", "puma", /*unroll=*/true);
-    std::vector<Stmt> *body = nullptr;
-    std::size_t pos = 0;
-    ASSERT_TRUE(findSequentialOp(code_.program.compute(), MetaOpKind::kDcom,
-                                 &body, &pos));
-    const Stmt store = (*body)[pos];
-    body->insert(body->begin() + static_cast<std::ptrdiff_t>(pos), store);
+    code_.program.edit([](std::vector<Stmt> &, std::vector<Stmt> &compute) {
+        std::vector<Stmt> *body = nullptr;
+        std::size_t pos = 0;
+        ASSERT_TRUE(
+            findSequentialOp(compute, MetaOpKind::kDcom, &body, &pos));
+        const Stmt store = (*body)[pos];
+        body->insert(body->begin() + static_cast<std::ptrdiff_t>(pos),
+                     store);
+    });
     expectGolden("fault_dead_store", analyze());
 }
 

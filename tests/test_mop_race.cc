@@ -30,183 +30,10 @@
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "mop/analyzer.h"
+#include "mop_gen.h"
 
 namespace cimmlc {
 namespace {
-
-constexpr std::int64_t kMovBlockLimit = 1024; // the analyzer's kMaxMovBlocks
-
-// ----- generator ----------------------------------------------------------
-
-class BlockGen
-{
-  public:
-    /** Blocks of @p arms arms, or of 2-12 when it is 0. */
-    explicit BlockGen(std::uint64_t seed, int arms = 0)
-        : rng_(seed), arm_count_(arms)
-    {
-    }
-
-    /** The arms of one block: a single op, or a repeat of 2-3 ops. In a
-     * sparse block each arm keeps to its own address window and rarely
-     * writes crossbars or core state, so many blocks are clean. */
-    std::vector<Stmt>
-    arms()
-    {
-        sparse_ = rng_.uniformInt(0, 2) == 0;
-        std::vector<Stmt> arms;
-        const int count = arm_count_ > 0
-                              ? arm_count_
-                              : static_cast<int>(rng_.uniformInt(2, 12));
-        for (arm_ = 0; arm_ < count; ++arm_) {
-            const int ops = static_cast<int>(rng_.uniformInt(1, 3));
-            if (ops == 1) {
-                arms.push_back(Stmt::makeOp(op()));
-                continue;
-            }
-            std::vector<Stmt> body;
-            for (int i = ops; i > 0; --i)
-                body.push_back(Stmt::makeOp(op()));
-            arms.push_back(
-                Stmt::makeRepeat(rng_.uniformInt(1, 3), std::move(body)));
-        }
-        return arms;
-    }
-
-    MetaOp op() { return pick(rng_.uniformInt(0, 11)); }
-
-    Rng &rng() { return rng_; }
-
-  private:
-    BufAddr
-    addr()
-    {
-        BufAddr at;
-        const std::int64_t bank = rng_.uniformInt(-1, 1);
-        at.space = bank < 0 ? MemSpace::kL0 : MemSpace::kL1;
-        at.core = bank < 0 ? 0 : bank;
-        // A sparse arm keeps to its own 32-element window, except now
-        // and then, when it reaches into its neighbour's.
-        const std::int64_t window =
-            sparse_ && rng_.uniformInt(0, 7) != 0 ? 32 * arm_ : 0;
-        at.offset = rng_.uniformInt(0, 19) == 0 ? rng_.uniformInt(-3, -1)
-                                                : window +
-                                                      rng_.uniformInt(0, 20);
-        return at;
-    }
-
-    std::int64_t len() { return rng_.uniformInt(1, 8); }
-    std::int64_t unit() { return rng_.uniformInt(0, 1); }
-
-    MetaOp
-    pick(std::int64_t kind)
-    {
-        MetaOp op;
-        // Sparse arms mostly read crossbars and cores.
-        if (sparse_ && (kind == 2 || kind == 3 || kind == 5) &&
-            rng_.uniformInt(0, 3) != 0)
-            kind = 0;
-        switch (kind) {
-          case 0:
-            op.kind = MetaOpKind::kReadXb;
-            op.core = unit();
-            op.xb = unit();
-            op.rows = rng_.uniformInt(0, 8);
-            op.cols = len();
-            op.src = addr();
-            op.dst = addr();
-            break;
-          case 1:
-            op.kind = MetaOpKind::kReadRow;
-            op.core = unit();
-            op.xb = unit();
-            op.row = rng_.uniformInt(0, 8);
-            op.len = len();
-            op.cols = len();
-            op.src = addr();
-            op.dst = addr();
-            break;
-          case 2:
-            op.kind = MetaOpKind::kWriteXb;
-            op.core = unit();
-            op.xb = unit();
-            op.len = len();
-            break;
-          case 3:
-            op.kind = MetaOpKind::kWriteRow;
-            op.core = unit();
-            op.xb = unit();
-            op.row = rng_.uniformInt(0, 8);
-            op.len = len();
-            break;
-          case 4: {
-            op.kind = MetaOpKind::kReadCore;
-            op.core = unit();
-            op.src = addr();
-            op.dst = addr();
-            CoreOpParams &p = op.mutableCoreParams();
-            p.is_conv = rng_.uniformInt(0, 1) == 0;
-            if (p.is_conv) {
-                p.in_channels = rng_.uniformInt(1, 2);
-                p.in_h = rng_.uniformInt(2, 4);
-                p.in_w = rng_.uniformInt(2, 4);
-                p.out_channels = rng_.uniformInt(1, 3);
-                p.kernel = rng_.uniformInt(1, 3);
-                p.stride = rng_.uniformInt(1, 2);
-                p.padding = rng_.uniformInt(0, 1);
-            } else {
-                p.in_features = rng_.uniformInt(1, 4);
-                p.out_features = rng_.uniformInt(1, 4);
-            }
-            p.win_begin = rng_.uniformInt(0, 2);
-            p.win_end = rng_.uniformInt(0, 1) == 0
-                            ? 0
-                            : p.win_begin + rng_.uniformInt(1, 2);
-            break;
-          }
-          case 5:
-            op.kind = MetaOpKind::kWriteCore;
-            op.core = unit();
-            break;
-          case 6:
-            op.kind = MetaOpKind::kDcom;
-            op.func = dcomfunc::kZero;
-            op.dst = addr();
-            op.len = len();
-            break;
-          case 7:
-            op.kind = MetaOpKind::kDcom;
-            op.func = dcomfunc::kRelu;
-            op.src = addr();
-            op.dst = rng_.uniformInt(0, 3) == 0 ? op.src : addr();
-            op.len = len();
-            break;
-          case 8:
-            op.kind = MetaOpKind::kDcom;
-            op.func = dcomfunc::kAdd;
-            op.src = addr();
-            op.mutableSrc2() = addr();
-            op.dst = addr();
-            op.len = len();
-            break;
-          default:
-            op.kind = MetaOpKind::kMov;
-            op.src = addr();
-            op.dst = addr();
-            op.count = rng_.uniformInt(1, 4);
-            op.len = rng_.uniformInt(1, 6);
-            op.src_stride = rng_.uniformInt(-8, 8);
-            op.dst_stride = rng_.uniformInt(-8, 8);
-            break;
-        }
-        return op;
-    }
-
-    Rng rng_;
-    int arm_count_ = 0;
-    bool sparse_ = false;
-    std::int64_t arm_ = 0;
-};
 
 /** The ops of @p stmt in walk order. */
 void
@@ -218,24 +45,6 @@ flatten(const Stmt &stmt, std::vector<const MetaOp *> *out)
     }
     for (const Stmt &sub : stmt.body)
         flatten(sub, out);
-}
-
-/** @p arms as one block after the @p lead ops, itself inside a
- * `repeat 2` when @p in_repeat. */
-MopProgram
-makeProgram(const std::vector<MetaOp> &lead, std::vector<Stmt> arms,
-            bool in_repeat)
-{
-    MopProgram program("p", "XBM");
-    std::vector<Stmt> &compute = program.compute();
-    for (const MetaOp &op : lead)
-        compute.push_back(Stmt::makeOp(op));
-    Stmt block = Stmt::makeParallel(std::move(arms));
-    if (in_repeat)
-        compute.push_back(Stmt::makeRepeat(2, {std::move(block)}));
-    else
-        compute.push_back(std::move(block));
-    return program;
 }
 
 // ----- oracle -------------------------------------------------------------

@@ -128,7 +128,7 @@ TEST(EventEngineTest, DisjointParallelArmsMatchTrace)
 {
     const CimArchitecture arch = presets::isaacBaseline();
     MopProgram program("p", "WLM");
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(readRowOp(0, 0, 8)),
          Stmt::makeOp(readRowOp(0, 1, 8)),
          Stmt::makeOp(readRowOp(1, 0, 4))}));
@@ -151,7 +151,7 @@ TEST(EventEngineTest, SharedCrossbarSerializesParallelArms)
     MopProgram program("p", "WLM");
     // Both arms activate rows of crossbar (0, 0): physically one array,
     // so the second activation must wait for the first.
-    program.compute().push_back(
+    program.computeBuilder().append(
         Stmt::makeParallel({Stmt::makeOp(readRowOp(0, 0, 8)),
                             Stmt::makeOp(readRowOp(0, 0, 8))}));
 
@@ -179,7 +179,7 @@ TEST(EventEngineTest, RepeatExtrapolatesPeriodAndStall)
 {
     const CimArchitecture arch = presets::isaacBaseline();
     MopProgram plain("p", "WLM");
-    plain.compute().push_back(
+    plain.computeBuilder().append(
         Stmt::makeRepeat(10, {Stmt::makeOp(readRowOp(0, 0, 8))}));
     auto trace = traceProgram(plain, arch);
     auto event = simulateProgramEvents(plain, arch);
@@ -193,7 +193,7 @@ TEST(EventEngineTest, RepeatExtrapolatesPeriodAndStall)
     // its two arms (period 16, stall 8), and the extrapolation carries
     // the repeat weight into the stall statistics.
     MopProgram contended("p", "WLM");
-    contended.compute().push_back(Stmt::makeRepeat(
+    contended.computeBuilder().append(Stmt::makeRepeat(
         3, {Stmt::makeParallel({Stmt::makeOp(readRowOp(0, 0, 8)),
                                 Stmt::makeOp(readRowOp(0, 0, 8))})}));
     auto rep = simulateProgramEvents(contended, arch);

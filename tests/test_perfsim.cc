@@ -171,7 +171,7 @@ TEST(TraceEngineTest, ParallelBlockTakesMaxMemberTime)
     slow.len = 1;
     slow.rows = 128;
     slow.cols = 4;
-    program.compute().push_back(Stmt::makeParallel(
+    program.computeBuilder().append(Stmt::makeParallel(
         {Stmt::makeOp(fast), Stmt::makeOp(slow)}));
     auto report = traceProgram(program, arch);
     ASSERT_TRUE(report.isOk());
@@ -190,7 +190,7 @@ TEST(TraceEngineTest, RepeatScalesTimeAndEnergy)
     MopProgram once("p", "WLM");
     once.emit(read);
     MopProgram repeated("p", "WLM");
-    repeated.compute().push_back(
+    repeated.computeBuilder().append(
         Stmt::makeRepeat(10, {Stmt::makeOp(read)}));
 
     auto r1 = traceProgram(once, arch);
