@@ -2,7 +2,7 @@
  * @file
  * Batch-compilation throughput: the Figure 21/22 design-space sweep
  * (models x architecture presets) run as one serial loop and again on
- * the work-stealing pool. Checks that the parallel run's aggregated
+ * the thread pool. Checks that the parallel run's aggregated
  * table is byte-identical to the serial loop's, and — on hosts with
  * >= 4 hardware threads — that the parallel run is > 2x faster.
  */
@@ -43,7 +43,7 @@ int
 main()
 {
     std::puts("=== Batch compilation throughput (DSE sweep, serial vs "
-              "work-stealing pool) ===");
+              "thread pool) ===");
     const unsigned hw = std::thread::hardware_concurrency();
     std::printf("hardware threads: %u\n\n", hw);
 
@@ -70,7 +70,7 @@ main()
     TextTable summary({"path", "threads", "wall (s)", "speedup"});
     summary.addRow({"serial loop", "1", strformat("%.3f", serial_s),
                     "1.00x"});
-    summary.addRow({"work-stealing pool",
+    summary.addRow({"thread pool",
                     strformat("%u", hw == 0 ? 1 : hw),
                     strformat("%.3f", parallel_s),
                     bench::speedupStr(serial_s / parallel_s)});

@@ -1,11 +1,11 @@
 /**
  * @file
- * Work-stealing thread pool used by the batch compilation driver.
+ * Thread pool and index fan-out behind the batch sweep, the auto-tuner,
+ * the architecture DSE and the compile daemon.
  *
- * Each worker owns a deque: it pushes/pops its own work LIFO (cache-warm)
- * and steals FIFO from a victim when its deque runs dry, so an uneven
- * sweep (ResNet101 next to a toy net) still keeps every core busy.
- * Submission round-robins across worker deques to seed the pool.
+ * Every task is coarse (one CG group of tuner candidates, one whole
+ * compile, one DSE evaluation), so one FIFO queue behind one mutex keeps
+ * every worker busy on an uneven sweep without per-worker queues.
  *
  * The pool is deliberately free of global state: multiple pools can
  * coexist (tests construct several), and tasks may submit further tasks.
@@ -13,14 +13,12 @@
 #ifndef CIMMLC_COMMON_THREADPOOL_H
 #define CIMMLC_COMMON_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,7 +31,7 @@ namespace cimmlc {
  * thread. */
 inline constexpr int kMaxThreads = 1024;
 
-/** Fixed-size work-stealing pool; tasks are void() callables. */
+/** Fixed-size pool over one FIFO queue; tasks are void() callables. */
 class ThreadPool
 {
   public:
@@ -48,13 +46,9 @@ class ThreadPool
                     : static_cast<int>(std::thread::hardware_concurrency());
         if (n < 1)
             n = 1;
-        queues_.reserve(static_cast<std::size_t>(n));
-        for (int i = 0; i < n; ++i)
-            queues_.push_back(std::make_unique<WorkerQueue>());
         workers_.reserve(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i)
-            workers_.emplace_back(
-                [this, i] { workerLoop(static_cast<std::size_t>(i)); });
+            workers_.emplace_back([this] { workerLoop(); });
     }
 
     ThreadPool(const ThreadPool &) = delete;
@@ -65,7 +59,7 @@ class ThreadPool
     {
         wait();
         {
-            std::lock_guard<std::mutex> lock(work_mutex_);
+            std::lock_guard<std::mutex> lock(mutex_);
             stop_ = true;
         }
         work_cv_.notify_all();
@@ -84,105 +78,87 @@ class ThreadPool
     void
     submit(std::function<void()> task)
     {
-        pending_.fetch_add(1, std::memory_order_relaxed);
-        const std::size_t slot =
-            next_queue_.fetch_add(1, std::memory_order_relaxed)
-            % queues_.size();
         {
-            std::lock_guard<std::mutex> lock(queues_[slot]->mutex);
-            queues_[slot]->tasks.push_back(std::move(task));
+            std::lock_guard<std::mutex> lock(mutex_);
+            tasks_.push_back(std::move(task));
+            ++pending_;
         }
-        // Empty critical section: serializes with workers evaluating the
-        // sleep predicate so the notify below cannot be lost.
-        { std::lock_guard<std::mutex> lock(work_mutex_); }
         work_cv_.notify_one();
     }
 
-    /** Blocks until every submitted task (so far) has finished. */
+    /** Blocks until every submitted task (so far, including tasks that
+     * tasks submitted) has finished. */
     void
     wait()
     {
-        std::unique_lock<std::mutex> lock(done_mutex_);
-        done_cv_.wait(lock, [this] {
-            return pending_.load(std::memory_order_acquire) == 0;
-        });
+        std::unique_lock<std::mutex> lock(mutex_);
+        done_cv_.wait(lock, [this] { return pending_ == 0; });
     }
 
   private:
-    struct WorkerQueue {
-        std::mutex mutex;
-        std::deque<std::function<void()>> tasks;
-    };
-
-    bool
-    tryPop(std::size_t self, std::function<void()> &out)
-    {
-        {
-            WorkerQueue &own = *queues_[self];
-            std::lock_guard<std::mutex> lock(own.mutex);
-            if (!own.tasks.empty()) {
-                out = std::move(own.tasks.back());
-                own.tasks.pop_back();
-                return true;
-            }
-        }
-        for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
-            WorkerQueue &victim =
-                *queues_[(self + offset) % queues_.size()];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (!victim.tasks.empty()) {
-                out = std::move(victim.tasks.front());
-                victim.tasks.pop_front();
-                return true;
-            }
-        }
-        return false;
-    }
-
-    bool
-    anyQueued()
-    {
-        for (const auto &queue : queues_) {
-            std::lock_guard<std::mutex> lock(queue->mutex);
-            if (!queue->tasks.empty())
-                return true;
-        }
-        return false;
-    }
-
     void
-    workerLoop(std::size_t self)
+    workerLoop()
     {
-        std::function<void()> task;
+        std::unique_lock<std::mutex> lock(mutex_);
         for (;;) {
-            if (tryPop(self, task)) {
-                task();
-                task = nullptr;
-                if (pending_.fetch_sub(1, std::memory_order_acq_rel)
-                    == 1) {
-                    std::lock_guard<std::mutex> lock(done_mutex_);
-                    done_cv_.notify_all();
-                }
-                continue;
-            }
-            std::unique_lock<std::mutex> lock(work_mutex_);
-            work_cv_.wait(lock, [this] { return stop_ || anyQueued(); });
-            if (stop_ && !anyQueued())
+            work_cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+            if (tasks_.empty())
                 return;
+            std::function<void()> task = std::move(tasks_.front());
+            tasks_.pop_front();
+            lock.unlock();
+            task();
+            // The task's captures die before wait() can return.
+            task = nullptr;
+            lock.lock();
+            if (--pending_ == 0)
+                done_cv_.notify_all();
         }
     }
 
-    std::vector<std::unique_ptr<WorkerQueue>> queues_;
-    std::vector<std::thread> workers_;
-    std::atomic<std::size_t> next_queue_{0};
-    std::atomic<std::int64_t> pending_{0};
-
-    std::mutex work_mutex_;
+    std::mutex mutex_;
+    std::deque<std::function<void()>> tasks_; //!< guarded by mutex_
+    std::size_t pending_ = 0; //!< queued + running; guarded by mutex_
+    bool stop_ = false;       //!< guarded by mutex_
     std::condition_variable work_cv_;
-    bool stop_ = false;
-
-    std::mutex done_mutex_;
     std::condition_variable done_cv_;
+    std::vector<std::thread> workers_;
+};
+
+/**
+ * Runs fn(i) for every i in [0, n) per run() call. With 1 thread every
+ * index runs inline, in index order, on the calling thread: the
+ * reference run the determinism tests compare against, and what a tune
+ * nested inside a batch job or a DSE candidate uses. Any other count
+ * (0 = one per hardware thread) owns one pool for the object's lifetime
+ * and submits one task per index. fn must write only state owned by its
+ * index for the result to be independent of the thread count.
+ */
+class FanOut
+{
+  public:
+    explicit FanOut(int threads)
+    {
+        if (threads != 1)
+            pool_.emplace(threads);
+    }
+
+    /** Returns once fn(i) has finished for every i in [0, n). */
+    void
+    run(std::size_t n, const std::function<void(std::size_t)> &fn)
+    {
+        if (!pool_.has_value()) {
+            for (std::size_t i = 0; i < n; ++i)
+                fn(i);
+            return;
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            pool_->submit([&fn, i] { fn(i); });
+        pool_->wait();
+    }
+
+  private:
+    std::optional<ThreadPool> pool_;
 };
 
 } // namespace cimmlc

@@ -146,20 +146,9 @@ runSweep(const BatchSweep &sweep, const std::vector<BatchJob> &jobs)
 
     BatchResult result;
     result.entries.resize(jobs.size());
-    if (sweep.threads == 1) {
-        // Serial reference path: the determinism tests compare against it.
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            compileJob(jobs[i], base, result.entries[i]);
-        return result;
-    }
-
-    ThreadPool pool(sweep.threads);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        pool.submit([&base, &jobs, &result, i] {
-            compileJob(jobs[i], base, result.entries[i]);
-        });
-    }
-    pool.wait();
+    FanOut(sweep.threads).run(jobs.size(), [&](std::size_t i) {
+        compileJob(jobs[i], base, result.entries[i]);
+    });
     return result;
 }
 

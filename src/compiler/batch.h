@@ -4,7 +4,7 @@
  *
  * The paper's evaluation (Figures 21/22) sweeps networks across
  * architecture presets one compile at a time; runSweep runs the same
- * sweep concurrently on a work-stealing pool and aggregates the per-job
+ * sweep concurrently, one pool task per job, and aggregates the per-job
  * performance reports into one table. A BatchSweep holds every setting
  * of a sweep: fill one (or parse it with sweepFromFile) and run it.
  *

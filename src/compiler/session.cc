@@ -477,10 +477,7 @@ CompilerSession::stageTune(CompileArtifacts &artifacts, std::string &detail)
     config.budget = request_.search_budget;
     config.host_model = request_.host_model;
     const AutoTuner tuner(config);
-    CIMMLC_ASSIGN_OR_RETURN(TuneResult tuned, tuner.tune(*graph_, *arch_));
-    artifacts.options = tuned.best().options;
-    artifacts.tuned = true;
-    artifacts.tune = std::move(tuned);
+    CIMMLC_ASSIGN_OR_RETURN(artifacts.tune, tuner.tune(*graph_, *arch_));
     detail = artifacts.tune->summary();
     return Status::ok();
 }
@@ -653,8 +650,6 @@ CompilerSession::replayStage(CompileStage stage,
       case CompileStage::kTune:
         artifacts.tune =
             *std::static_pointer_cast<const TuneResult>(entry.value);
-        artifacts.tuned = true;
-        artifacts.options = artifacts.tune->best().options;
         return;
       case CompileStage::kSchedule:
         artifacts.schedule =
@@ -684,6 +679,10 @@ CompilerSession::deriveOutputs(CompileStage stage,
                                CompileArtifacts &artifacts) const
 {
     switch (stage) {
+      case CompileStage::kTune:
+        artifacts.tuned = true;
+        artifacts.options = artifacts.tune->best().options;
+        break;
       case CompileStage::kSchedule:
         if (request_.outputs.schedule_report)
             artifacts.schedule_report =

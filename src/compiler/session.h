@@ -309,8 +309,8 @@ class CompilerSession
     void replayStage(CompileStage stage, const ArtifactCache::Entry &entry,
                      CompileArtifacts &artifacts);
     /** Derives what a stage's artifact implies, after a run and a
-     * replay alike: the schedule report, the flow text, and the
-     * lint-strict verdict, which is this call's status. */
+     * replay alike: the tuned options, the schedule report, the flow
+     * text, and the lint-strict verdict, which is this call's status. */
     Status deriveOutputs(CompileStage stage,
                          CompileArtifacts &artifacts) const;
     /** Stores a successful stage result under @p key. */

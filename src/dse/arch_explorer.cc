@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -512,22 +511,9 @@ ArchExplorer::explore(TuneCache *cache) const
 
     std::atomic<std::int64_t> cache_hits{0};
     std::atomic<std::int64_t> proxy_runs{0};
-    std::optional<ThreadPool> pool;
-    if (spec_.threads != 1)
-        pool.emplace(spec_.threads);
-    // Runs one rung: every survivor gets its own pre-assigned result
-    // slot, so the parallel path is byte-identical to the serial one.
-    auto run_rung = [&pool](const std::vector<std::size_t> &indices,
-                            const std::function<void(std::size_t)> &eval) {
-        if (pool.has_value()) {
-            for (std::size_t index : indices)
-                pool->submit([&eval, index] { eval(index); });
-            pool->wait();
-        } else {
-            for (std::size_t index : indices)
-                eval(index);
-        }
-    };
+    // Every survivor of a rung gets its own pre-assigned result slot,
+    // so the parallel path is byte-identical to the serial one.
+    FanOut fan_out(spec_.threads);
 
     std::vector<std::size_t> survivors = unique;
     if (proxy_rungs > 0) {
@@ -553,7 +539,8 @@ ArchExplorer::explore(TuneCache *cache) const
                 for (std::size_t index : survivors)
                     proxy_keys[index] = evaluationKey(
                         digests[index], proxy_encoding, fidelity);
-                run_rung(survivors, [&](std::size_t index) {
+                fan_out.run(survivors.size(), [&](std::size_t i) {
+                    const std::size_t index = survivors[i];
                     DseCandidate &candidate = result.candidates[index];
                     candidate.rung = static_cast<std::int64_t>(rung);
                     evaluateProxy(graph, options, candidate, fidelity,
@@ -595,7 +582,8 @@ ArchExplorer::explore(TuneCache *cache) const
     }
 
     // Full-fidelity rung: the survivors (everyone, when exhaustive).
-    run_rung(survivors, [&](std::size_t index) {
+    fan_out.run(survivors.size(), [&](std::size_t i) {
+        const std::size_t index = survivors[i];
         DseCandidate &candidate = result.candidates[index];
         candidate.full_eval = true;
         candidate.rung = static_cast<std::int64_t>(proxy_rungs);

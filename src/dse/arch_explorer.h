@@ -12,11 +12,11 @@
  * Candidates are enumerated deterministically from a kvjson sweep spec
  * (arch/serialize.h), each is priced through a staged CompilerSession
  * (optionally with per-candidate schedule auto-tuning sharing one
- * TuneCache), evaluation fans out over the work-stealing ThreadPool
- * with pre-assigned result slots, and the latency/energy Pareto front
- * is computed with deterministic dominance filtering — the report is
- * byte-identical for any thread count, the same discipline the
- * AutoTuner and batch sweeps follow.
+ * TuneCache), evaluation fans out over a thread pool (FanOut, one task
+ * per candidate) with pre-assigned result slots, and the
+ * latency/energy Pareto front is computed with deterministic dominance
+ * filtering — the report is byte-identical for any thread count, the
+ * same discipline the AutoTuner and batch sweeps follow.
  */
 #ifndef CIMMLC_DSE_ARCH_EXPLORER_H
 #define CIMMLC_DSE_ARCH_EXPLORER_H

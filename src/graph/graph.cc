@@ -44,26 +44,6 @@ isCimMappable(OpKind kind)
 }
 
 bool
-isDigitalCompute(OpKind kind)
-{
-    switch (kind) {
-      case OpKind::kMatMul:
-      case OpKind::kRelu:
-      case OpKind::kGelu:
-      case OpKind::kSoftmax:
-      case OpKind::kLayerNorm:
-      case OpKind::kMaxPool2d:
-      case OpKind::kAvgPool2d:
-      case OpKind::kGlobalAvgPool:
-      case OpKind::kAdd:
-      case OpKind::kConcat:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
 isShapeOnly(OpKind kind)
 {
     return kind == OpKind::kFlatten || kind == OpKind::kReshape ||

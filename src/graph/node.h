@@ -48,9 +48,6 @@ const char *opKindName(OpKind kind);
 /** True for operators whose weights live in CIM crossbars. */
 bool isCimMappable(OpKind kind);
 
-/** True for operators executed by the tier ALUs (DCOM lowering). */
-bool isDigitalCompute(OpKind kind);
-
 /** True for zero-cost metadata operators. */
 bool isShapeOnly(OpKind kind);
 

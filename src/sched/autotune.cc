@@ -541,27 +541,20 @@ AutoTuner::tune(const Graph &graph, const CimArchitecture &arch) const
     }
 
     CandidatePricer pricer(graph, arch, config_.host_model, config_.cache);
-    std::optional<ThreadPool> pool;
-    if (config_.threads != 1)
-        pool.emplace(config_.threads);
-    // Prices @p indices with one pool task per CG group.
+    FanOut fan_out(config_.threads);
+    // Prices @p indices with one fan-out index per CG group.
     auto price = [&](const std::vector<std::size_t> &indices) {
-        std::map<std::uint32_t, std::vector<std::size_t>> groups;
+        std::map<std::uint32_t, std::vector<std::size_t>> by_cg_key;
         for (std::size_t index : indices)
-            groups[result.candidates[index].encoding & kCgKeyMask]
+            by_cg_key[result.candidates[index].encoding & kCgKeyMask]
                 .push_back(index);
-        for (const auto &[cg_key, members] : groups) {
-            (void)cg_key;
-            if (pool.has_value()) {
-                pool->submit([&pricer, &result, &members] {
-                    pricer.priceGroup(result.candidates, members);
-                });
-            } else {
-                pricer.priceGroup(result.candidates, members);
-            }
-        }
-        if (pool.has_value())
-            pool->wait();
+        std::vector<std::vector<std::size_t>> groups;
+        groups.reserve(by_cg_key.size());
+        for (auto &entry : by_cg_key)
+            groups.push_back(std::move(entry.second));
+        fan_out.run(groups.size(), [&](std::size_t group) {
+            pricer.priceGroup(result.candidates, groups[group]);
+        });
     };
 
     result.budget = config_.budget;

@@ -17,7 +17,7 @@
  * agree on the six options runCgOptimization reads (CG duplication and
  * pipelining, binding, segment cap, dual mode, host offload) form a
  * group: 128 groups on every mode, with 8 members on WLM, 4 on XBM and
- * 1 on CM. One ThreadPool task per group computes the CG plan on the
+ * 1 on CM. One FanOut index per group computes the CG plan on the
  * group's first TuneCache miss, prices each member through
  * scheduleFromCg and the closed-form PerfEngine, and frees the plan when
  * the group is done. Results are independent of thread count because

@@ -169,8 +169,7 @@ computeGraphCosts(const Graph &graph, const CimArchitecture &arch,
 }
 
 SegmentLatency
-segmentLatency(const std::vector<StageCost> &stages,
-               double transfer_floor)
+segmentLatency(const std::vector<StageCost> &stages)
 {
     SegmentLatency out;
     std::vector<double> effective(stages.size());
@@ -198,10 +197,6 @@ segmentLatency(const std::vector<StageCost> &stages,
     // A pipeline can never beat running the bottleneck alone nor lose to
     // fully serial execution.
     out.pipelined = std::min(out.pipelined, out.serial);
-    // Shared-bandwidth roofline: all concurrently streaming stages share
-    // the chip NoC / L0 port.
-    out.pipelined = std::max(out.pipelined, transfer_floor);
-    out.serial = std::max(out.serial, transfer_floor);
     return out;
 }
 
@@ -229,23 +224,6 @@ chipBandwidthLimit(const CimArchitecture &arch)
                        : std::min(limit_bw, arch.chip.core_noc_bandwidth);
     }
     return limit_bw;
-}
-
-double
-transferFloorCycles(const std::vector<const NodeCost *> &members,
-                    const CimArchitecture &arch)
-{
-    const double limit_bw = chipBandwidthLimit(arch);
-    if (limit_bw <= 0.0)
-        return 0.0;
-    double total_bits = 0.0;
-    for (const NodeCost *cost : members) {
-        if (cost->is_cim) {
-            total_bits += static_cast<double>(cost->windows) *
-                          cost->transfer_bits_per_window;
-        }
-    }
-    return total_bits / limit_bw;
 }
 
 double

@@ -102,25 +102,12 @@ struct SegmentLatency {
     double bottleneck = 0.0;
 };
 
-/**
- * @param stages            per-stage latencies after duplication
- * @param transfer_floor    roofline bound: cycles the shared chip
- *                          bandwidth needs to move the segment's operand
- *                          traffic; 0 when bandwidth is ideal. Pipelined
- *                          latency cannot beat this floor no matter how
- *                          many replicas exist — this is what keeps
- *                          duplication from scaling past the NoC/buffer
- *                          capability (Section 3.3.2).
- */
-SegmentLatency segmentLatency(const std::vector<StageCost> &stages,
-                              double transfer_floor = 0.0);
+/** Latency of a segment from its per-stage latencies after
+ * duplication. */
+SegmentLatency segmentLatency(const std::vector<StageCost> &stages);
 
 /** Shared chip bandwidth in bits/cycle; 0 = ideal. */
 double chipBandwidthLimit(const CimArchitecture &arch);
-
-/** Roofline floor: cycles to stream every member's operand traffic. */
-double transferFloorCycles(const std::vector<const NodeCost *> &members,
-                           const CimArchitecture &arch);
 
 /**
  * Cycles to (re)program one segment's weights. Crossbars program in

@@ -147,17 +147,9 @@ TEST(SegmentLatencyTest, OnlyOneTieSkipsFill)
 TEST(SegmentLatencyTest, StageFloorBindsLatency)
 {
     const SegmentLatency out =
-        segmentLatency({{0, 10.0, 0.0, 40.0}}, 0.0);
+        segmentLatency({{0, 10.0, 0.0, 40.0}});
     EXPECT_DOUBLE_EQ(out.bottleneck, 40.0);
     EXPECT_DOUBLE_EQ(out.pipelined, 40.0);
-}
-
-TEST(SegmentLatencyTest, TransferFloorBounds)
-{
-    const SegmentLatency out =
-        segmentLatency({{0, 10.0, 0.0, 0.0}}, 25.0);
-    EXPECT_DOUBLE_EQ(out.pipelined, 25.0);
-    EXPECT_DOUBLE_EQ(out.serial, 25.0);
 }
 
 TEST(SegmentLatencyTest, PipelinedNeverExceedsSerial)

@@ -1,9 +1,11 @@
 /**
  * @file
- * Unit tests for the work-stealing thread pool behind the batch
- * compilation driver: completion of every submitted task, wait()
- * semantics, nested submission, load imbalance (stealing), and reuse
- * of one pool across generations of work.
+ * Unit tests for the thread pool and the index fan-out behind the
+ * batch sweep, the auto-tuner, the architecture DSE and the daemon:
+ * completion of every submitted task, wait() semantics, nested
+ * submission, a blocked worker not holding up queued work, reuse of
+ * one pool across generations of work, and the fan-out's inline
+ * 1-thread reference run.
  */
 #include <gtest/gtest.h>
 
@@ -88,13 +90,12 @@ TEST(ThreadPoolTest, TasksMaySubmitFurtherTasks)
     EXPECT_EQ(count.load(), 8 + 8 * 4);
 }
 
-TEST(ThreadPoolTest, UnevenWorkIsStolenAcrossWorkers)
+TEST(ThreadPoolTest, BlockedWorkerDoesNotHoldUpQueuedWork)
 {
-    // A blocker pins one worker. Round-robin submission then seeds 16 of
-    // the 64 short tasks into the pinned worker's own deque, and the
-    // blocker returns only once all 64 have run, so the other workers
-    // must steal them. Which workers ran the tasks proves nothing: one
-    // worker draining all 64 is itself stealing.
+    // A blocker pins one worker and returns only once the 64 short tasks
+    // submitted after it have run, so the other workers must run all of
+    // them while it is blocked (an uneven sweep: one long compile next
+    // to many short ones).
     std::mutex mutex;
     std::condition_variable cv;
     bool blocker_running = false;
@@ -123,7 +124,7 @@ TEST(ThreadPoolTest, UnevenWorkIsStolenAcrossWorkers)
     pool.wait();
     EXPECT_EQ(done, 64);
     EXPECT_TRUE(drained_while_blocked)
-        << "the blocked worker's deque was not stolen from";
+        << "queued work waited for the blocked worker";
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedWork)
@@ -189,6 +190,54 @@ TEST(ThreadPoolTest, SingleThreadPoolCompletesEverything)
     }
     pool.wait();
     ASSERT_EQ(order.size(), 16u);
+}
+
+TEST(FanOutTest, OneThreadRunsInlineInIndexOrder)
+{
+    FanOut fan_out(1);
+    std::vector<std::size_t> order;
+    bool on_caller = true;
+    const std::thread::id caller = std::this_thread::get_id();
+    fan_out.run(16, [&](std::size_t i) {
+        order.push_back(i);
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+    });
+    ASSERT_EQ(order.size(), 16u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
+    EXPECT_TRUE(on_caller);
+}
+
+TEST(FanOutTest, EachIndexRunsOnceBeforeRunReturns)
+{
+    // One object fans out several times over its one pool, as the
+    // tuner's budget waves and the DSE's halving rungs do. Every slot is
+    // a plain int: a run() that returned before a slow index finished
+    // would read 0 there (and race under TSan).
+    FanOut fan_out(4);
+    for (int round = 1; round <= 3; ++round) {
+        std::vector<int> hits(64, 0);
+        fan_out.run(hits.size(), [&hits](std::size_t i) {
+            if (i % 16 == 0)
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            ++hits[i];
+        });
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            EXPECT_EQ(hits[i], 1) << "round " << round << " index " << i;
+    }
+    fan_out.run(0, [](std::size_t) { FAIL() << "no index to run"; });
+}
+
+TEST(FanOutTest, OneThreadFanOutNestsInsidePoolTask)
+{
+    // A tune (1 thread) inside a batch job or a DSE candidate, which
+    // run as tasks of the sweep's own fan-out.
+    std::vector<int> inner_runs(8, 0);
+    FanOut(4).run(inner_runs.size(), [&inner_runs](std::size_t job) {
+        FanOut(1).run(5, [&](std::size_t) { ++inner_runs[job]; });
+    });
+    for (int runs : inner_runs)
+        EXPECT_EQ(runs, 5);
 }
 
 } // namespace
